@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
-from .hom import HatMorphism, hat, hom_complex
+from .hom import HatMorphism, hat
 from .linalg import Field, Matrix, complement, rank as matrix_rank, solve, subspaces
 from .seq import NEG_INF, POS_INF, Seq, Tail, interval, make_seq, zero_seq
 

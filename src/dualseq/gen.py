@@ -6,7 +6,7 @@ All functions take an explicit ``random.Random`` so callers control seeds.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from .barcode import Interval, Barcode, assemble, make_barcode
 from .dualnum import EpsComplex, MinimalComplex, make_minimal, validate
@@ -124,8 +124,7 @@ def random_deps_for(rng: random.Random, field: Field, ranks: List[int],
                             val = val % field.p
                         row[off[k + 1] + a * ranks[k + 1] + c] = val
                 rows.append(row)
-    work = [list(r) for r in rows]
-    rk, pivots = _rref(field, work, total)
+    rk, pivots = _rref(field, rows, total)
     pivset = set(pivots)
     free = [j for j in range(total) if j not in pivset]
     vec = [field.zero] * total
@@ -133,7 +132,7 @@ def random_deps_for(rng: random.Random, field: Field, ranks: List[int],
         vec[j] = random_scalar(rng, field)
     # back-substitute pivots so the full law holds
     for r in range(rk):
-        prow = work[r]
+        prow = rows[r]
         pcol = pivots[r]
         s = field.zero
         for j in free:

@@ -24,20 +24,28 @@ a finite kernel/cokernel problem:
 The margin is accepted only when two further one-step widenings reproduce
 every dimension; the widening count is capped, and hitting the cap raises
 ``StabilizationDepthExceeded``.
+
+Each probed window is eliminated once: both systems are reduced, their
+ranks give the dimensions, and the probe at the accepted margin is reused
+as is.  The kernel basis is read off the reduced ``d^0`` rows and the coset
+data off the reduced ``d^-1`` rows; the dense window differentials are
+rebuilt from the constraint rows only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .config import Config, DEFAULT
 from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import (GradedHomElement, compose, differential, identity_element,
                      is_morphism, make_element, shift_element, zero_element)
-from .linalg import Matrix, _rref, reduce_row_mod, subspaces
-from .seq import Seq, Tail, direct_sum_seq, shift as shift_seq
+# subspaces is unused here but stays bound: bench/test_bench.py checks that
+# the tracer rebinds the copy of it imported into this module.
+from .linalg import Matrix, _rref, reduce_row_mod, subspaces  # noqa: F401
+from .seq import Seq, direct_sum_seq
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,23 @@ class StabilizationCertificate:
     margin: int
     checks: Tuple[Tuple[int, int, int], ...]
     depth_limit: int
+
+
+class _Window(NamedTuple):
+    """One probed window: its layout and both systems in reduced form."""
+
+    L: int
+    R: int
+    off0: dict
+    n: int
+    d0_rows: list       # nonzero rref rows of the d^0 constraints
+    d0_pivots: tuple
+    img_rows: list      # nonzero rref rows of the d^-1 image vectors
+    img_pivots: tuple
+
+    @property
+    def dims(self) -> tuple:
+        return (self.n - len(self.d0_pivots), self.n - len(self.img_pivots))
 
 
 class HomContext:
@@ -68,10 +93,11 @@ class HomContext:
         checks = []
         widenings = 0
         while True:
-            probe = [self._dims_at(margin + k) for k in range(config.extra_checks + 1)]
-            checks = tuple((margin + k, probe[k][0], probe[k][1])
-                           for k in range(len(probe)))
-            if all(p == probe[0] for p in probe):
+            probe = self._eliminate(margin)
+            dims = [probe.dims] + [self._eliminate(margin + k).dims
+                                   for k in range(1, config.extra_checks + 1)]
+            checks = tuple((margin + k, d[0], d[1]) for k, d in enumerate(dims))
+            if all(d == dims[0] for d in dims):
                 break
             margin += 1
             widenings += 1
@@ -80,7 +106,7 @@ class HomContext:
                     f"hom dimensions between windows [{v.lo},{v.hi}] and "
                     f"[{w.lo},{w.hi}] did not stabilize", limit)
         self.margin = margin
-        self._populate(margin)
+        self._populate(probe)
         self.certificate = StabilizationCertificate(
             (self.L, self.R), margin, checks, limit)
 
@@ -158,33 +184,47 @@ class HomContext:
                     rows.append(row)
         return rows
 
-    def _dims_at(self, m: int) -> tuple:
+    def _eliminate(self, m: int) -> _Window:
         L, R, off0, n = self._layout(m)
         d0 = self._d0_rows(L, R, off0, n)
-        rank0, _ = _rref(self.field, d0, n)
+        rank0, piv0 = _rref(self.field, d0, n)
         dm1 = self._dm1_rows(L, R, off0, n)
-        rank1, _ = _rref(self.field, dm1, n)
-        return (n - rank0, n - rank1)
+        rank1, piv1 = _rref(self.field, dm1, n)
+        return _Window(L, R, off0, n, d0[:rank0], piv0, dm1[:rank1], piv1)
 
-    def _populate(self, m: int):
-        v, w = self.src, self.dst
-        self.L, self.R, self.off0, self.N = self._layout(m)
-        d0_rows = self._d0_rows(self.L, self.R, self.off0, self.N)
-        self.d0 = Matrix(self.field, len(d0_rows), self.N,
-                         tuple(x for row in d0_rows for x in row))
-        ker = subspaces(self.d0).kernel if d0_rows else Matrix.identity(self.field, self.N)
-        self.dim_hom = ker.cols
-        self.ker_basis_vecs = [ker.col(j) for j in range(ker.cols)]
-        dm1_rows = self._dm1_rows(self.L, self.R, self.off0, self.N)
-        self.dminus1 = Matrix(self.field, len(dm1_rows), self.N,
-                              tuple(x for row in dm1_rows for x in row)).transpose()
-        work = [list(r) for r in dm1_rows]
-        rank1, pivots = _rref(self.field, work, self.N)
-        self.img_rows = work[:rank1]
-        self.img_pivots = pivots
-        self.dim_eps = self.N - rank1
-        pivset = set(pivots)
-        self.nonpivots = [j for j in range(self.N) if j not in pivset]
+    def _populate(self, win: _Window):
+        self.L, self.R, self.off0, self.N = win.L, win.R, win.off0, win.n
+        self.dim_hom, self.dim_eps = win.dims
+        # kernel of d^0, one vector per free column of its rref
+        zero, one, neg = self.field.zero, self.field.one, self.field.neg
+        pivset = set(win.d0_pivots)
+        self.ker_basis_vecs = []
+        for fj in range(win.n):
+            if fj in pivset:
+                continue
+            vec = [zero] * win.n
+            vec[fj] = one
+            for row, c in zip(win.d0_rows, win.d0_pivots):
+                if row[fj]:
+                    vec[c] = neg(row[fj])
+            self.ker_basis_vecs.append(vec)
+        self.img_rows = win.img_rows
+        self.img_pivots = win.img_pivots
+        pivset = set(win.img_pivots)
+        self.nonpivots = [j for j in range(win.n) if j not in pivset]
+
+    @property
+    def d0(self) -> Matrix:
+        """The window matrix of d^0 (rows: constraints, columns: coordinates)."""
+        rows = self._d0_rows(self.L, self.R, self.off0, self.N)
+        return Matrix(self.field, len(rows), self.N, tuple(x for row in rows for x in row))
+
+    @property
+    def dminus1(self) -> Matrix:
+        """The window matrix of d^-1 (columns: image vectors)."""
+        rows = self._dm1_rows(self.L, self.R, self.off0, self.N)
+        return Matrix(self.field, len(rows), self.N,
+                      tuple(x for row in rows for x in row)).transpose()
 
     # -- coordinates <-> elements ----------------------------------------
 

@@ -1,16 +1,19 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
 Matrices are immutable, row-major, and tiny (the library works at desk
-scale), so everything here is plain Gauss-Jordan elimination with exact
-scalars: Python ints reduced mod p, or ``fractions.Fraction``.  No floats
-anywhere.
+scale), so everything here is Gauss-Jordan elimination with exact scalars:
+Python ints reduced mod p, or ``fractions.Fraction``.  No floats anywhere.
+Storage is dense, but the elimination follows the arithmetic actually
+needed: a pivot row with few nonzero entries updates the other rows at
+those entries only (the constraint systems of the hom windows are about
+5% nonzero).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationFailed
 
@@ -263,12 +266,25 @@ class EchelonData:
 
 
 def _rref(field: Field, a: list, width: int) -> tuple:
-    """In-place Gauss-Jordan on a list of row lists; returns (rank, pivots).
+    """Gauss-Jordan on a list of row lists; returns (rank, pivots).
+
+    ``a`` is rewritten in place: each of its rows is first replaced by a
+    copy (so the caller's row lists are never mutated, and a row object
+    passed twice, as in ``[row] * 3``, is reduced as two separate rows),
+    and on return ``a`` holds the rref rows, nonzero ones first.
 
     Only the first ``width`` columns are eliminated; trailing columns come
     along for the ride.  That is how reduction witnesses are tracked
     (augment with the identity, reduce, split).
+
+    After the pivot row is normalized, its nonzero columns from the pivot on
+    are collected (it is zero before the pivot).  When they are under a
+    third of the remaining columns, each other row is updated in place at
+    those columns only; otherwise the row is rebuilt from the pivot column
+    on.  Both updates do the same arithmetic on every entry that can change,
+    so rank, pivots and rows do not depend on which one runs.
     """
+    a[:] = [list(row) for row in a]
     m = len(a)
     p = field.p
     pivots = []
@@ -285,28 +301,38 @@ def _rref(field: Field, a: list, width: int) -> tuple:
             a[r], a[pr] = a[pr], a[r]
         row = a[r]
         piv = row[c]
-        if p is not None:
-            if piv != 1:
+        if piv != 1:
+            if p is not None:
                 inv = pow(piv, -1, p)
                 a[r] = row = [(x * inv) % p for x in row]
-            for i in range(m):
-                if i == r:
-                    continue
-                f = a[i][c]
-                if f:
-                    ai = a[i]
-                    a[i] = [(x - f * y) % p for x, y in zip(ai, row)]
-        else:
-            if piv != 1:
+            else:
                 inv = Fraction(1) / piv
                 a[r] = row = [x * inv for x in row]
-            for i in range(m):
-                if i == r:
-                    continue
-                f = a[i][c]
-                if f:
-                    ai = a[i]
-                    a[i] = [x - f * y for x, y in zip(ai, row)]
+        n = len(row)
+        nz = [j for j in range(c, n) if row[j]]
+        sparse = 3 * len(nz) < n - c
+        if sparse:
+            nz = [(j, row[j]) for j in nz]
+        else:
+            tail = row[c:]
+        for i in range(m):
+            if i == r:
+                continue
+            ai = a[i]
+            f = ai[c]
+            if not f:
+                continue
+            if sparse:
+                if p is not None:
+                    for j, y in nz:
+                        ai[j] = (ai[j] - f * y) % p
+                else:
+                    for j, y in nz:
+                        ai[j] -= f * y
+            elif p is not None:
+                a[i] = ai[:c] + [(x - f * y) % p for x, y in zip(ai[c:], tail)]
+            else:
+                a[i] = ai[:c] + [x - f * y for x, y in zip(ai[c:], tail)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -354,14 +380,14 @@ def subspaces(m: Matrix) -> SubspaceData:
     free = [j for j in range(m.cols) if j not in pivots]
     # kernel basis: one column per free variable
     kdata = []
-    piv_list = list(ech.pivots)
+    row_of = {c: r for r, c in enumerate(ech.pivots)}
     for i in range(m.cols):
         row = []
+        r = row_of.get(i)
         for fj in free:
             if i == fj:
                 row.append(f.one)
-            elif i in pivots:
-                r = piv_list.index(i)
+            elif r is not None:
                 row.append(f.neg(ech.rref.entry(r, fj)))
             else:
                 row.append(f.zero)
@@ -378,7 +404,7 @@ def subspaces(m: Matrix) -> SubspaceData:
 
 
 def rank(m: Matrix) -> int:
-    return reduce(m).rank
+    return _rref(m.field, m.to_lists(), m.cols)[0]
 
 
 def complement(sub: Matrix, ambient_dim: int) -> Matrix:
@@ -386,9 +412,9 @@ def complement(sub: Matrix, ambient_dim: int) -> Matrix:
     of ``k^ambient_dim``; deterministic (non-pivot coordinates of the span)."""
     if sub.rows != ambient_dim:
         raise ValidationFailed("complement: ambient dimension mismatch")
-    ech = reduce(sub.transpose())
-    pivots = set(ech.pivots)
     f = sub.field
+    _, pivots = _rref(f, [sub.col(j) for j in range(sub.cols)], ambient_dim)
+    pivots = set(pivots)
     free = [j for j in range(ambient_dim) if j not in pivots]
     data = tuple(f.one if i == j else f.zero for i in range(ambient_dim) for j in free)
     return Matrix(f, ambient_dim, len(free), data)

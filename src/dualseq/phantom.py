@@ -152,7 +152,7 @@ def is_phantom(h: HatMorphism, depth: int = 12, config: Config = DEFAULT) -> Pha
     coords = ctx.eps_coords(h.feps)
     if all(c == ctx.field.zero for c in coords):
         return PhantomVerdict(True, "zero class", cert)
-    rank, pivots = _rref(ctx.field, [list(r) for r in rows], ctx.dim_eps) \
+    rank, pivots = _rref(ctx.field, list(rows), ctx.dim_eps) \
         if rows else (0, [])
     ok = rows and _member(rows, pivots, coords, ctx.field, ctx.dim_eps)
     if ok:

@@ -6,13 +6,54 @@ test beyond basic matrix arithmetic.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from dualseq.barcode import Interval, assemble, make_barcode
-from dualseq.linalg import Field, Matrix, rank
+from dualseq.linalg import Field, Matrix
 from dualseq.seq import Seq
 
 F2 = Field(2)
+
+
+def gauss_jordan(field: Field, rows, width: int) -> Tuple[int, Tuple[int, ...], list]:
+    """Textbook dense Gauss-Jordan on the first ``width`` columns.
+
+    Returns ``(rank, pivots, rows)``: every row is rebuilt in full at every
+    step, with no sparsity shortcut.  On the eliminated columns the nonzero
+    rows are the reduced row echelon form, which is unique; trailing columns
+    agree with any elimination that takes the first nonzero row at or below
+    the current one as the pivot row.
+    """
+    p = field.p
+
+    def sub(x, f, y):
+        return (x - f * y) % p if p is not None else x - f * y
+
+    def div(x, y):
+        return x * pow(y, -1, p) % p if p is not None else Fraction(x) / y
+
+    a = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        piv = a[r][c]
+        a[r] = [div(x, piv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [sub(x, f, y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return r, tuple(pivots), a
+
+
+def rank(m: Matrix) -> int:
+    return gauss_jordan(m.field, m.to_lists(), m.cols)[0]
 
 
 def all_matrices(field: Field, rows: int, cols: int) -> List[Matrix]:

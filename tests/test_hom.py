@@ -10,7 +10,7 @@ from dualseq.gen import random_seq
 from dualseq.graded import compose, differential, is_morphism
 from dualseq.hom import (compose_hat, direct_sum, get_context, hat, hat_eps,
                          hom_complex, identity_hat, shift_hat, zero_hat)
-from dualseq.linalg import Field
+from dualseq.linalg import Field, row_space, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
 F2 = Field(2)
@@ -64,6 +64,30 @@ def test_hom_basis_elements_are_morphisms():
         assert len(basis) == ctx.dim_hom
         for g in basis:
             assert is_morphism(g)
+
+
+def test_window_data_matches_fresh_elimination():
+    # the context reads its kernel and coset data off one elimination per
+    # system; a fresh reduction of its own window matrices must agree
+    rng = random.Random(12)
+    for _ in range(12):
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        ctx = get_context(v, w)
+        d0 = ctx.d0
+        assert d0.cols == ctx.N
+        ker = subspaces(d0).kernel
+        assert ctx.ker_basis_vecs == [ker.col(j) for j in range(ker.cols)]
+        img, pivots = row_space(ctx.dminus1.transpose().to_lists(), f, ctx.N)
+        assert (ctx.img_rows, ctx.img_pivots) == (img, pivots)
+        assert ctx.nonpivots == [j for j in range(ctx.N) if j not in pivots]
+
+
+def test_cached_context_keeps_no_dense_differentials():
+    ctx = get_context(interval(F5, 0, 2), interval(F5, 1, 3))
+    assert "d0" not in vars(ctx) and "dminus1" not in vars(ctx)
+    assert ctx.dminus1.rows == ctx.N == ctx.d0.cols
 
 
 def test_eps_basis_classes_independent():

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualseq.errors import ValidationFailed
-from dualseq.linalg import (Field, Matrix, block_matrix, complement, inverse,
+from dualseq.linalg import (Field, Matrix, _rref, block_matrix, complement, inverse,
                             rank, row_space, solve, subspaces)
+from oracles import gauss_jordan
 
 F2 = Field(2)
 F5 = Field(5)
@@ -126,3 +128,34 @@ def test_rational_arithmetic_exact(m):
     s = m + m
     assert s == m.scale(Fraction(2))
     assert (s - m) == m
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields(), st.sampled_from([0.05, 1.0]), st.integers(0, 24), st.integers(0, 24),
+       st.integers(0, 2**32 - 1))
+def test_rref_matches_dense_oracle(field, density, m, n, seed):
+    # at ~5% nonzero most pivot rows take the sparse in-place update
+    rng = random.Random(seed)
+    rows = [[field.coerce(rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
+             if rng.random() < density else field.zero for _ in range(n)]
+            for _ in range(m)]
+    width = rng.randint(0, n)      # trailing columns ride along, as in reduce()
+    before = [list(r) for r in rows]
+    work = list(rows)
+    rank_, pivots = _rref(field, work, width)
+    want_rank, want_pivots, want_rows = gauss_jordan(field, before, width)
+    assert (rank_, pivots) == (want_rank, want_pivots)
+    assert work == want_rows
+    assert rows == before             # the caller's row lists are not mutated
+
+
+@pytest.mark.parametrize("field", [F2, Q])
+def test_rref_aliased_rows(field):
+    # one list object passed three times; the pivot is already 1, so an
+    # in-place update of an alias would zero the pivot row itself
+    one, zero = field.one, field.zero
+    row = [one] + [zero] * 9 + [one]
+    a = [row] * 3
+    assert _rref(field, a, len(row)) == (1, (0,))
+    assert a == [row, [zero] * 11, [zero] * 11]
+    assert row == [one] + [zero] * 9 + [one]
