@@ -394,21 +394,6 @@ def classify(v: Seq) -> Classification:
 # -- maximal injective subobject ------------------------------------------
 
 
-def _solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    if b.cols == 0:
-        return Matrix.zeros(a.field, a.cols, 0)
-    cols = []
-    for j in range(b.cols):
-        x = solve(a, b.column_matrix(j))
-        if x is None:
-            raise ValidationFailed("internal: image basis does not span")
-        cols.append(x)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
-
-
 def max_injective_subobject(v: Seq) -> Tuple[Seq, HatMorphism]:
     """The largest subobject on which all transitions are surjective: the
     stable images flowing in from the left tail.  Returns it with its
@@ -425,8 +410,9 @@ def max_injective_subobject(v: Seq) -> Tuple[Seq, HatMorphism]:
         pushed = v.map_at(i) @ basis[i]
         basis[i + 1] = subspaces(pushed).image
     dims = tuple(basis[i].cols for i in range(lo, hi + 1))
-    maps = tuple(_solve_matrix(basis[i + 1], v.map_at(i) @ basis[i])
-                 for i in range(lo, hi))
+    maps = tuple(solve(basis[i + 1], v.map_at(i) @ basis[i]) for i in range(lo, hi))
+    if None in maps:
+        raise ValidationFailed("internal: image basis does not span")
     sub = make_seq(f, lo, dims, maps, Tail.ISO, v.right_tail)
 
     right_const = basis[hi] if v.right_tail is Tail.ISO else None

@@ -113,17 +113,23 @@ def _cmd_hom(doc: Document, args) -> dict:
     ctx = get_context(v, w)
     hb = ctx.hom_basis()
     eb = ctx.eps_basis()
+    cert = ctx.certificate
     if args.json:
         return {"command": "hom", "src": args.src, "dst": args.dst,
                 "dim_hom": ctx.dim_hom, "dim_eps": ctx.dim_eps,
                 "hom_basis": [element_to_json(g) for g in hb],
-                "eps_basis": [element_to_json(g) for g in eb]}
+                "eps_basis": [element_to_json(g) for g in eb],
+                "certificate": {"window": list(cert.window), "margin": cert.margin,
+                                "checks": [list(c) for c in cert.checks]}}
     print(f"dim Hom_1: {ctx.dim_hom}")
     print(f"dim Hom_eps: {ctx.dim_eps}")
     for t, g in enumerate(hb):
         print(f"one[{t}]  {_fmt_element(g)}")
     for t, g in enumerate(eb):
         print(f"eps[{t}]  {_fmt_element(g)}")
+    checks = " ".join(f"({m}, {h}, {e})" for m, h, e in cert.checks)
+    print(f"certificate: window [{cert.window[0]}, {cert.window[1]}], "
+          f"margin {cert.margin}, checks {checks}")
     return {}
 
 

@@ -287,21 +287,6 @@ class HomotopyEquivalence:
                 raise ValidationFailed(f"homotopy identity (eps-part) fails at {i}")
 
 
-def _solve_cols(a: Matrix, b: Matrix) -> Matrix:
-    if b.cols == 0:
-        return Matrix.zeros(a.field, a.cols, 0)
-    cols = []
-    for j in range(b.cols):
-        x = solve(a, b.column_matrix(j))
-        if x is None:
-            raise ValidationFailed("internal: vector outside subspace")
-        cols.append(x)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
-
-
 def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
     """Reduce to a complex with d1 = 0 and certify the reduction.
 
@@ -325,7 +310,9 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
         C[i] = complement(Z[i], r)
         if i < hi:
             B[i + 1] = c.d1_at(i) @ C[i]
-        beta = _solve_cols(Z[i], B[i])
+        beta = solve(Z[i], B[i])
+        if beta is None:
+            raise ValidationFailed("internal: vector outside subspace")
         gamma = complement(beta, Z[i].cols)
         H[i] = Z[i] @ gamma
         P[i] = B[i].hstack(H[i]).hstack(C[i])

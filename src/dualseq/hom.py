@@ -25,11 +25,16 @@ The margin is accepted only when two further one-step widenings reproduce
 every dimension; the widening count is capped, and hitting the cap raises
 ``StabilizationDepthExceeded``.
 
-Each probed window is eliminated once: both systems are reduced, their
-ranks give the dimensions, and the probe at the accepted margin is reused
-as is.  The kernel basis is read off the reduced ``d^0`` rows and the coset
-data off the reduced ``d^-1`` rows; the dense window differentials are
-rebuilt from the constraint rows only when asked for.
+One elimination per system serves the base window and all its probes.  The
+coordinates of the base window come first, then one ring of tail degrees
+per widening (``f^(L-r)``, ``f^(R+r)``).  The base rows are reduced on the
+base columns with the ring columns carried along; the rank at margin
+``m + r`` is the base rank plus the rank of the few rows left over: base
+rref rows that vanish on the base columns, and the rows rings ``1..r`` add,
+reduced by the base pivot rows.  The kernel basis is read off the reduced
+``d^0`` rows and the coset data off the reduced ``d^-1`` rows; the dense
+window differentials are rebuilt from the constraint rows only when asked
+for.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .config import Config, DEFAULT
 from .errors import StabilizationDepthExceeded, ValidationFailed
-from .graded import (GradedHomElement, compose, differential, identity_element,
+from .graded import (GradedHomElement, all_morphisms, compose, identity_element,
                      is_morphism, make_element, shift_element, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
@@ -60,7 +65,7 @@ class StabilizationCertificate:
 
 
 class _Window(NamedTuple):
-    """One probed window: its layout and both systems in reduced form."""
+    """A base window: its layout and both systems in reduced form."""
 
     L: int
     R: int
@@ -74,6 +79,28 @@ class _Window(NamedTuple):
     @property
     def dims(self) -> tuple:
         return (self.n - len(self.d0_pivots), self.n - len(self.img_pivots))
+
+
+def _wider_ranks(field, rows: list, rank: int, pivots: tuple, rings: list,
+                 ends: list) -> list:
+    """Ranks of a system at margins m+1, m+2, ... from its reduction at m.
+
+    ``rows`` is the rref of the base rows on the first ``ends[0]`` columns,
+    carried over all ``ends[-1]`` columns; ``rings[r-1]`` holds the rows
+    that ring ``r`` adds.  At margin m+r the system is the base rows plus
+    the rows of rings ``<= r``, cut to ``ends[r]`` columns.  Its rank is the
+    base rank plus the rank of the base rref rows that vanish on the base
+    columns and of the ring rows reduced by the base pivot rows: all of
+    those are zero at every base pivot, so the pivot rows stay independent
+    of them.
+    """
+    basis = rows[:rank]
+    extra = [row for row in rows[rank:] if any(row[ends[0]:])]
+    out = []
+    for ring, end in zip(rings, ends[1:]):
+        extra += [reduce_row_mod(row, basis, pivots, field) for row in ring]
+        out.append(rank + _rref(field, [row[:end] for row in extra], end)[0])
+    return out
 
 
 class HomContext:
@@ -90,12 +117,9 @@ class HomContext:
         span = self.hi_irr - self.lo_irr
         limit = config.depth_limit(span, 0)
         margin = config.base_margin
-        checks = []
         widenings = 0
         while True:
-            probe = self._eliminate(margin)
-            dims = [probe.dims] + [self._eliminate(margin + k).dims
-                                   for k in range(1, config.extra_checks + 1)]
+            probe, dims = self._eliminate(margin, config.extra_checks)
             checks = tuple((margin + k, d[0], d[1]) for k, d in enumerate(dims))
             if all(d == dims[0] for d in dims):
                 break
@@ -112,24 +136,30 @@ class HomContext:
 
     # -- window layout --------------------------------------------------
 
-    def _layout(self, m: int):
+    def _layout(self, m: int, k: int):
+        """Coordinates of the window at margin ``m`` in degree order, then
+        the ring blocks ``f^(L-1), f^(R+1), ..., f^(L-k), f^(R+k)``.
+        ``ends[r]`` is the width of the window at margin ``m + r``."""
         L = self.lo_irr - m
         R = self.hi_irr + m
         v, w = self.src, self.dst
         off0 = {}
+        ends = []
         n = 0
-        for i in range(L, R + 1):
-            off0[i] = n
-            n += w.dim(i) * v.dim(i)
-        return L, R, off0, n
+        for degrees in [range(L, R + 1)] + [(L - r, R + r) for r in range(1, k + 1)]:
+            for i in degrees:
+                off0[i] = n
+                n += w.dim(i) * v.dim(i)
+            ends.append(n)
+        return L, R, off0, ends
 
-    def _d0_rows(self, L, R, off0, n) -> list:
-        """Constraint matrix of d^0 on window coordinates (row per entry of
-        each (df)^i with i in [L, R-1])."""
+    def _d0_rows(self, degrees, off0, n) -> list:
+        """Constraint rows of d^0: one per entry of each (df)^i with i in
+        ``degrees``, over the ``n`` coordinates that ``off0`` lays out."""
         v, w = self.src, self.dst
         zero = self.field.zero
         rows = []
-        for i in range(L, R):
+        for i in degrees:
             dv = v.map_at(i).to_lists()
             dw = w.map_at(i).to_lists()
             vi, vi1 = v.dim(i), v.dim(i + 1)
@@ -150,13 +180,14 @@ class HomContext:
                     rows.append(row)
         return rows
 
-    def _dm1_rows(self, L, R, off0, n) -> list:
-        """Image vectors of d^-1: one row (in Hom^0 window coordinates) per
-        entry of each h^j with j in [L, R+1]."""
+    def _dm1_rows(self, degrees, off0, n) -> list:
+        """Image vectors of d^-1: one row per entry of each h^j with j in
+        ``degrees``, with the entries at degrees ``j`` and ``j-1`` that
+        ``off0`` lays out (the others fall outside the window)."""
         v, w = self.src, self.dst
         zero = self.field.zero
         rows = []
-        for j in range(L, R + 2):
+        for j in degrees:
             wj1 = w.dim(j - 1)
             vj = v.dim(j)
             if wj1 * vj == 0:
@@ -168,13 +199,13 @@ class HomContext:
             for r in range(wj1):
                 for c in range(vj):
                     row = [zero] * n
-                    if j <= R:
+                    if j in off0:
                         base = off0[j]
                         for a in range(wj):
                             coef = dwp[a][r]
                             if coef:
                                 row[base + a * vj + c] = coef
-                    if j - 1 >= L:
+                    if j - 1 in off0:
                         # disjoint from the block above: different degree slice
                         base = off0[j - 1]
                         for b in range(vjm):
@@ -184,13 +215,26 @@ class HomContext:
                     rows.append(row)
         return rows
 
-    def _eliminate(self, m: int) -> _Window:
-        L, R, off0, n = self._layout(m)
-        d0 = self._d0_rows(L, R, off0, n)
-        rank0, piv0 = _rref(self.field, d0, n)
-        dm1 = self._dm1_rows(L, R, off0, n)
-        rank1, piv1 = _rref(self.field, dm1, n)
-        return _Window(L, R, off0, n, d0[:rank0], piv0, dm1[:rank1], piv1)
+    def _eliminate(self, m: int, k: int) -> tuple:
+        """Reduce both systems of the window at margin ``m`` once; return
+        that window and the (dim Hom_S, dim Hom_eps) of margins m..m+k."""
+        L, R, off0, ends = self._layout(m, k)
+        n, width = ends[0], ends[-1]
+        f = self.field
+        d0 = self._d0_rows(range(L, R), off0, width)
+        rank0, piv0 = _rref(f, d0, n)
+        # the d^-1 rows j = L and j = R+1 reach into ring 1
+        dm1 = self._dm1_rows(range(L, R + 2), off0, width)
+        rank1, piv1 = _rref(f, dm1, n)
+        rings0 = [self._d0_rows((L - r, R + r - 1), off0, width) for r in range(1, k + 1)]
+        rings1 = [self._dm1_rows((L - r, R + r + 1), off0, width) for r in range(1, k + 1)]
+        ranks = zip([rank0] + _wider_ranks(f, d0, rank0, piv0, rings0, ends),
+                    [rank1] + _wider_ranks(f, dm1, rank1, piv1, rings1, ends))
+        dims = [(end - r0, end - r1) for end, (r0, r1) in zip(ends, ranks)]
+        window = _Window(L, R, {i: off0[i] for i in range(L, R + 1)}, n,
+                         [row[:n] for row in d0[:rank0]], piv0,
+                         [row[:n] for row in dm1[:rank1]], piv1)
+        return window, dims
 
     def _populate(self, win: _Window):
         self.L, self.R, self.off0, self.N = win.L, win.R, win.off0, win.n
@@ -216,13 +260,13 @@ class HomContext:
     @property
     def d0(self) -> Matrix:
         """The window matrix of d^0 (rows: constraints, columns: coordinates)."""
-        rows = self._d0_rows(self.L, self.R, self.off0, self.N)
+        rows = self._d0_rows(range(self.L, self.R), self.off0, self.N)
         return Matrix(self.field, len(rows), self.N, tuple(x for row in rows for x in row))
 
     @property
     def dminus1(self) -> Matrix:
         """The window matrix of d^-1 (columns: image vectors)."""
-        rows = self._dm1_rows(self.L, self.R, self.off0, self.N)
+        rows = self._dm1_rows(range(self.L, self.R + 2), self.off0, self.N)
         return Matrix(self.field, len(rows), self.N,
                       tuple(x for row in rows for x in row)).transpose()
 
@@ -281,12 +325,10 @@ class HomContext:
         return self.element_from_vec(vec)
 
     def hom_basis(self) -> list:
-        out = []
-        for vec in self.ker_basis_vecs:
-            el = self.element_from_vec(vec, constant_tails=True)
-            if not is_morphism(el):
-                raise ValidationFailed("internal: kernel vector failed the morphism check")
-            out.append(el)
+        out = [self.element_from_vec(vec, constant_tails=True)
+               for vec in self.ker_basis_vecs]
+        if not all_morphisms(out):
+            raise ValidationFailed("internal: kernel vector failed the morphism check")
         return out
 
     def eps_basis(self) -> list:

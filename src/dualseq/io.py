@@ -457,8 +457,22 @@ def seq_to_json(v: Seq) -> dict:
 
 
 def seq_from_json(data: dict, field: Field) -> Seq:
-    lo, hi = data["window"]
+    for key in ("window", "dims", "maps", "tails"):
+        if key not in data:
+            raise ValidationFailed(f"sequence payload is missing {key!r}")
+    if len(data["window"]) != 2 or len(data["tails"]) != 2:
+        raise ValidationFailed("sequence window and tails must have two entries each")
+    lo, hi = (int(x) for x in data["window"])
     dims = tuple(int(d) for d in data["dims"])
+    if len(dims) != hi - lo + 1:
+        raise ValidationFailed(f"window [{lo}, {hi}] needs {hi - lo + 1} dims, "
+                               f"got {len(dims)}")
+    if len(data["maps"]) != len(dims) - 1:
+        raise ValidationFailed(f"{len(dims)} dims need {len(dims) - 1} maps, "
+                               f"got {len(data['maps'])}")
+    for t in data["tails"]:
+        if not isinstance(t, str) or t not in _TAILS:
+            raise ValidationFailed(f"unknown tail {t!r} (expected zero or iso)")
     maps = [matrix_from_json(m, field, dims[k + 1], dims[k])
             for k, m in enumerate(data["maps"])]
     tails = [_TAILS[t] for t in data["tails"]]

@@ -83,6 +83,20 @@ def test_hom_human(doc_path, capsys):
     assert "dim Hom_1: 1" in out and "dim Hom_eps: 1" in out
 
 
+def test_hom_reports_stabilization_certificate(doc_path, capsys):
+    # S00 -> S00: irregular region [-1, 1], default margin 3, two extra checks
+    code, out, _ = run(capsys, "hom", doc_path, "S00", "S00")
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["dim Hom_1: 1", "dim Hom_eps: 1"]
+    assert lines[-1] == ("certificate: window [-4, 4], margin 3, "
+                         "checks (3, 1, 1) (4, 1, 1) (5, 1, 1)")
+    code, out, _ = run(capsys, "hom", doc_path, "S00", "S00", "--json")
+    data = json.loads(out)
+    assert code == 0 and (data["dim_hom"], data["dim_eps"]) == (1, 1)
+    assert data["certificate"] == {"window": [-4, 4], "margin": 3,
+                                   "checks": [[3, 1, 1], [4, 1, 1], [5, 1, 1]]}
+
+
 def test_cone_human(doc_path, capsys):
     code, out, _ = run(capsys, "cone", doc_path, "e00")
     assert code == 0

@@ -1,11 +1,16 @@
 """The graded hom complex: composition, differential, Leibniz."""
 
+import math
 import random
 
-from dualseq.gen import random_graded_element, random_seq
-from dualseq.graded import (compose, differential, identity_element,
-                            is_morphism, make_element, shift_element,
-                            zero_element)
+import pytest
+
+from dualseq.errors import ValidationFailed
+from dualseq.gen import random_graded_element, random_matrix, random_seq
+from dualseq.graded import (all_morphisms, compose, differential,
+                            identity_element, is_morphism, make_element,
+                            shift_element, zero_element)
+from dualseq.hom import get_context
 from dualseq.linalg import Field, Matrix
 from dualseq.seq import interval
 
@@ -106,3 +111,81 @@ def test_is_morphism_detects_noncommuting():
 
     g = make_element(v, v, 0, 0, 1, fn)
     assert not is_morphism(g)
+
+
+def _reference_is_morphism(g):
+    # the definition: a degree-0 element whose differential vanishes
+    return g.degree == 0 and differential(g).is_zero
+
+
+def _perturbed(rng, g, widen, degree):
+    """``g`` stored on its window widened by ``widen`` on each side, with a
+    random nonzero matrix added at ``degree``; a degree outside that window
+    changes the tail of its side and parity."""
+    v, w, f = g.src, g.dst, g.src.field
+    lo, hi = g.lo - widen, g.hi + widen
+    e = Matrix.zeros(f, w.dim(degree), v.dim(degree))
+    while e.is_zero:
+        e = random_matrix(rng, f, w.dim(degree), v.dim(degree))
+
+    def hit(i):
+        if lo <= degree <= hi:
+            return i == degree
+        return (i < lo) == (degree < lo) and not lo <= i <= hi and i % 2 == degree % 2
+
+    return make_element(v, w, 0, lo, hi,
+                        lambda i: g.component(i) + e if hit(i) else g.component(i))
+
+
+def test_all_morphisms_matches_differential_reference():
+    rng = random.Random(RNG_SEED + 3)
+    rejected = {"window": 0, "tail": 0}
+    for k in range(60):
+        f = rng.choice([F2, F5, Q])
+        # every third pair has dims up to 5, so blocks are more than 1 x 1
+        bars, lo, hi = (5, -1, 1) if k % 3 == 0 else (3, -2, 2)
+        v = random_seq(rng, f, max_bars=bars, lo=lo, hi=hi)
+        w = random_seq(rng, f, max_bars=bars, lo=lo, hi=hi)
+        basis = get_context(v, w).hom_basis()
+        assert all_morphisms(basis) and all(map(_reference_is_morphism, basis))
+        # mixed stored windows, mostly not morphisms
+        batch = basis + [random_graded_element(rng, v, w) for _ in range(2)]
+        rng.shuffle(batch)
+        assert all_morphisms(batch) == all(map(_reference_is_morphism, batch))
+        for g in batch:
+            assert is_morphism(g) == _reference_is_morphism(g)
+        # one element of a closed batch perturbed at one degree, sometimes
+        # stored on a wider window than the others
+        if not basis:
+            continue
+        t = rng.randrange(len(basis))
+        g = basis[t]
+        widen = rng.choice([0, 2])
+        for kind, degree in (
+                ("window", rng.randint(g.lo - widen, g.hi + widen)),
+                ("tail", rng.choice([g.lo - widen - 2, g.lo - widen - 1,
+                                     g.hi + widen + 1, g.hi + widen + 2]))):
+            if v.dim(degree) * w.dim(degree) == 0:
+                continue
+            bad = basis[:t] + [_perturbed(rng, g, widen, degree)] + basis[t + 1:]
+            want = all(map(_reference_is_morphism, bad))
+            assert all_morphisms(bad) == want
+            rejected[kind] += not want
+    assert min(rejected.values()) >= 5, rejected
+
+
+def test_all_morphisms_degree_and_type():
+    v = interval(F5, 0, 1)
+    e = identity_element(v)
+    assert all_morphisms([]) and all_morphisms([e, e.scale(2)])
+    assert not all_morphisms([e, e.scale(3), _diff_element(v)])
+    with pytest.raises(ValidationFailed):
+        all_morphisms([e, identity_element(interval(F5, 0, 2))])
+    # an element stored on a wider window than the first one is checked on
+    # its own stored degrees: here its even left tail is 2, not 1
+    ray = interval(F5, -math.inf, 0)
+    one = identity_element(ray)
+    far = make_element(ray, ray, 0, -4, 0, lambda i: one.component(i).scale(
+        2 if i < -4 and i % 2 == 0 else 1))
+    assert not _reference_is_morphism(far)
+    assert not all_morphisms([one, far])

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+import oracles
+from dualseq.config import Config
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_seq
 from dualseq.graded import compose, differential, is_morphism
-from dualseq.hom import (compose_hat, direct_sum, get_context, hat, hat_eps,
-                         hom_complex, identity_hat, shift_hat, zero_hat)
+from dualseq.hom import (HomContext, compose_hat, direct_sum, get_context, hat,
+                         hat_eps, hom_complex, identity_hat, shift_hat, zero_hat)
 from dualseq.linalg import Field, row_space, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
@@ -82,6 +84,40 @@ def test_window_data_matches_fresh_elimination():
         img, pivots = row_space(ctx.dminus1.transpose().to_lists(), f, ctx.N)
         assert (ctx.img_rows, ctx.img_pivots) == (img, pivots)
         assert ctx.nonpivots == [j for j in range(ctx.N) if j not in pivots]
+
+
+def _fresh_dims(v, w, margin):
+    # the window at this margin eliminated on its own, ranks by the oracle
+    ctx = HomContext(v, w, Config(base_margin=margin, extra_checks=0))
+    return (ctx.N - oracles.rank(ctx.d0), ctx.N - oracles.rank(ctx.dminus1))
+
+
+@pytest.mark.parametrize("extra_checks", [1, 2, 3])
+@pytest.mark.parametrize("base_margin", [0, 1])
+def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
+    # the probes read the wider windows off one elimination plus the rows
+    # each widening adds; every triple must be its own window's nullities,
+    # and the accepted margin the first whose probes all agree.  A right ray
+    # in the target makes margin 0 too narrow, so widenings happen.
+    rng = random.Random(40 + 10 * base_margin + extra_checks)
+    config = Config(base_margin, extra_checks)
+    widened = 0
+    for _ in range(10):
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = direct_sum_seq(random_seq(rng, f, max_bars=2, lo=-2, hi=2),
+                           interval(f, rng.randint(-1, 1), INF))
+        ctx = HomContext(v, w, config)
+        margin = base_margin
+        while len({_fresh_dims(v, w, margin + k)
+                   for k in range(extra_checks + 1)}) > 1:
+            margin += 1
+        assert ctx.margin == margin
+        assert ctx.certificate.checks == tuple(
+            (margin + k,) + _fresh_dims(v, w, margin + k) for k in range(extra_checks + 1))
+        widened += margin > base_margin
+    if base_margin == 0:
+        assert widened > 0
 
 
 def test_cached_context_keeps_no_dense_differentials():

@@ -110,6 +110,34 @@ def test_seq_json_roundtrip_random():
         assert seq_from_json(seq_to_json(v), f) == v
 
 
+def test_seq_json_missing_key():
+    data = seq_to_json(interval(F5, 0, 1))
+    del data["window"]
+    with pytest.raises(ValidationFailed, match="window"):
+        seq_from_json(data, F5)
+
+
+def test_seq_json_unknown_tail():
+    data = seq_to_json(interval(F5, 0, 1))
+    data["tails"] = ["zero", "bogus"]
+    with pytest.raises(ValidationFailed, match="bogus"):
+        seq_from_json(data, F5)
+    data["tails"] = [["iso"], "zero"]
+    with pytest.raises(ValidationFailed):
+        seq_from_json(data, F5)
+
+
+@pytest.mark.parametrize("window,dims,maps", [
+    ([0, 1], [1], []),                 # window longer than dims
+    ([0, 0], [1, 1], [[[1]]]),         # dims longer than window
+    ([0, 1], [1, 1], [[[1]], [[1]]]),  # one map too many
+])
+def test_seq_json_shape_mismatch(window, dims, maps):
+    data = {"window": window, "dims": dims, "maps": maps, "tails": ["zero", "zero"]}
+    with pytest.raises(ValidationFailed):
+        seq_from_json(data, F5)
+
+
 def test_complex_json_roundtrip_random():
     rng = random.Random(82)
     for _ in range(15):
