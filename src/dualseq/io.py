@@ -433,10 +433,14 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(data: list, field: Field, rows: int, cols: int) -> Matrix:
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in data)):
         raise ValidationFailed(f"matrix payload must be {rows} x {cols}")
-    return Matrix(field, rows, cols,
-                  tuple(_scalar_in(x, field) for row in data for x in row))
+    try:
+        entries = tuple(_scalar_in(x, field) for row in data for x in row)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ValidationFailed(f"bad matrix entry: {e}") from None
+    return Matrix(field, rows, cols, entries)
 
 
 def field_to_json(field: Field):
@@ -456,14 +460,26 @@ def seq_to_json(v: Seq) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def seq_from_json(data: dict, field: Field) -> Seq:
+    if not isinstance(data, dict):
+        raise ValidationFailed("sequence payload must be an object")
     for key in ("window", "dims", "maps", "tails"):
         if key not in data:
             raise ValidationFailed(f"sequence payload is missing {key!r}")
+        if not isinstance(data[key], list):
+            raise ValidationFailed(f"sequence {key!r} must be a list")
     if len(data["window"]) != 2 or len(data["tails"]) != 2:
         raise ValidationFailed("sequence window and tails must have two entries each")
-    lo, hi = (int(x) for x in data["window"])
-    dims = tuple(int(d) for d in data["dims"])
+    if not all(map(_is_int, data["window"])):
+        raise ValidationFailed(f"sequence window entries must be integers: {data['window']}")
+    if not all(map(_is_int, data["dims"])):
+        raise ValidationFailed(f"sequence dims must be integers: {data['dims']}")
+    lo, hi = data["window"]
+    dims = tuple(data["dims"])
     if len(dims) != hi - lo + 1:
         raise ValidationFailed(f"window [{lo}, {hi}] needs {hi - lo + 1} dims, "
                                f"got {len(dims)}")

@@ -142,7 +142,7 @@ def test_all_morphisms_matches_differential_reference():
     rejected = {"window": 0, "tail": 0}
     for k in range(60):
         f = rng.choice([F2, F5, Q])
-        # every third pair has dims up to 5, so blocks are more than 1 x 1
+        # every third pair has dims up to 5, so components are more than 1 x 1
         bars, lo, hi = (5, -1, 1) if k % 3 == 0 else (3, -2, 2)
         v = random_seq(rng, f, max_bars=bars, lo=lo, hi=hi)
         w = random_seq(rng, f, max_bars=bars, lo=lo, hi=hi)

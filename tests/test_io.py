@@ -127,13 +127,30 @@ def test_seq_json_unknown_tail():
         seq_from_json(data, F5)
 
 
-@pytest.mark.parametrize("window,dims,maps", [
-    ([0, 1], [1], []),                 # window longer than dims
-    ([0, 0], [1, 1], [[[1]]]),         # dims longer than window
-    ([0, 1], [1, 1], [[[1]], [[1]]]),  # one map too many
+@pytest.mark.parametrize("window,dims,maps,tails", [
+    ([0, 1], [1], [], ["zero", "zero"]),                 # window longer than dims
+    ([0, 0], [1, 1], [[[1]]], ["zero", "zero"]),         # dims longer than window
+    ([0, 1], [1, 1], [[[1]], [[1]]], ["zero", "zero"]),  # one map too many
+    (3, [1], [], ["zero", "zero"]),                      # window not a list
+    ([0, 0], 1, [], ["zero", "zero"]),                   # dims not a list
+    ([0, 1], [1, 1], {"0": [[1]]}, ["zero", "zero"]),    # maps not a list
+    ([0, 0], [1], [], "zero"),                           # tails not a list
+    (["a", 0], [1], [], ["zero", "zero"]),               # window entry not an int
+    ([0, 0.5], [1], [], ["zero", "zero"]),               # window entry a float
+    ([0, 1], [1, "x"], [[[1]]], ["zero", "zero"]),       # dim not an int
+    ([0, 0], [0.5], [], ["zero", "zero"]),               # dim a float
+    ([0, 0], [-1], [], ["zero", "zero"]),                # negative dim
+    ([0, 1], [1, 1], [5], ["zero", "zero"]),             # map not a matrix
+    ([0, 1], [1, 1], [[["x"]]], ["zero", "zero"]),       # matrix entry not a number
 ])
-def test_seq_json_shape_mismatch(window, dims, maps):
-    data = {"window": window, "dims": dims, "maps": maps, "tails": ["zero", "zero"]}
+def test_seq_json_shape_mismatch(window, dims, maps, tails):
+    data = {"window": window, "dims": dims, "maps": maps, "tails": tails}
+    with pytest.raises(ValidationFailed):
+        seq_from_json(data, F5)
+
+
+@pytest.mark.parametrize("data", [3, None, [[0, 0], [1], [], ["zero", "zero"]]])
+def test_seq_json_not_an_object(data):
     with pytest.raises(ValidationFailed):
         seq_from_json(data, F5)
 
