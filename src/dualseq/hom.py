@@ -35,6 +35,14 @@ reduced by the base pivot rows.  The kernel basis is read off the reduced
 ``d^0`` rows and the coset data off the reduced ``d^-1`` rows; the dense
 window differentials are rebuilt from the constraint rows only when asked
 for.
+
+The work follows the nonzeros.  Each constraint row touches two adjacent
+degree blocks, so the rows are built as dict rows ``{column: entry}`` and
+reduced in place by ``linalg._rref``; the kernel vectors are read off the
+nonzeros of the rref.  Basis elements share one zero matrix per block shape
+(most blocks are zero, and an eps-basis element has a single nonzero
+block), and ``all_morphisms`` skips the degrees where both components of an
+element are zero.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ from .graded import (GradedHomElement, all_morphisms, compose, identity_element,
                      is_morphism, make_element, shift_element, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import Matrix, _rref, reduce_row_mod, subspaces  # noqa: F401
+from .linalg import (Matrix, _dense_rows, _rref, _sub_row, reduce_row_mod,  # noqa: F401
+                     subspaces)
 from .seq import Seq, direct_sum_seq
 
 
@@ -71,9 +80,9 @@ class _Window(NamedTuple):
     R: int
     off0: dict
     n: int
-    d0_rows: list       # nonzero rref rows of the d^0 constraints
+    d0_rows: list       # nonzero rref rows of the d^0 constraints (dict rows)
     d0_pivots: tuple
-    img_rows: list      # nonzero rref rows of the d^-1 image vectors
+    img_rows: list      # nonzero rref rows of the d^-1 image vectors (dense)
     img_pivots: tuple
 
     @property
@@ -85,21 +94,27 @@ def _wider_ranks(field, rows: list, rank: int, pivots: tuple, rings: list,
                  ends: list) -> list:
     """Ranks of a system at margins m+1, m+2, ... from its reduction at m.
 
-    ``rows`` is the rref of the base rows on the first ``ends[0]`` columns,
-    carried over all ``ends[-1]`` columns; ``rings[r-1]`` holds the rows
-    that ring ``r`` adds.  At margin m+r the system is the base rows plus
-    the rows of rings ``<= r``, cut to ``ends[r]`` columns.  Its rank is the
-    base rank plus the rank of the base rref rows that vanish on the base
-    columns and of the ring rows reduced by the base pivot rows: all of
-    those are zero at every base pivot, so the pivot rows stay independent
-    of them.
+    ``rows`` is the rref (dict rows) of the base rows on the first
+    ``ends[0]`` columns, with the columns up to ``ends[-1]`` carried along;
+    ``rings[r-1]`` holds the rows that ring ``r`` adds.  At margin m+r the
+    system is the base rows plus the rows of rings ``<= r``, cut to
+    ``ends[r]`` columns.  Its rank is the base rank plus the rank of the
+    base rref rows that vanish on the base columns and of the ring rows
+    reduced by the base pivot rows: all of those are zero at every base
+    pivot, so the pivot rows stay independent of them.
     """
-    basis = rows[:rank]
-    extra = [row for row in rows[rank:] if any(row[ends[0]:])]
+    p = field.p
+    pos = {c: k for k, c in enumerate(pivots)}
+    extra = [row for row in rows[rank:] if row]
     out = []
     for ring, end in zip(rings, ends[1:]):
-        extra += [reduce_row_mod(row, basis, pivots, field) for row in ring]
-        out.append(rank + _rref(field, [row[:end] for row in extra], end)[0])
+        for row in ring:
+            # base rref rows are zero at every other base pivot
+            for c, x in [(c, x) for c, x in row.items() if c in pos]:
+                _sub_row(row, x, rows[pos[c]].items(), p)
+        extra += ring
+        out.append(rank + _rref(field, [{j: x for j, x in row.items() if j < end}
+                                        for row in extra], end, reduced=False)[0])
     return out
 
 
@@ -153,39 +168,32 @@ class HomContext:
             ends.append(n)
         return L, R, off0, ends
 
-    def _d0_rows(self, degrees, off0, n) -> list:
-        """Constraint rows of d^0: one per entry of each (df)^i with i in
-        ``degrees``, over the ``n`` coordinates that ``off0`` lays out."""
+    def _d0_rows(self, degrees, off0) -> list:
+        """Constraint rows of d^0, as dict rows: one per entry of each
+        (df)^i with i in ``degrees``, over the coordinates ``off0`` lays out."""
         v, w = self.src, self.dst
-        zero = self.field.zero
+        neg = self.field.neg
         rows = []
         for i in degrees:
             dv = v.map_at(i).to_lists()
             dw = w.map_at(i).to_lists()
             vi, vi1 = v.dim(i), v.dim(i + 1)
-            wi, wi1 = w.dim(i), w.dim(i + 1)
-            for a in range(wi1):
+            base_i, base_i1 = off0[i], off0[i + 1]
+            for a, dw_row in enumerate(dw):
                 for b in range(vi):
-                    row = [zero] * n
-                    base_i = off0[i]
-                    for c in range(wi):
-                        coef = dw[a][c]
-                        if coef:
-                            row[base_i + c * vi + b] = coef
-                    base_i1 = off0[i + 1]
+                    # the two blocks lie in different degree slices
+                    row = {base_i + c * vi + b: x for c, x in enumerate(dw_row) if x}
                     for c in range(vi1):
-                        coef = dv[c][b]
-                        if coef:
-                            row[base_i1 + a * vi1 + c] = self.field.neg(coef)
+                        if dv[c][b]:
+                            row[base_i1 + a * vi1 + c] = neg(dv[c][b])
                     rows.append(row)
         return rows
 
-    def _dm1_rows(self, degrees, off0, n) -> list:
-        """Image vectors of d^-1: one row per entry of each h^j with j in
-        ``degrees``, with the entries at degrees ``j`` and ``j-1`` that
-        ``off0`` lays out (the others fall outside the window)."""
+    def _dm1_rows(self, degrees, off0) -> list:
+        """Image vectors of d^-1, as dict rows: one per entry of each h^j
+        with j in ``degrees``, with the entries at degrees ``j`` and ``j-1``
+        that ``off0`` lays out (the others fall outside the window)."""
         v, w = self.src, self.dst
-        zero = self.field.zero
         rows = []
         for j in degrees:
             wj1 = w.dim(j - 1)
@@ -195,23 +203,20 @@ class HomContext:
             dwp = w.map_at(j - 1).to_lists()   # W^(j-1) -> W^j
             dvp = v.map_at(j - 1).to_lists()   # V^(j-1) -> V^j
             vjm = v.dim(j - 1)
-            wj = w.dim(j)
             for r in range(wj1):
                 for c in range(vj):
-                    row = [zero] * n
+                    row = {}
                     if j in off0:
                         base = off0[j]
-                        for a in range(wj):
-                            coef = dwp[a][r]
-                            if coef:
-                                row[base + a * vj + c] = coef
+                        for a, dw_row in enumerate(dwp):
+                            if dw_row[r]:
+                                row[base + a * vj + c] = dw_row[r]
                     if j - 1 in off0:
                         # disjoint from the block above: different degree slice
-                        base = off0[j - 1]
-                        for b in range(vjm):
-                            coef = dvp[c][b]
-                            if coef:
-                                row[base + r * vjm + b] = coef
+                        base = off0[j - 1] + r * vjm
+                        for b, x in enumerate(dvp[c]):
+                            if x:
+                                row[base + b] = x
                     rows.append(row)
         return rows
 
@@ -219,39 +224,40 @@ class HomContext:
         """Reduce both systems of the window at margin ``m`` once; return
         that window and the (dim Hom_S, dim Hom_eps) of margins m..m+k."""
         L, R, off0, ends = self._layout(m, k)
-        n, width = ends[0], ends[-1]
+        n = ends[0]
         f = self.field
-        d0 = self._d0_rows(range(L, R), off0, width)
+        d0 = self._d0_rows(range(L, R), off0)
         rank0, piv0 = _rref(f, d0, n)
         # the d^-1 rows j = L and j = R+1 reach into ring 1
-        dm1 = self._dm1_rows(range(L, R + 2), off0, width)
+        dm1 = self._dm1_rows(range(L, R + 2), off0)
         rank1, piv1 = _rref(f, dm1, n)
-        rings0 = [self._d0_rows((L - r, R + r - 1), off0, width) for r in range(1, k + 1)]
-        rings1 = [self._dm1_rows((L - r, R + r + 1), off0, width) for r in range(1, k + 1)]
+        rings0 = [self._d0_rows((L - r, R + r - 1), off0) for r in range(1, k + 1)]
+        rings1 = [self._dm1_rows((L - r, R + r + 1), off0) for r in range(1, k + 1)]
         ranks = zip([rank0] + _wider_ranks(f, d0, rank0, piv0, rings0, ends),
                     [rank1] + _wider_ranks(f, dm1, rank1, piv1, rings1, ends))
         dims = [(end - r0, end - r1) for end, (r0, r1) in zip(ends, ranks)]
         window = _Window(L, R, {i: off0[i] for i in range(L, R + 1)}, n,
-                         [row[:n] for row in d0[:rank0]], piv0,
-                         [row[:n] for row in dm1[:rank1]], piv1)
+                         d0[:rank0], piv0,
+                         _dense_rows(dm1[:rank1], n, f.zero), piv1)
         return window, dims
 
     def _populate(self, win: _Window):
         self.L, self.R, self.off0, self.N = win.L, win.R, win.off0, win.n
         self.dim_hom, self.dim_eps = win.dims
-        # kernel of d^0, one vector per free column of its rref
+        # kernel of d^0, one vector per free column of its rref: the free
+        # entry is 1 and each pivot entry the negated rref entry there
         zero, one, neg = self.field.zero, self.field.one, self.field.neg
         pivset = set(win.d0_pivots)
-        self.ker_basis_vecs = []
+        free = {}
         for fj in range(win.n):
-            if fj in pivset:
-                continue
-            vec = [zero] * win.n
-            vec[fj] = one
-            for row, c in zip(win.d0_rows, win.d0_pivots):
-                if row[fj]:
-                    vec[c] = neg(row[fj])
-            self.ker_basis_vecs.append(vec)
+            if fj not in pivset:
+                free[fj] = vec = [zero] * win.n
+                vec[fj] = one
+        for row, c in zip(win.d0_rows, win.d0_pivots):
+            for j, x in row.items():
+                if j in free:
+                    free[j][c] = neg(x)
+        self.ker_basis_vecs = list(free.values())
         self.img_rows = win.img_rows
         self.img_pivots = win.img_pivots
         pivset = set(win.img_pivots)
@@ -260,13 +266,15 @@ class HomContext:
     @property
     def d0(self) -> Matrix:
         """The window matrix of d^0 (rows: constraints, columns: coordinates)."""
-        rows = self._d0_rows(range(self.L, self.R), self.off0, self.N)
+        rows = _dense_rows(self._d0_rows(range(self.L, self.R), self.off0),
+                           self.N, self.field.zero)
         return Matrix(self.field, len(rows), self.N, tuple(x for row in rows for x in row))
 
     @property
     def dminus1(self) -> Matrix:
         """The window matrix of d^-1 (columns: image vectors)."""
-        rows = self._dm1_rows(range(self.L, self.R + 2), self.off0, self.N)
+        rows = _dense_rows(self._dm1_rows(range(self.L, self.R + 2), self.off0),
+                           self.N, self.field.zero)
         return Matrix(self.field, len(rows), self.N,
                       tuple(x for row in rows for x in row)).transpose()
 
@@ -282,23 +290,28 @@ class HomContext:
 
     def element_from_vec(self, vec: list, constant_tails: bool = False) -> GradedHomElement:
         v, w, f = self.src, self.dst, self.field
+        zeros = Matrix.zeros
         mats = {}
         for i in range(self.L, self.R + 1):
             r, c = w.dim(i), v.dim(i)
             o = self.off0[i]
-            mats[i] = Matrix(f, r, c, tuple(vec[o:o + r * c]))
+            block = vec[o:o + r * c]
+            mats[i] = Matrix(f, r, c, tuple(block)) if any(block) else zeros(f, r, c)
 
         if constant_tails:
             def fn(i):
-                if i < self.L:
-                    return mats[self.L]
-                if i > self.R:
-                    return mats[self.R]
-                return mats[i]
+                if self.L <= i <= self.R:
+                    return mats[i]
+                # the boundary block, unless the shape changes beyond the
+                # window: then a Zero tail has emptied the component
+                m = mats[self.L] if i < self.L else mats[self.R]
+                if (m.rows, m.cols) == (w.dim(i), v.dim(i)):
+                    return m
+                return zeros(f, w.dim(i), v.dim(i))
         else:
             def fn(i):
                 if i < self.L or i > self.R:
-                    return Matrix.zeros(f, w.dim(i), v.dim(i))
+                    return zeros(f, w.dim(i), v.dim(i))
                 return mats[i]
         return make_element(v, w, 0, self.L, self.R, fn)
 

@@ -389,22 +389,26 @@ def parse_document(text: str) -> Document:
     else:
         raise ParseError("field must be Q or a prime", ft.line, ft.col)
     doc = Document(field=field)
+    kinds = {"seq": doc.seqs, "complex": doc.complexes, "mor": doc.morphisms,
+             "diagram": doc.diagrams, "derivation": doc.derivations}
     while s.peek() is not None:
         kw = s.next("word")
-        if kw.text in ("seq", "complex", "mor", "diagram", "derivation"):
-            name = s.next("word").text
-            if kw.text == "seq":
-                doc.seqs[name] = _parse_seq(s, field)
-            elif kw.text == "complex":
-                doc.complexes[name] = _parse_complex(s, field)
-            elif kw.text == "mor":
-                doc.morphisms[name] = _parse_morphism(s, field, kw, doc)
-            elif kw.text == "diagram":
-                doc.diagrams[name] = _parse_diagram(s, doc)
-            else:
-                doc.derivations[name] = _parse_derivation(s, doc)
-        else:
+        if kw.text not in kinds:
             raise ParseError(f"unknown declaration {kw.text!r}", kw.line, kw.col)
+        name = s.next("word").text
+        named = kinds[kw.text]
+        if name in named:
+            raise ParseError(f"{kw.text} {name!r} is declared twice", kw.line, kw.col)
+        if kw.text == "seq":
+            named[name] = _parse_seq(s, field)
+        elif kw.text == "complex":
+            named[name] = _parse_complex(s, field)
+        elif kw.text == "mor":
+            named[name] = _parse_morphism(s, field, kw, doc)
+        elif kw.text == "diagram":
+            named[name] = _parse_diagram(s, doc)
+        else:
+            named[name] = _parse_derivation(s, doc)
     return doc
 
 
@@ -464,12 +468,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def seq_from_json(data: dict, field: Field) -> Seq:
+def _require_keys(data, what: str, keys) -> None:
+    """``data`` is an object holding every key in ``keys``."""
     if not isinstance(data, dict):
-        raise ValidationFailed("sequence payload must be an object")
-    for key in ("window", "dims", "maps", "tails"):
+        raise ValidationFailed(f"{what} payload must be an object")
+    for key in keys:
         if key not in data:
-            raise ValidationFailed(f"sequence payload is missing {key!r}")
+            raise ValidationFailed(f"{what} payload is missing {key!r}")
+
+
+def seq_from_json(data: dict, field: Field) -> Seq:
+    _require_keys(data, "sequence", ("window", "dims", "maps", "tails"))
+    for key in ("window", "dims", "maps", "tails"):
         if not isinstance(data[key], list):
             raise ValidationFailed(f"sequence {key!r} must be a list")
     if len(data["window"]) != 2 or len(data["tails"]) != 2:
@@ -505,12 +515,24 @@ def complex_to_json(c: EpsComplex) -> dict:
 
 
 def complex_from_json(data: dict, field: Field) -> EpsComplex:
-    ranks = tuple(int(r) for r in data["ranks"])
+    _require_keys(data, "complex", ("degree", "ranks", "d1", "deps"))
+    if not _is_int(data["degree"]):
+        raise ValidationFailed(f"complex degree must be an integer: {data['degree']!r}")
+    for key in ("ranks", "d1", "deps"):
+        if not isinstance(data[key], list):
+            raise ValidationFailed(f"complex {key!r} must be a list")
+    if not all(map(_is_int, data["ranks"])):
+        raise ValidationFailed(f"complex ranks must be integers: {data['ranks']}")
+    ranks = tuple(data["ranks"])
+    for key in ("d1", "deps"):
+        if len(data[key]) != len(ranks) - 1:
+            raise ValidationFailed(f"{len(ranks)} ranks need {len(ranks) - 1} "
+                                   f"{key} maps, got {len(data[key])}")
     d1 = tuple(matrix_from_json(m, field, ranks[k + 1], ranks[k])
                for k, m in enumerate(data["d1"]))
     deps = tuple(matrix_from_json(m, field, ranks[k + 1], ranks[k])
                  for k, m in enumerate(data["deps"]))
-    c = EpsComplex(field, int(data["degree"]), ranks, d1, deps)
+    c = EpsComplex(field, data["degree"], ranks, d1, deps)
     rep = validate(c)
     if not rep.ok:
         raise ValidationFailed(f"complex invariant {rep}")
@@ -523,10 +545,16 @@ def _endpoint_out(x):
     return "-inf" if x < 0 else "inf"
 
 
+_INFINITIES = {"-inf": -math.inf, "inf": math.inf}
+
+
 def _endpoint_in(x):
-    if isinstance(x, str):
-        return -math.inf if x.startswith("-") else math.inf
-    return int(x)
+    if _is_int(x):
+        return x
+    if isinstance(x, str) and x in _INFINITIES:
+        return _INFINITIES[x]
+    raise ValidationFailed(f"interval endpoint must be an integer, "
+                           f"\"inf\" or \"-inf\": {x!r}")
 
 
 def barcode_to_json(bc: Barcode) -> dict:
@@ -541,6 +569,12 @@ def barcode_to_json(bc: Barcode) -> dict:
 
 
 def barcode_from_json(data: dict, field: Field) -> Barcode:
+    _require_keys(data, "barcode", ("intervals",))
+    if not isinstance(data["intervals"], list):
+        raise ValidationFailed("barcode 'intervals' must be a list")
+    for iv in data["intervals"]:
+        if not isinstance(iv, list) or len(iv) != 2:
+            raise ValidationFailed(f"interval must be a pair [start, end]: {iv!r}")
     ivs = [Interval(_endpoint_in(a), _endpoint_in(b))
            for a, b in data["intervals"]]
     return make_barcode(field, ivs)

@@ -1,21 +1,29 @@
-"""Exact dense linear algebra over prime fields and the rationals.
+"""Exact linear algebra over prime fields and the rationals.
 
-Matrices are immutable, row-major, and tiny (the library works at desk
-scale), so everything here is Gauss-Jordan elimination with exact scalars:
-Python ints reduced mod p, or ``fractions.Fraction``.  No floats anywhere.
-Storage is dense, but the elimination follows the arithmetic actually
-needed: a pivot row with few nonzero entries updates the other rows at
-those entries only (the constraint systems of the hom windows are about
-5% nonzero).
+Matrices are immutable, row-major, dense, and tiny (the library works at
+desk scale), and scalars are exact: Python ints reduced mod p, or
+``fractions.Fraction``.  No floats anywhere.  Every elimination goes through
+one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``:
+its cost follows the nonzeros, which is what the constraint systems of the
+hom windows need (a few nonzeros per row), and its result is exactly the
+Gauss-Jordan one, so callers with dense rows see no difference.  Zero
+matrices are shared: ``Matrix.zeros`` returns one immutable object per
+shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ValidationFailed
+
+# Entries kept by each cache of shared immutable blocks (zero matrices here,
+# signed identities in seq); one pass of the hom_cold benchmark pool asks
+# for 115 zero shapes and 26 signed identities.
+SHARED_BLOCKS = 512
 
 
 def _is_prime(n: int) -> bool:
@@ -113,7 +121,9 @@ class Matrix:
         return Matrix(field, r, c, tuple(flat))
 
     @staticmethod
+    @lru_cache(maxsize=SHARED_BLOCKS)
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
+        """The zero matrix; one shared (immutable) object per shape."""
         return Matrix(field, rows, cols, (field.zero,) * (rows * cols))
 
     @staticmethod
@@ -150,8 +160,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.data)
+        return not any(self.data)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -265,97 +274,141 @@ class EchelonData:
         return self.transform @ other
 
 
-def _rref(field: Field, a: list, width: int) -> tuple:
-    """Gauss-Jordan on a list of row lists; returns (rank, pivots).
+def _sub_row(row: dict, f, items, p) -> None:
+    """``row -= f * other`` on a dict row, in place, where ``items`` are the
+    ``(column, entry)`` pairs of ``other``.  Entries that become zero are
+    dropped."""
+    get = row.get
+    for j, y in items:
+        x = get(j, 0) - f * y
+        if p is not None:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    ``a`` is rewritten in place: each of its rows is first replaced by a
-    copy (so the caller's row lists are never mutated, and a row object
-    passed twice, as in ``[row] * 3``, is reduced as two separate rows),
-    and on return ``a`` holds the rref rows, nonzero ones first.
+
+def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
+    """Gauss-Jordan on a list of rows; returns (rank, pivots).
+
+    Rows are dicts ``{column: nonzero entry}`` or dense lists.  Dict rows are
+    eliminated in place.  Dense rows keep the list contract: each is copied
+    into a dict first (so the caller's row lists are never mutated, and a
+    row object passed twice, as in ``[row] * 3``, is reduced as two separate
+    rows), and ``a`` is rewritten with dense lists at the end.  On return
+    ``a`` holds the rref rows, nonzero ones first.
 
     Only the first ``width`` columns are eliminated; trailing columns come
     along for the ride.  That is how reduction witnesses are tracked
     (augment with the identity, reduce, split).
 
-    After the pivot row is normalized, its nonzero columns from the pivot on
-    are collected (it is zero before the pivot).  When they are under a
-    third of the remaining columns, each other row is updated in place at
-    those columns only; otherwise the row is rebuilt from the pivot column
-    on.  Both updates do the same arithmetic on every entry that can change,
-    so rank, pivots and rows do not depend on which one runs.
+    The work follows the nonzeros.  Each row's lead column is kept in a list
+    (``min(row)``; a lead ``>= width`` means the row is zero on the
+    eliminated columns).  Pivots are taken in Gauss-Jordan's order: the
+    next pivot column is the least lead at or below the current row, and
+    the pivot row the first row there with that lead, swapped up.  Only the
+    rows below the pivot are eliminated; back substitution then runs from
+    the last pivot row up.  With ``reduced=False`` it is skipped and the
+    nonzero rows are left in echelon form: the rank and pivots are the
+    same, and they are all a rank needs.
+
+    The result is exactly Gauss-Jordan's, trailing columns included.  Both
+    take the same pivots and swaps, and the rows below the current one get
+    the same forward steps, so zero rows agree.  In Gauss-Jordan each final
+    pivot row is its echelon row plus multiples of later echelon rows,
+    made zero at the later pivots; that vector is unique because the later
+    echelon rows are triangular at their pivots, and back substitution
+    builds the same one.
     """
-    a[:] = [list(row) for row in a]
+    dense = bool(a) and not isinstance(a[0], dict)
+    if dense:
+        n = len(a[0])
+        a[:] = _dict_rows(a)
     m = len(a)
     p = field.p
+    leads = [min(row) if row else width for row in a]
     pivots = []
     r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
+    while r < m:
+        c = min(leads[r:])
+        if c >= width:
+            break
+        i = leads.index(c, r)
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            leads[r], leads[i] = leads[i], leads[r]
         row = a[r]
         piv = row[c]
         if piv != 1:
-            if p is not None:
-                inv = pow(piv, -1, p)
-                a[r] = row = [(x * inv) % p for x in row]
-            else:
-                inv = Fraction(1) / piv
-                a[r] = row = [x * inv for x in row]
-        n = len(row)
-        nz = [j for j in range(c, n) if row[j]]
-        sparse = 3 * len(nz) < n - c
-        if sparse:
-            nz = [(j, row[j]) for j in nz]
-        else:
-            tail = row[c:]
-        for i in range(m):
-            if i == r:
-                continue
+            inv = field.inv(piv)
+            a[r] = row = ({j: x * inv % p for j, x in row.items()} if p is not None
+                          else {j: x * inv for j, x in row.items()})
+        items = row.items()
+        # the other rows with lead c lie below i, the first one found
+        for _ in range(leads.count(c) - 1):
+            i = leads.index(c, i + 1)
             ai = a[i]
-            f = ai[c]
-            if not f:
-                continue
-            if sparse:
-                if p is not None:
-                    for j, y in nz:
-                        ai[j] = (ai[j] - f * y) % p
-                else:
-                    for j, y in nz:
-                        ai[j] -= f * y
-            elif p is not None:
-                a[i] = ai[:c] + [(x - f * y) % p for x, y in zip(ai[c:], tail)]
-            else:
-                a[i] = ai[:c] + [x - f * y for x, y in zip(ai[c:], tail)]
+            _sub_row(ai, ai[c], items, p)
+            leads[i] = min(ai) if ai else width
         pivots.append(c)
         r += 1
-        if r == m:
-            break
+    if reduced:
+        # back substitution: final rows are zero at every other pivot, so
+        # the coefficients can all be read off the echelon row first
+        pos = {c: k for k, c in enumerate(pivots)}
+        final = [None] * r
+        for k in range(r - 1, -1, -1):
+            row = a[k]
+            for c, x in [(c, x) for c, x in row.items() if c in pos and pos[c] > k]:
+                _sub_row(row, x, final[pos[c]], p)
+            final[k] = list(row.items())
+    if dense:
+        a[:] = _dense_rows(a, n, field.zero)
     return r, tuple(pivots)
+
+
+def _dict_rows(rows) -> list:
+    """Dense rows (any sequences) as dict rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense_rows(rows: list, n: int, zero) -> list:
+    """Dict rows as dense lists over the first ``n`` columns."""
+    out = []
+    for row in rows:
+        full = [zero] * n
+        for j, x in row.items():
+            if j < n:
+                full[j] = x
+        out.append(full)
+    return out
+
+
+def _matrix_rows(m: Matrix) -> list:
+    """The rows of ``m`` as dict rows."""
+    k = m.cols
+    return _dict_rows(m.data[i * k:(i + 1) * k] for i in range(m.rows))
 
 
 def reduce(m: Matrix) -> EchelonData:
     """Reduced row echelon form with a recorded transform witness."""
     f = m.field
-    n = m.rows
-    aug = []
-    one, zero = f.one, f.zero
-    for i in range(n):
-        row = m.row(i)
-        row.extend(one if j == i else zero for j in range(n))
-        aug.append(row)
-    rank, pivots = _rref(f, aug, m.cols)
-    rref_rows = [row[:m.cols] for row in aug]
-    t_rows = [row[m.cols:] for row in aug]
-    rref = Matrix(f, n, m.cols, tuple(x for row in rref_rows for x in row))
-    transform = Matrix(f, n, n, tuple(x for row in t_rows for x in row))
-    return EchelonData(rref, rank, pivots, transform)
+    n, k = m.rows, m.cols
+    aug = _matrix_rows(m)          # [m | identity]
+    for i, row in enumerate(aug):
+        row[k + i] = f.one
+    rank, pivots = _rref(f, aug, k)
+    rref = [f.zero] * (n * k)
+    transform = [f.zero] * (n * n)
+    for i, row in enumerate(aug):
+        for j, x in row.items():
+            if j < k:
+                rref[i * k + j] = x
+            else:
+                transform[i * n + j - k] = x
+    return EchelonData(Matrix(f, n, k, tuple(rref)), rank, pivots,
+                       Matrix(f, n, n, tuple(transform)))
 
 
 @dataclass(frozen=True)
@@ -404,7 +457,7 @@ def subspaces(m: Matrix) -> SubspaceData:
 
 
 def rank(m: Matrix) -> int:
-    return _rref(m.field, m.to_lists(), m.cols)[0]
+    return _rref(m.field, _matrix_rows(m), m.cols, reduced=False)[0]
 
 
 def complement(sub: Matrix, ambient_dim: int) -> Matrix:
@@ -413,7 +466,8 @@ def complement(sub: Matrix, ambient_dim: int) -> Matrix:
     if sub.rows != ambient_dim:
         raise ValidationFailed("complement: ambient dimension mismatch")
     f = sub.field
-    _, pivots = _rref(f, [sub.col(j) for j in range(sub.cols)], ambient_dim)
+    _, pivots = _rref(f, [sub.col(j) for j in range(sub.cols)], ambient_dim,
+                      reduced=False)
     pivots = set(pivots)
     free = [j for j in range(ambient_dim) if j not in pivots]
     data = tuple(f.one if i == j else f.zero for i in range(ambient_dim) for j in free)

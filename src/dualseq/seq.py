@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Tuple
 
 from .errors import ValidationFailed
-from .linalg import Field, Matrix
+from .linalg import SHARED_BLOCKS, Field, Matrix
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -34,8 +35,14 @@ class Tail(Enum):
 
 
 def signed_identity(field: Field, n: int, degree: int) -> Matrix:
-    """The transition ``(-1)^degree * id`` used by ISO tails."""
-    return Matrix.scalar_matrix(field, n, 1 if degree % 2 == 0 else -1)
+    """The transition ``(-1)^degree * id`` used by ISO tails (one shared
+    matrix per field, size and parity)."""
+    return _signed_identity(field, n, degree % 2)
+
+
+@lru_cache(maxsize=SHARED_BLOCKS)
+def _signed_identity(field: Field, n: int, parity: int) -> Matrix:
+    return Matrix.scalar_matrix(field, n, -1 if parity else 1)
 
 
 @dataclass(frozen=True)

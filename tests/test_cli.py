@@ -169,6 +169,13 @@ def test_exit_one_on_parse_error(tmp_path, capsys):
     assert code == 1 and "line" in err
 
 
+def test_exit_one_on_duplicate_name(tmp_path, capsys):
+    p = tmp_path / "dup.txt"
+    p.write_text("field 2\nseq A { interval 0 1 }\nseq A { interval 0 0 }\n")
+    code, _, err = run(capsys, "decompose", str(p), "A")
+    assert code == 1 and "line 3, col 1" in err and "declared twice" in err
+
+
 def test_exit_one_on_missing_file(capsys):
     code, _, err = run(capsys, "decompose", "/nonexistent/x.txt", "A")
     assert code == 1

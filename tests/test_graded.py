@@ -189,3 +189,40 @@ def test_all_morphisms_degree_and_type():
         2 if i < -4 and i % 2 == 0 else 1))
     assert not _reference_is_morphism(far)
     assert not all_morphisms([one, far])
+
+
+def test_all_morphisms_rejects_block_next_to_zero():
+    # a nonzero block set where an element and both its neighbours were zero:
+    # all_morphisms skips degrees whose two components are zero, so the pair
+    # on each side of the block must still be compared.  Some cases are seen
+    # only by the pair on the left (d_W kills the block) and some only by
+    # the pair on the right (the block kills d_V).
+    rng = random.Random(RNG_SEED + 4)
+    seen = {"both": 0, "left": 0, "right": 0}
+    fields = set()
+    for _ in range(80):
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        basis = get_context(v, w).hom_basis()
+        g = rng.choice(basis + [zero_element(v, w, 0)])
+        spots = [d for d in range(g.lo + 1, g.hi) if v.dim(d) * w.dim(d)
+                 and all(g.component(i).is_zero for i in (d - 1, d, d + 1))]
+        if not spots:
+            continue
+        d = rng.choice(spots)
+        e = Matrix.zeros(f, w.dim(d), v.dim(d))
+        while e.is_zero:
+            e = random_matrix(rng, f, w.dim(d), v.dim(d))
+        bad = make_element(v, w, 0, g.lo, g.hi,
+                           lambda i: e if i == d else g.component(i))
+        if _reference_is_morphism(bad):
+            continue
+        assert not all_morphisms(basis + [bad])
+        assert not is_morphism(bad)
+        left = not (e @ v.map_at(d - 1)).is_zero
+        right = not (w.map_at(d) @ e).is_zero
+        seen["both" if left and right else "left" if left else "right"] += 1
+        fields.add(f)
+    assert sum(seen.values()) >= 5 and min(seen["left"], seen["right"]) >= 3, seen
+    assert len(fields) == 3

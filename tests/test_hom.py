@@ -86,6 +86,22 @@ def test_window_data_matches_fresh_elimination():
         assert ctx.nonpivots == [j for j in range(ctx.N) if j not in pivots]
 
 
+def test_margin_zero_hom_basis():
+    # at margin 0 the accepted window can end where V or W is not yet stable
+    # (e.g. [0,inf) -> (-inf,1]); the tails beyond it must take the tail shape
+    ends = [-INF, -1, 0, 1, INF]
+    bars = [(a, b) for a in ends for b in ends if a < INF and b > -INF and a <= b]
+    assert len(bars) == 13
+    config = Config(base_margin=0)
+    for field in (F2, F5, Q):
+        for src in bars:
+            for dst in bars:
+                ctx = HomContext(interval(field, *src), interval(field, *dst), config)
+                basis = ctx.hom_basis()
+                assert len(basis) == ctx.dim_hom
+                assert all(map(is_morphism, basis))
+
+
 def _fresh_dims(v, w, margin):
     # the window at this margin eliminated on its own, ranks by the oracle
     ctx = HomContext(v, w, Config(base_margin=margin, extra_checks=0))

@@ -95,6 +95,23 @@ def test_parse_error_positions():
     assert "outside window" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,line,col", [
+    ("field 5\nseq A { interval 0 1 }\n  seq A { interval 0 2 }", 3, 3),
+    ("field 5\ncomplex C { ranks 1 }\ncomplex C { ranks 2 }", 3, 1),
+    ("field 5\nseq P { interval 0 0 }\nmor f : P -> P { window 0 0 one 0 [[1]] }\n"
+     "mor f : P -> P { }", 4, 1),
+    ("field 5\nseq P { interval 0 0 }\ndiagram D { objects P }\ndiagram D { }", 4, 1),
+    ("field 5\nseq P { interval 0 0 }\ndiagram D { objects P }\n"
+     "derivation Z on D { }\nderivation Z on D { }", 5, 1),
+])
+def test_parse_duplicate_name(text, line, col):
+    # a second declaration of a name within one kind would silently replace
+    # the first
+    with pytest.raises(ParseError, match="declared twice") as exc:
+        parse_document(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_complex_validated_on_load():
     bad = ("field 5\ncomplex C { degree 0 ranks 1 2 1"
            " d1 0 [[1], [0]] d1 1 [[0, 1]] deps 1 [[1, 0]] }")
@@ -161,6 +178,54 @@ def test_complex_json_roundtrip_random():
         f = rng.choice([F2, F5, Q])
         c = random_eps_complex(rng, f, max_len=5, max_rank=3)
         assert complex_from_json(complex_to_json(c), f) == c
+
+
+@pytest.mark.parametrize("data", [
+    {},                                                         # missing keys
+    [],                                                         # not an object
+    None,
+    {"degree": 0, "ranks": [1], "d1": []},                      # missing deps
+    {"degree": 0, "ranks": "ab", "d1": [], "deps": []},         # ranks not a list
+    {"degree": 0, "ranks": [1, 1], "d1": {}, "deps": [[[0]]]},  # d1 not a list
+    {"degree": "0", "ranks": [1], "d1": [], "deps": []},        # degree not an int
+    {"degree": True, "ranks": [1], "d1": [], "deps": []},       # degree a bool
+    {"degree": 0, "ranks": [1, "x"], "d1": [[[0]]], "deps": [[[0]]]},
+    {"degree": 0, "ranks": [1, False], "d1": [[]], "deps": [[]]},
+    {"degree": 0, "ranks": [1.0], "d1": [], "deps": []},
+    {"degree": 0, "ranks": [1, 1], "d1": [], "deps": [[[0]]]},  # d1 count
+    {"degree": 0, "ranks": [1, 1], "d1": [[[0]]], "deps": []},  # deps count
+    {"degree": 0, "ranks": [1], "d1": [[[0]]], "deps": [[[0]]]},
+    {"degree": 0, "ranks": [], "d1": [], "deps": []},           # no ranks
+])
+def test_complex_json_malformed(data):
+    with pytest.raises(ValidationFailed):
+        complex_from_json(data, F5)
+
+
+@pytest.mark.parametrize("data", [
+    {},                                  # missing key
+    [],                                  # not an object
+    "intervals",
+    {"intervals": 5},                    # not a list
+    {"intervals": [[1]]},                # interval not a pair
+    {"intervals": [[0, 1, 2]]},
+    {"intervals": ["ab"]},
+    {"intervals": [[0, "abc"]]},         # only "inf" and "-inf" are endpoints
+    {"intervals": [["-x", 2]]},
+    {"intervals": [["inf", 2]]},         # +inf cannot start a bar
+    {"intervals": [[True, 2]]},          # a bool is not an integer
+    {"intervals": [[0, 1.5]]},
+    {"intervals": [[0, None]]},
+    {"intervals": [[2, 1]]},             # out of order
+])
+def test_barcode_json_malformed(data):
+    with pytest.raises(ValidationFailed):
+        barcode_from_json(data, F5)
+
+
+def test_barcode_json_infinite_endpoints():
+    bc = barcode_from_json({"intervals": [["-inf", 0], [1, "inf"], ["-inf", "inf"]]}, F5)
+    assert sorted(map(str, bc.intervals)) == ["[-inf,0]", "[-inf,inf]", "[1,inf]"]
 
 
 def test_barcode_json_roundtrip():

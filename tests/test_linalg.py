@@ -159,3 +159,41 @@ def test_rref_aliased_rows(field):
     assert _rref(field, a, len(row)) == (1, (0,))
     assert a == [row, [zero] * 11, [zero] * 11]
     assert row == [one] + [zero] * 9 + [one]
+
+
+def _window_system(rng, field, degrees):
+    """Dict rows shaped like a hom window: a block of coordinates per degree,
+    each constraint row touching the blocks of two adjacent degrees, a few
+    nonzeros per row, and the last two blocks left as trailing columns."""
+    sizes = [rng.randint(0, 4) for _ in range(degrees + 2)]
+    offs = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    rows = []
+    for i in range(degrees + 1):
+        for _ in range(rng.randint(0, 5)):
+            row = {}
+            for j in range(offs[i], offs[i + 2]):
+                if rng.random() < 0.4:
+                    x = field.coerce(rng.randint(1, 4) if field.p is None
+                                     else rng.randrange(1, field.p))
+                    row[j] = x if rng.random() < 0.8 else field.coerce(-x)
+            rows.append(row)
+    rng.shuffle(rows)
+    return rows, offs[degrees], offs[-1]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rref_dict_rows_match_dense_oracle(field):
+    # hom windows reach _rref as dict rows, with ring columns trailing
+    rng = random.Random(90 + (field.p or 0))
+    for _ in range(60):
+        rows, width, n = _window_system(rng, field, rng.randint(1, 8))
+        dense = [[row.get(j, field.zero) for j in range(n)] for row in rows]
+        want_rank, want_pivots, want_rows = gauss_jordan(field, dense, width)
+        # without back substitution: the same rank and pivots, echelon rows
+        echelon = [dict(row) for row in rows]
+        assert _rref(field, echelon, width, reduced=False) == (want_rank, want_pivots)
+        assert [min(row) for row in echelon[:want_rank]] == list(want_pivots)
+        assert all(not row or min(row) >= width for row in echelon[want_rank:])
+        assert _rref(field, rows, width) == (want_rank, want_pivots)
+        assert all(isinstance(row, dict) and all(row.values()) for row in rows)
+        assert [[row.get(j, field.zero) for j in range(n)] for row in rows] == want_rows
