@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .barcode import classify, decompose, verify_certificate
@@ -244,6 +245,9 @@ def _cmd_inner_solve(doc: Document, args) -> dict:
     return {}
 
 
+# argparse keeps no state between parse_args calls (each call fills a fresh
+# Namespace), so in-process callers such as tests share one parser.
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dualseq", description=__doc__)
     common = _Parser(add_help=False)

@@ -10,6 +10,8 @@ Two spaces matter everywhere:
 * ``Hom_eps(V, W) = cok(d^-1)`` - the extra "epsilon" component of the
   enlarged category, whose morphisms are pairs ``f_1 + [f_eps]`` composing by
   ``(g o f)_1 = g_1 f_1`` and ``(g o f)_eps = g_1 f_eps + g_eps f_1``.
+  The class of zero is zero, so a morphism without an epsilon part needs
+  no window computation at all.
 
 Both are computed on a finite window ``[L, R]`` obtained by widening the
 combined irregular region by a margin.  On such a window the computation is
@@ -118,12 +120,16 @@ def _wider_ranks(field, rows: list, rank: int, pivots: tuple, rings: list,
     return out
 
 
+def _require_one_field(v: Seq, w: Seq) -> None:
+    if v.field != w.field:
+        raise ValidationFailed("hom between sequences over different fields")
+
+
 class HomContext:
     """Everything the package needs to know about one ordered pair (V, W)."""
 
     def __init__(self, v: Seq, w: Seq, config: Config = DEFAULT):
-        if v.field != w.field:
-            raise ValidationFailed("hom between sequences over different fields")
+        _require_one_field(v, w)
         self.src = v
         self.dst = w
         self.field = v.field
@@ -397,11 +403,6 @@ class HatMorphism:
             raise ValidationFailed("morphism parts must have degree 0")
 
     @property
-    def feps_class(self) -> GradedHomElement:
-        """The canonical coset representative (alias for ``feps``)."""
-        return self.feps
-
-    @property
     def src(self) -> Seq:
         return self.f1.src
 
@@ -443,16 +444,32 @@ class HatMorphism:
         return HatMorphism(self.f1.scale(c), self.feps.scale(c))
 
 
+def _eps_class(v: Seq, w: Seq, eps: Optional[GradedHomElement],
+               config: Config) -> GradedHomElement:
+    """Canonical representative of the class of ``eps`` in Hom_eps(v, w).
+
+    The class of zero is zero: a missing or zero ``eps`` needs no cokernel
+    data, so no hom context is built or looked up for it.  A zero ``eps`` is
+    returned as it is, and ``HatMorphism`` checks that it lies in
+    Hom^0(v, w).  Any other ``eps`` is reduced by
+    ``get_context(v, w).canonical_eps``.
+    """
+    _require_one_field(v, w)
+    if eps is None:
+        return zero_element(v, w, 0)
+    if eps.is_zero:
+        return eps
+    return get_context(v, w, config).canonical_eps(eps)
+
+
 def hat(f1: GradedHomElement, feps: Optional[GradedHomElement] = None,
         config: Config = DEFAULT) -> HatMorphism:
     """Build a morphism, checking the type-1 part and canonicalizing the
-    epsilon part."""
+    epsilon part.  A type-1 morphism (``feps`` missing or zero) builds no
+    hom context."""
     if not is_morphism(f1):
         raise ValidationFailed("type-1 part does not commute with the differentials")
-    if feps is None:
-        feps = zero_element(f1.src, f1.dst, 0)
-    ctx = get_context(f1.src, f1.dst, config)
-    return HatMorphism(f1, ctx.canonical_eps(feps))
+    return HatMorphism(f1, _eps_class(f1.src, f1.dst, feps, config))
 
 
 def hat_eps(feps: GradedHomElement, config: Config = DEFAULT) -> HatMorphism:
@@ -468,20 +485,22 @@ def zero_hat(v: Seq, w: Seq) -> HatMorphism:
 
 
 def compose_hat(g: HatMorphism, f: HatMorphism, config: Config = DEFAULT) -> HatMorphism:
-    """``g o f = g_1 f_1 + [g_1 f_eps + g_eps f_1]`` (epsilon squares to zero)."""
+    """``g o f = g_1 f_1 + [g_1 f_eps + g_eps f_1]`` (epsilon squares to zero).
+
+    The epsilon part is computed only when ``f`` or ``g`` has one, and a
+    hom context is built only when that part is nonzero."""
     if f.dst != g.src:
         raise ValidationFailed("compose: target/source mismatch")
     f1 = compose(g.f1, f.f1)
-    eps = compose(g.f1, f.feps) + compose(g.feps, f.f1)
-    ctx = get_context(f.src, g.dst, config)
-    return HatMorphism(f1, ctx.canonical_eps(eps))
+    eps = (None if f.is_type_one and g.is_type_one
+           else compose(g.f1, f.feps) + compose(g.feps, f.f1))
+    return HatMorphism(f1, _eps_class(f.src, g.dst, eps, config))
 
 
 def shift_hat(h: HatMorphism, k: int, config: Config = DEFAULT) -> HatMorphism:
     f1 = shift_element(h.f1, k)
-    eps = shift_element(h.feps, k)
-    ctx = get_context(f1.src, f1.dst, config)
-    return HatMorphism(f1, ctx.canonical_eps(eps))
+    eps = None if h.is_type_one else shift_element(h.feps, k)
+    return HatMorphism(f1, _eps_class(f1.src, f1.dst, eps, config))
 
 
 # -- direct sums ---------------------------------------------------------

@@ -452,7 +452,12 @@ def field_to_json(field: Field):
 
 
 def field_from_json(data) -> Field:
-    return Field(None) if data == "Q" else Field(int(data))
+    """``"Q"`` or a prime given as an integer (booleans are not integers)."""
+    if data == "Q":
+        return Field(None)
+    if not _is_int(data):
+        raise ValidationFailed(f"field must be \"Q\" or a prime, got {data!r}")
+    return Field(data)
 
 
 def seq_to_json(v: Seq) -> dict:

@@ -7,11 +7,11 @@ import pytest
 
 from oracles import brute_force_multiplicities
 from dualseq.barcode import (Interval, assemble, classify, decompose,
-                             is_isomorphic, make_barcode, multiplicities,
-                             rank_pairing, verify_certificate)
+                             is_isomorphic, make_barcode, max_injective_subobject,
+                             multiplicities, rank_pairing, verify_certificate)
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_barcode, random_seq
-from dualseq.linalg import Field
+from dualseq.linalg import Field, rank
 from dualseq.seq import direct_sum_seq, interval, shift
 
 F2 = Field(2)
@@ -141,3 +141,26 @@ def test_certificate_is_degreewise_isomorphism():
         m = cert.component(i)
         assert m.rows == m.cols == v.dim(i) == a.dim(i)
         assert rank(m) == m.rows
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_max_injective_subobject(field):
+    # the subobject keeps exactly the bars that start at -inf, and its
+    # inclusion is injective in every degree
+    rng = random.Random(107)
+    hits = 0
+    for _ in range(200):
+        v = random_seq(rng, field, max_bars=5, lo=-3, hi=3)
+        sub, incl = max_injective_subobject(v)
+        bars = decompose(v).counts()
+        want = {iv: k for iv, k in bars.items() if iv.a == -INF}
+        assert decompose(sub).counts() == want
+        hits += 0 < len(want) < len(bars)
+        assert (incl.src, incl.dst) == (sub, v) and incl.is_type_one
+        for i in range(v.lo - 2, v.hi + 3):
+            m = incl.f1.component(i)
+            assert rank(m) == m.cols == sub.dim(i)
+        if hits == 12:
+            break
+    # cases mixing rays from -inf with other bars, where the choice matters
+    assert hits == 12

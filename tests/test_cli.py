@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dualseq.cli import main
+from dualseq.cli import _build_parser, main
 
 DOC = """
 field 2
@@ -196,3 +196,15 @@ def test_depth_flag_default_succeeds(doc_path, capsys):
     code, out, _ = run(capsys, "phantom", doc_path, "deep")
     assert code == 0
     assert "phantom: no" in out
+
+
+def test_cached_parser_keeps_no_state(doc_path, capsys):
+    # one parser serves every in-process call; no flag may leak into the next
+    _build_parser.cache_clear()
+    first = run(capsys, "phantom", doc_path, "deep")
+    assert first[0] == 0
+    assert run(capsys, "phantom", doc_path, "deep", "--depth", "1")[0] == 2
+    assert run(capsys, "phantom", doc_path, "deep") == first
+    assert run(capsys, "decompose", doc_path, "S01", "--depth", "1")[0] == 1
+    assert run(capsys, "phantom", doc_path, "deep", "--bogus")[0] == 1
+    assert _build_parser.cache_info().misses == 1

@@ -8,10 +8,12 @@ import pytest
 import oracles
 from dualseq.config import Config
 from dualseq.errors import ValidationFailed
-from dualseq.gen import random_seq
-from dualseq.graded import compose, differential, is_morphism
-from dualseq.hom import (HomContext, compose_hat, direct_sum, get_context, hat,
-                         hat_eps, hom_complex, identity_hat, shift_hat, zero_hat)
+from dualseq.gen import random_graded_element, random_scalar, random_seq
+from dualseq.graded import (compose, differential, is_morphism, shift_element,
+                            zero_element)
+from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum,
+                         get_context, hat, hat_eps, hom_complex, identity_hat,
+                         shift_hat, zero_hat)
 from dualseq.linalg import Field, row_space, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
@@ -270,3 +272,82 @@ def test_direct_sum_projections_section():
     assert compose_hat(ds.project_left, ds.include_left) == identity_hat(v)
     assert compose_hat(ds.project_right, ds.include_right) == identity_hat(w)
     assert compose_hat(ds.project_left, ds.include_right).is_zero
+
+
+def _random_morphism(rng, v, w):
+    ctx = get_context(v, w)
+    out = zero_element(v, w, 0)
+    for g in ctx.hom_basis():
+        out = out + g.scale(random_scalar(rng, v.field))
+    return out
+
+
+def _old_hat(f1, eps):
+    # every epsilon part reduced through the pair's hom context
+    return HatMorphism(f1, get_context(f1.src, f1.dst).canonical_eps(eps))
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_type_one_parts_build_no_context(field):
+    # the class of zero is zero: a missing or zero epsilon part must not
+    # build (or look up) a hom context, and must give the old path's answer
+    rng = random.Random(31)
+    for _ in range(6):
+        u, v, w = (random_seq(rng, field, max_bars=3, lo=-2, hi=2) for _ in range(3))
+        f1 = _random_morphism(rng, u, v)
+        g1 = _random_morphism(rng, v, w)
+        get_context.cache_clear()
+        f, f0 = hat(f1), hat(f1, zero_element(u, v, 0))
+        g = hat(g1)
+        gf = compose_hat(g, f)
+        sf = shift_hat(f, 1)
+        assert get_context.cache_info().misses == 0
+        assert f == f0 == _old_hat(f1, zero_element(u, v, 0))
+        assert gf == _old_hat(compose(g1, f1), zero_element(u, w, 0))
+        sf1 = shift_element(f1, 1)
+        assert sf == _old_hat(sf1, zero_element(sf1.src, sf1.dst, 0))
+        assert f.is_type_one and gf.is_type_one and sf.is_type_one
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_nonzero_eps_part_still_reduced(field):
+    rng = random.Random(32)
+    reduced = 0
+    for _ in range(6):
+        u, v, w = (random_seq(rng, field, max_bars=3, lo=-2, hi=2) for _ in range(3))
+        f1 = _random_morphism(rng, u, v)
+        g1 = _random_morphism(rng, v, w)
+        feps = random_graded_element(rng, u, v)
+        f = hat(f1, feps)
+        assert f == _old_hat(f1, feps)
+        assert f.feps == get_context(u, v).canonical_eps(feps)
+        reduced += f.feps != feps
+        g = hat(g1, random_graded_element(rng, v, w))
+        eps = compose(g1, f.feps) + compose(g.feps, f1)
+        assert compose_hat(g, f) == _old_hat(compose(g1, f1), eps)
+        assert compose_hat(hat(g1), f) == _old_hat(compose(g1, f1), compose(g1, f.feps))
+        sf1, seps = shift_element(f1, -1), shift_element(feps, -1)
+        assert shift_hat(f, -1) == _old_hat(sf1, seps)
+    # the random parts are not canonical, so reduction really happened
+    assert reduced > 0
+
+
+def test_hat_zero_across_fields_raises():
+    # a zero type-1 part passes the morphism check, so the field check must
+    # come from the epsilon shortcut itself
+    v = interval(F2, 0, 1)
+    w = interval(F5, 0, 1)
+    with pytest.raises(ValidationFailed, match="different fields"):
+        hat(zero_element(v, w, 0))
+    with pytest.raises(ValidationFailed, match="different fields"):
+        hat(zero_element(v, w, 0), zero_element(v, w, 0))
+
+
+def test_zero_eps_part_of_wrong_type_rejected():
+    v = interval(F5, 0, 1)
+    w = interval(F5, 1, 2)
+    f1 = zero_element(v, w, 0)
+    with pytest.raises(ValidationFailed):
+        hat(f1, zero_element(w, v, 0))
+    with pytest.raises(ValidationFailed):
+        hat(f1, zero_element(v, w, 1))

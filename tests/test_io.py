@@ -11,8 +11,9 @@ from dualseq.errors import ParseError, ValidationFailed
 from dualseq.gen import random_eps_complex, random_seq
 from dualseq.hom import identity_hat
 from dualseq.io import (barcode_from_json, barcode_to_json, complex_from_json,
-                        complex_to_json, parse_document, report_json,
-                        seq_from_json, seq_to_json)
+                        complex_to_json, field_from_json, field_to_json,
+                        parse_document, report_json, seq_from_json,
+                        seq_to_json)
 from dualseq.linalg import Field
 from dualseq.seq import interval
 
@@ -252,3 +253,15 @@ def test_rational_entries_serialized_as_strings():
     assert j["maps"][0][0][0] == "-2/3"
     back = seq_from_json(j, Q)
     assert back.map_at(0).entry(0, 0) == Fraction(-2, 3)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_field_json_roundtrip(field):
+    assert field_from_json(field_to_json(field)) == field
+
+
+@pytest.mark.parametrize("data", ["abc", "5", "q", None, [5], {}, 2.7, 5.0,
+                                  True, False, 4, 1, 0, -3, 2**31 + 11])
+def test_field_json_malformed(data):
+    with pytest.raises(ValidationFailed):
+        field_from_json(data)
