@@ -9,7 +9,6 @@ from .barcode import (Barcode, Classification, Interval, assemble, classify,
                       decompose, is_isomorphic, make_barcode,
                       max_injective_subobject, multiplicities, rank_pairing,
                       verify_certificate)
-from .config import Config, DEFAULT
 from .dualnum import (EpsComplex, HomotopyEquivalence, MinimalComplex,
                       as_complex, cohomology, eps_cohomology, from_seq, hom_k,
                       make_minimal, minimize, to_seq, validate)
@@ -35,8 +34,8 @@ from .triang import (ExtensionClass, Triangle, cone, cone_triangle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Barcode", "Classification", "Config", "DEFAULT", "Derivation", "Diagram",
-    "Document", "EpsComplex", "ExtensionClass", "Field", "GradedHomElement",
+    "Barcode", "Classification", "Derivation", "Diagram", "Document",
+    "EpsComplex", "ExtensionClass", "Field", "GradedHomElement",
     "HatMorphism", "HomContext", "HomData", "HomotopyEquivalence", "Interval",
     "Matrix", "MinimalComplex", "NotExact", "ParseError",
     "PhantomCertificate", "PhantomVerdict", "Seq", "StabilizationDepthExceeded",

@@ -1,28 +1,14 @@
-"""Tunable knobs for window widening and stabilization checks."""
+"""The margin of every hom window.
 
-from __future__ import annotations
+The margin is a constant, not a setting: the ``dualseq.hom`` module
+docstring proves that every margin >= 1 gives both hom spaces exactly.  It
+is 3, wider than the bound, so that windows, bases and coset
+representatives stay those of earlier releases.  ``DEFAULT.base_margin``
+is the same number under the name ``bench/tracer.py`` reads.
+"""
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
+MARGIN = 3
 
-@dataclass(frozen=True)
-class Config:
-    """Widening policy for Hom computations on tailed sequences.
-
-    Answers are computed on a window enlarged by ``base_margin`` degrees on
-    each side and accepted only when ``extra_checks`` further one-step
-    widenings leave every reported dimension unchanged.  The widened windows
-    are not eliminated anew: their ranks come from the base window's
-    elimination plus the rows each ring of tail degrees adds.  If agreement
-    is not reached the margin grows by one and the attempt repeats, up to a
-    depth limit of ``3 * span + |degree| + 4`` widenings.
-    """
-
-    base_margin: int = 3
-    extra_checks: int = 2
-
-    def depth_limit(self, span: int, degree: int = 0) -> int:
-        return 3 * span + abs(degree) + 4
-
-
-DEFAULT = Config()
+DEFAULT = SimpleNamespace(base_margin=MARGIN)

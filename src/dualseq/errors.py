@@ -16,7 +16,11 @@ class NotExact(ValidationFailed):
 
 
 class StabilizationDepthExceeded(Exception):
-    """Window widening hit the configured depth without the answer stabilizing."""
+    """A phantom chain did not stabilize within its depth.
+
+    Only ``phantom`` raises it: its "three equal levels" rule is empirical.
+    Hom windows need no such check, since their margin is proven.
+    """
 
     def __init__(self, message: str, depth: int):
         super().__init__(message)

@@ -13,30 +13,32 @@ Two spaces matter everywhere:
   The class of zero is zero, so a morphism without an epsilon part needs
   no window computation at all.
 
-Both are computed on a finite window ``[L, R]`` obtained by widening the
-combined irregular region by a margin.  On such a window the computation is
-a finite kernel/cokernel problem:
+Both are computed on the finite window ``[L, R] = [a - m, b + m]`` around
+the irregular region ``a = min(v.lo, w.lo - 1)``, ``b = max(v.hi, w.hi + 1)``,
+with the fixed margin ``m = MARGIN``.  Outside ``[a, b]`` every transition of
+``V`` and ``W`` is a tail map (zero, or ``(-1)^i id`` between equal spaces),
+and that fixes how wide the window must be:
 
-* morphisms are parity-constant beyond the window (ISO transitions force
-  ``f^(i+1) = f^i``), so window solutions extend uniquely;
-* cokernel classes are detected by window coordinates alone, because targets
-  supported in a stable half-line are always hit (solve the transition
-  recurrence outward), at the price of one extra variable column ``h^(R+1)``.
+* ``Hom_S``: for ``i <= a - 1`` and for ``i >= b + 1`` the degree-``i``
+  constraint is either vacuous (a zero-dimensional block) or reads
+  ``f^(i+1) = f^i``.  A window that contains the constraints of degrees
+  ``a..b`` therefore has exactly the kernel of ``d^0``: each window
+  solution extends uniquely by repeating its boundary blocks, whose shapes
+  are the tail shapes.  The constraints of the window are those of degrees
+  ``L..R-1``, so any ``m >= 1`` suffices.  The bound is tight: at ``m = 0``
+  a ``V`` with a zero right tail ending at ``b``, mapped to a ``W`` with an
+  iso right tail, loses the row ``f^b = 0``.
+* ``Hom_eps``: a target ``f`` supported beyond the window is ``d^-1(h)``
+  for an ``h`` supported there, found by solving
+  ``h^(i+1) = h^i + (-1)^i f^i`` outward from ``h = 0``.  So window
+  coordinates detect every class, and a window-supported target lies in
+  the image of ``d^-1`` exactly when it is the window part of ``d^-1(h)``
+  for an ``h`` supported on ``L..R+1`` (one extra variable column
+  ``h^(R+1)``).  This holds for every ``m >= 0``.
 
-The margin is accepted only when two further one-step widenings reproduce
-every dimension; the widening count is capped, and hitting the cap raises
-``StabilizationDepthExceeded``.
-
-One elimination per system serves the base window and all its probes.  The
-coordinates of the base window come first, then one ring of tail degrees
-per widening (``f^(L-r)``, ``f^(R+r)``).  The base rows are reduced on the
-base columns with the ring columns carried along; the rank at margin
-``m + r`` is the base rank plus the rank of the few rows left over: base
-rref rows that vanish on the base columns, and the rows rings ``1..r`` add,
-reduced by the base pivot rows.  The kernel basis is read off the reduced
-``d^0`` rows and the coset data off the reduced ``d^-1`` rows; the dense
-window differentials are rebuilt from the constraint rows only when asked
-for.
+``MARGIN`` (``dualseq.config``) is 3, wider than the bound needs, so that
+every window, basis and coset representative stays the one earlier
+releases computed.
 
 The work follows the nonzeros.  Each constraint row touches two adjacent
 degree blocks, so the rows are built as dict rows ``{column: entry}`` and
@@ -51,73 +53,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
-from .config import Config, DEFAULT
-from .errors import StabilizationDepthExceeded, ValidationFailed
+from .config import MARGIN
+from .errors import ValidationFailed
 from .graded import (GradedHomElement, all_morphisms, compose, identity_element,
                      is_morphism, make_element, shift_element, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import (Matrix, _dense_rows, _rref, _sub_row, reduce_row_mod,  # noqa: F401
+from .linalg import (Matrix, _dense_rows, _rref, reduce_row_mod,  # noqa: F401
                      subspaces)
 from .seq import Seq, direct_sum_seq
 
 
 @dataclass(frozen=True)
 class StabilizationCertificate:
-    """Record of the widening loop: the accepted margin, the window it gave,
-    and the (margin, dim Hom_S, dim Hom_eps) triples that had to agree."""
+    """The hom window and its margin, which the module docstring proves
+    wide enough for both hom spaces."""
 
     window: Tuple[int, int]
     margin: int
-    checks: Tuple[Tuple[int, int, int], ...]
-    depth_limit: int
-
-
-class _Window(NamedTuple):
-    """A base window: its layout and both systems in reduced form."""
-
-    L: int
-    R: int
-    off0: dict
-    n: int
-    d0_rows: list       # nonzero rref rows of the d^0 constraints (dict rows)
-    d0_pivots: tuple
-    img_rows: list      # nonzero rref rows of the d^-1 image vectors (dense)
-    img_pivots: tuple
-
-    @property
-    def dims(self) -> tuple:
-        return (self.n - len(self.d0_pivots), self.n - len(self.img_pivots))
-
-
-def _wider_ranks(field, rows: list, rank: int, pivots: tuple, rings: list,
-                 ends: list) -> list:
-    """Ranks of a system at margins m+1, m+2, ... from its reduction at m.
-
-    ``rows`` is the rref (dict rows) of the base rows on the first
-    ``ends[0]`` columns, with the columns up to ``ends[-1]`` carried along;
-    ``rings[r-1]`` holds the rows that ring ``r`` adds.  At margin m+r the
-    system is the base rows plus the rows of rings ``<= r``, cut to
-    ``ends[r]`` columns.  Its rank is the base rank plus the rank of the
-    base rref rows that vanish on the base columns and of the ring rows
-    reduced by the base pivot rows: all of those are zero at every base
-    pivot, so the pivot rows stay independent of them.
-    """
-    p = field.p
-    pos = {c: k for k, c in enumerate(pivots)}
-    extra = [row for row in rows[rank:] if row]
-    out = []
-    for ring, end in zip(rings, ends[1:]):
-        for row in ring:
-            # base rref rows are zero at every other base pivot
-            for c, x in [(c, x) for c, x in row.items() if c in pos]:
-                _sub_row(row, x, rows[pos[c]].items(), p)
-        extra += ring
-        out.append(rank + _rref(field, [{j: x for j, x in row.items() if j < end}
-                                        for row in extra], end, reduced=False)[0])
-    return out
 
 
 def _require_one_field(v: Seq, w: Seq) -> None:
@@ -128,59 +83,54 @@ def _require_one_field(v: Seq, w: Seq) -> None:
 class HomContext:
     """Everything the package needs to know about one ordered pair (V, W)."""
 
-    def __init__(self, v: Seq, w: Seq, config: Config = DEFAULT):
+    def __init__(self, v: Seq, w: Seq):
         _require_one_field(v, w)
         self.src = v
         self.dst = w
-        self.field = v.field
-        self.lo_irr = min(v.lo, w.lo - 1)
-        self.hi_irr = max(v.hi, w.hi + 1)
-        span = self.hi_irr - self.lo_irr
-        limit = config.depth_limit(span, 0)
-        margin = config.base_margin
-        widenings = 0
-        while True:
-            probe, dims = self._eliminate(margin, config.extra_checks)
-            checks = tuple((margin + k, d[0], d[1]) for k, d in enumerate(dims))
-            if all(d == dims[0] for d in dims):
-                break
-            margin += 1
-            widenings += 1
-            if widenings > limit:
-                raise StabilizationDepthExceeded(
-                    f"hom dimensions between windows [{v.lo},{v.hi}] and "
-                    f"[{w.lo},{w.hi}] did not stabilize", limit)
-        self.margin = margin
-        self._populate(probe)
-        self.certificate = StabilizationCertificate(
-            (self.L, self.R), margin, checks, limit)
-
-    # -- window layout --------------------------------------------------
-
-    def _layout(self, m: int, k: int):
-        """Coordinates of the window at margin ``m`` in degree order, then
-        the ring blocks ``f^(L-1), f^(R+1), ..., f^(L-k), f^(R+k)``.
-        ``ends[r]`` is the width of the window at margin ``m + r``."""
-        L = self.lo_irr - m
-        R = self.hi_irr + m
-        v, w = self.src, self.dst
-        off0 = {}
-        ends = []
+        self.field = f = v.field
+        self.margin = MARGIN
+        self.L = L = min(v.lo, w.lo - 1) - MARGIN
+        self.R = R = max(v.hi, w.hi + 1) + MARGIN
+        self.certificate = StabilizationCertificate((L, R), MARGIN)
+        self.off0 = {}
         n = 0
-        for degrees in [range(L, R + 1)] + [(L - r, R + r) for r in range(1, k + 1)]:
-            for i in degrees:
-                off0[i] = n
-                n += w.dim(i) * v.dim(i)
-            ends.append(n)
-        return L, R, off0, ends
+        for i in range(L, R + 1):
+            self.off0[i] = n
+            n += w.dim(i) * v.dim(i)
+        self.N = n
 
-    def _d0_rows(self, degrees, off0) -> list:
-        """Constraint rows of d^0, as dict rows: one per entry of each
-        (df)^i with i in ``degrees``, over the coordinates ``off0`` lays out."""
-        v, w = self.src, self.dst
+        d0 = self._d0_rows()
+        rank0, piv0 = _rref(f, d0, n)
+        self.dim_hom = n - rank0
+        # kernel of d^0, one vector per free column of its rref: the free
+        # entry is 1 and each pivot entry the negated rref entry there
+        zero, one, neg = f.zero, f.one, f.neg
+        pivset = set(piv0)
+        free = {}
+        for fj in range(n):
+            if fj not in pivset:
+                free[fj] = vec = [zero] * n
+                vec[fj] = one
+        for row, c in zip(d0, piv0):
+            for j, x in row.items():
+                if j in free:
+                    free[j][c] = neg(x)
+        self.ker_basis_vecs = list(free.values())
+
+        dm1 = self._dm1_rows()
+        rank1, self.img_pivots = _rref(f, dm1, n)
+        self.dim_eps = n - rank1
+        self.img_rows = _dense_rows(dm1[:rank1], n, zero)
+        pivset = set(self.img_pivots)
+        self.nonpivots = [j for j in range(n) if j not in pivset]
+
+    def _d0_rows(self) -> list:
+        """Constraint rows of d^0 on the window, as dict rows: one per entry
+        of each (df)^i with L <= i < R."""
+        v, w, off0 = self.src, self.dst, self.off0
         neg = self.field.neg
         rows = []
-        for i in degrees:
+        for i in range(self.L, self.R):
             dv = v.map_at(i).to_lists()
             dw = w.map_at(i).to_lists()
             vi, vi1 = v.dim(i), v.dim(i + 1)
@@ -195,13 +145,13 @@ class HomContext:
                     rows.append(row)
         return rows
 
-    def _dm1_rows(self, degrees, off0) -> list:
-        """Image vectors of d^-1, as dict rows: one per entry of each h^j
-        with j in ``degrees``, with the entries at degrees ``j`` and ``j-1``
-        that ``off0`` lays out (the others fall outside the window)."""
-        v, w = self.src, self.dst
+    def _dm1_rows(self) -> list:
+        """Image vectors of d^-1 on the window, as dict rows: one per entry
+        of each h^j with L <= j <= R+1, with its entries at the degrees
+        ``j`` and ``j-1`` that lie in the window."""
+        v, w, off0 = self.src, self.dst, self.off0
         rows = []
-        for j in degrees:
+        for j in range(self.L, self.R + 2):
             wj1 = w.dim(j - 1)
             vj = v.dim(j)
             if wj1 * vj == 0:
@@ -226,61 +176,16 @@ class HomContext:
                     rows.append(row)
         return rows
 
-    def _eliminate(self, m: int, k: int) -> tuple:
-        """Reduce both systems of the window at margin ``m`` once; return
-        that window and the (dim Hom_S, dim Hom_eps) of margins m..m+k."""
-        L, R, off0, ends = self._layout(m, k)
-        n = ends[0]
-        f = self.field
-        d0 = self._d0_rows(range(L, R), off0)
-        rank0, piv0 = _rref(f, d0, n)
-        # the d^-1 rows j = L and j = R+1 reach into ring 1
-        dm1 = self._dm1_rows(range(L, R + 2), off0)
-        rank1, piv1 = _rref(f, dm1, n)
-        rings0 = [self._d0_rows((L - r, R + r - 1), off0) for r in range(1, k + 1)]
-        rings1 = [self._dm1_rows((L - r, R + r + 1), off0) for r in range(1, k + 1)]
-        ranks = zip([rank0] + _wider_ranks(f, d0, rank0, piv0, rings0, ends),
-                    [rank1] + _wider_ranks(f, dm1, rank1, piv1, rings1, ends))
-        dims = [(end - r0, end - r1) for end, (r0, r1) in zip(ends, ranks)]
-        window = _Window(L, R, {i: off0[i] for i in range(L, R + 1)}, n,
-                         d0[:rank0], piv0,
-                         _dense_rows(dm1[:rank1], n, f.zero), piv1)
-        return window, dims
-
-    def _populate(self, win: _Window):
-        self.L, self.R, self.off0, self.N = win.L, win.R, win.off0, win.n
-        self.dim_hom, self.dim_eps = win.dims
-        # kernel of d^0, one vector per free column of its rref: the free
-        # entry is 1 and each pivot entry the negated rref entry there
-        zero, one, neg = self.field.zero, self.field.one, self.field.neg
-        pivset = set(win.d0_pivots)
-        free = {}
-        for fj in range(win.n):
-            if fj not in pivset:
-                free[fj] = vec = [zero] * win.n
-                vec[fj] = one
-        for row, c in zip(win.d0_rows, win.d0_pivots):
-            for j, x in row.items():
-                if j in free:
-                    free[j][c] = neg(x)
-        self.ker_basis_vecs = list(free.values())
-        self.img_rows = win.img_rows
-        self.img_pivots = win.img_pivots
-        pivset = set(win.img_pivots)
-        self.nonpivots = [j for j in range(win.n) if j not in pivset]
-
     @property
     def d0(self) -> Matrix:
         """The window matrix of d^0 (rows: constraints, columns: coordinates)."""
-        rows = _dense_rows(self._d0_rows(range(self.L, self.R), self.off0),
-                           self.N, self.field.zero)
+        rows = _dense_rows(self._d0_rows(), self.N, self.field.zero)
         return Matrix(self.field, len(rows), self.N, tuple(x for row in rows for x in row))
 
     @property
     def dminus1(self) -> Matrix:
         """The window matrix of d^-1 (columns: image vectors)."""
-        rows = _dense_rows(self._dm1_rows(range(self.L, self.R + 2), self.off0),
-                           self.N, self.field.zero)
+        rows = _dense_rows(self._dm1_rows(), self.N, self.field.zero)
         return Matrix(self.field, len(rows), self.N,
                       tuple(x for row in rows for x in row)).transpose()
 
@@ -305,15 +210,10 @@ class HomContext:
             mats[i] = Matrix(f, r, c, tuple(block)) if any(block) else zeros(f, r, c)
 
         if constant_tails:
+            # a morphism repeats its boundary blocks beyond the window (see
+            # the module docstring); their shapes are the tail shapes
             def fn(i):
-                if self.L <= i <= self.R:
-                    return mats[i]
-                # the boundary block, unless the shape changes beyond the
-                # window: then a Zero tail has emptied the component
-                m = mats[self.L] if i < self.L else mats[self.R]
-                if (m.rows, m.cols) == (w.dim(i), v.dim(i)):
-                    return m
-                return zeros(f, w.dim(i), v.dim(i))
+                return mats[min(max(i, self.L), self.R)]
         else:
             def fn(i):
                 if i < self.L or i > self.R:
@@ -360,8 +260,8 @@ class HomContext:
 
 
 @lru_cache(maxsize=None)
-def get_context(v: Seq, w: Seq, config: Config = DEFAULT) -> HomContext:
-    return HomContext(v, w, config)
+def get_context(v: Seq, w: Seq) -> HomContext:
+    return HomContext(v, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,9 +278,9 @@ class HomData:
     certificate: StabilizationCertificate
 
 
-def hom_complex(v: Seq, w: Seq, config: Config = DEFAULT) -> HomData:
+def hom_complex(v: Seq, w: Seq) -> HomData:
     """Bases of Hom_S(v, w) and Hom_eps(v, w) plus the window differentials."""
-    ctx = get_context(v, w, config)
+    ctx = get_context(v, w)
     return HomData(ctx.dim_hom, ctx.dim_eps,
                    tuple(ctx.hom_basis()), tuple(ctx.eps_basis()),
                    ctx.d0, ctx.dminus1, (ctx.L, ctx.R), ctx.certificate)
@@ -444,8 +344,7 @@ class HatMorphism:
         return HatMorphism(self.f1.scale(c), self.feps.scale(c))
 
 
-def _eps_class(v: Seq, w: Seq, eps: Optional[GradedHomElement],
-               config: Config) -> GradedHomElement:
+def _eps_class(v: Seq, w: Seq, eps: Optional[GradedHomElement]) -> GradedHomElement:
     """Canonical representative of the class of ``eps`` in Hom_eps(v, w).
 
     The class of zero is zero: a missing or zero ``eps`` needs no cokernel
@@ -459,21 +358,20 @@ def _eps_class(v: Seq, w: Seq, eps: Optional[GradedHomElement],
         return zero_element(v, w, 0)
     if eps.is_zero:
         return eps
-    return get_context(v, w, config).canonical_eps(eps)
+    return get_context(v, w).canonical_eps(eps)
 
 
-def hat(f1: GradedHomElement, feps: Optional[GradedHomElement] = None,
-        config: Config = DEFAULT) -> HatMorphism:
+def hat(f1: GradedHomElement, feps: Optional[GradedHomElement] = None) -> HatMorphism:
     """Build a morphism, checking the type-1 part and canonicalizing the
     epsilon part.  A type-1 morphism (``feps`` missing or zero) builds no
     hom context."""
     if not is_morphism(f1):
         raise ValidationFailed("type-1 part does not commute with the differentials")
-    return HatMorphism(f1, _eps_class(f1.src, f1.dst, feps, config))
+    return HatMorphism(f1, _eps_class(f1.src, f1.dst, feps))
 
 
-def hat_eps(feps: GradedHomElement, config: Config = DEFAULT) -> HatMorphism:
-    return hat(zero_element(feps.src, feps.dst, 0), feps, config)
+def hat_eps(feps: GradedHomElement) -> HatMorphism:
+    return hat(zero_element(feps.src, feps.dst, 0), feps)
 
 
 def identity_hat(v: Seq) -> HatMorphism:
@@ -484,7 +382,7 @@ def zero_hat(v: Seq, w: Seq) -> HatMorphism:
     return HatMorphism(zero_element(v, w, 0), zero_element(v, w, 0))
 
 
-def compose_hat(g: HatMorphism, f: HatMorphism, config: Config = DEFAULT) -> HatMorphism:
+def compose_hat(g: HatMorphism, f: HatMorphism) -> HatMorphism:
     """``g o f = g_1 f_1 + [g_1 f_eps + g_eps f_1]`` (epsilon squares to zero).
 
     The epsilon part is computed only when ``f`` or ``g`` has one, and a
@@ -494,13 +392,13 @@ def compose_hat(g: HatMorphism, f: HatMorphism, config: Config = DEFAULT) -> Hat
     f1 = compose(g.f1, f.f1)
     eps = (None if f.is_type_one and g.is_type_one
            else compose(g.f1, f.feps) + compose(g.feps, f.f1))
-    return HatMorphism(f1, _eps_class(f.src, g.dst, eps, config))
+    return HatMorphism(f1, _eps_class(f.src, g.dst, eps))
 
 
-def shift_hat(h: HatMorphism, k: int, config: Config = DEFAULT) -> HatMorphism:
+def shift_hat(h: HatMorphism, k: int) -> HatMorphism:
     f1 = shift_element(h.f1, k)
     eps = None if h.is_type_one else shift_element(h.feps, k)
-    return HatMorphism(f1, _eps_class(f1.src, f1.dst, eps, config))
+    return HatMorphism(f1, _eps_class(f1.src, f1.dst, eps))
 
 
 # -- direct sums ---------------------------------------------------------

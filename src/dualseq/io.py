@@ -397,8 +397,10 @@ def parse_document(text: str) -> Document:
             raise ParseError(f"unknown declaration {kw.text!r}", kw.line, kw.col)
         name = s.next("word").text
         named = kinds[kw.text]
-        if name in named:
-            raise ParseError(f"{kw.text} {name!r} is declared twice", kw.line, kw.col)
+        # one namespace for all kinds: `cohomology NAME` looks a name up
+        # among both the complexes and the sequences
+        if any(name in other for other in kinds.values()):
+            raise ParseError(f"name {name!r} is declared twice", kw.line, kw.col)
         if kw.text == "seq":
             named[name] = _parse_seq(s, field)
         elif kw.text == "complex":

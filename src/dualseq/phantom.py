@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .barcode import classify
-from .config import Config, DEFAULT
 from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import compose, make_element
 from .hom import HatMorphism, compose_hat, get_context, hat_eps, zero_hat
@@ -25,7 +24,12 @@ from .triang import truncate_above
 
 @dataclass(frozen=True)
 class PhantomCertificate:
-    """Stabilization record: kernel dimension per truncation level."""
+    """Stabilization record: kernel dimension per truncation level.
+
+    The chain is accepted after three consecutive equal levels.  That rule
+    is empirical: no bound is proven that the chain cannot drop again
+    further down, unlike the hom window margin (``dualseq.hom``).
+    """
 
     levels: Tuple[Tuple[int, int], ...]   # (n, dim of kernel at level n)
     stable_run: int
@@ -61,10 +65,10 @@ def _inclusion_element(v: Seq, n: int):
     return t, make_element(t, v, 0, min(v.lo, n) - 1, max(v.hi, n) + 1, fn)
 
 
-def _kernel_chain(v: Seq, w: Seq, depth: int, config: Config):
+def _kernel_chain(v: Seq, w: Seq, depth: int):
     """Stable subspace (as coordinate rows) of classes killed by every
     truncation inclusion, with its level-by-level certificate."""
-    ctx = get_context(v, w, config)
+    ctx = get_context(v, w)
     k = ctx.dim_eps
     if k == 0:
         return [], ctx, PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
@@ -80,7 +84,7 @@ def _kernel_chain(v: Seq, w: Seq, depth: int, config: Config):
     n = min(v.lo, w.lo) - 1
     for step in range(depth):
         t, incl = _inclusion_element(v, n)
-        tctx = get_context(t, w, config)
+        tctx = get_context(t, w)
         cols = [tctx.eps_coords(compose(rep, incl)) for rep in reps]
         constraint = [[cols[j][r] for j in range(k)] for r in range(len(cols[0]))] \
             if cols and cols[0] else []
@@ -140,7 +144,7 @@ def _member(rows, pivots, vec, f, width) -> bool:
     return all(x == f.zero for x in red)
 
 
-def is_phantom(h: HatMorphism, depth: int = 12, config: Config = DEFAULT) -> PhantomVerdict:
+def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
     """Decide phantomness of a morphism between h-projective objects."""
     v, w = h.src, h.dst
     _require_h_projective(v, w)
@@ -148,7 +152,7 @@ def is_phantom(h: HatMorphism, depth: int = 12, config: Config = DEFAULT) -> Pha
         return PhantomVerdict(False, "type-1 part is nonzero")
     if v.left_tail is Tail.ZERO:
         return PhantomVerdict(h.is_zero, "compact source: phantom iff zero")
-    rows, ctx, cert = _kernel_chain(v, w, depth, config)
+    rows, ctx, cert = _kernel_chain(v, w, depth)
     coords = ctx.eps_coords(h.feps)
     if all(c == ctx.field.zero for c in coords):
         return PhantomVerdict(True, "zero class", cert)
@@ -160,15 +164,15 @@ def is_phantom(h: HatMorphism, depth: int = 12, config: Config = DEFAULT) -> Pha
     return PhantomVerdict(False, "survives some truncation inclusion", cert)
 
 
-def phantom_basis(v: Seq, w: Seq, depth: int = 12,
-                  config: Config = DEFAULT) -> Tuple[List[HatMorphism], PhantomCertificate]:
+def phantom_basis(v: Seq, w: Seq,
+                  depth: int = 12) -> Tuple[List[HatMorphism], PhantomCertificate]:
     """Basis of the phantom subspace of Hom_eps(v, w)."""
     _require_h_projective(v, w)
     if v.left_tail is Tail.ZERO:
-        ctx = get_context(v, w, config)
+        ctx = get_context(v, w)
         return [], PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
-    rows, ctx, cert = _kernel_chain(v, w, depth, config)
-    return [hat_eps(ctx.eps_from_coords(r), config) for r in rows], cert
+    rows, ctx, cert = _kernel_chain(v, w, depth)
+    return [hat_eps(ctx.eps_from_coords(r)) for r in rows], cert
 
 
 # -- finite diagrams and derivations ---------------------------------------
@@ -231,34 +235,31 @@ class Derivation:
         return self.assignment[name]
 
 
-def check_derivation(diag: Diagram, der: Derivation,
-                     config: Config = DEFAULT) -> Optional[Tuple[str, str, str]]:
+def check_derivation(diag: Diagram, der: Derivation) -> Optional[Tuple[str, str, str]]:
     """Leibniz check over the composition table; None when every declared
     composite satisfies D(g.f) = D(g).f + g.D(f)."""
     for outer, inner, equals in diag.relations:
         g = diag.generators[outer][2]
         f = diag.generators[inner][2]
         lhs = der.at(equals)
-        rhs = compose_hat(der.at(outer), f, config) + compose_hat(g, der.at(inner), config)
+        rhs = compose_hat(der.at(outer), f) + compose_hat(g, der.at(inner))
         if lhs != rhs:
             return (outer, inner, equals)
     return None
 
 
-def inner_derivation(diag: Diagram, theta: Mapping[str, HatMorphism],
-                     config: Config = DEFAULT) -> Derivation:
+def inner_derivation(diag: Diagram, theta: Mapping[str, HatMorphism]) -> Derivation:
     """The derivation D(f) = f.theta_src - theta_dst.f induced by per-object
     type-eps endomorphisms."""
     assignment = {}
     for name, (sn, dn, mor) in diag.generators.items():
         t_src = theta.get(sn, zero_hat(diag.objects[sn], diag.objects[sn]))
         t_dst = theta.get(dn, zero_hat(diag.objects[dn], diag.objects[dn]))
-        assignment[name] = compose_hat(mor, t_src, config) - compose_hat(t_dst, mor, config)
+        assignment[name] = compose_hat(mor, t_src) - compose_hat(t_dst, mor)
     return Derivation(diag, assignment)
 
 
-def solve_inner(diag: Diagram, der: Derivation,
-                config: Config = DEFAULT) -> Optional[Dict[str, HatMorphism]]:
+def solve_inner(diag: Diagram, der: Derivation) -> Optional[Dict[str, HatMorphism]]:
     """Realize a derivation as inner, if the finite linear system allows it.
 
     Unknowns are the coordinates of theta_V in Hom_eps(V, V) for every
@@ -266,7 +267,7 @@ def solve_inner(diag: Diagram, der: Derivation,
     canonical solution (free coordinates zero), or None.
     """
     names = sorted(diag.objects)
-    ctxs = {nm: get_context(diag.objects[nm], diag.objects[nm], config) for nm in names}
+    ctxs = {nm: get_context(diag.objects[nm], diag.objects[nm]) for nm in names}
     offs = {}
     total = 0
     for nm in names:
@@ -277,7 +278,7 @@ def solve_inner(diag: Diagram, der: Derivation,
     f = None
     for gname in sorted(diag.generators):
         sn, dn, mor = diag.generators[gname]
-        pctx = get_context(mor.src, mor.dst, config)
+        pctx = get_context(mor.src, mor.dst)
         f = pctx.field
         target = pctx.eps_coords(der.at(gname).feps)
         ncoords = len(target)
@@ -306,5 +307,5 @@ def solve_inner(diag: Diagram, der: Derivation,
     for nm in names:
         k = ctxs[nm].dim_eps
         coords = [sol.entry(offs[nm] + j, 0) for j in range(k)]
-        out[nm] = hat_eps(ctxs[nm].eps_from_coords(coords), config)
+        out[nm] = hat_eps(ctxs[nm].eps_from_coords(coords))
     return out

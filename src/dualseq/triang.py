@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .config import Config, DEFAULT
 from .errors import NotExact, ValidationFailed
 from .graded import GradedHomElement, differential, make_element
 from .hom import HatMorphism, compose_hat, get_context, hat, hat_eps, shift_hat
@@ -42,13 +41,13 @@ class Triangle:
         if self.w.src != self.c or self.w.dst != shift(self.a, 1):
             raise ValidationFailed("triangle: w must run c -> shift(a, 1)")
 
-    def verify(self, config: Config = DEFAULT) -> None:
+    def verify(self) -> None:
         """Check that consecutive composites vanish; raises on failure."""
-        if not compose_hat(self.v, self.u, config).is_zero:
+        if not compose_hat(self.v, self.u).is_zero:
             raise ValidationFailed("triangle: v.u does not vanish")
-        if not compose_hat(self.w, self.v, config).is_zero:
+        if not compose_hat(self.w, self.v).is_zero:
             raise ValidationFailed("triangle: w.v does not vanish")
-        rot = compose_hat(shift_hat(self.u, 1, config), self.w, config)
+        rot = compose_hat(shift_hat(self.u, 1), self.w)
         if not rot.is_zero:
             raise ValidationFailed("triangle: shift(u).w does not vanish")
 
@@ -95,7 +94,7 @@ class _SplitData:
         return out
 
 
-def cone(h: HatMorphism, config: Config = DEFAULT) -> Tuple[Seq, HatMorphism, HatMorphism]:
+def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     """Complete h: V -> W to a triangle shift(W,-1) -> U -> V -> W.
 
     Returns (U, f, g).  The 1-parts of f and g are the natural inclusion of
@@ -158,14 +157,14 @@ def cone(h: HatMorphism, config: Config = DEFAULT) -> Tuple[Seq, HatMorphism, Ha
         return left.hstack(right)
 
     f = hat(make_element(wm1, u_obj, 0, lo, hi, f1_at),
-            make_element(wm1, u_obj, 0, lo, hi, feps_at), config)
+            make_element(wm1, u_obj, 0, lo, hi, feps_at))
     g = hat(make_element(u_obj, v, 0, lo, hi, g1_at),
-            make_element(u_obj, v, 0, lo, hi, geps_at), config)
+            make_element(u_obj, v, 0, lo, hi, geps_at))
     return u_obj, f, g
 
 
-def cone_triangle(h: HatMorphism, config: Config = DEFAULT) -> Triangle:
-    u_obj, f, g = cone(h, config)
+def cone_triangle(h: HatMorphism) -> Triangle:
+    u_obj, f, g = cone(h)
     return Triangle(shift(h.dst, -1), u_obj, h.src, f, g, h)
 
 
@@ -182,7 +181,7 @@ class ExtensionClass:
     proj: HatMorphism
 
 
-def extension_from_eps(f: GradedHomElement, config: Config = DEFAULT) -> ExtensionClass:
+def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
     """Extension of X by Y[-1] attached to a degree-0 class X -> Y.
 
     The representative is canonicalized first, so equal classes give equal
@@ -192,7 +191,7 @@ def extension_from_eps(f: GradedHomElement, config: Config = DEFAULT) -> Extensi
         raise ValidationFailed("extension class requires a degree-0 element")
     x, y = f.src, f.dst
     field = x.field
-    ctx = get_context(x, y, config)
+    ctx = get_context(x, y)
     fc = ctx.canonical_eps(f)
     lo = min(x.lo, y.lo + 1, fc.lo) - 2
     hi = max(x.hi, y.hi + 1, fc.hi) + 2
@@ -215,19 +214,19 @@ def extension_from_eps(f: GradedHomElement, config: Config = DEFAULT) -> Extensi
         return Matrix.identity(field, x.dim(i)).hstack(
             Matrix.zeros(field, x.dim(i), y.dim(i - 1)))
 
-    incl = hat(make_element(ym1, total, 0, lo, hi, inc_at), None, config)
-    proj = hat(make_element(total, x, 0, lo, hi, prj_at), None, config)
+    incl = hat(make_element(ym1, total, 0, lo, hi, inc_at))
+    proj = hat(make_element(total, x, 0, lo, hi, prj_at))
     return ExtensionClass(x, y, fc, total, incl, proj)
 
 
-def splits(e: ExtensionClass, config: Config = DEFAULT) -> Optional[GradedHomElement]:
+def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
     """Splitting data of an extension, or None.
 
     A splitting is a degree -1 element h with -f^i = d_Y^(i-1) h^i
     + h^(i+1) d_X^i; it exists exactly when the class of f vanishes, decided
     by solving against the boundary-image model of the hom window.
     """
-    ctx = get_context(e.x, e.y, config)
+    ctx = get_context(e.x, e.y)
     field = ctx.field
     target = Matrix.column(field, [field.neg(c) for c in ctx.vec_of(e.feps)])
     sol = solve(ctx.dminus1, target)
@@ -253,7 +252,7 @@ def splits(e: ExtensionClass, config: Config = DEFAULT) -> Optional[GradedHomEle
     return h
 
 
-def triangle_from_ses(u: HatMorphism, v: HatMorphism, config: Config = DEFAULT) -> Triangle:
+def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
     """Distinguished triangle extending a short exact sequence of type-1 maps.
 
     The connecting class is u^+ (sigma^(i+1) d_C^i - d_B^i sigma^i) for a
@@ -289,7 +288,7 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism, config: Config = DEFAULT) 
             raise ValidationFailed("internal: connecting defect misses the image")
         return out
 
-    w = hat_eps(make_element(c, shift(a, 1), 0, lo, hi, w_at), config)
+    w = hat_eps(make_element(c, shift(a, 1), 0, lo, hi, w_at))
     return Triangle(a, b, c, u, v, w)
 
 
@@ -309,7 +308,7 @@ def truncate_below(v: Seq, n: int) -> Seq:
     return make_seq(v.field, lo, dims, maps, v.left_tail, Tail.ZERO)
 
 
-def truncation_inclusion(v: Seq, n: int, config: Config = DEFAULT) -> HatMorphism:
+def truncation_inclusion(v: Seq, n: int) -> HatMorphism:
     t = truncate_above(v, n)
 
     def fn(i):
@@ -319,10 +318,10 @@ def truncation_inclusion(v: Seq, n: int, config: Config = DEFAULT) -> HatMorphis
 
     lo = min(v.lo, n) - 1
     hi = max(v.hi, n) + 1
-    return hat(make_element(t, v, 0, lo, hi, fn), None, config)
+    return hat(make_element(t, v, 0, lo, hi, fn))
 
 
-def truncation_projection(v: Seq, n: int, config: Config = DEFAULT) -> HatMorphism:
+def truncation_projection(v: Seq, n: int) -> HatMorphism:
     t = truncate_below(v, n)
 
     def fn(i):
@@ -332,11 +331,11 @@ def truncation_projection(v: Seq, n: int, config: Config = DEFAULT) -> HatMorphi
 
     lo = min(v.lo, n) - 1
     hi = max(v.hi, n) + 1
-    return hat(make_element(v, t, 0, lo, hi, fn), None, config)
+    return hat(make_element(v, t, 0, lo, hi, fn))
 
 
-def truncation_triangle(v: Seq, n: int, config: Config = DEFAULT) -> Triangle:
+def truncation_triangle(v: Seq, n: int) -> Triangle:
     """The triangle truncate_above(v, n) -> v -> truncate_below(v, n) -> shift."""
-    beta = truncation_inclusion(v, n, config)
-    delta = truncation_projection(v, n, config)
-    return triangle_from_ses(beta, delta, config)
+    beta = truncation_inclusion(v, n)
+    delta = truncation_projection(v, n)
+    return triangle_from_ses(beta, delta)

@@ -149,3 +149,58 @@ def kernel_to_level(v: Seq, n: int, m: int) -> int:
     if comp is None:
         return 0
     return v.dim(n) - rank(comp)
+
+
+def window_dims(v: Seq, w: Seq, margin: int) -> Tuple[int, int]:
+    """``(dim Hom_S, dim Hom_eps)`` as the window at ``margin`` sees them,
+    from dense ``d^0`` and ``d^-1`` built straight from the formula
+
+        d^n(f)^i = d_W^(n+i) f^i - (-1)^n f^(i+1) d_V^i
+
+    on the window ``[L, R]`` around ``min(v.lo, w.lo - 1)`` and
+    ``max(v.hi, w.hi + 1)``, and ranked by ``gauss_jordan``.  ``d^0`` has
+    one row per entry of ``(df)^i``, ``L <= i < R``; ``d^-1`` one image
+    vector per entry of ``h^j``, ``L <= j <= R + 1``, cut to the window.
+    """
+    field = v.field
+    lo = min(v.lo, w.lo - 1) - margin
+    hi = max(v.hi, w.hi + 1) + margin
+    off = {}
+    n = 0
+    for i in range(lo, hi + 1):
+        off[i] = n
+        n += w.dim(i) * v.dim(i)
+
+    def coord(i, r, c):
+        # entry (r, c) of f^i: V^i -> W^i, row-major
+        return off[i] + r * v.dim(i) + c
+
+    d0 = []
+    for i in range(lo, hi):
+        dv, dw = v.map_at(i), w.map_at(i)
+        for a in range(w.dim(i + 1)):
+            for b in range(v.dim(i)):
+                row = [field.zero] * n
+                for c in range(w.dim(i)):
+                    row[coord(i, c, b)] += dw.entry(a, c)
+                for c in range(v.dim(i + 1)):
+                    row[coord(i + 1, a, c)] -= dv.entry(c, b)
+                d0.append([field.coerce(x) for x in row])
+
+    dm1 = []
+    for j in range(lo, hi + 2):
+        dv, dw = v.map_at(j - 1), w.map_at(j - 1)
+        for r in range(w.dim(j - 1)):
+            for c in range(v.dim(j)):
+                # d^-1 of the unit h^j = E_rc: d_W^(j-1) E_rc in degree j,
+                # E_rc d_V^(j-1) in degree j - 1
+                row = [field.zero] * n
+                if j in off:
+                    for a in range(w.dim(j)):
+                        row[coord(j, a, c)] += dw.entry(a, r)
+                if j - 1 in off:
+                    for b in range(v.dim(j - 1)):
+                        row[coord(j - 1, r, b)] += dv.entry(c, b)
+                dm1.append([field.coerce(x) for x in row])
+
+    return (n - gauss_jordan(field, d0, n)[0], n - gauss_jordan(field, dm1, n)[0])

@@ -84,17 +84,15 @@ def test_hom_human(doc_path, capsys):
 
 
 def test_hom_reports_stabilization_certificate(doc_path, capsys):
-    # S00 -> S00: irregular region [-1, 1], default margin 3, two extra checks
+    # S00 -> S00: irregular region [-1, 1], fixed margin 3
     code, out, _ = run(capsys, "hom", doc_path, "S00", "S00")
     lines = out.splitlines()
     assert code == 0 and lines[:2] == ["dim Hom_1: 1", "dim Hom_eps: 1"]
-    assert lines[-1] == ("certificate: window [-4, 4], margin 3, "
-                         "checks (3, 1, 1) (4, 1, 1) (5, 1, 1)")
+    assert lines[-1] == "certificate: window [-4, 4], margin 3"
     code, out, _ = run(capsys, "hom", doc_path, "S00", "S00", "--json")
     data = json.loads(out)
     assert code == 0 and (data["dim_hom"], data["dim_eps"]) == (1, 1)
-    assert data["certificate"] == {"window": [-4, 4], "margin": 3,
-                                   "checks": [[3, 1, 1], [4, 1, 1], [5, 1, 1]]}
+    assert data["certificate"] == {"window": [-4, 4], "margin": 3}
 
 
 def test_cone_human(doc_path, capsys):
@@ -173,6 +171,14 @@ def test_exit_one_on_duplicate_name(tmp_path, capsys):
     p = tmp_path / "dup.txt"
     p.write_text("field 2\nseq A { interval 0 1 }\nseq A { interval 0 0 }\n")
     code, _, err = run(capsys, "decompose", str(p), "A")
+    assert code == 1 and "line 3, col 1" in err and "declared twice" in err
+
+
+def test_exit_one_on_name_declared_under_two_kinds(tmp_path, capsys):
+    # `cohomology A` would otherwise silently read the complex
+    p = tmp_path / "dup.txt"
+    p.write_text("field 2\nseq A { interval 0 1 }\ncomplex A { ranks 1 }\n")
+    code, _, err = run(capsys, "cohomology", str(p), "A")
     assert code == 1 and "line 3, col 1" in err and "declared twice" in err
 
 

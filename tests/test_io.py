@@ -104,10 +104,11 @@ def test_parse_error_positions():
     ("field 5\nseq P { interval 0 0 }\ndiagram D { objects P }\ndiagram D { }", 4, 1),
     ("field 5\nseq P { interval 0 0 }\ndiagram D { objects P }\n"
      "derivation Z on D { }\nderivation Z on D { }", 5, 1),
+    ("field 5\nseq A { interval 0 1 }\ncomplex A { ranks 1 }", 3, 1),
 ])
 def test_parse_duplicate_name(text, line, col):
-    # a second declaration of a name within one kind would silently replace
-    # the first
+    # a second declaration of a name would silently replace the first, or,
+    # under another kind, shadow it for commands that look in both
     with pytest.raises(ParseError, match="declared twice") as exc:
         parse_document(text)
     assert (exc.value.line, exc.value.col) == (line, col)
