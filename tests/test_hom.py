@@ -148,6 +148,44 @@ def test_window_oracle_margin_zero_misses():
     assert misses > 0
 
 
+@pytest.mark.parametrize("extra_checks", [1, 2, 3])
+@pytest.mark.parametrize("base_margin", [0, 1])
+def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
+    # the certificate's window is the one its margin lays out, and its own
+    # d^0 and d^-1, ranked by the oracle, give the context's dimensions.
+    # Searching up from base_margin for the first margin whose next
+    # extra_checks wider windows all agree, eliminated each on its own,
+    # must stop at or below the certificate's margin, and every window it
+    # looks at from there on must agree with the context.  A right ray in
+    # the target makes margin 0 too narrow, so the search moves on.
+    rng = random.Random(40 + 10 * base_margin + extra_checks)
+    widened = 0
+    for _ in range(10):
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = direct_sum_seq(random_seq(rng, f, max_bars=2, lo=-2, hi=2),
+                           interval(f, rng.randint(-1, 1), INF))
+        ctx = get_context(v, w)
+        cert = ctx.certificate
+        assert cert.margin == ctx.margin
+        assert cert.window == (min(v.lo, w.lo - 1) - cert.margin,
+                               max(v.hi, w.hi + 1) + cert.margin)
+        want = (ctx.dim_hom, ctx.dim_eps)
+        assert (ctx.N - oracles.rank(ctx.d0),
+                ctx.N - oracles.rank(ctx.dminus1)) == want
+        assert oracles.window_dims(v, w, cert.margin) == want
+        margin = base_margin
+        while len({oracles.window_dims(v, w, margin + k)
+                   for k in range(extra_checks + 1)}) > 1:
+            margin += 1
+        assert margin <= cert.margin
+        for k in range(extra_checks + 1):
+            assert oracles.window_dims(v, w, margin + k) == want
+        widened += margin > base_margin
+    if base_margin == 0:
+        assert widened > 0
+
+
 def test_cached_context_keeps_no_dense_differentials():
     ctx = get_context(interval(F5, 0, 2), interval(F5, 1, 3))
     assert "d0" not in vars(ctx) and "dminus1" not in vars(ctx)
