@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
-from .linalg import Field, Matrix, complement, rank as matrix_rank, solve, subspaces
+from .linalg import (Field, Matrix, block_matrix, complement, rank as matrix_rank,
+                     solve, subspaces)
 from .seq import NEG_INF, POS_INF, Seq, Tail, interval, make_seq, zero_seq
 
 
@@ -282,12 +283,7 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
     def window_cols(i):
         cols = [b.vecs[i] for b in order
                 if float(b.birth) <= i <= float(b.death)]
-        if not cols:
-            return Matrix.zeros(f, v.dim(i), 0)
-        m = cols[0]
-        for c in cols[1:]:
-            m = m.hstack(c)
-        return m
+        return block_matrix(f, [cols]) if cols else Matrix.zeros(f, v.dim(i), 0)
 
     phi_lo = window_cols(lo)
     if v.left_tail is Tail.ISO:
@@ -297,12 +293,8 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
         left_const = None
     if v.right_tail is Tail.ISO:
         cols = [b.vecs[hi + 1] for b in order if _is_pos_inf(b.death)]
-        if cols:
-            right_const = cols[0]
-            for c in cols[1:]:
-                right_const = right_const.hstack(c)
-        else:
-            right_const = Matrix.zeros(f, v.dim(hi + 1), 0)
+        right_const = (block_matrix(f, [cols]) if cols
+                       else Matrix.zeros(f, v.dim(hi + 1), 0))
     else:
         right_const = None
 

@@ -13,9 +13,12 @@ The reduction comes with an explicit homotopy equivalence whose identities
 are verified exactly, split into 1-part and eps-part.
 
 Minimal complexes are the same data as sequences with both tails Zero
-(``D = eps * d_V``); ``to_seq``/``from_seq`` realize that dictionary, and
-``hom_k`` computes homotopy classes of chain maps directly on the complex
-side, independent of the sequence machinery.
+(``D = eps * d_V``); ``to_seq``/``from_seq`` realize that dictionary.
+``hom_k`` computes homotopy classes of chain maps on the window of the two
+complexes.  It shares the Hom-complex differential
+(``graded.differential_rows``) with ``hom.HomContext``, but not its window,
+margin or basis extraction; the independent check of both is the dense
+window solve in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationFailed
+from .graded import differential_rows, hom_layout
 from .linalg import (Field, Matrix, _rref, block_matrix, complement, inverse,
                      rank as matrix_rank, solve, subspaces)
 from .seq import Seq, Tail, make_seq
@@ -315,7 +319,7 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
             raise ValidationFailed("internal: vector outside subspace")
         gamma = complement(beta, Z[i].cols)
         H[i] = Z[i] @ gamma
-        P[i] = B[i].hstack(H[i]).hstack(C[i])
+        P[i] = block_matrix(f, [[B[i], H[i], C[i]]])
         if P[i].rows != P[i].cols:
             raise ValidationFailed("internal: basis count mismatch")
         Pinv[i] = inverse(P[i])
@@ -345,13 +349,14 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
     deps_n = tuple(block(E[i], i + 1, "H", i, "H") for i in range(lo, hi))
     nmin = make_minimal(f, lo, tuple(hdim[i] for i in range(lo, hi + 1)), deps_n)
 
+    z = Matrix.zeros
     f1, feps, g1, geps, k1, keps = [], [], [], [], [], []
     for i in range(lo, hi + 1):
         r = c.rank_at(i)
         h = hdim[i]
         # f1 = [0 I 0] and g1 = [0;I;0] in the adapted basis
-        sel = Matrix.zeros(f, h, bdim[i]).hstack(Matrix.identity(f, h)) \
-                    .hstack(Matrix.zeros(f, h, cdim[i]))
+        sel = block_matrix(f, [[z(f, h, bdim[i]), Matrix.identity(f, h),
+                                z(f, h, cdim[i])]])
         f1.append(sel @ Pinv[i])
         g1.append(P[i] @ sel.transpose())
         # feps = [-(H,C block of E^(i-1)) 0 0]: columns of B^i are indexed by
@@ -360,32 +365,29 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
             ctil = block(E[i - 1], i, "H", i - 1, "C")
         else:
             ctil = Matrix.zeros(f, h, 0)
-        fe = (-ctil).hstack(Matrix.zeros(f, h, hdim[i])) \
-                    .hstack(Matrix.zeros(f, h, cdim[i]))
+        fe = block_matrix(f, [[-ctil, z(f, h, hdim[i] + cdim[i])]])
         feps.append(fe @ Pinv[i])
         # geps = [0;0;-(B,H block of E^i)]
         if i < hi:
             a_blk = block(E[i], i + 1, "B", i, "H")
         else:
             a_blk = Matrix.zeros(f, 0, h)
-        ge = Matrix.zeros(f, bdim[i], h).vstack(Matrix.zeros(f, hdim[i], h)) \
-                                        .vstack(-a_blk)
+        ge = block_matrix(f, [[z(f, bdim[i] + hdim[i], h)], [-a_blk]])
         geps.append(P[i] @ ge)
         # k (already sign-adjusted so that g f - id = D k + k D):
         # k1 = -id from B^i back to C^(i-1), keps = +(B,C block of E^(i-1))
         if i > lo:
-            rb = c.rank_at(i - 1)
-            k1_new = Matrix.zeros(f, bdim[i - 1] + hdim[i - 1], r).vstack(
-                (-Matrix.identity(f, bdim[i])).hstack(
-                    Matrix.zeros(f, bdim[i], hdim[i] + cdim[i])))
+            # rows (B H | C) of degree i-1, columns (B | H C) of degree i
+            top = z(f, bdim[i - 1] + hdim[i - 1], r)
+            rest = z(f, cdim[i - 1], hdim[i] + cdim[i])
+            k1_new = block_matrix(f, [[top], [-Matrix.identity(f, bdim[i]), rest]])
             b_blk = block(E[i - 1], i, "B", i - 1, "C")
-            ke_new = Matrix.zeros(f, bdim[i - 1] + hdim[i - 1], r).vstack(
-                b_blk.hstack(Matrix.zeros(f, cdim[i - 1], hdim[i] + cdim[i])))
+            ke_new = block_matrix(f, [[top], [b_blk, rest]])
             k1.append(P[i - 1] @ k1_new @ Pinv[i])
             keps.append(P[i - 1] @ ke_new @ Pinv[i])
         else:
-            k1.append(Matrix.zeros(f, 0, r))
-            keps.append(Matrix.zeros(f, 0, r))
+            k1.append(z(f, 0, r))
+            keps.append(z(f, 0, r))
 
     he = HomotopyEquivalence(c, nmin, tuple(f1), tuple(feps), tuple(g1),
                              tuple(geps), tuple(k1), tuple(keps))
@@ -393,78 +395,23 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
     return nmin, he
 
 
-# -- homotopy classes of chain maps (oracle side) ---------------------------
+# -- homotopy classes of chain maps ------------------------------------------
 
 
 def hom_k(m: MinimalComplex, n: MinimalComplex) -> Tuple[int, int]:
     """(dim of 1-part chain maps, dim of eps classes) between minimal
     complexes: chain maps are pairs (f1 intertwining deps, feps arbitrary),
     and null-homotopic ones are exactly f1 = 0 with feps of the form
-    deps k1 + k1 deps."""
+    deps k1 + k1 deps.  These are the kernel of ``d^0`` and the cokernel of
+    ``d^-1`` in the Hom complex of ``to_seq(m)`` and ``to_seq(n)``."""
     if m.field != n.field:
         raise ValidationFailed("hom over different fields")
-    f = m.field
-    lo = min(m.lo, n.lo)
-    hi = max(m.hi, n.hi)
-
-    def rm(i):
-        return m.ranks[i - m.lo] if m.lo <= i <= m.hi else 0
-
-    def rn(i):
-        return n.ranks[i - n.lo] if n.lo <= i <= n.hi else 0
-
-    def dm(i):
-        if m.lo <= i < m.hi:
-            return m.deps[i - m.lo]
-        return Matrix.zeros(f, rm(i + 1), rm(i))
-
-    def dn(i):
-        if n.lo <= i < n.hi:
-            return n.deps[i - n.lo]
-        return Matrix.zeros(f, rn(i + 1), rn(i))
-
-    # unknowns: f^i entries, i in [lo, hi]
-    off = {}
-    total = 0
-    for i in range(lo, hi + 1):
-        off[i] = total
-        total += rn(i) * rm(i)
-    rows = []
-    for i in range(lo, hi):
-        dn_l = dn(i).to_lists()
-        dm_l = dm(i).to_lists()
-        for a in range(rn(i + 1)):
-            for b in range(rm(i)):
-                row = [f.zero] * total
-                for cidx in range(rn(i)):
-                    if dn_l[a][cidx]:
-                        row[off[i] + cidx * rm(i) + b] = dn_l[a][cidx]
-                for cidx in range(rm(i + 1)):
-                    if dm_l[cidx][b]:
-                        row[off[i + 1] + a * rm(i + 1) + cidx] = f.neg(dm_l[cidx][b])
-                rows.append(row)
-    r1, _ = _rref(f, rows, total)
-    dim1 = total - r1
-
-    # homotopy image: k^i maps degree i to i-1
-    img_rows = []
-    for j in range(lo, hi + 2):
-        rm_j, rn_jm = rm(j), rn(j - 1)
-        if rm_j * rn_jm == 0:
-            continue
-        dn_l = dn(j - 1).to_lists()
-        dm_l = dm(j - 1).to_lists()
-        for rr in range(rn_jm):
-            for cc in range(rm_j):
-                row = [f.zero] * total
-                if j <= hi:
-                    for a in range(rn(j)):
-                        if dn_l[a][rr]:
-                            row[off[j] + a * rm(j) + cc] = dn_l[a][rr]
-                if j - 1 >= lo:
-                    for b in range(rm(j - 1)):
-                        if dm_l[cc][b]:
-                            row[off[j - 1] + rr * rm(j - 1) + b] = dm_l[cc][b]
-                img_rows.append(row)
-    r2, _ = _rref(f, img_rows, total)
-    return dim1, total - r2
+    v, w = to_seq(m), to_seq(n)
+    lo, hi = min(m.lo, n.lo), max(m.hi, n.hi)
+    _, total = hom_layout(v, w, 0, lo, hi)
+    r1, _ = _rref(m.field, differential_rows(v, w, 0, lo, hi), total, reduced=False)
+    # homotopies k^j: degree j -> j-1, lo <= j <= hi+1
+    _, width = hom_layout(v, w, -1, lo, hi + 1)
+    r2, _ = _rref(m.field, differential_rows(v, w, -1, lo, hi + 1), width,
+                  reduced=False)
+    return total - r1, total - r2

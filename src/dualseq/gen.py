@@ -10,7 +10,7 @@ from typing import List
 
 from .barcode import Interval, Barcode, assemble, make_barcode
 from .dualnum import EpsComplex, MinimalComplex, make_minimal, validate
-from .graded import GradedHomElement, make_element
+from .graded import GradedHomElement, differential_rows, hom_layout, make_element
 from .linalg import Field, Matrix, _rref
 from .seq import NEG_INF, POS_INF, Seq, Tail, make_seq
 
@@ -99,31 +99,12 @@ def random_d1(rng: random.Random, field: Field, ranks: List[int]) -> List[Matrix
 def random_deps_for(rng: random.Random, field: Field, ranks: List[int],
                     d1: List[Matrix]) -> List[Matrix]:
     """Uniform sample from the solution space of the mixed differential law
-    d1^(i+1) deps^i + deps^(i+1) d1^i = 0 (one global linear system)."""
+    d1^(i+1) deps^i + deps^(i+1) d1^i = 0: the kernel of ``d^1`` in the Hom
+    complex of the sequence with maps ``d1`` (one global linear system)."""
     n = len(ranks)
-    off = []
-    total = 0
-    for k in range(n - 1):
-        off.append(total)
-        total += ranks[k + 1] * ranks[k]
-    rows = []
-    for k in range(n - 2):
-        d_next = d1[k + 1].to_lists()
-        d_here = d1[k].to_lists()
-        for a in range(ranks[k + 2]):
-            for b in range(ranks[k]):
-                row = [field.zero] * total
-                for c in range(ranks[k + 1]):
-                    if d_next[a][c]:
-                        row[off[k] + c * ranks[k] + b] = d_next[a][c]
-                for c in range(ranks[k + 1]):
-                    if d_here[c][b]:
-                        cur = row[off[k + 1] + a * ranks[k + 1] + c]
-                        val = cur + d_here[c][b]
-                        if field.p is not None:
-                            val = val % field.p
-                        row[off[k + 1] + a * ranks[k + 1] + c] = val
-                rows.append(row)
+    v = Seq(field, 0, n - 1, tuple(ranks), tuple(d1), Tail.ZERO, Tail.ZERO)
+    off, total = hom_layout(v, v, 1, 0, n - 2)
+    rows = differential_rows(v, v, 1, 0, n - 2)
     rk, pivots = _rref(field, rows, total)
     pivset = set(pivots)
     free = [j for j in range(total) if j not in pivset]
@@ -131,22 +112,18 @@ def random_deps_for(rng: random.Random, field: Field, ranks: List[int],
     for j in free:
         vec[j] = random_scalar(rng, field)
     # back-substitute pivots so the full law holds
-    for r in range(rk):
-        prow = rows[r]
-        pcol = pivots[r]
+    for prow, pcol in zip(rows[:rk], pivots):
         s = field.zero
         for j in free:
-            if prow[j] and vec[j]:
-                term = prow[j] * vec[j]
-                s = s + term
+            if j in prow and vec[j]:
+                s = s + prow[j] * vec[j]
         if field.p is not None:
             s = s % field.p
         vec[pcol] = field.neg(s)
     out = []
     for k in range(n - 1):
         r, c = ranks[k + 1], ranks[k]
-        seg = vec[off[k]:off[k] + r * c]
-        out.append(Matrix(field, r, c, tuple(field.coerce(x) for x in seg)))
+        out.append(Matrix(field, r, c, tuple(vec[off[k]:off[k] + r * c])))
     return out
 
 

@@ -158,6 +158,54 @@ def differential(f: GradedHomElement) -> GradedHomElement:
     return make_element(src, dst, n + 1, f.lo - 1, f.hi + 1, fn)
 
 
+def hom_layout(v: Seq, w: Seq, n: int, lo: int, hi: int) -> tuple:
+    """Coordinates of ``Hom^n(V, W)`` on the degrees ``lo..hi``, as
+    ``(offsets, size)``: entry ``(r, c)`` of ``f^i`` is coordinate
+    ``offsets[i] + r * dim V^i + c``."""
+    off = {}
+    size = 0
+    for i in range(lo, hi + 1):
+        off[i] = size
+        size += w.dim(n + i) * v.dim(i)
+    return off, size
+
+
+def differential_rows(v: Seq, w: Seq, n: int, lo: int, hi: int) -> list:
+    """The matrix of ``d^n: Hom^n(V, W) -> Hom^(n+1)(V, W)`` on a window,
+    as dict rows ``{column: entry}``.
+
+    The columns are the coordinates of ``Hom^n`` on the degrees ``lo..hi``
+    (``hom_layout``).  The rows are those of ``Hom^(n+1)`` on ``lo..hi-1``,
+    the degrees ``i`` whose ``d^n(f)^i`` reads only window blocks: one row
+    per entry ``(a, b)`` of ``d^n(f)^i``, in coordinate order.  Each row
+    touches the blocks of ``f^i`` and ``f^(i+1)``.
+    """
+    off, _ = hom_layout(v, w, n, lo, hi)
+    neg = v.field.neg
+    rows = []
+    for i in range(lo, hi):
+        vi, vi1, wi1 = v.dim(i), v.dim(i + 1), w.dim(n + i + 1)
+        if not vi or not wi1:
+            continue        # d^n(f)^i has no entries
+        base, base1 = off[i], off[i + 1]
+        dw = w.map_at(n + i)
+        dv = v.map_at(i).data
+        # the nonzeros (c, x) of each column b of -(-1)^n d_V^i
+        dv_cols = [[(c, dv[c * vi + b]) for c in range(vi1) if dv[c * vi + b]]
+                   for b in range(vi)]
+        if n % 2 == 0:
+            dv_cols = [[(c, neg(x)) for c, x in col] for col in dv_cols]
+        for a in range(wi1):
+            dw_nz = [(base + c * vi, x) for c, x in enumerate(dw.row(a)) if x]
+            base_a = base1 + a * vi1
+            for b, col in enumerate(dv_cols):
+                row = {j + b: x for j, x in dw_nz}
+                for c, x in col:
+                    row[base_a + c] = x
+                rows.append(row)
+    return rows
+
+
 def all_morphisms(fs) -> bool:
     """True when every element of ``fs`` (one source, one target) is a
     degree-0 element commuting with the differentials.

@@ -40,13 +40,15 @@ and that fixes how wide the window must be:
 every window, basis and coset representative stays the one earlier
 releases computed.
 
-The work follows the nonzeros.  Each constraint row touches two adjacent
-degree blocks, so the rows are built as dict rows ``{column: entry}`` and
-reduced in place by ``linalg._rref``; the kernel vectors are read off the
-nonzeros of the rref.  Basis elements share one zero matrix per block shape
-(most blocks are zero, and an eps-basis element has a single nonzero
-block), and ``all_morphisms`` skips the degrees where both components of an
-element are zero.
+The work follows the nonzeros.  Both systems are the dict rows
+``{column: entry}`` of ``graded.differential_rows``, each touching two
+adjacent degree blocks.  The rows of ``d^0`` are reduced in place by
+``linalg._rref`` and the kernel vectors read off the nonzeros of the rref.
+The rows of ``d^-1`` are transposed, in one pass over their nonzeros, into
+its image vectors, whose rref is the coset data of ``Hom_eps``.  Basis
+elements share one zero matrix per block shape (most blocks are zero, and
+an eps-basis element has a single nonzero block), and ``all_morphisms``
+skips the degrees where both components of an element are zero.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ from typing import Optional, Tuple
 
 from .config import MARGIN
 from .errors import ValidationFailed
-from .graded import (GradedHomElement, all_morphisms, compose, identity_element,
-                     is_morphism, make_element, shift_element, zero_element)
+from .graded import (GradedHomElement, all_morphisms, compose, differential_rows,
+                     hom_layout, identity_element, is_morphism, make_element,
+                     shift_element, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
 from .linalg import (Matrix, _dense_rows, _rref, reduce_row_mod,  # noqa: F401
@@ -92,14 +95,10 @@ class HomContext:
         self.L = L = min(v.lo, w.lo - 1) - MARGIN
         self.R = R = max(v.hi, w.hi + 1) + MARGIN
         self.certificate = StabilizationCertificate((L, R), MARGIN)
-        self.off0 = {}
-        n = 0
-        for i in range(L, R + 1):
-            self.off0[i] = n
-            n += w.dim(i) * v.dim(i)
+        self.off0, n = hom_layout(v, w, 0, L, R)
         self.N = n
 
-        d0 = self._d0_rows()
+        d0 = differential_rows(v, w, 0, L, R)
         rank0, piv0 = _rref(f, d0, n)
         self.dim_hom = n - rank0
         # kernel of d^0, one vector per free column of its rref: the free
@@ -117,77 +116,35 @@ class HomContext:
                     free[j][c] = neg(x)
         self.ker_basis_vecs = list(free.values())
 
-        dm1 = self._dm1_rows()
-        rank1, self.img_pivots = _rref(f, dm1, n)
+        # the image of d^-1 is spanned by its columns: transpose its rows
+        # (h^j with L <= j <= R+1 reaches every window degree)
+        _, m = hom_layout(v, w, -1, L, R + 1)
+        img = [{} for _ in range(m)]
+        for r, row in enumerate(differential_rows(v, w, -1, L, R + 1)):
+            for j, x in row.items():
+                img[j][r] = x
+        rank1, self.img_pivots = _rref(f, img, n)
         self.dim_eps = n - rank1
-        self.img_rows = _dense_rows(dm1[:rank1], n, zero)
+        self.img_rows = _dense_rows(img[:rank1], n, zero)
         pivset = set(self.img_pivots)
         self.nonpivots = [j for j in range(n) if j not in pivset]
 
-    def _d0_rows(self) -> list:
-        """Constraint rows of d^0 on the window, as dict rows: one per entry
-        of each (df)^i with L <= i < R."""
-        v, w, off0 = self.src, self.dst, self.off0
-        neg = self.field.neg
-        rows = []
-        for i in range(self.L, self.R):
-            dv = v.map_at(i).to_lists()
-            dw = w.map_at(i).to_lists()
-            vi, vi1 = v.dim(i), v.dim(i + 1)
-            base_i, base_i1 = off0[i], off0[i + 1]
-            for a, dw_row in enumerate(dw):
-                for b in range(vi):
-                    # the two blocks lie in different degree slices
-                    row = {base_i + c * vi + b: x for c, x in enumerate(dw_row) if x}
-                    for c in range(vi1):
-                        if dv[c][b]:
-                            row[base_i1 + a * vi1 + c] = neg(dv[c][b])
-                    rows.append(row)
-        return rows
-
-    def _dm1_rows(self) -> list:
-        """Image vectors of d^-1 on the window, as dict rows: one per entry
-        of each h^j with L <= j <= R+1, with its entries at the degrees
-        ``j`` and ``j-1`` that lie in the window."""
-        v, w, off0 = self.src, self.dst, self.off0
-        rows = []
-        for j in range(self.L, self.R + 2):
-            wj1 = w.dim(j - 1)
-            vj = v.dim(j)
-            if wj1 * vj == 0:
-                continue
-            dwp = w.map_at(j - 1).to_lists()   # W^(j-1) -> W^j
-            dvp = v.map_at(j - 1).to_lists()   # V^(j-1) -> V^j
-            vjm = v.dim(j - 1)
-            for r in range(wj1):
-                for c in range(vj):
-                    row = {}
-                    if j in off0:
-                        base = off0[j]
-                        for a, dw_row in enumerate(dwp):
-                            if dw_row[r]:
-                                row[base + a * vj + c] = dw_row[r]
-                    if j - 1 in off0:
-                        # disjoint from the block above: different degree slice
-                        base = off0[j - 1] + r * vjm
-                        for b, x in enumerate(dvp[c]):
-                            if x:
-                                row[base + b] = x
-                    rows.append(row)
-        return rows
+    def _window_matrix(self, n: int, hi: int) -> Matrix:
+        _, cols = hom_layout(self.src, self.dst, n, self.L, hi)
+        rows = _dense_rows(differential_rows(self.src, self.dst, n, self.L, hi),
+                           cols, self.field.zero)
+        return Matrix(self.field, len(rows), cols, tuple(x for row in rows for x in row))
 
     @property
     def d0(self) -> Matrix:
         """The window matrix of d^0 (rows: constraints, columns: coordinates)."""
-        rows = _dense_rows(self._d0_rows(), self.N, self.field.zero)
-        return Matrix(self.field, len(rows), self.N, tuple(x for row in rows for x in row))
+        return self._window_matrix(0, self.R)
 
     @property
     def dminus1(self) -> Matrix:
-        """The window matrix of d^-1 (columns: image vectors)."""
-        rows = _dense_rows(self._dm1_rows(), self.N, self.field.zero)
-        return Matrix(self.field, len(rows), self.N,
-                      tuple(x for row in rows for x in row)).transpose()
+        """The window matrix of d^-1 (columns: the entries of h^j,
+        L <= j <= R+1)."""
+        return self._window_matrix(-1, self.R + 1)
 
     # -- coordinates <-> elements ----------------------------------------
 

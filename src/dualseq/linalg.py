@@ -241,7 +241,8 @@ class Matrix:
 
 
 def block_matrix(field: Field, grid: Sequence[Sequence[Matrix]]) -> Matrix:
-    """Assemble a block matrix from a rectangular grid of blocks."""
+    """Assemble a block matrix from a grid of blocks, given as bands: the
+    blocks of a band have one height, and the bands one total width."""
     if not grid:
         return Matrix.zeros(field, 0, 0)
     rows = []

@@ -15,11 +15,12 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .barcode import classify
 from .errors import StabilizationDepthExceeded, ValidationFailed
-from .graded import compose, make_element
-from .hom import HatMorphism, compose_hat, get_context, hat_eps, zero_hat
+from .graded import compose
+from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
+                  hat_eps, zero_hat)
 from .linalg import Matrix, _rref, reduce_row_mod, solve, subspaces
 from .seq import Seq, Tail
-from .triang import truncate_above
+from .triang import inclusion_element
 
 
 @dataclass(frozen=True)
@@ -54,24 +55,14 @@ def _require_h_projective(v: Seq, w: Seq) -> None:
         raise ValidationFailed("phantom detection requires h-projective endpoints")
 
 
-def _inclusion_element(v: Seq, n: int):
-    t = truncate_above(v, n)
-
-    def fn(i):
-        if i >= n:
-            return Matrix.identity(v.field, v.dim(i))
-        return Matrix.zeros(v.field, v.dim(i), t.dim(i))
-
-    return t, make_element(t, v, 0, min(v.lo, n) - 1, max(v.hi, n) + 1, fn)
-
-
 def _kernel_chain(v: Seq, w: Seq, depth: int):
-    """Stable subspace (as coordinate rows) of classes killed by every
-    truncation inclusion, with its level-by-level certificate."""
+    """Stable subspace of classes killed by every truncation inclusion, as
+    coordinate rows in rref with their pivots, with its level-by-level
+    certificate."""
     ctx = get_context(v, w)
     k = ctx.dim_eps
     if k == 0:
-        return [], ctx, PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
+        return [], (), ctx, PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
     reps = [e for e in ctx.eps_basis()]
     f = ctx.field
     # current subspace of coordinate space k^k, held as rref rows
@@ -83,8 +74,8 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
     # start where the truncation point has passed all finite structure
     n = min(v.lo, w.lo) - 1
     for step in range(depth):
-        t, incl = _inclusion_element(v, n)
-        tctx = get_context(t, w)
+        incl = inclusion_element(v, n)
+        tctx = get_context(incl.src, w)
         cols = [tctx.eps_coords(compose(rep, incl)) for rep in reps]
         constraint = [[cols[j][r] for j in range(k)] for r in range(len(cols[0]))] \
             if cols and cols[0] else []
@@ -105,7 +96,7 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
         rows, pivots = new_rows, new_pivots
         levels.append((n, len(rows)))
         if run >= _STABLE_RUN:
-            return rows, ctx, PhantomCertificate(tuple(levels), _STABLE_RUN)
+            return rows, pivots, ctx, PhantomCertificate(tuple(levels), _STABLE_RUN)
         n -= 1
     raise StabilizationDepthExceeded(
         f"phantom chain did not stabilize within {depth} truncation levels", depth)
@@ -152,12 +143,10 @@ def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
         return PhantomVerdict(False, "type-1 part is nonzero")
     if v.left_tail is Tail.ZERO:
         return PhantomVerdict(h.is_zero, "compact source: phantom iff zero")
-    rows, ctx, cert = _kernel_chain(v, w, depth)
+    rows, pivots, ctx, cert = _kernel_chain(v, w, depth)
     coords = ctx.eps_coords(h.feps)
     if all(c == ctx.field.zero for c in coords):
         return PhantomVerdict(True, "zero class", cert)
-    rank, pivots = _rref(ctx.field, list(rows), ctx.dim_eps) \
-        if rows else (0, [])
     ok = rows and _member(rows, pivots, coords, ctx.field, ctx.dim_eps)
     if ok:
         return PhantomVerdict(True, "class killed by every truncation", cert)
@@ -169,9 +158,9 @@ def phantom_basis(v: Seq, w: Seq,
     """Basis of the phantom subspace of Hom_eps(v, w)."""
     _require_h_projective(v, w)
     if v.left_tail is Tail.ZERO:
-        ctx = get_context(v, w)
+        _require_one_field(v, w)
         return [], PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
-    rows, ctx, cert = _kernel_chain(v, w, depth)
+    rows, _, ctx, cert = _kernel_chain(v, w, depth)
     return [hat_eps(ctx.eps_from_coords(r)) for r in rows], cert
 
 

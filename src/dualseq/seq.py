@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import ValidationFailed
-from .linalg import SHARED_BLOCKS, Field, Matrix
+from .linalg import SHARED_BLOCKS, Field, Matrix, block_matrix
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -224,10 +224,7 @@ def direct_sum_seq(v: Seq, w: Seq) -> Seq:
     wd, wm = w.materialize(lo, hi)
     dims = [a + b for a, b in zip(vd, wd)]
     f = v.field
-    maps = []
-    for k in range(hi - lo):
-        a, b = vm[k], wm[k]
-        top = a.hstack(Matrix.zeros(f, a.rows, b.cols))
-        bot = Matrix.zeros(f, b.rows, a.cols).hstack(b)
-        maps.append(top.vstack(bot))
+    z = Matrix.zeros
+    maps = [block_matrix(f, [[a, z(f, a.rows, b.cols)], [z(f, b.rows, a.cols), b]])
+            for a, b in zip(vm, wm)]
     return make_seq(f, lo, dims, maps, left, right)

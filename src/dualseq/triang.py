@@ -308,7 +308,9 @@ def truncate_below(v: Seq, n: int) -> Seq:
     return make_seq(v.field, lo, dims, maps, v.left_tail, Tail.ZERO)
 
 
-def truncation_inclusion(v: Seq, n: int) -> HatMorphism:
+def inclusion_element(v: Seq, n: int) -> GradedHomElement:
+    """The inclusion ``truncate_above(v, n) -> v`` as a degree-0 element,
+    unchecked: the identity in degrees ``>= n`` and zero below."""
     t = truncate_above(v, n)
 
     def fn(i):
@@ -316,9 +318,11 @@ def truncation_inclusion(v: Seq, n: int) -> HatMorphism:
             return Matrix.identity(v.field, v.dim(i))
         return Matrix.zeros(v.field, v.dim(i), t.dim(i))
 
-    lo = min(v.lo, n) - 1
-    hi = max(v.hi, n) + 1
-    return hat(make_element(t, v, 0, lo, hi, fn))
+    return make_element(t, v, 0, min(v.lo, n) - 1, max(v.hi, n) + 1, fn)
+
+
+def truncation_inclusion(v: Seq, n: int) -> HatMorphism:
+    return hat(inclusion_element(v, n))
 
 
 def truncation_projection(v: Seq, n: int) -> HatMorphism:

@@ -1,10 +1,13 @@
 """Command-line surface: outputs, JSON reports, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from dualseq import barcode, cli
 from dualseq.cli import _build_parser, main
+from dualseq.dualnum import HomotopyEquivalence
 
 DOC = """
 field 2
@@ -214,3 +217,36 @@ def test_cached_parser_keeps_no_state(doc_path, capsys):
     assert run(capsys, "decompose", doc_path, "S01", "--depth", "1")[0] == 1
     assert run(capsys, "phantom", doc_path, "deep", "--bogus")[0] == 1
     assert _build_parser.cache_info().misses == 1
+
+
+def test_each_command_decomposes_and_verifies_once(doc_path, capsys, monkeypatch):
+    # decompose verifies its certificate and minimize its homotopy
+    # equivalence; a command repeats neither
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("decompose", "verify_certificate"):
+        wrapped = counted(name, getattr(barcode, name))
+        for mod in (barcode, cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    monkeypatch.setattr(HomotopyEquivalence, "verify",
+                        counted("verify", HomotopyEquivalence.verify))
+    once = Counter(decompose=1, verify_certificate=1)
+    for argv, want in [
+            (("decompose", doc_path, "S01"), once),
+            (("decompose", doc_path, "S01", "--json"), once),
+            (("cone", doc_path, "e00"), once),
+            (("cone", doc_path, "e00", "--json"), once),
+            (("truncate", doc_path, "S01", "1"), once),
+            (("truncate", doc_path, "S01", "1", "--json"), once),
+            (("minimize", doc_path, "Contractible"), Counter(verify=1)),
+            (("minimize", doc_path, "Contractible", "--json"), Counter(verify=1))]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == want, argv

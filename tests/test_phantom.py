@@ -51,6 +51,16 @@ def test_compact_source_phantom_iff_zero():
     assert not is_phantom(h).phantom
 
 
+def test_compact_source_basis_builds_no_context():
+    # a compact source has no phantoms, so no hom context is needed; the
+    # fields are still checked
+    get_context.cache_clear()
+    assert phantom_basis(interval(F5, 0, 1), interval(F5, 0, 2))[0] == []
+    assert get_context.cache_info().misses == 0
+    with pytest.raises(ValidationFailed):
+        phantom_basis(interval(F5, 0, 1), interval(F2, 0, 2))
+
+
 def test_phantom_space_zero_on_grid():
     # interval objects with finite windows admit no nonzero phantoms
     for f in (F2, F5):
