@@ -35,17 +35,18 @@ class GradedHomElement:
     rtail: Tuple[Matrix, Matrix]
 
     def __post_init__(self):
-        blo, bhi = base_window(self.src, self.dst, self.degree)
-        if self.lo > blo or self.hi < bhi:
+        src_dim, dst_dim, n = self.src.dim, self.dst.dim, self.degree
+        lo, hi = self.lo, self.hi
+        blo, bhi = base_window(self.src, self.dst, n)
+        if lo > blo or hi < bhi:
             raise ValidationFailed("stored window must contain the combined window")
-        for k, m in enumerate(self.comps):
-            i = self.lo + k
-            if m.rows != self.dst.dim(self.degree + i) or m.cols != self.src.dim(i):
+        for i, m in enumerate(self.comps, lo):
+            if m.rows != dst_dim(n + i) or m.cols != src_dim(i):
                 raise ValidationFailed(f"component at degree {i} has wrong shape")
         for par in (0, 1):
-            for mat, probe in ((self.ltail[par], self.lo - 2 + (self.lo - par) % 2),
-                               (self.rtail[par], self.hi + 2 - (self.hi - par) % 2)):
-                if mat.rows != self.dst.dim(self.degree + probe) or mat.cols != self.src.dim(probe):
+            for mat, probe in ((self.ltail[par], lo - 2 + (lo - par) % 2),
+                               (self.rtail[par], hi + 2 - (hi - par) % 2)):
+                if mat.rows != dst_dim(n + probe) or mat.cols != src_dim(probe):
                     raise ValidationFailed("tail matrix has wrong shape")
 
     @property
@@ -103,22 +104,33 @@ class GradedHomElement:
 
 def make_element(src: Seq, dst: Seq, degree: int, lo: int, hi: int,
                  fn: Callable[[int], Matrix]) -> GradedHomElement:
-    """Build an element from a component function.
+    """Build an element from a component function, in normal form.
 
     ``fn`` must be total and parity-periodic below/above the requested
-    window; the tail matrices are sampled just outside it.
+    window; the tail matrices are sampled just outside it.  The stored
+    window is then trimmed, the way ``make_seq`` trims a sequence: each
+    edge component equal to the tail matrix of its side and parity is
+    dropped, but never one inside ``base_window``.  So an element is stored
+    on the smallest window its components allow, whatever window it was
+    built on.
     """
     blo, bhi = base_window(src, dst, degree)
     lo = min(lo, blo)
     hi = max(hi, bhi)
-    comps = tuple(fn(i) for i in range(lo, hi + 1))
+    comps = [fn(i) for i in range(lo, hi + 1)]
     lt = [None, None]
     lt[(lo - 1) % 2] = fn(lo - 1)
     lt[(lo - 2) % 2] = fn(lo - 2)
     rt = [None, None]
     rt[(hi + 1) % 2] = fn(hi + 1)
     rt[(hi + 2) % 2] = fn(hi + 2)
-    return GradedHomElement(src, dst, degree, lo, comps, (lt[0], lt[1]), (rt[0], rt[1]))
+    start, stop = lo, hi
+    while start < blo and comps[start - lo] == lt[start % 2]:
+        start += 1
+    while stop > bhi and comps[stop - lo] == rt[stop % 2]:
+        stop -= 1
+    return GradedHomElement(src, dst, degree, start, tuple(comps[start - lo:stop - lo + 1]),
+                            (lt[0], lt[1]), (rt[0], rt[1]))
 
 
 def zero_element(src: Seq, dst: Seq, degree: int) -> GradedHomElement:

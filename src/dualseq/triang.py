@@ -57,19 +57,29 @@ class _SplitData:
 
     Per degree: a kernel basis, a complement of the kernel, a section of the
     induced surjection onto the image, and cokernel coordinates.  All choices
-    are canonical (echelon based), so stable degrees share identical data.
+    are canonical (echelon based) and depend only on the block h1^i, so they
+    are computed once per distinct block and degrees with equal blocks share
+    identical data.
     """
 
-    def __init__(self, v: Seq, w: Seq, f1: GradedHomElement):
-        self.v, self.w, self.f1 = v, w, f1
-        self.field = v.field
-        self._cache: Dict[int, tuple] = {}
+    def __init__(self, f1: GradedHomElement):
+        self.f1 = f1
+        self.field = f1.src.field
+        self._at: Dict[int, tuple] = {}
+        self._by_block: Dict[Matrix, tuple] = {}
 
     def at(self, i: int) -> tuple:
-        if i in self._cache:
-            return self._cache[i]
+        out = self._at.get(i)
+        if out is None:
+            h1 = self.f1.component(i)
+            out = self._by_block.get(h1)
+            if out is None:
+                out = self._by_block[h1] = self._split(h1)
+            self._at[i] = out
+        return out
+
+    def _split(self, h1: Matrix) -> tuple:
         f = self.field
-        h1 = self.f1.component(i)
         sd = subspaces(h1)
         ker = sd.kernel                                   # V^i basis of ker
         comp = complement(ker, h1.cols)                   # V^i = ker (+) comp
@@ -89,9 +99,7 @@ class _SplitData:
         pker = Matrix(f, ker.cols, h1.cols,
                       tuple(pk.entry(r, c) for r in range(ker.cols)
                             for c in range(h1.cols)))     # kernel coordinates
-        out = (ker, pker, pi, rest, sec)
-        self._cache[i] = out
-        return out
+        return ker, pker, pi, rest, sec
 
 
 def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
@@ -106,7 +114,7 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     field = v.field
     lo = min(v.lo, w.lo + 1, f1.lo, he.lo) - 2
     hi = max(v.hi, w.hi + 1, f1.hi, he.hi) + 2
-    sp = _SplitData(v, w, f1)
+    sp = _SplitData(f1)
 
     def kdim(i):
         return sp.at(i)[0].cols
@@ -223,12 +231,18 @@ def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
     """Splitting data of an extension, or None.
 
     A splitting is a degree -1 element h with -f^i = d_Y^(i-1) h^i
-    + h^(i+1) d_X^i; it exists exactly when the class of f vanishes, decided
-    by solving against the boundary-image model of the hom window.
+    + h^(i+1) d_X^i; it exists exactly when the class of f vanishes.  The
+    class is decided by reducing f modulo the image rows of the hom window;
+    only a vanishing class solves the window matrix of d^-1 for h.
     """
     ctx = get_context(e.x, e.y)
     field = ctx.field
-    target = Matrix.column(field, [field.neg(c) for c in ctx.vec_of(e.feps)])
+    vec = ctx.vec_of(e.feps)
+    # img_rows is the rref of the image of d^-1, so a nonzero remainder
+    # means solve would return None
+    if any(ctx.reduce_vec(vec)):
+        return None
+    target = Matrix.column(field, [field.neg(c) for c in vec])
     sol = solve(ctx.dminus1, target)
     if sol is None:
         return None

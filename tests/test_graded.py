@@ -7,7 +7,7 @@ import pytest
 
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_graded_element, random_matrix, random_seq
-from dualseq.graded import (all_morphisms, compose, differential,
+from dualseq.graded import (all_morphisms, base_window, compose, differential,
                             identity_element, is_morphism, make_element,
                             shift_element, zero_element)
 from dualseq.hom import get_context
@@ -113,17 +113,66 @@ def test_is_morphism_detects_noncommuting():
     assert not is_morphism(g)
 
 
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_make_element_normal_form(field):
+    # a core window of random blocks, some equal to the tail of their side
+    # and parity, with zero, constant or parity-periodic tails beyond it;
+    # built on a window at least as wide as the core
+    rng = random.Random(RNG_SEED + 5 + (field.p or 0))
+    trimmed = 0
+    for _ in range(40):
+        v = random_seq(rng, field, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, field, max_bars=3, lo=-2, hi=2)
+        n = rng.randint(-2, 2)
+        blo, bhi = base_window(v, w, n)
+        clo, chi = blo - rng.randint(0, 3), bhi + rng.randint(0, 3)
+
+        def rand(i):
+            return random_matrix(rng, field, w.dim(n + i), v.dim(i))
+
+        tails = {}
+        for side, i in (("l", clo - 1), ("r", chi + 1)):
+            kind = rng.choice(["zero", "constant", "periodic"])
+            a = Matrix.zeros(field, w.dim(n + i), v.dim(i)) if kind == "zero" else rand(i)
+            b = rand(i) if kind == "periodic" else a
+            tails[side, i % 2], tails[side, (i + 1) % 2] = a, b
+        core = {}
+        for i in range(clo, chi + 1):
+            side = "l" if i < blo else "r" if i > bhi else None
+            core[i] = tails[side, i % 2] if side and rng.random() < 0.5 else rand(i)
+
+        def fn(i):
+            if i < clo:
+                return tails["l", i % 2]
+            if i > chi:
+                return tails["r", i % 2]
+            return core[i]
+
+        lo, hi = clo - rng.randint(0, 2), chi + rng.randint(0, 2)
+        g = make_element(v, w, n, lo, hi, fn)
+        assert all(g.component(i) == fn(i) for i in range(lo - 4, hi + 5))
+        assert g.lo <= blo and g.hi >= bhi
+        assert g.lo == blo or g.component(g.lo) != g.ltail[g.lo % 2]
+        assert g.hi == bhi or g.component(g.hi) != g.rtail[g.hi % 2]
+        trimmed += (g.lo, g.hi) != (lo, hi)
+        k = rng.randint(1, 4)
+        wide = make_element(v, w, n, g.lo - k, g.hi + k, g.component)
+        assert wide == g
+        assert ((wide.lo, wide.comps, wide.ltail, wide.rtail)
+                == (g.lo, g.comps, g.ltail, g.rtail))
+    assert trimmed >= 20, trimmed
+
+
 def _reference_is_morphism(g):
     # the definition: a degree-0 element whose differential vanishes
     return g.degree == 0 and differential(g).is_zero
 
 
-def _perturbed(rng, g, widen, degree):
-    """``g`` stored on its window widened by ``widen`` on each side, with a
-    random nonzero matrix added at ``degree``; a degree outside that window
-    changes the tail of its side and parity."""
+def _perturbed(rng, g, lo, hi, degree):
+    """``g`` built on the window ``lo..hi``, with a random nonzero matrix
+    added at ``degree``; a degree outside that window changes the tail of
+    its side and parity."""
     v, w, f = g.src, g.dst, g.src.field
-    lo, hi = g.lo - widen, g.hi + widen
     e = Matrix.zeros(f, w.dim(degree), v.dim(degree))
     while e.is_zero:
         e = random_matrix(rng, f, w.dim(degree), v.dim(degree))
@@ -146,7 +195,8 @@ def test_all_morphisms_matches_differential_reference():
         bars, lo, hi = (5, -1, 1) if k % 3 == 0 else (3, -2, 2)
         v = random_seq(rng, f, max_bars=bars, lo=lo, hi=hi)
         w = random_seq(rng, f, max_bars=bars, lo=lo, hi=hi)
-        basis = get_context(v, w).hom_basis()
+        ctx = get_context(v, w)
+        basis = ctx.hom_basis()
         assert all_morphisms(basis) and all(map(_reference_is_morphism, basis))
         # mixed stored windows, mostly not morphisms
         batch = basis + [random_graded_element(rng, v, w) for _ in range(2)]
@@ -154,20 +204,21 @@ def test_all_morphisms_matches_differential_reference():
         assert all_morphisms(batch) == all(map(_reference_is_morphism, batch))
         for g in batch:
             assert is_morphism(g) == _reference_is_morphism(g)
-        # one element of a closed batch perturbed at one degree, sometimes
-        # stored on a wider window than the others
+        # one element of a closed batch perturbed at one degree, inside or
+        # outside the hom window, sometimes widened; the elements are stored
+        # in normal form, so the window drawn from is the context's
         if not basis:
             continue
         t = rng.randrange(len(basis))
         g = basis[t]
         widen = rng.choice([0, 2])
+        lo, hi = ctx.L - widen, ctx.R + widen
         for kind, degree in (
-                ("window", rng.randint(g.lo - widen, g.hi + widen)),
-                ("tail", rng.choice([g.lo - widen - 2, g.lo - widen - 1,
-                                     g.hi + widen + 1, g.hi + widen + 2]))):
+                ("window", rng.randint(lo, hi)),
+                ("tail", rng.choice([lo - 2, lo - 1, hi + 1, hi + 2]))):
             if v.dim(degree) * w.dim(degree) == 0:
                 continue
-            bad = basis[:t] + [_perturbed(rng, g, widen, degree)] + basis[t + 1:]
+            bad = basis[:t] + [_perturbed(rng, g, lo, hi, degree)] + basis[t + 1:]
             want = all(map(_reference_is_morphism, bad))
             assert all_morphisms(bad) == want
             rejected[kind] += not want

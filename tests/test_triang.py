@@ -8,8 +8,10 @@ import pytest
 from dualseq.barcode import decompose, is_isomorphic
 from dualseq.errors import NotExact, ValidationFailed
 from dualseq.gen import random_seq
+from dualseq import triang
 from dualseq.hom import (compose_hat, get_context, hat_eps, identity_hat,
                          zero_hat)
+from dualseq.io import parse_document
 from dualseq.linalg import Field
 from dualseq.seq import direct_sum_seq, interval, shift, zero_seq
 from dualseq.triang import (Triangle, cone, cone_triangle, extension_from_eps,
@@ -72,6 +74,97 @@ def test_cone_triangle_verifies():
         assert tri.c == v and tri.a == shift(w, -1)
         assert tri.w == h
         checked += 1
+
+
+def _matrix_text(m):
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in m.row(r)) + "]"
+                           for r in range(m.rows)) + "]"
+
+
+def _seq_text(name, v):
+    lines = [f"seq {name} {{", f"  window {v.lo} {v.hi}",
+             "  dims " + " ".join(map(str, v.dims))]
+    lines += [f"  map {v.lo + k} {_matrix_text(m)}" for k, m in enumerate(v.maps)]
+    lines.append(f"  tails {v.left_tail.value} {v.right_tail.value}")
+    return "\n".join(lines) + "\n}\n"
+
+
+def _mor_text(name, key, g, lo, hi, tails):
+    lines = [f"mor {name} : X -> Y {{", f"  window {lo} {hi}"]
+    lines += [f"  {key} {i} {_matrix_text(g.component(i))}"
+              for i in range(lo, hi + 1) if not g.component(i).is_zero]
+    lines.append(f"  tails {tails}")
+    return "\n".join(lines) + "\n}\n"
+
+
+def test_cone_ignores_written_window():
+    # the same morphism written on its own window and on one widened by 3
+    # parses to the same element, window included, and has the same cone
+    rng = random.Random(56)
+    for k in range(12):
+        f = (F2, F5, Q)[k % 3]
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        h = random_hat(rng, f, v, w)
+        parsed = []
+        for widen in (0, 3):
+            one, eps = h.f1, h.feps
+            doc = parse_document("".join([
+                f"field {f.p or 'Q'}\n", _seq_text("X", v), _seq_text("Y", w),
+                _mor_text("a", "one", one, one.lo - widen, one.hi + widen, "constant"),
+                _mor_text("e", "eps", eps, eps.lo - widen, eps.hi + widen, "zero")]))
+            parsed.append(doc.morphism("a") + doc.morphism("e"))
+        tight, wide = parsed
+        assert tight == wide == h
+        for part in ("f1", "feps"):
+            a, b = getattr(tight, part), getattr(wide, part)
+            assert (a.lo, a.comps) == (b.lo, b.comps)
+        u_t, f_t, g_t = cone(tight)
+        u_w, f_w, g_w = cone(wide)
+        assert u_t == u_w and f_t == f_w and g_t == g_w
+
+
+def test_split_data_once_per_block(monkeypatch):
+    calls, degrees = [], set()
+    real_subspaces, real_at = triang.subspaces, triang._SplitData.at
+
+    def at(self, i):
+        degrees.add(i)
+        return real_at(self, i)
+
+    monkeypatch.setattr(triang, "subspaces", lambda m: calls.append(m) or real_subspaces(m))
+    monkeypatch.setattr(triang._SplitData, "at", at)
+    rng = random.Random(57)
+    blocks = visited = 0
+    for _ in range(10):
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        h = random_hat(rng, f, v, w)
+        calls.clear()
+        degrees.clear()
+        cone(h)
+        f1 = h.f1
+        assert len(calls) == len(set(calls)) == len({*f1.comps, *f1.ltail, *f1.rtail})
+        blocks += len(calls)
+        visited += len(degrees)
+    # the cone visits more than twice as many degrees as it splits blocks
+    assert visited > 2 * blocks, (visited, blocks)
+
+
+def test_splits_decides_nonzero_class_without_solving(monkeypatch):
+    from dualseq.graded import zero_element
+    solves = []
+    real_solve = triang.solve
+    monkeypatch.setattr(triang, "solve", lambda a, b: solves.append(a) or real_solve(a, b))
+    for f in (F2, F5, Q):
+        v = interval(f, 0, 0)
+        ctx = get_context(v, v)
+        e = extension_from_eps(ctx.eps_basis()[0])
+        assert splits(e) is None and not solves
+        assert splits(extension_from_eps(zero_element(v, v, 0))) is not None
+        assert len(solves) == 1
+        solves.clear()
 
 
 def test_triangle_endpoint_validation():
