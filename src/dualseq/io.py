@@ -277,7 +277,7 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
     window = None
     one_raw: Dict[int, Matrix] = {}
     eps_raw: Dict[int, Matrix] = {}
-    constant = False
+    constant = None        # the `constant` token, when given
     while not s.accept("}"):
         key = s.next("word")
         if key.text == "window":
@@ -298,7 +298,7 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
         elif key.text == "tails":
             t = s.next("word")
             if t.text == "constant":
-                constant = True
+                constant = t
             elif t.text != "zero":
                 raise ParseError("morphism tails must be zero or constant",
                                  t.line, t.col)
@@ -312,9 +312,19 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
         def fn(i):
             j = min(max(i, lo), hi) if constant else i
             m = raw.get(j)
-            if m is not None and (m.rows, m.cols) == (dst.dim(i), src.dim(i)):
+            r, c = dst.dim(i), src.dim(i)
+            if m is None:
+                return Matrix.zeros(field, r, c)
+            if (m.rows, m.cols) == (r, c):
                 return m
-            return Matrix.zeros(field, dst.dim(i), src.dim(i))
+            # only a constant tail reaches a degree of another shape; a
+            # zero block, or a shape with no entries, repeats as zero
+            if r and c and not m.is_zero:
+                raise ParseError(
+                    f"tails constant cannot repeat the {m.rows} x {m.cols} component "
+                    f"of degree {j} into degree {i}, where components are {r} x {c}",
+                    constant.line, constant.col)
+            return Matrix.zeros(field, r, c)
         return make_element(src, dst, 0, lo, hi, fn)
 
     f1 = build(one_raw)

@@ -6,9 +6,18 @@ desk scale), and scalars are exact: Python ints reduced mod p, or
 one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``:
 its cost follows the nonzeros, which is what the constraint systems of the
 hom windows need (a few nonzeros per row), and its result is exactly the
-Gauss-Jordan one, so callers with dense rows see no difference.  Zero
-matrices are shared: ``Matrix.zeros`` returns one immutable object per
-shape.
+Gauss-Jordan one, so callers with dense rows see no difference.  ``solve``
+eliminates ``[a | b]`` in that core and reads the solution off the trailing
+columns, with no transform witness.
+
+Zero matrices are shared: ``Matrix.zeros`` returns one immutable object per
+shape.  Most blocks of the enlarged category (composites, cone parts,
+extension classes) are zero, so the arithmetic skips zero operands before
+any loop: a product with a zero factor is the shared zero, and a sum,
+difference, negation or scaling with a zero operand or scalar returns an
+operand or the shared zero.  Any other product sums only the products from
+the nonzero entries of each row.  Results are the same, entry types
+included, as the dense loops give.
 """
 
 from __future__ import annotations
@@ -170,6 +179,10 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         p = self.field.p
         if p is not None:
             data = tuple((a + b) % p for a, b in zip(self.data, other.data))
@@ -179,6 +192,10 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return -other
         p = self.field.p
         if p is not None:
             data = tuple((a - b) % p for a, b in zip(self.data, other.data))
@@ -187,6 +204,8 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols, data)
 
     def __neg__(self) -> "Matrix":
+        if self.is_zero:
+            return self
         p = self.field.p
         if p is not None:
             data = tuple((-a) % p for a in self.data)
@@ -196,6 +215,10 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
+        if not c:
+            return Matrix.zeros(self.field, self.rows, self.cols)
+        if self.is_zero:
+            return self
         p = self.field.p
         if p is not None:
             data = tuple((c * a) % p for a in self.data)
@@ -207,18 +230,25 @@ class Matrix:
         if self.field != other.field or self.cols != other.rows:
             raise ValidationFailed(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        p = self.field.p
+        field = self.field
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.data, other.data
+        # most blocks of the enlarged category are zero: a zero factor
+        # (this covers k == 0) costs one scan and allocates nothing
+        if not any(a) or not any(b):
+            return Matrix.zeros(field, n, m)
+        p, zero = field.p, field.zero
         out = []
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
+        for i in range(0, n * k, k):
+            # (offset of row t of b, a[i, t]) for the nonzero entries of row i;
+            # an entry starts from the field's zero, so over Q it is a Fraction
+            nz = [(t * m, x) for t, x in enumerate(a[i:i + k]) if x]
             for j in range(m):
-                s = 0 if p is not None else Fraction(0)
-                for t in range(k):
-                    s += arow[t] * b[t * m + j]
-                out.append(s % p if p is not None else s)
-        return Matrix(self.field, n, m, tuple(out))
+                s = zero
+                for o, x in nz:
+                    s += x * b[o + j]
+                out.append(s if p is None else s % p)
+        return Matrix(field, n, m, tuple(out))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
@@ -262,17 +292,13 @@ class EchelonData:
     """Reduced row echelon form of a matrix plus the reduction witness.
 
     ``transform`` is an invertible ``rows x rows`` matrix with
-    ``transform @ m == rref``, so the same reduction can be replayed on any
-    matrix with compatible row count via :meth:`apply`.
+    ``transform @ m == rref``.
     """
 
     rref: Matrix
     rank: int
     pivots: tuple
     transform: Matrix
-
-    def apply(self, other: Matrix) -> Matrix:
-        return self.transform @ other
 
 
 def _sub_row(row: dict, f, items, p) -> None:
@@ -476,21 +502,34 @@ def complement(sub: Matrix, ambient_dim: int) -> Matrix:
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Canonical solution ``x`` of ``a @ x == b`` (free variables zero), or None."""
+    """Canonical solution ``x`` of ``a @ x == b`` (free variables zero), or None.
+
+    ``[a | b]`` is eliminated on ``a``'s columns.  The pivots depend on those
+    columns alone, so the row operations are the ones ``reduce(a)`` records
+    in its transform, and the trailing columns end up as ``transform @ b``
+    without forming the transform.
+    """
     if a.rows != b.rows:
         raise ValidationFailed("solve: row mismatch")
     f = a.field
-    ech = reduce(a)
-    tb = ech.apply(b)
-    # consistency: zero rows of the rref must pair with zero rhs rows
+    k, m = a.cols, b.cols
+    aug = _matrix_rows(a)
+    for i, row in enumerate(aug):
+        for j, x in enumerate(b.data[i * m:(i + 1) * m], k):
+            if x:
+                row[j] = x
+    rank_, pivots = _rref(f, aug, k)
+    # rows below the rank are zero on a's columns: the system is consistent
+    # exactly when their right-hand sides vanish too
+    if any(aug[rank_:]):
+        return None
     z = f.zero
-    for i in range(ech.rank, a.rows):
-        if any(x != z for x in tb.row(i)):
-            return None
-    xdata = [[z] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(ech.pivots):
-        xdata[c] = tb.row(r)
-    return Matrix(f, a.cols, b.cols, tuple(x for row in xdata for x in row))
+    xdata = [z] * (k * m)
+    for row, c in zip(aug, pivots):
+        for j, x in row.items():
+            if j >= k:
+                xdata[c * m + j - k] = x
+    return Matrix(f, k, m, tuple(xdata))
 
 
 def inverse(a: Matrix) -> Matrix:

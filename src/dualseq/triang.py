@@ -102,18 +102,38 @@ class _SplitData:
         return ker, pker, pi, rest, sec
 
 
+def _cone_window(h: HatMorphism) -> Tuple[int, int]:
+    """The degrees on which ``cone`` builds U and samples f and g (see there)."""
+    v, w, f1, he = h.src, h.dst, h.f1, h.feps
+    return (min(v.lo, w.lo + 1, f1.lo - 1, he.lo),
+            max(v.hi, w.hi + 1, f1.hi + 2, he.hi + 1))
+
+
 def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     """Complete h: V -> W to a triangle shift(W,-1) -> U -> V -> W.
 
     Returns (U, f, g).  The 1-parts of f and g are the natural inclusion of
     the kernel and projection onto the cokernel; their eps-parts factor
     through the image of h1 via the canonical section.
+
+    U is built, and f and g sampled, on the window ``[lo, hi]`` of
+    ``_cone_window``; beyond it every input they read is in its tail, so
+    they are parity-periodic there, as ``make_seq`` and ``make_element``
+    require.  The map of U at degree i reads the splittings of h1 at
+    i-1..i+1, d_V^i, he^i and d_W^(i-1), and the dimension of U^i the
+    splittings at i-1 and i.  Below ``lo = min(v.lo, w.lo + 1, f1.lo - 1,
+    he.lo)`` all of these lie in the left tails: the splitting at i+1
+    reads h1^(i+1), hence ``f1.lo - 1``.  From ``hi = max(v.hi, w.hi + 1,
+    f1.hi + 2, he.hi + 1)`` on they lie in the right tails: the splitting at
+    i-1 reads h1^(i-1), hence ``f1.hi + 2``.  The components of f at degree i
+    read the splittings at i-1 and i, d_V^(i-1) and he^(i-1), and those of g
+    the splittings at i-1 and i, he^i and d_W^(i-1); outside ``[lo, hi]``
+    these are tail inputs too.
     """
     v, w = h.src, h.dst
     f1, he = h.f1, h.feps
     field = v.field
-    lo = min(v.lo, w.lo + 1, f1.lo, he.lo) - 2
-    hi = max(v.hi, w.hi + 1, f1.hi, he.hi) + 2
+    lo, hi = _cone_window(h)
     sp = _SplitData(f1)
 
     def kdim(i):

@@ -56,6 +56,24 @@ def rank(m: Matrix) -> int:
     return gauss_jordan(m.field, m.to_lists(), m.cols)[0]
 
 
+def matmul(p: Optional[int], n: int, k: int, m: int, a, b) -> list:
+    """``a @ b`` for an ``n x k`` and a ``k x m`` matrix, given as row-major
+    flat sequences over ``F_p`` (``p`` prime) or Q (``p`` None).
+
+    The textbook triple loop: every entry sums all ``k`` products from a
+    zero of the field (``Fraction(0)`` over Q) and is reduced mod ``p``.
+    Returns the row-major flat entries.
+    """
+    out = []
+    for i in range(n):
+        for j in range(m):
+            s = Fraction(0) if p is None else 0
+            for t in range(k):
+                s += a[i * k + t] * b[t * m + j]
+            out.append(s if p is None else s % p)
+    return out
+
+
 def all_matrices(field: Field, rows: int, cols: int) -> List[Matrix]:
     if field.p is None:
         raise ValueError("enumeration needs a finite field")

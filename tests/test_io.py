@@ -96,6 +96,31 @@ def test_parse_error_positions():
     assert "outside window" in str(exc.value)
 
 
+RAY2 = "field 5\nseq X { window 0 1  dims 1 2  tails zero iso }\n"
+
+
+def test_constant_tail_rejects_shape_change():
+    # the 1 x 1 block at degree 0 cannot repeat into the 2 x 2 degrees above
+    with pytest.raises(ParseError, match="tails constant") as exc:
+        parse_document(RAY2 + "mor f : X -> X { window 0 0  one 0 [[1]]  tails constant }")
+    assert (exc.value.line, exc.value.col) == (3, 49)
+
+
+@pytest.mark.parametrize("mor", [
+    # repeats only into shapes with no entries: an identity on a zero-tailed
+    # sequence, like the `ix` morphisms of the CLI benchmark documents
+    "seq P { interval 0 1 }\nmor f : P -> P { window 0 1  one 0 [[1]]  one 1 [[1]]"
+    "  tails constant }",
+    # a zero boundary block repeats as zero in any shape
+    "mor f : X -> X { window 0 0  one 0 [[0]]  tails constant }",
+])
+def test_constant_tail_into_empty_or_from_zero(mor):
+    doc = parse_document(RAY2 + mor)
+    f = doc.morphism("f")
+    assert f.f1.component(-1).data == ()
+    assert f.f1.component(3).is_zero
+
+
 @pytest.mark.parametrize("text,line,col", [
     ("field 5\nseq A { interval 0 1 }\n  seq A { interval 0 2 }", 3, 3),
     ("field 5\ncomplex C { ranks 1 }\ncomplex C { ranks 2 }", 3, 1),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dualseq.errors import ValidationFailed
 from dualseq.linalg import (Field, Matrix, _rref, block_matrix, complement, inverse,
                             rank, row_space, solve, subspaces)
+import oracles
 from oracles import gauss_jordan
 
 F2 = Field(2)
@@ -120,6 +121,101 @@ def test_row_space_canonical():
     rows2 = [[0, 1, 1], [1, 0, 1]]
     rs2 = row_space([[F2.coerce(x) for x in r] for r in rows2], F2, 3)
     assert rs1 == rs2
+
+
+# -- products, sums and solve against the textbook loops ------------------
+# Shapes run from 0 to 4, so 0 x k and k x 0 factors occur, and density 0
+# gives zero factors.  Entry types are compared too: over Q every entry is a
+# Fraction (0 == Fraction(0), so equality alone would not see an int).
+
+
+def _random_matrix(rng, field, rows, cols, density):
+    def entry():
+        if rng.random() >= density:
+            return field.zero
+        return field.coerce(rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
+    return Matrix(field, rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
+def _typed(entries):
+    return [(type(x), x) for x in entries]
+
+
+def _pairs(field, seed, count=300):
+    """Random ``(n, k, m, a, b)``: ``a`` is ``n x k``, ``b`` is ``k x m``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        yield (n, k, m, _random_matrix(rng, field, n, k, rng.choice([0, 0.3, 1])),
+               _random_matrix(rng, field, k, m, rng.choice([0, 0.3, 1])))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_matmul_matches_oracle(field):
+    zero_factors = 0
+    for n, k, m, a, b in _pairs(field, 70 + (field.p or 0)):
+        got = a @ b
+        assert (got.field, got.rows, got.cols) == (field, n, m)
+        assert _typed(got.data) == _typed(oracles.matmul(field.p, n, k, m, a.data, b.data))
+        zero_factors += a.is_zero or b.is_zero
+    assert zero_factors > 50
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_sums_and_scaling_match_entrywise(field):
+    p = field.p
+
+    def norm(x):
+        return x % p if p is not None else x
+
+    rng = random.Random(80 + (p or 0))
+    for n, k, _, a, _ in _pairs(field, 75 + (p or 0)):
+        other = _random_matrix(rng, field, n, k, rng.choice([0, 0.3, 1]))
+        c = field.coerce(rng.choice([0, 1, 2, -1]))
+        for got, want in (
+                (a + other, [norm(x + y) for x, y in zip(a.data, other.data)]),
+                (a - other, [norm(x - y) for x, y in zip(a.data, other.data)]),
+                (other - a, [norm(y - x) for x, y in zip(a.data, other.data)]),
+                (-a, [norm(-x) for x in a.data]),
+                (a.scale(c), [norm(c * x) for x in a.data])):
+            assert (got.field, got.rows, got.cols) == (field, n, k)
+            assert _typed(got.data) == _typed(want)
+    with pytest.raises(ValidationFailed):
+        Matrix.zeros(field, 1, 2) + Matrix.zeros(field, 2, 1)
+    with pytest.raises(ValidationFailed):
+        Matrix.zeros(field, 1, 2) - Matrix.zeros(F2 if field != F2 else F5, 1, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_solve_matches_oracle(field):
+    # consistency from ranks ([a | b] against a), the solution checked by
+    # the oracle product, and free variables zero: that fixes x uniquely
+    p = field.p
+    rng = random.Random(85 + (p or 0))
+    kinds = set()
+    for n, k, m, a, x0 in _pairs(field, 90 + (p or 0)):
+        if rng.random() < 0.5:
+            b = Matrix(field, n, m, tuple(field.coerce(y) for y in
+                                          oracles.matmul(p, n, k, m, a.data, x0.data)))
+        else:
+            b = _random_matrix(rng, field, n, m, rng.choice([0.3, 1]))
+        x = solve(a, b)
+        rank_a, pivots, _ = gauss_jordan(field, a.to_lists(), k)
+        rank_ab = gauss_jordan(field, [a.row(i) + b.row(i) for i in range(n)], k + m)[0]
+        if rank_ab > rank_a:
+            assert x is None
+            kinds.add("inconsistent")
+            continue
+        assert x is not None and (x.field, x.rows, x.cols) == (field, k, m)
+        assert all(type(y) is (int if p is not None else Fraction) for y in x.data)
+        assert p is None or all(0 <= y < p for y in x.data)
+        assert _typed(oracles.matmul(p, n, k, m, a.data, x.data)) == _typed(b.data)
+        free = [c for c in range(k) if c not in pivots]
+        assert all(not any(x.row(c)) for c in free)
+        kinds.add("free" if free and not b.is_zero else "consistent")
+    assert kinds == {"inconsistent", "free", "consistent"}
+    with pytest.raises(ValidationFailed):
+        solve(Matrix.zeros(field, 2, 1), Matrix.zeros(field, 1, 1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -124,6 +124,33 @@ def test_cone_ignores_written_window():
         assert u_t == u_w and f_t == f_w and g_t == g_w
 
 
+def _parts(u, f, g):
+    return u, [(e.lo, e.comps, e.ltail, e.rtail) for e in (f.f1, f.feps, g.f1, g.feps)]
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_cone_window_is_wide_enough(monkeypatch, pad):
+    # beyond _cone_window every input of U, f and g is in its tail, so a
+    # wider window builds the same cone, element windows included
+    rng = random.Random(58)
+    cases = []
+    for k in range(24):
+        f = (F2, F5, Q)[k % 3]
+        v = random_seq(rng, f, max_bars=3, lo=-3, hi=3)
+        w = random_seq(rng, f, max_bars=3, lo=-3, hi=3)
+        h = random_hat(rng, f, v, w)
+        cases.append((h, _parts(*cone(h))))
+    real = triang._cone_window
+
+    def wider(h):
+        lo, hi = real(h)
+        return lo - pad, hi + pad
+
+    monkeypatch.setattr(triang, "_cone_window", wider)
+    for h, want in cases:
+        assert _parts(*cone(h)) == want
+
+
 def test_split_data_once_per_block(monkeypatch):
     calls, degrees = [], set()
     real_subspaces, real_at = triang.subspaces, triang._SplitData.at
