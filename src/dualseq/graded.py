@@ -134,10 +134,15 @@ def make_element(src: Seq, dst: Seq, degree: int, lo: int, hi: int,
 
 
 def zero_element(src: Seq, dst: Seq, degree: int) -> GradedHomElement:
+    """The zero element in normal form: shared zero blocks on
+    ``base_window``, and beyond it one zero block per side, whose shape is
+    given by the stable dimensions of that side."""
     blo, bhi = base_window(src, dst, degree)
-    z = Matrix.zeros
-    return make_element(src, dst, degree, blo, bhi,
-                        lambda i: z(src.field, dst.dim(degree + i), src.dim(i)))
+    field, z = src.field, Matrix.zeros
+    comps = tuple(z(field, dst.dim(degree + i), src.dim(i)) for i in range(blo, bhi + 1))
+    lt = z(field, dst.stable_dim("left"), src.stable_dim("left"))
+    rt = z(field, dst.stable_dim("right"), src.stable_dim("right"))
+    return GradedHomElement(src, dst, degree, blo, comps, (lt, lt), (rt, rt))
 
 
 def identity_element(v: Seq) -> GradedHomElement:
@@ -227,7 +232,8 @@ def all_morphisms(fs) -> bool:
     is parity-periodic, so each element is checked on all of Z.  Per degree
     ``i`` it compares ``d_W^i f^i`` with ``f^(i+1) d_V^i`` for each element;
     no degree-1 element is built.  An element with ``f^i`` and ``f^(i+1)``
-    both zero commutes there whatever the maps, so that pair is skipped.
+    both zero commutes there whatever the maps, so that pair is skipped,
+    and a zero element is a morphism, so it is dropped before the loop.
     """
     fs = list(fs)
     if not fs:
@@ -237,6 +243,9 @@ def all_morphisms(fs) -> bool:
         raise ValidationFailed("all_morphisms: elements differ in source or target")
     if any(f.degree != 0 for f in fs):
         return False
+    fs = [f for f in fs if not f.is_zero]
+    if not fs:
+        return True
     for i in range(min(f.lo for f in fs) - 3, max(f.hi for f in fs) + 4):
         if src.dim(i) == 0 or dst.dim(i + 1) == 0:
             continue

@@ -4,6 +4,9 @@ The text grammar is documented in docs/FORMAT.md; it names a base field once
 and then declares sequences, complexes, morphisms, diagrams, and derivations.
 Every loaded value is validated (sequence normal form, complex laws, morphism
 closedness, diagram relations), so a parsed document is a usable one.
+The lexer is one regex pass: a well-formed numeric matrix literal is one
+token, and a token's offset becomes a line and column only for an error
+(docs/NOTES.md, "Cost of a parse").
 
 JSON encoders mirror the same data with a versioned ``"schema": 1`` envelope;
 entries over the rationals are written as ``"a/b"`` strings, prime-field
@@ -17,62 +20,80 @@ import math
 import re
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .barcode import Barcode, Interval, make_barcode
 from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
-from .graded import GradedHomElement, make_element
+from .graded import GradedHomElement, make_element, zero_element
 from .hom import HatMorphism, hat
 from .linalg import Field, Matrix
 from .phantom import Derivation, Diagram
 from .seq import Seq, Tail, interval, make_seq
 
-_TOKEN = re.compile(r"""
+# A scalar, and the blanks and line breaks a matrix literal may hold.
+_SCALAR = r"-?\d+(?:/\d+)?"
+_GAP = r"[ \t\r\n]*"
+_ROW = rf"\[{_GAP}(?:{_SCALAR}{_GAP}(?:,{_GAP}{_SCALAR}{_GAP})*)?\]"
+# A well-formed numeric matrix literal is one token; anything else that
+# starts with ``[`` lexes into bracket, number and comma tokens.
+_MATRIX = rf"(?P<matrix>\[{_GAP}(?:{_ROW}{_GAP}(?:,{_GAP}{_ROW}{_GAP})*)?\])"
+# The other lexemes, tried in order; the catch-all ``bad`` is the
+# "unexpected character" error.
+_LEXEMES = rf"""
     (?P<inf>-?inf\b)
   | (?P<word>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<number>-?\d+(?:/\d+)?)
+  | (?P<number>{_SCALAR})
   | (?P<arrow>->)
-  | (?P<punct>[{}\[\],:=])
-  | (?P<comment>\#[^\n]*)
-  | (?P<space>[ \t\r]+)
-  | (?P<newline>\n)
-""", re.VERBOSE)
+  | (?P<punct>[{{}}\[\],:=])
+  | (?P<bad>[\s\S])
+"""
+# Blanks, line breaks and comments.  Each token match swallows the ones
+# after it, so one match is one token; nothing can fail after this greedy
+# run, so it never backtracks.
+_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+_TOKEN = re.compile(rf"(?:{_MATRIX} | {_LEXEMES}){_SKIP}", re.VERBOSE)
+_PLAIN = re.compile(rf"(?:{_LEXEMES}){_SKIP}", re.VERBOSE)
+_LEADING = re.compile(_SKIP)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int         # offset into the document
 
 
-def _tokenize(text: str) -> List[_Tok]:
+def _line_col(text: str, pos: int) -> Tuple[int, int]:
+    """1-based line and column of offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _tokenize(text: str, lexer=_TOKEN, pos: int = 0,
+              endpos: Optional[int] = None) -> List[_Tok]:
+    """The tokens of ``text[pos:endpos]`` in one regex pass; positions are
+    offsets, turned into line and column only for an error."""
     out = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    append = out.append
+    endpos = len(text) if endpos is None else endpos
+    for m in lexer.finditer(text, _LEADING.match(text, pos, endpos).end(), endpos):
         kind = m.lastgroup
-        tok = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("space", "comment"):
-                out.append(_Tok(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}",
+                             *_line_col(text, m.start()))
+        append(_Tok(kind, m[kind], m.start()))
     return out
 
 
 class _Stream:
-    def __init__(self, toks: List[_Tok]):
+    def __init__(self, text: str, toks: List[_Tok]):
+        self.text = text
         self.toks = toks
         self.pos = 0
+
+    def error(self, message: str, tok: Optional[_Tok]) -> ParseError:
+        """A ``ParseError`` at ``tok``, or at line 1, column 1 for none."""
+        line, col = _line_col(self.text, tok.pos) if tok is not None else (1, 1)
+        return ParseError(message, line, col)
 
     def peek(self) -> Optional[_Tok]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -80,14 +101,20 @@ class _Stream:
     def next(self, expect_kind: str = None, expect_text: str = None) -> _Tok:
         tok = self.peek()
         if tok is None:
-            last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
-            raise ParseError("unexpected end of document", last.line, last.col)
+            last = self.toks[-1] if self.toks else None
+            if last is not None and last.kind == "matrix":
+                last = _Tok("punct", "]", last.pos + len(last.text) - 1)
+            raise self.error("unexpected end of document", last)
+        if tok.kind == "matrix":
+            # only _parse_matrix takes a literal whole; anything else, its
+            # error loop included, reads the literal's plain tokens
+            self.toks[self.pos:self.pos + 1] = _tokenize(
+                self.text, _PLAIN, tok.pos, tok.pos + len(tok.text))
+            tok = self.toks[self.pos]
         if expect_kind and tok.kind != expect_kind:
-            raise ParseError(f"expected {expect_kind}, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected {expect_kind}, found {tok.text!r}", tok)
         if expect_text and tok.text != expect_text:
-            raise ParseError(f"expected {expect_text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected {expect_text!r}, found {tok.text!r}", tok)
         self.pos += 1
         return tok
 
@@ -126,11 +153,18 @@ class Document:
         return self.morphisms[name]
 
 
+def _int(s: _Stream, tok: _Tok) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:          # more digits than int() converts
+        raise s.error("number has too many digits", tok) from None
+
+
 def _parse_int(s: _Stream) -> int:
     tok = s.next("number")
     if "/" in tok.text:
-        raise ParseError("expected an integer", tok.line, tok.col)
-    return int(tok.text)
+        raise s.error("expected an integer", tok)
+    return _int(s, tok)
 
 
 def _parse_endpoint(s: _Stream):
@@ -140,12 +174,53 @@ def _parse_endpoint(s: _Stream):
         return -math.inf if tok.text.startswith("-") else math.inf
     return _parse_int(s)
 
+
+def _scalar(text: str, field: Field):
+    """The scalar ``text`` (``-?a`` or ``-?a/b``) in ``field``; ``b = 0``
+    raises ``ZeroDivisionError``."""
+    if "/" not in text:
+        return int(text) % field.p if field.p is not None else Fraction(int(text))
+    return field.coerce(Fraction(text))
+
+
 def _parse_scalar(s: _Stream, field: Field):
     tok = s.next("number")
-    return field.coerce(Fraction(tok.text))
+    try:
+        return _scalar(tok.text, field)
+    except ZeroDivisionError:
+        raise s.error(f"zero denominator in {tok.text}", tok) from None
+    except ValueError:
+        raise s.error("number has too many digits", tok) from None
+
+
+def _literal_entries(text: str, field: Field, rows: int, cols: int) -> Optional[tuple]:
+    """The entries of a matrix token, row by row, or None when it is not
+    ``rows x cols`` or an entry is not a scalar of ``field``."""
+    inner = "".join(text.split())[1:-1]          # "[1,0],[2/3,-4]", "" or "[],[]"
+    cells = [r.split(",") if r else [] for r in inner[1:-1].split("],[")] if inner else []
+    if len(cells) != rows or any(len(r) != cols for r in cells):
+        return None
+    flat = [x for r in cells for x in r]
+    p = field.p
+    try:
+        if "/" in inner:
+            return tuple([_scalar(x, field) for x in flat])
+        if p is not None:
+            return tuple([int(x) % p for x in flat])
+        return tuple(map(Fraction, map(int, flat)))
+    except (ZeroDivisionError, ValueError, ValidationFailed):
+        return None
 
 
 def _parse_matrix(s: _Stream, field: Field, rows: int, cols: int) -> Matrix:
+    tok = s.peek()
+    if tok is not None and tok.kind == "matrix":
+        data = _literal_entries(tok.text, field, rows, cols)
+        if data is not None:
+            s.pos += 1
+            return Matrix(field, rows, cols, data)
+    # the one error path: a malformed literal, or a shape or scalar error in
+    # a well-formed one, whose token ``next`` splits into its plain tokens
     open_tok = s.next("punct", "[")
     data = []
     nrows = 0
@@ -165,8 +240,7 @@ def _parse_matrix(s: _Stream, field: Field, rows: int, cols: int) -> Matrix:
                 break
         s.next("punct", "]")
     if nrows != rows or any(len(r) != cols for r in data):
-        raise ParseError(f"matrix must be {rows} x {cols}",
-                         open_tok.line, open_tok.col)
+        raise s.error(f"matrix must be {rows} x {cols}", open_tok)
     return Matrix(field, rows, cols,
                   tuple(x for row in data for x in row))
 
@@ -191,33 +265,32 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
             lo = _parse_int(s)
             hi = _parse_int(s)
             if hi < lo:
-                raise ParseError("window upper end below lower end", key.line, key.col)
+                raise s.error("window upper end below lower end", key)
             window = (lo, hi)
         elif key.text == "dims":
             if window is None:
-                raise ParseError("dims must follow window", key.line, key.col)
+                raise s.error("dims must follow window", key)
             dims = tuple(_parse_int(s) for _ in range(window[1] - window[0] + 1))
             if any(d < 0 for d in dims):
-                raise ParseError("dimensions must be nonnegative", key.line, key.col)
+                raise s.error("dimensions must be nonnegative", key)
         elif key.text == "map":
             if dims is None:
-                raise ParseError("map must follow dims", key.line, key.col)
+                raise s.error("map must follow dims", key)
             i = _parse_int(s)
             if not window[0] <= i < window[1]:
-                raise ParseError(f"map degree {i} outside window", key.line, key.col)
+                raise s.error(f"map degree {i} outside window", key)
             k = i - window[0]
             maps_raw[i] = _parse_matrix(s, field, dims[k + 1], dims[k])
         elif key.text == "tails":
             lt = s.next("word")
             rt = s.next("word")
             if lt.text not in _TAILS or rt.text not in _TAILS:
-                raise ParseError("tails must be zero or iso", lt.line, lt.col)
+                raise s.error("tails must be zero or iso", lt)
             tails = (_TAILS[lt.text], _TAILS[rt.text])
         else:
-            raise ParseError(f"unknown sequence key {key.text!r}", key.line, key.col)
+            raise s.error(f"unknown sequence key {key.text!r}", key)
     if window is None or dims is None:
-        tok = s.peek() or _Tok("", "", 1, 1)
-        raise ParseError("sequence needs window and dims", tok.line, tok.col)
+        raise s.error("sequence needs window and dims", s.peek())
     lo, hi = window
     maps = [maps_raw.get(i, Matrix.zeros(field, dims[i - lo + 1], dims[i - lo]))
             for i in range(lo, hi)]
@@ -239,22 +312,20 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
             while s.peek() is not None and s.peek().kind == "number":
                 ranks.append(_parse_int(s))
             if not ranks:
-                raise ParseError("ranks needs at least one entry", key.line, key.col)
+                raise s.error("ranks needs at least one entry", key)
         elif key.text in ("d1", "deps"):
             if ranks is None:
-                raise ParseError(f"{key.text} must follow ranks", key.line, key.col)
+                raise s.error(f"{key.text} must follow ranks", key)
             i = _parse_int(s)
             k = i - degree
             if not 0 <= k < len(ranks) - 1:
-                raise ParseError(f"{key.text} degree {i} outside window",
-                                 key.line, key.col)
+                raise s.error(f"{key.text} degree {i} outside window", key)
             m = _parse_matrix(s, field, ranks[k + 1], ranks[k])
             (d1_raw if key.text == "d1" else deps_raw)[k] = m
         else:
-            raise ParseError(f"unknown complex key {key.text!r}", key.line, key.col)
+            raise s.error(f"unknown complex key {key.text!r}", key)
     if ranks is None:
-        tok = s.peek() or _Tok("", "", 1, 1)
-        raise ParseError("complex needs ranks", tok.line, tok.col)
+        raise s.error("complex needs ranks", s.peek())
     n = len(ranks)
     d1 = tuple(d1_raw.get(k, Matrix.zeros(field, ranks[k + 1], ranks[k]))
                for k in range(n - 1))
@@ -284,15 +355,14 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
             lo = _parse_int(s)
             hi = _parse_int(s)
             if hi < lo:
-                raise ParseError("window upper end below lower end", key.line, key.col)
+                raise s.error("window upper end below lower end", key)
             window = (lo, hi)
         elif key.text in ("one", "eps"):
             if window is None:
-                raise ParseError(f"{key.text} must follow window", key.line, key.col)
+                raise s.error(f"{key.text} must follow window", key)
             i = _parse_int(s)
             if not window[0] <= i <= window[1]:
-                raise ParseError(f"component degree {i} outside window",
-                                 key.line, key.col)
+                raise s.error(f"component degree {i} outside window", key)
             m = _parse_matrix(s, field, dst.dim(i), src.dim(i))
             (one_raw if key.text == "one" else eps_raw)[i] = m
         elif key.text == "tails":
@@ -300,10 +370,9 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
             if t.text == "constant":
                 constant = t
             elif t.text != "zero":
-                raise ParseError("morphism tails must be zero or constant",
-                                 t.line, t.col)
+                raise s.error("morphism tails must be zero or constant", t)
         else:
-            raise ParseError(f"unknown morphism key {key.text!r}", key.line, key.col)
+            raise s.error(f"unknown morphism key {key.text!r}", key)
     if window is None:
         window = (min(src.lo, dst.lo), max(src.hi, dst.hi))
     lo, hi = window
@@ -320,16 +389,15 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
             # only a constant tail reaches a degree of another shape; a
             # zero block, or a shape with no entries, repeats as zero
             if r and c and not m.is_zero:
-                raise ParseError(
+                raise s.error(
                     f"tails constant cannot repeat the {m.rows} x {m.cols} component "
-                    f"of degree {j} into degree {i}, where components are {r} x {c}",
-                    constant.line, constant.col)
+                    f"of degree {j} into degree {i}, where components are {r} x {c}", constant)
             return Matrix.zeros(field, r, c)
         return make_element(src, dst, 0, lo, hi, fn)
 
-    f1 = build(one_raw)
-    feps = build(eps_raw) if eps_raw else None
-    return hat(f1, feps)
+    zero = zero_element(src, dst, 0) if not (one_raw and eps_raw) else None
+    return hat(build(one_raw) if one_raw else zero,
+               build(eps_raw) if eps_raw else zero)
 
 
 def _parse_diagram(s: _Stream, doc: Document) -> Diagram:
@@ -361,7 +429,7 @@ def _parse_diagram(s: _Stream, doc: Document) -> Diagram:
             equals = s.next("word").text
             relations.append((outer, inner, equals))
         else:
-            raise ParseError(f"unknown diagram key {key.text!r}", key.line, key.col)
+            raise s.error(f"unknown diagram key {key.text!r}", key)
     return Diagram(objects=objects, generators=generators,
                    relations=tuple(relations))
 
@@ -369,8 +437,7 @@ def _parse_diagram(s: _Stream, doc: Document) -> Diagram:
 def _parse_derivation(s: _Stream, doc: Document) -> Derivation:
     name = s.next("word", None)
     if name.text != "on":
-        raise ParseError("derivation header must read 'derivation <name> on <diagram>'",
-                         name.line, name.col)
+        raise s.error("derivation header must read 'derivation <name> on <diagram>'", name)
     dg_tok = s.next("word")
     if dg_tok.text not in doc.diagrams:
         raise ValidationFailed(f"unknown diagram {dg_tok.text!r}")
@@ -380,8 +447,7 @@ def _parse_derivation(s: _Stream, doc: Document) -> Derivation:
     while not s.accept("}"):
         key = s.next("word", None)
         if key.text != "D":
-            raise ParseError("derivation entries read 'D <gen> = <morphism>'",
-                             key.line, key.col)
+            raise s.error("derivation entries read 'D <gen> = <morphism>'", key)
         gname = s.next("word").text
         s.next("punct", "=")
         assignment[gname] = doc.morphism(s.next("word").text)
@@ -389,28 +455,28 @@ def _parse_derivation(s: _Stream, doc: Document) -> Derivation:
 
 
 def parse_document(text: str) -> Document:
-    s = _Stream(_tokenize(text))
+    s = _Stream(text, _tokenize(text))
     head = s.next("word", "field")
     ft = s.next()
     if ft.text == "Q":
         field = Field(None)
     elif ft.kind == "number" and "/" not in ft.text:
-        field = Field(int(ft.text))
+        field = Field(_int(s, ft))
     else:
-        raise ParseError("field must be Q or a prime", ft.line, ft.col)
+        raise s.error("field must be Q or a prime", ft)
     doc = Document(field=field)
     kinds = {"seq": doc.seqs, "complex": doc.complexes, "mor": doc.morphisms,
              "diagram": doc.diagrams, "derivation": doc.derivations}
     while s.peek() is not None:
         kw = s.next("word")
         if kw.text not in kinds:
-            raise ParseError(f"unknown declaration {kw.text!r}", kw.line, kw.col)
+            raise s.error(f"unknown declaration {kw.text!r}", kw)
         name = s.next("word").text
         named = kinds[kw.text]
         # one namespace for all kinds: `cohomology NAME` looks a name up
         # among both the complexes and the sequences
         if any(name in other for other in kinds.values()):
-            raise ParseError(f"name {name!r} is declared twice", kw.line, kw.col)
+            raise s.error(f"name {name!r} is declared twice", kw)
         if kw.text == "seq":
             named[name] = _parse_seq(s, field)
         elif kw.text == "complex":
@@ -425,8 +491,21 @@ def parse_document(text: str) -> Document:
 
 
 def parse_path(path: str) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    """Parse a UTF-8 document file; line breaks ``\\r\\n`` and ``\\r`` read as
+    ``\\n``, as in a text-mode read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = _newlines(data[:e.start].decode("utf-8"))
+        raise ParseError(f"document is not UTF-8: byte {data[e.start]:#04x} at offset "
+                         f"{e.start}", *_line_col(head, len(head))) from None
+    return parse_document(_newlines(text))
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # -- JSON encoding ----------------------------------------------------------

@@ -130,10 +130,9 @@ class Matrix:
         return Matrix(field, r, c, tuple(flat))
 
     @staticmethod
-    @lru_cache(maxsize=SHARED_BLOCKS)
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         """The zero matrix; one shared (immutable) object per shape."""
-        return Matrix(field, rows, cols, (field.zero,) * (rows * cols))
+        return _zeros(field.p, rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -216,7 +215,7 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         if not c:
-            return Matrix.zeros(self.field, self.rows, self.cols)
+            return _zeros(self.field.p, self.rows, self.cols)
         if self.is_zero:
             return self
         p = self.field.p
@@ -227,7 +226,7 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.cols != other.rows:
+        if self.field.p != other.field.p or self.cols != other.rows:
             raise ValidationFailed(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         field = self.field
@@ -236,7 +235,7 @@ class Matrix:
         # most blocks of the enlarged category are zero: a zero factor
         # (this covers k == 0) costs one scan and allocates nothing
         if not any(a) or not any(b):
-            return Matrix.zeros(field, n, m)
+            return _zeros(field.p, n, m)
         p, zero = field.p, field.zero
         out = []
         for i in range(0, n * k, k):
@@ -268,6 +267,14 @@ class Matrix:
         if self.cols != other.cols or self.field != other.field:
             raise ValidationFailed("vstack shape mismatch")
         return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
+
+
+# Keyed on the characteristic, so that a lookup hashes ints only (the
+# generated ``Field.__hash__`` runs in Python).
+@lru_cache(maxsize=SHARED_BLOCKS)
+def _zeros(p: Optional[int], rows: int, cols: int) -> Matrix:
+    field = Field(p)
+    return Matrix(field, rows, cols, (field.zero,) * (rows * cols))
 
 
 def block_matrix(field: Field, grid: Sequence[Sequence[Matrix]]) -> Matrix:

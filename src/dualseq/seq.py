@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import ValidationFailed
 from .linalg import SHARED_BLOCKS, Field, Matrix, block_matrix
@@ -37,12 +37,13 @@ class Tail(Enum):
 def signed_identity(field: Field, n: int, degree: int) -> Matrix:
     """The transition ``(-1)^degree * id`` used by ISO tails (one shared
     matrix per field, size and parity)."""
-    return _signed_identity(field, n, degree % 2)
+    return _signed_identity(field.p, n, degree % 2)
 
 
+# keyed on the characteristic, as ``linalg._zeros`` is
 @lru_cache(maxsize=SHARED_BLOCKS)
-def _signed_identity(field: Field, n: int, parity: int) -> Matrix:
-    return Matrix.scalar_matrix(field, n, -1 if parity else 1)
+def _signed_identity(p: Optional[int], n: int, parity: int) -> Matrix:
+    return Matrix.scalar_matrix(Field(p), n, -1 if parity else 1)
 
 
 @dataclass(frozen=True)

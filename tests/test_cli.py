@@ -185,6 +185,24 @@ def test_exit_one_on_name_declared_under_two_kinds(tmp_path, capsys):
     assert code == 1 and "line 3, col 1" in err and "declared twice" in err
 
 
+@pytest.mark.parametrize("field", ["5", "Q"])
+def test_exit_one_on_zero_denominator(tmp_path, capsys, field):
+    p = tmp_path / "zero.txt"
+    p.write_text(f"field {field}\nseq A {{ window 0 1 dims 1 1\n  map 0 [[3/0]] }}\n")
+    code, out, err = run(capsys, "decompose", str(p), "A")
+    assert (code, out) == (1, "")
+    assert err == "parse error: line 3, col 11: zero denominator in 3/0\n"
+
+
+def test_exit_one_on_document_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin.txt"
+    p.write_bytes(b"field 5\nseq A { interval 0 1 } \xff\n")
+    code, out, err = run(capsys, "decompose", str(p), "A")
+    assert (code, out) == (1, "")
+    assert err == ("parse error: line 2, col 24: document is not UTF-8: "
+                   "byte 0xff at offset 31\n")
+
+
 def test_exit_one_on_missing_file(capsys):
     code, _, err = run(capsys, "decompose", "/nonexistent/x.txt", "A")
     assert code == 1
