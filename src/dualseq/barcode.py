@@ -50,12 +50,14 @@ class Interval:
             raise ValidationFailed("interval start must be an integer or -inf")
         if not (isinstance(self.b, int) or _is_pos_inf(self.b)):
             raise ValidationFailed("interval end must be an integer or +inf")
-        if float(self.a) > float(self.b):
+        # ints and infinities compare exactly, so a huge integer endpoint
+        # needs no float conversion (which would overflow)
+        if self.a > self.b:
             raise ValidationFailed("interval start exceeds end")
 
     @property
     def sort_key(self) -> tuple:
-        return (float(self.a), float(self.b))
+        return (self.a, self.b)
 
     def __str__(self):
         a = "-inf" if _is_neg_inf(self.a) else str(self.a)

@@ -11,7 +11,7 @@ from typing import List
 from .barcode import Interval, Barcode, assemble, make_barcode
 from .dualnum import EpsComplex, MinimalComplex, make_minimal, validate
 from .graded import GradedHomElement, differential_rows, hom_layout, make_element
-from .linalg import Field, Matrix, _rref
+from .linalg import Field, Matrix, _rref, inverse, rank as matrix_rank
 from .seq import NEG_INF, POS_INF, Seq, Tail, make_seq
 
 
@@ -27,7 +27,6 @@ def random_matrix(rng: random.Random, field: Field, rows: int, cols: int) -> Mat
 
 
 def random_invertible(rng: random.Random, field: Field, n: int) -> Matrix:
-    from .linalg import rank as matrix_rank
     while True:
         m = random_matrix(rng, field, n, n)
         if matrix_rank(m) == n:
@@ -54,7 +53,6 @@ def random_seq(rng: random.Random, field: Field, max_bars: int = 8,
     v = assemble(random_barcode(rng, field, max_bars, lo, hi))
     if not scrambled or v.is_zero_object:
         return v
-    from .linalg import inverse
     u = {i: random_invertible(rng, field, v.dim(i))
          for i in range(v.lo, v.hi + 1)}
     maps = []
@@ -83,7 +81,6 @@ def random_d1(rng: random.Random, field: Field, ranks: List[int]) -> List[Matrix
         cap = min(ranks[k] - (s[k - 1] if k else 0), ranks[k + 1])
         s[k] = rng.randint(0, max(cap, 0)) if cap > 0 else 0
     u = [random_invertible(rng, field, r) for r in ranks]
-    from .linalg import inverse
     maps = []
     for k in range(n - 1):
         src_used = s[k - 1] if k else 0

@@ -45,7 +45,8 @@ The work follows the nonzeros.  Both systems are the dict rows
 adjacent degree blocks.  The rows of ``d^0`` are reduced in place by
 ``linalg._rref`` and the kernel vectors read off the nonzeros of the rref.
 The rows of ``d^-1`` are transposed, in one pass over their nonzeros, into
-its image vectors, whose rref is the coset data of ``Hom_eps``.  Basis
+its image vectors, whose rref rows, kept as dict rows, are the coset data
+of ``Hom_eps``: a coset reduction subtracts only their nonzeros.  Basis
 elements share one zero matrix per block shape (most blocks are zero, and
 an eps-basis element has a single nonzero block), and ``all_morphisms``
 skips the degrees where both components of an element are zero.
@@ -64,7 +65,7 @@ from .graded import (GradedHomElement, all_morphisms, compose, differential_rows
                      shift_element, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import (Matrix, _dense_rows, _rref, reduce_row_mod,  # noqa: F401
+from .linalg import (Matrix, _dense_rows, _kernel_vectors, _rref,  # noqa: F401
                      subspaces)
 from .seq import Seq, direct_sum_seq
 
@@ -101,20 +102,7 @@ class HomContext:
         d0 = differential_rows(v, w, 0, L, R)
         rank0, piv0 = _rref(f, d0, n)
         self.dim_hom = n - rank0
-        # kernel of d^0, one vector per free column of its rref: the free
-        # entry is 1 and each pivot entry the negated rref entry there
-        zero, one, neg = f.zero, f.one, f.neg
-        pivset = set(piv0)
-        free = {}
-        for fj in range(n):
-            if fj not in pivset:
-                free[fj] = vec = [zero] * n
-                vec[fj] = one
-        for row, c in zip(d0, piv0):
-            for j, x in row.items():
-                if j in free:
-                    free[j][c] = neg(x)
-        self.ker_basis_vecs = list(free.values())
+        self.ker_basis_vecs = _kernel_vectors(f, d0, piv0, n)
 
         # the image of d^-1 is spanned by its columns: transpose its rows
         # (h^j with L <= j <= R+1 reaches every window degree)
@@ -125,7 +113,7 @@ class HomContext:
                 img[j][r] = x
         rank1, self.img_pivots = _rref(f, img, n)
         self.dim_eps = n - rank1
-        self.img_rows = _dense_rows(img[:rank1], n, zero)
+        self.img_rows = img[:rank1]
         pivset = set(self.img_pivots)
         self.nonpivots = [j for j in range(n) if j not in pivset]
 
@@ -179,7 +167,18 @@ class HomContext:
         return make_element(v, w, 0, self.L, self.R, fn)
 
     def reduce_vec(self, vec: list) -> list:
-        return reduce_row_mod(vec, self.img_rows, self.img_pivots, self.field)
+        """Canonical representative of ``vec`` modulo the image of d^-1: the
+        image rows are in rref, so subtracting each at its pivot leaves a
+        zero in every pivot coordinate."""
+        out = list(vec)
+        p = self.field.p
+        for row, c in zip(self.img_rows, self.img_pivots):
+            coef = out[c]
+            if coef:
+                for j, y in row.items():
+                    x = out[j] - coef * y
+                    out[j] = x if p is None else x % p
+        return out
 
     def canonical_eps(self, g: GradedHomElement) -> GradedHomElement:
         """Canonical representative of the class of ``g`` in Hom_eps.
@@ -195,6 +194,9 @@ class HomContext:
         return [red[j] for j in self.nonpivots]
 
     def eps_from_coords(self, coords: list) -> GradedHomElement:
+        if len(coords) != self.dim_eps:
+            raise ValidationFailed(f"Hom_eps has dimension {self.dim_eps}, "
+                                   f"got {len(coords)} coordinates")
         vec = [self.field.zero] * self.N
         for j, c in zip(self.nonpivots, coords):
             vec[j] = self.field.coerce(c)

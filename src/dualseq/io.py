@@ -55,6 +55,7 @@ _SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 _TOKEN = re.compile(rf"(?:{_MATRIX} | {_LEXEMES}){_SKIP}", re.VERBOSE)
 _PLAIN = re.compile(rf"(?:{_LEXEMES}){_SKIP}", re.VERBOSE)
 _LEADING = re.compile(_SKIP)
+_JSON_SCALAR = re.compile(_SCALAR)
 
 
 class _Tok(NamedTuple):
@@ -519,7 +520,13 @@ def _scalar_out(x, field: Field):
 
 
 def _scalar_in(x, field: Field):
-    return field.coerce(Fraction(x) if isinstance(x, str) else int(x))
+    """A JSON entry: an integer (booleans are not integers) or an ``"a"`` /
+    ``"a/b"`` string; anything else, floats included, is refused."""
+    if _is_int(x):
+        return field.coerce(x)
+    if isinstance(x, str) and _JSON_SCALAR.fullmatch(x):
+        return _scalar(x, field)
+    raise ValidationFailed(f"bad matrix entry: {x!r} is not an integer or an \"a/b\" string")
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -533,7 +540,7 @@ def matrix_from_json(data: list, field: Field, rows: int, cols: int) -> Matrix:
         raise ValidationFailed(f"matrix payload must be {rows} x {cols}")
     try:
         entries = tuple(_scalar_in(x, field) for row in data for x in row)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise ValidationFailed(f"bad matrix entry: {e}") from None
     return Matrix(field, rows, cols, entries)
 
@@ -582,8 +589,8 @@ def seq_from_json(data: dict, field: Field) -> Seq:
         raise ValidationFailed("sequence window and tails must have two entries each")
     if not all(map(_is_int, data["window"])):
         raise ValidationFailed(f"sequence window entries must be integers: {data['window']}")
-    if not all(map(_is_int, data["dims"])):
-        raise ValidationFailed(f"sequence dims must be integers: {data['dims']}")
+    if not all(_is_int(d) and d >= 0 for d in data["dims"]):
+        raise ValidationFailed(f"sequence dims must be integers >= 0: {data['dims']}")
     lo, hi = data["window"]
     dims = tuple(data["dims"])
     if len(dims) != hi - lo + 1:
@@ -617,8 +624,8 @@ def complex_from_json(data: dict, field: Field) -> EpsComplex:
     for key in ("ranks", "d1", "deps"):
         if not isinstance(data[key], list):
             raise ValidationFailed(f"complex {key!r} must be a list")
-    if not all(map(_is_int, data["ranks"])):
-        raise ValidationFailed(f"complex ranks must be integers: {data['ranks']}")
+    if not all(_is_int(r) and r >= 0 for r in data["ranks"]):
+        raise ValidationFailed(f"complex ranks must be integers >= 0: {data['ranks']}")
     ranks = tuple(data["ranks"])
     for key in ("d1", "deps"):
         if len(data[key]) != len(ranks) - 1:

@@ -6,9 +6,11 @@ desk scale), and scalars are exact: Python ints reduced mod p, or
 one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``:
 its cost follows the nonzeros, which is what the constraint systems of the
 hom windows need (a few nonzeros per row), and its result is exactly the
-Gauss-Jordan one, so callers with dense rows see no difference.  ``solve``
-eliminates ``[a | b]`` in that core and reads the solution off the trailing
-columns, with no transform witness.
+Gauss-Jordan one, so callers with dense rows see no difference.  Nothing
+carries a transform witness: ``subspaces`` reads the kernel and image off
+one elimination of the matrix's own rows, ``solve`` eliminates ``[a | b]``
+and reads the solution off the trailing columns, and ``inverse`` is
+``solve(a, identity)``.
 
 Zero matrices are shared: ``Matrix.zeros`` returns one immutable object per
 shape.  Most blocks of the enlarged category (composites, cone parts,
@@ -294,20 +296,6 @@ def block_matrix(field: Field, grid: Sequence[Sequence[Matrix]]) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class EchelonData:
-    """Reduced row echelon form of a matrix plus the reduction witness.
-
-    ``transform`` is an invertible ``rows x rows`` matrix with
-    ``transform @ m == rref``.
-    """
-
-    rref: Matrix
-    rank: int
-    pivots: tuple
-    transform: Matrix
-
-
 def _sub_row(row: dict, f, items, p) -> None:
     """``row -= f * other`` on a dict row, in place, where ``items`` are the
     ``(column, entry)`` pairs of ``other``.  Entries that become zero are
@@ -334,8 +322,7 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
     ``a`` holds the rref rows, nonzero ones first.
 
     Only the first ``width`` columns are eliminated; trailing columns come
-    along for the ride.  That is how reduction witnesses are tracked
-    (augment with the identity, reduce, split).
+    along for the ride.  That is how ``solve`` carries its right-hand sides.
 
     The work follows the nonzeros.  Each row's lead column is kept in a list
     (``min(row)``; a lead ``>= width`` means the row is zero on the
@@ -419,75 +406,52 @@ def _dense_rows(rows: list, n: int, zero) -> list:
     return out
 
 
+def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
+    """A basis of the kernel of a system in rref, as dense lists of length
+    ``n``: for each free column, the vector with 1 there, 0 at the other free
+    columns and the negated rref entry at each pivot column."""
+    zero, one, neg = field.zero, field.one, field.neg
+    pivset = set(pivots)
+    free = {}
+    for fj in range(n):
+        if fj not in pivset:
+            free[fj] = vec = [zero] * n
+            vec[fj] = one
+    for row, c in zip(rows, pivots):
+        for j, x in row.items():
+            if j in free:
+                free[j][c] = neg(x)
+    return list(free.values())
+
+
 def _matrix_rows(m: Matrix) -> list:
     """The rows of ``m`` as dict rows."""
     k = m.cols
     return _dict_rows(m.data[i * k:(i + 1) * k] for i in range(m.rows))
 
 
-def reduce(m: Matrix) -> EchelonData:
-    """Reduced row echelon form with a recorded transform witness."""
-    f = m.field
-    n, k = m.rows, m.cols
-    aug = _matrix_rows(m)          # [m | identity]
-    for i, row in enumerate(aug):
-        row[k + i] = f.one
-    rank, pivots = _rref(f, aug, k)
-    rref = [f.zero] * (n * k)
-    transform = [f.zero] * (n * n)
-    for i, row in enumerate(aug):
-        for j, x in row.items():
-            if j < k:
-                rref[i * k + j] = x
-            else:
-                transform[i * n + j - k] = x
-    return EchelonData(Matrix(f, n, k, tuple(rref)), rank, pivots,
-                       Matrix(f, n, n, tuple(transform)))
-
-
 @dataclass(frozen=True)
 class SubspaceData:
-    """Kernel/image/cokernel of a matrix, with canonical bases.
+    """Kernel and image of a matrix, with canonical bases.
 
-    * ``kernel``: columns form a basis of ``ker m`` (shape ``cols x nullity``).
+    * ``kernel``: columns form a basis of ``ker m`` (shape ``cols x nullity``),
+      one per free column of the rref of ``m``.
     * ``image``: columns of ``m`` at its pivot columns (shape ``rows x rank``).
-    * ``coker_proj``: surjection ``k^rows -> k^(rows-rank)`` whose kernel is
-      exactly ``im m`` (the zero-row part of the reduction transform).
     """
 
     kernel: Matrix
     image: Matrix
-    coker_proj: Matrix
 
 
 def subspaces(m: Matrix) -> SubspaceData:
     f = m.field
-    ech = reduce(m)
-    rank, pivots = ech.rank, set(ech.pivots)
-    free = [j for j in range(m.cols) if j not in pivots]
-    # kernel basis: one column per free variable
-    kdata = []
-    row_of = {c: r for r, c in enumerate(ech.pivots)}
-    for i in range(m.cols):
-        row = []
-        r = row_of.get(i)
-        for fj in free:
-            if i == fj:
-                row.append(f.one)
-            elif r is not None:
-                row.append(f.neg(ech.rref.entry(r, fj)))
-            else:
-                row.append(f.zero)
-        kdata.extend(row)
-    kernel = Matrix(f, m.cols, len(free), tuple(kdata))
-    image_cols = [m.col(j) for j in ech.pivots]
-    image = Matrix(f, m.rows, rank,
-                   tuple(image_cols[j][i] for i in range(m.rows) for j in range(rank)))
-    # bottom rows of the transform kill the column space
-    cp_rows = [ech.transform.row(i) for i in range(rank, m.rows)]
-    coker_proj = Matrix(f, m.rows - rank, m.rows,
-                        tuple(x for row in cp_rows for x in row))
-    return SubspaceData(kernel, image, coker_proj)
+    k = m.cols
+    rows = _matrix_rows(m)
+    _, pivots = _rref(f, rows, k)
+    ker = _kernel_vectors(f, rows, pivots, k)
+    kernel = tuple(vec[i] for i in range(k) for vec in ker)    # a column per vector
+    image = tuple(m.data[i * k + c] for i in range(m.rows) for c in pivots)
+    return SubspaceData(Matrix(f, k, len(ker), kernel), Matrix(f, m.rows, len(pivots), image))
 
 
 def rank(m: Matrix) -> int:
@@ -511,10 +475,9 @@ def complement(sub: Matrix, ambient_dim: int) -> Matrix:
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Canonical solution ``x`` of ``a @ x == b`` (free variables zero), or None.
 
-    ``[a | b]`` is eliminated on ``a``'s columns.  The pivots depend on those
-    columns alone, so the row operations are the ones ``reduce(a)`` records
-    in its transform, and the trailing columns end up as ``transform @ b``
-    without forming the transform.
+    ``[a | b]`` is eliminated on ``a``'s columns, so ``a``'s part ends in its
+    rref.  A solution with the free variables zero then sets each pivot
+    variable to the trailing entries of its pivot row.
     """
     if a.rows != b.rows:
         raise ValidationFailed("solve: row mismatch")
@@ -542,37 +505,16 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
 def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ValidationFailed("inverse of non-square matrix")
-    ech = reduce(a)
-    if ech.rank != a.rows:
+    inv = solve(a, Matrix.identity(a.field, a.rows))
+    if inv is None:
         raise ValidationFailed("matrix not invertible")
-    return ech.transform
+    return inv
 
 
 def row_space(mat_rows: list, field: Field, width: int) -> tuple:
-    """Echelonize a list of coordinate rows (list-of-lists, consumed in place).
+    """Echelonize a list of dense coordinate rows (consumed in place).
 
     Returns ``(rows, pivots)`` where ``rows`` holds the nonzero rref rows.
-    Used for coset reduction in the Hom machinery, where working on raw lists
-    avoids Matrix overhead.
     """
     rank_, pivots = _rref(field, mat_rows, width)
     return mat_rows[:rank_], pivots
-
-
-def reduce_row_mod(row: list, basis_rows: list, pivots: tuple, field: Field) -> list:
-    """Canonical representative of ``row`` modulo the row space ``basis_rows``.
-
-    ``basis_rows`` must be in rref with the given pivot columns; the result
-    has zeros in every pivot coordinate.
-    """
-    p = field.p
-    out = list(row)
-    for r, c in enumerate(pivots):
-        coef = out[c]
-        if coef:
-            br = basis_rows[r]
-            if p is not None:
-                out = [(x - coef * y) % p for x, y in zip(out, br)]
-            else:
-                out = [x - coef * y for x, y in zip(out, br)]
-    return out

@@ -4,8 +4,10 @@ A morphism is phantom when it dies against every truncation inclusion
 beta_n: V^(>=n) -> V.  Only the type-eps part can survive that test, and for
 a compact source (left tail Zero) the truncations exhaust V, so a phantom
 out of a compact object is zero.  For a left-Iso source the vanishing
-conditions form a decreasing chain of subspaces of Hom_eps(V, W); the chain
-is certified empirically by requiring three consecutive equal levels.
+conditions form a decreasing chain of subspaces of Hom_eps(V, W): level n
+is the kernel of the constraint rows of all truncations down to n, kept as
+one system in rref that each level extends.  The chain is certified
+empirically by requiring three consecutive equal levels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import compose
 from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
                   hat_eps, zero_hat)
-from .linalg import Matrix, _rref, reduce_row_mod, solve, subspaces
+from .linalg import Matrix, _kernel_vectors, _rref, solve
 from .seq import Seq, Tail
 from .triang import inclusion_element
 
@@ -57,17 +59,21 @@ def _require_h_projective(v: Seq, w: Seq) -> None:
 
 def _kernel_chain(v: Seq, w: Seq, depth: int):
     """Stable subspace of classes killed by every truncation inclusion, as
-    coordinate rows in rref with their pivots, with its level-by-level
-    certificate."""
+    coordinate rows in rref, with its level-by-level certificate.
+
+    Each level ``n`` contributes one constraint row over the eps coordinates
+    of Hom_eps(V, W) per eps coordinate of Hom_eps(V^(>=n), W).  The rows of
+    all levels so far are one system, held in rref: a class is killed at
+    every level so far exactly when it lies in the kernel of that system,
+    so the dimension of a level is ``k`` minus its rank.  The stable rows
+    are the rref basis of the final kernel."""
     ctx = get_context(v, w)
     k = ctx.dim_eps
     if k == 0:
-        return [], (), ctx, PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
-    reps = [e for e in ctx.eps_basis()]
+        return [], ctx, PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
+    reps = ctx.eps_basis()
     f = ctx.field
-    # current subspace of coordinate space k^k, held as rref rows
-    rows = [[f.one if i == j else f.zero for j in range(k)] for i in range(k)]
-    pivots = list(range(k))
+    system, rank_ = [], 0
     levels = []
     run = 0
     # the chain is decreasing, so levels above both windows are redundant:
@@ -77,62 +83,20 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
         incl = inclusion_element(v, n)
         tctx = get_context(incl.src, w)
         cols = [tctx.eps_coords(compose(rep, incl)) for rep in reps]
-        constraint = [[cols[j][r] for j in range(k)] for r in range(len(cols[0]))] \
-            if cols and cols[0] else []
-        # kernel of the constraint matrix, intersected with the running space
-        work = list(constraint)
-        if work:
-            m = Matrix(f, len(work), k, tuple(x for row in work for x in row))
-            ker = subspaces(m).kernel
-            cand = [ker.col(j) for j in range(ker.cols)]
-        else:
-            cand = [[f.one if i == j else f.zero for j in range(k)] for i in range(k)]
-        inter = _intersect(rows, cand, f, k)
-        new_rows, new_pivots = inter
-        if len(new_rows) == len(rows):
-            run += 1
-        else:
-            run = 1
-        rows, pivots = new_rows, new_pivots
-        levels.append((n, len(rows)))
+        system += [{j: col[r] for j, col in enumerate(cols) if col[r]}
+                   for r in range(tctx.dim_eps)]
+        new_rank, pivots = _rref(f, system, k)
+        del system[new_rank:]
+        run = run + 1 if new_rank == rank_ else 1
+        rank_ = new_rank
+        levels.append((n, k - rank_))
         if run >= _STABLE_RUN:
-            return rows, pivots, ctx, PhantomCertificate(tuple(levels), _STABLE_RUN)
+            rows = _kernel_vectors(f, system, pivots, k)
+            _rref(f, rows, k)           # in place: the rref basis of the kernel
+            return rows, ctx, PhantomCertificate(tuple(levels), _STABLE_RUN)
         n -= 1
     raise StabilizationDepthExceeded(
         f"phantom chain did not stabilize within {depth} truncation levels", depth)
-
-
-def _intersect(rows, cand_vecs, f, width):
-    """Intersection of a subspace given by rref rows with the span of
-    candidate vectors; both live in k^width.  Returns new rref rows/pivots."""
-    # express: x in span(rows) and x in span(cand): solve stacked system
-    a_cols = [list(r) for r in rows]
-    b_cols = [list(c) for c in cand_vecs]
-    if not a_cols or not b_cols:
-        return [], []
-    big = Matrix(f, width, len(a_cols) + len(b_cols),
-                 tuple(f.coerce(x) for i in range(width)
-                       for x in ([a[i] for a in a_cols] + [b[i] for b in b_cols])))
-    ker = subspaces(big).kernel
-    vecs = []
-    for j in range(ker.cols):
-        coeffs = ker.col(j)[:len(a_cols)]
-        vec = [f.zero] * width
-        for c, basis_row in zip(coeffs, a_cols):
-            if c:
-                for i in range(width):
-                    term = c * basis_row[i]
-                    vec[i] = vec[i] + term
-        if f.p is not None:
-            vec = [x % f.p for x in vec]
-        vecs.append(vec)
-    rank, pivots = _rref(f, vecs, width)
-    return vecs[:rank], pivots
-
-
-def _member(rows, pivots, vec, f, width) -> bool:
-    red = reduce_row_mod(list(vec), rows, pivots, f)
-    return all(x == f.zero for x in red)
 
 
 def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
@@ -143,12 +107,12 @@ def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
         return PhantomVerdict(False, "type-1 part is nonzero")
     if v.left_tail is Tail.ZERO:
         return PhantomVerdict(h.is_zero, "compact source: phantom iff zero")
-    rows, pivots, ctx, cert = _kernel_chain(v, w, depth)
+    rows, ctx, cert = _kernel_chain(v, w, depth)
     coords = ctx.eps_coords(h.feps)
-    if all(c == ctx.field.zero for c in coords):
+    if not any(coords):
         return PhantomVerdict(True, "zero class", cert)
-    ok = rows and _member(rows, pivots, coords, ctx.field, ctx.dim_eps)
-    if ok:
+    # the class lies in the stable space when it adds nothing to the rank
+    if _rref(ctx.field, rows + [coords], ctx.dim_eps, reduced=False)[0] == len(rows):
         return PhantomVerdict(True, "class killed by every truncation", cert)
     return PhantomVerdict(False, "survives some truncation inclusion", cert)
 
@@ -160,7 +124,7 @@ def phantom_basis(v: Seq, w: Seq,
     if v.left_tail is Tail.ZERO:
         _require_one_field(v, w)
         return [], PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
-    rows, _, ctx, cert = _kernel_chain(v, w, depth)
+    rows, ctx, cert = _kernel_chain(v, w, depth)
     return [hat_eps(ctx.eps_from_coords(r)) for r in rows], cert
 
 
@@ -275,19 +239,16 @@ def solve_inner(diag: Diagram, der: Derivation) -> Optional[Dict[str, HatMorphis
         for j, rep in enumerate(ctxs[sn].eps_basis()):
             col = pctx.eps_coords(compose(mor.f1, rep))
             for r in range(ncoords):
-                block[r][offs[sn] + j] = block[r][offs[sn] + j] + col[r]
+                block[r][offs[sn] + j] += col[r]
         for j, rep in enumerate(ctxs[dn].eps_basis()):
             col = pctx.eps_coords(compose(rep, mor.f1))
             for r in range(ncoords):
-                cur = block[r][offs[dn] + j] - col[r]
-                block[r][offs[dn] + j] = cur
-        if f.p is not None:
-            block = [[x % f.p for x in row] for row in block]
+                block[r][offs[dn] + j] -= col[r]
         rows.extend(block)
         rhs.extend(target)
     if f is None:
         return {nm: zero_hat(diag.objects[nm], diag.objects[nm]) for nm in names}
-    a = Matrix(f, len(rows), total, tuple(x for row in rows for x in row))
+    a = Matrix(f, len(rows), total, tuple(f.coerce(x) for row in rows for x in row))
     b = Matrix.column(f, rhs)
     sol = solve(a, b)
     if sol is None:

@@ -18,7 +18,8 @@ from typing import Dict, Optional, Tuple
 from .errors import NotExact, ValidationFailed
 from .graded import GradedHomElement, differential, make_element
 from .hom import HatMorphism, compose_hat, get_context, hat, hat_eps, shift_hat
-from .linalg import Matrix, block_matrix, complement, inverse, solve, subspaces
+from .linalg import (Matrix, block_matrix, complement, inverse, rank as mrank, solve,
+                     subspaces)
 from .seq import Seq, Tail, make_seq, shift
 
 
@@ -297,7 +298,6 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
     if u.dst != v.src:
         raise ValidationFailed("morphisms are not composable")
     a, b, c = u.src, u.dst, v.dst
-    from .linalg import rank as mrank
     lo = min(a.lo, b.lo, c.lo) - 2
     hi = max(a.hi, b.hi, c.hi) + 2
     for i in range(lo, hi + 1):

@@ -82,7 +82,8 @@ def test_window_data_matches_fresh_elimination():
         ker = subspaces(d0).kernel
         assert ctx.ker_basis_vecs == [ker.col(j) for j in range(ker.cols)]
         img, pivots = row_space(ctx.dminus1.transpose().to_lists(), f, ctx.N)
-        assert (ctx.img_rows, ctx.img_pivots) == (img, pivots)
+        dense = [[row.get(j, f.zero) for j in range(ctx.N)] for row in ctx.img_rows]
+        assert (dense, ctx.img_pivots) == (img, pivots)
         assert ctx.nonpivots == [j for j in range(ctx.N) if j not in pivots]
 
 
@@ -206,6 +207,15 @@ def test_eps_basis_classes_independent():
             assert [1 if j == t else 0
                     for j in range(ctx.dim_eps)] == [int(x != f.zero)
                                                      for x in coords]
+
+
+@pytest.mark.parametrize("coords", [[1, 2, 3], [], [1, 0]])
+def test_eps_from_coords_refuses_wrong_length(coords):
+    ctx = get_context(interval(F5, 0, 0), interval(F5, 0, 0))
+    assert ctx.dim_eps == 1
+    with pytest.raises(ValidationFailed, match="dimension 1"):
+        ctx.eps_from_coords(coords)
+    assert ctx.eps_coords(ctx.eps_from_coords([3])) == [3]
 
 
 def test_end_s00_structure():

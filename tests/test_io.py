@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from dualseq.gen import random_eps_complex, random_seq
 from dualseq.hom import identity_hat
 from dualseq.io import (barcode_from_json, barcode_to_json, complex_from_json,
                         complex_to_json, field_from_json, field_to_json,
-                        parse_document, report_json, seq_from_json,
+                        matrix_from_json, parse_document, report_json, seq_from_json,
                         seq_to_json)
 from dualseq.linalg import Field
 from dualseq.seq import interval
@@ -264,6 +265,44 @@ def test_barcode_json_roundtrip():
         assert barcode_from_json(barcode_to_json(bc), f) == bc
 
 
+@pytest.mark.parametrize("entry,field", [
+    (1.5, F5),                  # read as 1 by int()
+    (2.7, Q),                   # read as 2 by int()
+    (True, F5),                 # a bool is not an integer
+    (json.loads("1e400"), F5),  # inf: int() raised OverflowError
+    ("1.5", Q),                 # decimal strings are not "a/b"
+    ("1/0", Q),
+    ("2/5", F5),                # denominator not invertible mod 5
+    (None, F5),
+    ([1], F5),
+], ids=["float-F5", "float-Q", "bool", "inf", "decimal-string", "zero-denominator",
+        "denominator-mod-p", "null", "list"])
+def test_matrix_json_refuses_non_scalars(entry, field):
+    with pytest.raises(ValidationFailed, match="bad matrix entry|denominator"):
+        matrix_from_json([[entry]], field, 1, 1)
+
+
+@pytest.mark.parametrize("entry,field,want", [
+    (7, F5, 2), (-1, F5, 4), (10**400, F5, 0), ("3/2", F5, 4), ("-3/4", Q, Fraction(-3, 4)),
+    ("6", Q, Fraction(6)),
+], ids=["int", "negative", "huge", "fraction-mod-p", "fraction", "int-string"])
+def test_matrix_json_reads_integers_and_fractions(entry, field, want):
+    assert matrix_from_json([[entry]], field, 1, 1).data == (want,)
+
+
+def test_seq_json_negative_dims_refused_before_maps():
+    data = seq_to_json(interval(F5, 0, 1))
+    data["dims"] = [-1, 1]
+    with pytest.raises(ValidationFailed, match="dims must be integers >= 0"):
+        seq_from_json(data, F5)
+
+
+def test_complex_json_negative_ranks_refused_before_maps():
+    data = {"degree": 0, "ranks": [1, -1], "d1": [[[0]]], "deps": [[[0]]]}
+    with pytest.raises(ValidationFailed, match="ranks must be integers >= 0"):
+        complex_from_json(data, F5)
+
+
 def test_json_payload_is_valid_json():
     v = interval(Q, 0, 1)
     s = report_json({"object": seq_to_json(v)})
@@ -273,7 +312,6 @@ def test_json_payload_is_valid_json():
 
 
 def test_rational_entries_serialized_as_strings():
-    from fractions import Fraction
     doc = parse_document("field Q\nseq A { window 0 1 dims 1 1 map 0 [[-2/3]] }")
     j = seq_to_json(doc.seq("A"))
     assert j["maps"][0][0][0] == "-2/3"

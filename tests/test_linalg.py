@@ -98,6 +98,80 @@ def test_inverse_roundtrip(m):
     assert inv @ m == Matrix.identity(m.field, m.rows)
 
 
+def _random_matrix(rng, field, r, c, density):
+    return Matrix(field, r, c, tuple(
+        field.coerce(rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
+        if rng.random() < density else field.zero for _ in range(r * c)))
+
+
+def _oracle_cases(field, seed):
+    """Seeded dense, sparse, singular and non-square matrices, and the empty
+    shapes."""
+    rng = random.Random(seed)
+    out = [Matrix(field, r, c, ()) for r, c in ((0, 0), (0, 3), (3, 0))]
+    for _ in range(40):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        out.append(_random_matrix(rng, field, r, c, rng.choice([1.0, 0.2])))
+    for _ in range(20):
+        # square and singular: the last row repeats a combination of the others
+        n = rng.randint(1, 7)
+        m = _random_matrix(rng, field, n, n, rng.choice([1.0, 0.3]))
+        k = field.coerce(rng.randint(1, 3))
+        last = [k * x for x in m.row(0)] if n > 1 else [field.zero]
+        rows = m.to_lists()[:-1] + [last]
+        out.append(Matrix.from_rows(field, rows))
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        out.append(_random_matrix(rng, field, n, n, rng.choice([1.0, 0.4])))
+    return out
+
+
+def _types(m):
+    return [type(x) for x in m.data]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_subspaces_match_oracle(field):
+    # the kernel has one column per free column of the rref: 1 there and the
+    # negated rref entry at each pivot; the image is m at its pivot columns
+    for m in _oracle_cases(field, 30 + (field.p or 0)):
+        rank_, pivots, rows = gauss_jordan(field, m.to_lists(), m.cols)
+        free = [j for j in range(m.cols) if j not in pivots]
+        kernel = [[field.one if i == fj
+                   else field.neg(rows[pivots.index(i)][fj]) if i in pivots
+                   else field.zero for fj in free] for i in range(m.cols)]
+        want_ker = Matrix(field, m.cols, len(free), tuple(x for row in kernel for x in row))
+        want_img = Matrix(field, m.rows, rank_,
+                          tuple(m.entry(i, c) for i in range(m.rows) for c in pivots))
+        s = subspaces(m)
+        assert (s.kernel, s.image) == (want_ker, want_img)
+        assert _types(s.kernel) == _types(want_ker)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_inverse_matches_oracle(field):
+    # Gauss-Jordan on [a | identity]: the trailing columns are the inverse
+    # exactly when a has full rank
+    singular = 0
+    for a in _oracle_cases(field, 40 + (field.p or 0)):
+        if a.rows != a.cols:
+            with pytest.raises(ValidationFailed, match="non-square"):
+                inverse(a)
+            continue
+        n = a.rows
+        ident = Matrix.identity(field, n).to_lists()
+        rank_, _, rows = gauss_jordan(field, [r + e for r, e in zip(a.to_lists(), ident)], n)
+        if rank_ < n:
+            singular += 1
+            with pytest.raises(ValidationFailed, match="not invertible"):
+                inverse(a)
+            continue
+        want = Matrix(field, n, n, tuple(x for row in rows for x in row[n:]))
+        got = inverse(a)
+        assert got == want and _types(got) == _types(want)
+    assert singular >= 20
+
+
 def test_complement_spans():
     m = Matrix(F2, 3, 2, (1, 0, 0, 0, 1, 0))
     s = subspaces(m)
@@ -235,7 +309,7 @@ def test_rref_matches_dense_oracle(field, density, m, n, seed):
     rows = [[field.coerce(rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
              if rng.random() < density else field.zero for _ in range(n)]
             for _ in range(m)]
-    width = rng.randint(0, n)      # trailing columns ride along, as in reduce()
+    width = rng.randint(0, n)      # trailing columns ride along, as in solve()
     before = [list(r) for r in rows]
     work = list(rows)
     rank_, pivots = _rref(field, work, width)

@@ -5,15 +5,20 @@ import random
 
 import pytest
 
+from dualseq import phantom
+from dualseq.barcode import classify
 from dualseq.errors import StabilizationDepthExceeded, ValidationFailed
 from dualseq.gen import random_seq
+from dualseq.graded import compose
 from dualseq.hom import (compose_hat, get_context, hat, hat_eps, identity_hat,
                          zero_hat)
 from dualseq.linalg import Field
-from dualseq.phantom import (Derivation, Diagram, check_derivation,
+from dualseq.phantom import (Derivation, Diagram, _kernel_chain, check_derivation,
                              inner_derivation, is_phantom, phantom_basis,
                              solve_inner)
-from dualseq.seq import interval
+from dualseq.seq import Tail, interval
+from dualseq.triang import inclusion_element
+from oracles import gauss_jordan
 
 F2 = Field(2)
 F5 = Field(5)
@@ -102,6 +107,61 @@ def test_depth_exceeded_raises():
     h = hat_eps(ctx.eps_basis()[0])
     with pytest.raises(StabilizationDepthExceeded):
         is_phantom(h, depth=1)
+
+
+def _oracle_kernel_rows(field, rows, k):
+    """The rref basis of the kernel of ``rows`` (over ``k`` coordinates),
+    from the oracle's Gauss-Jordan."""
+    _, pivots, red = gauss_jordan(field, rows, k)
+    kernel = [[field.one if i == fj
+               else field.neg(red[pivots.index(i)][fj]) if i in pivots
+               else field.zero for i in range(k)]
+              for fj in range(k) if fj not in pivots]
+    rank_, _, basis = gauss_jordan(field, kernel, k)
+    return basis[:rank_]
+
+
+@pytest.mark.parametrize("shift", [0, 4])
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_kernel_chain_matches_stacked_oracle(field, shift, monkeypatch):
+    # every level is the kernel of the constraint rows of all levels down to
+    # it, stacked and reduced by the oracle; the stable rows are the rref
+    # basis of the last kernel, and membership decides is_phantom.  The
+    # chain's own levels are all 0 on these pairs (the phantom spaces
+    # vanish), so a second run truncates 4 degrees higher, inside the
+    # windows, where the levels are nonzero and drop.
+    monkeypatch.setattr(phantom, "inclusion_element",
+                        lambda v, n: inclusion_element(v, n + shift))
+    rng = random.Random({F2: 21, F5: 22, Q: 23}[field])
+    checked, nonzero = 0, 0
+    while checked < 12:
+        v = random_seq(rng, field, max_bars=4, lo=-2, hi=2)
+        w = random_seq(rng, field, max_bars=4, lo=-2, hi=2)
+        if (v.left_tail is not Tail.ISO or not classify(v).h_projective
+                or not classify(w).h_projective):
+            continue
+        ctx = get_context(v, w)
+        k = ctx.dim_eps
+        if k == 0:
+            continue
+        checked += 1
+        rows, _, cert = _kernel_chain(v, w, depth=12)
+        stacked, levels = [], []
+        for n, _ in cert.levels:
+            incl = inclusion_element(v, n + shift)
+            tctx = get_context(incl.src, w)
+            cols = [tctx.eps_coords(compose(e, incl)) for e in ctx.eps_basis()]
+            stacked += [[col[r] for col in cols] for r in range(tctx.dim_eps)]
+            levels.append((n, k - gauss_jordan(field, stacked, k)[0]))
+        assert list(cert.levels) == levels
+        stable = _oracle_kernel_rows(field, stacked, k)
+        assert rows == stable
+        nonzero += bool(stable)
+        for e in ctx.eps_basis() + [hat_eps(ctx.eps_from_coords(r)).feps for r in rows]:
+            coords = ctx.eps_coords(e)
+            inside = gauss_jordan(field, stable + [coords], k)[0] == len(stable)
+            assert is_phantom(hat_eps(e)).phantom == inside
+    assert nonzero == 0 if shift == 0 else nonzero > 0
 
 
 # -- diagrams and derivations ---------------------------------------------
