@@ -20,9 +20,9 @@ from .errors import (NotExact, ParseError, StabilizationDepthExceeded,
                      ValidationFailed)
 from .graded import GradedHomElement
 from .hom import get_context
-from .io import (Document, barcode_to_json, complex_to_json, element_to_json,
-                 matrix_to_json, morphism_to_json, parse_path, report_json,
-                 seq_to_json)
+from .io import (Document, barcode_to_json, check_span, complex_to_json,
+                 element_to_json, matrix_to_json, morphism_to_json, parse_path,
+                 report_json, seq_to_json)
 from .phantom import check_derivation, is_phantom, solve_inner
 from .seq import Seq
 from .triang import cone, truncate_above
@@ -193,6 +193,8 @@ def _cmd_phantom(doc: Document, args) -> dict:
 
 def _cmd_truncate(doc: Document, args) -> dict:
     v = doc.seq(args.object)
+    # truncate_above builds the degrees from n up to the top of v
+    check_span(args.n, max(args.n, v.hi), "truncation window")
     t = truncate_above(v, args.n)
     bc = decompose(t)
     if args.json:

@@ -36,20 +36,32 @@ and that fixes how wide the window must be:
   for an ``h`` supported on ``L..R+1`` (one extra variable column
   ``h^(R+1)``).  This holds for every ``m >= 0``.
 
-``MARGIN`` (``dualseq.config``) is 3, wider than the bound needs, so that
-every window, basis and coset representative stays the one earlier
-releases computed.
+``MARGIN`` (``dualseq.config``) is that bound, 1.  A wider margin only
+costs a larger window: on random pairs with rays, margins 3 and 5 give the
+same bases and the same coset representatives as margin 1 (a tested
+observation, not part of the proof).
 
-The work follows the nonzeros.  Both systems are the dict rows
-``{column: entry}`` of ``graded.differential_rows``, each touching two
-adjacent degree blocks.  The rows of ``d^0`` are reduced in place by
-``linalg._rref`` and the kernel vectors read off the nonzeros of the rref.
-The rows of ``d^-1`` are transposed, in one pass over their nonzeros, into
-its image vectors, whose rref rows, kept as dict rows, are the coset data
-of ``Hom_eps``: a coset reduction subtracts only their nonzeros.  Basis
-elements share one zero matrix per block shape (most blocks are zero, and
-an eps-basis element has a single nonzero block), and ``all_morphisms``
-skips the degrees where both components of an element are zero.
+The work follows the nonzeros, and stops at echelon form.  Both systems
+are the dict rows ``{column: entry}`` of ``graded.differential_rows``, each
+touching two adjacent degree blocks, and both are reduced in place by
+``linalg._rref`` without back substitution.  Neither answer needs it:
+
+* the kernel basis of ``d^0``, one vector per free column with 1 there and
+  0 at the other free columns, is unique, and ``linalg._kernel_vectors``
+  reads it off the echelon rows by back substitution on the kernel
+  vectors alone;
+* the rows of ``d^-1`` are transposed, in one pass over their nonzeros,
+  into its image vectors, whose echelon rows (pivot entries 1) are the
+  coset data of ``Hom_eps``.  The representative of a coset with zeros at
+  every pivot is unique, and ``reduce_vec`` reaches it by subtracting the
+  rows in increasing pivot order: a row is zero at every earlier pivot, so
+  a zeroed pivot coordinate stays zero.  A coset reduction subtracts only
+  the nonzeros of the rows.
+
+Basis elements share one zero matrix per block shape (most blocks are
+zero, and an eps-basis element has a single nonzero block), and
+``all_morphisms`` skips the degrees where both components of an element
+are zero.
 """
 
 from __future__ import annotations
@@ -100,7 +112,7 @@ class HomContext:
         self.N = n
 
         d0 = differential_rows(v, w, 0, L, R)
-        rank0, piv0 = _rref(f, d0, n)
+        rank0, piv0 = _rref(f, d0, n, reduced=False)
         self.dim_hom = n - rank0
         self.ker_basis_vecs = _kernel_vectors(f, d0, piv0, n)
 
@@ -111,7 +123,7 @@ class HomContext:
         for r, row in enumerate(differential_rows(v, w, -1, L, R + 1)):
             for j, x in row.items():
                 img[j][r] = x
-        rank1, self.img_pivots = _rref(f, img, n)
+        rank1, self.img_pivots = _rref(f, img, n, reduced=False)
         self.dim_eps = n - rank1
         self.img_rows = img[:rank1]
         pivset = set(self.img_pivots)
@@ -168,7 +180,9 @@ class HomContext:
 
     def reduce_vec(self, vec: list) -> list:
         """Canonical representative of ``vec`` modulo the image of d^-1: the
-        image rows are in rref, so subtracting each at its pivot leaves a
+        image rows are in echelon form with pivot entries 1, so subtracting
+        each at its pivot, in increasing pivot order, zeroes its pivot
+        coordinate for good (the later rows are zero there) and leaves a
         zero in every pivot coordinate."""
         out = list(vec)
         p = self.field.p

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .barcode import Barcode, Interval, make_barcode
+from .config import MAX_SPAN
 from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
 from .graded import GradedHomElement, make_element, zero_element
@@ -154,6 +155,14 @@ class Document:
         return self.morphisms[name]
 
 
+def check_span(lo: int, hi: int, what: str) -> None:
+    """Refuse a window of more than ``MAX_SPAN`` degrees
+    (``dualseq.config``), before anything is built for it."""
+    if hi - lo >= MAX_SPAN:
+        raise ValidationFailed(f"{what} [{lo}, {hi}] spans {hi - lo + 1} degrees, "
+                               f"more than the limit of {MAX_SPAN}")
+
+
 def _int(s: _Stream, tok: _Tok) -> int:
     try:
         return int(tok.text)
@@ -260,6 +269,8 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
         if key.text == "interval":
             a = _parse_endpoint(s)
             b = _parse_endpoint(s)
+            if isinstance(a, int) and isinstance(b, int):
+                check_span(a, b, "interval")
             s.next("punct", "}")
             return interval(field, a, b)
         if key.text == "window":
@@ -267,6 +278,7 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
             hi = _parse_int(s)
             if hi < lo:
                 raise s.error("window upper end below lower end", key)
+            check_span(lo, hi, "window")
             window = (lo, hi)
         elif key.text == "dims":
             if window is None:
@@ -357,6 +369,7 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
             hi = _parse_int(s)
             if hi < lo:
                 raise s.error("window upper end below lower end", key)
+            check_span(lo, hi, "window")
             window = (lo, hi)
         elif key.text in ("one", "eps"):
             if window is None:
@@ -592,6 +605,7 @@ def seq_from_json(data: dict, field: Field) -> Seq:
     if not all(_is_int(d) and d >= 0 for d in data["dims"]):
         raise ValidationFailed(f"sequence dims must be integers >= 0: {data['dims']}")
     lo, hi = data["window"]
+    check_span(lo, hi, "sequence window")
     dims = tuple(data["dims"])
     if len(dims) != hi - lo + 1:
         raise ValidationFailed(f"window [{lo}, {hi}] needs {hi - lo + 1} dims, "
@@ -680,6 +694,10 @@ def barcode_from_json(data: dict, field: Field) -> Barcode:
             raise ValidationFailed(f"interval must be a pair [start, end]: {iv!r}")
     ivs = [Interval(_endpoint_in(a), _endpoint_in(b))
            for a, b in data["intervals"]]
+    # the assembled sequence spans every finite endpoint
+    finite = [x for iv in ivs for x in (iv.a, iv.b) if isinstance(x, int)]
+    if finite:
+        check_span(min(finite), max(finite), "barcode")
     return make_barcode(field, ivs)
 
 

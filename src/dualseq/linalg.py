@@ -407,21 +407,33 @@ def _dense_rows(rows: list, n: int, zero) -> list:
 
 
 def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
-    """A basis of the kernel of a system in rref, as dense lists of length
-    ``n``: for each free column, the vector with 1 there, 0 at the other free
-    columns and the negated rref entry at each pivot column."""
-    zero, one, neg = field.zero, field.one, field.neg
+    """A basis of the kernel of a system in echelon form with pivot entries
+    1 (as ``_rref`` leaves it, reduced or not), as dense lists of length
+    ``n``: for each free column, the vector with 1 there and 0 at the other
+    free columns.  Its pivot coordinates follow by back substitution, from
+    the last pivot row up: each pivot variable is minus its row applied to
+    the later variables, kept as a combination of the free ones.  On rref
+    rows a row has no later pivot column, so that combination is just the
+    negated row."""
+    zero, one, p = field.zero, field.one, field.p
     pivset = set(pivots)
-    free = {}
-    for fj in range(n):
-        if fj not in pivset:
-            free[fj] = vec = [zero] * n
-            vec[fj] = one
-    for row, c in zip(rows, pivots):
-        for j, x in row.items():
-            if j in free:
-                free[j][c] = neg(x)
-    return list(free.values())
+    free = [j for j in range(n) if j not in pivset]
+    comb = {j: ((j, one),) for j in free}
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        e = {}
+        for j, x in rows[k].items():
+            if j != c:
+                _sub_row(e, x, comb[j], p)
+        comb[c] = e.items()
+    vecs = {}
+    for j in free:
+        vecs[j] = vec = [zero] * n
+        vec[j] = one
+    for c in pivots:
+        for j, x in comb[c]:
+            vecs[j][c] = x
+    return list(vecs.values())
 
 
 def _matrix_rows(m: Matrix) -> list:
@@ -509,12 +521,3 @@ def inverse(a: Matrix) -> Matrix:
     if inv is None:
         raise ValidationFailed("matrix not invertible")
     return inv
-
-
-def row_space(mat_rows: list, field: Field, width: int) -> tuple:
-    """Echelonize a list of dense coordinate rows (consumed in place).
-
-    Returns ``(rows, pivots)`` where ``rows`` holds the nonzero rref rows.
-    """
-    rank_, pivots = _rref(field, mat_rows, width)
-    return mat_rows[:rank_], pivots

@@ -210,11 +210,34 @@ class ExtensionClass:
     proj: HatMorphism
 
 
+def _extension_window(fc: GradedHomElement) -> Tuple[int, int]:
+    """The degrees on which ``extension_from_eps`` builds E (see there)."""
+    return min(fc.src.lo - 1, fc.lo), max(fc.dst.hi + 2, fc.hi + 1)
+
+
 def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
     """Extension of X by Y[-1] attached to a degree-0 class X -> Y.
 
     The representative is canonicalized first, so equal classes give equal
     extensions and the zero class gives the split one.
+
+    E is built, and its inclusion and projection sampled, on the window
+    ``[lo, hi]`` of ``_extension_window``.  ``make_seq`` continues E beyond
+    it by its tails, and an ISO tail repeats the edge space E^lo (E^hi)
+    with signed identities.  That is right when E^i = X^i (+) Y^(i-1) is a
+    tail space for ``i <= lo`` and ``i >= hi``, edges included, and the map
+    of E at degree i, which reads d_X^i, fc^i and d_Y^(i-1), a tail map for
+    ``i < lo`` and ``i >= hi``.  The canonical representative ``fc`` is
+    zero beyond its stored window.  On the left that needs ``lo < x.lo``
+    (X^lo beyond the window of X), ``lo - 1 < y.lo`` and ``lo <= fc.lo``;
+    on the right ``hi > x.hi``, ``hi - 1 > y.hi`` and ``hi > fc.hi``.  The
+    stored window of ``fc`` contains ``[min(x.lo, y.lo), max(x.hi,
+    y.hi)]``, which implies the conditions on ``y.lo`` and ``x.hi``, so
+    ``lo = min(x.lo - 1, fc.lo)`` and ``hi = max(y.hi + 2, fc.hi + 1)``.
+    The strict conditions on X and Y matter when one tail is ISO and the
+    other ZERO: the edge space of the ZERO side is nonzero, and the ISO
+    tail of E would repeat it.  The inclusion and projection read only the
+    dimensions, so they are tail matrices beyond ``[lo, hi]`` as well.
     """
     if f.degree != 0:
         raise ValidationFailed("extension class requires a degree-0 element")
@@ -222,8 +245,7 @@ def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
     field = x.field
     ctx = get_context(x, y)
     fc = ctx.canonical_eps(f)
-    lo = min(x.lo, y.lo + 1, fc.lo) - 2
-    hi = max(x.hi, y.hi + 1, fc.hi) + 2
+    lo, hi = _extension_window(fc)
     dims = tuple(x.dim(i) + y.dim(i - 1) for i in range(lo, hi + 1))
     maps = []
     for i in range(lo, hi):
@@ -259,8 +281,8 @@ def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
     ctx = get_context(e.x, e.y)
     field = ctx.field
     vec = ctx.vec_of(e.feps)
-    # img_rows is the rref of the image of d^-1, so a nonzero remainder
-    # means solve would return None
+    # img_rows is an echelon basis of the image of d^-1, so a nonzero
+    # remainder means solve would return None
     if any(ctx.reduce_vec(vec)):
         return None
     target = Matrix.column(field, [field.neg(c) for c in vec])
@@ -287,22 +309,49 @@ def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
     return h
 
 
+def _ses_window(b: Seq, c: Seq) -> Tuple[int, int]:
+    """The degrees on which ``triangle_from_ses`` solves for the connecting
+    map (see there)."""
+    return min(b.lo, c.lo), c.hi
+
+
 def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
     """Distinguished triangle extending a short exact sequence of type-1 maps.
 
     The connecting class is u^+ (sigma^(i+1) d_C^i - d_B^i sigma^i) for a
     degreewise section sigma of v; its coset does not depend on the section.
+
+    Exactness is checked on the windows of u and v and on two degrees, one
+    of each parity, beyond them on each side: there every dimension is
+    stable and every component is the tail matrix of its parity, so those
+    checks cover every degree.  The check at a degree reads only the blocks
+    u^i and v^i (their shapes are the dimensions), so a pair of blocks seen
+    at an earlier degree is not checked again.
+
+    The connecting map is solved for on the window ``[lo, hi]`` of
+    ``_ses_window`` and set to zero beyond it; only its class is kept.  Its
+    defect at degree i maps C^i to B^(i+1).  Below ``lo = min(b.lo, c.lo)``
+    either C^i is zero, or B and C are both ISO there (v is onto), so d_B^i
+    and d_C^i are the same signed identity, v^(i+1) = v^i, the two sections
+    agree and the defect vanishes.  From ``hi = c.hi`` on, either C^i is
+    zero for ``i > hi``, or C is ISO and d_C^i is invertible for ``i >=
+    hi``; then an eps element f supported in degrees ``>= hi`` is
+    ``d^-1(h)`` for the h found by solving ``h^(i+1) d_C^i = f^i -
+    d^(i-1) h^i`` upward from ``h = 0``, so the components there do not
+    change the class.
     """
     if not u.is_type_one or not v.is_type_one:
         raise ValidationFailed("short exact sequences live in the type-1 part")
     if u.dst != v.src:
         raise ValidationFailed("morphisms are not composable")
     a, b, c = u.src, u.dst, v.dst
-    lo = min(a.lo, b.lo, c.lo) - 2
-    hi = max(a.hi, b.hi, c.hi) + 2
-    for i in range(lo, hi + 1):
+    checked = set()
+    for i in range(min(u.f1.lo, v.f1.lo) - 2, max(u.f1.hi, v.f1.hi) + 3):
         ui = u.f1.component(i)
         vi = v.f1.component(i)
+        if (ui, vi) in checked:
+            continue
+        checked.add((ui, vi))
         ru, rv = mrank(ui), mrank(vi)
         if ru != a.dim(i):
             raise NotExact(f"first map is not injective at degree {i}")
@@ -310,6 +359,7 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
             raise NotExact(f"second map is not surjective at degree {i}")
         if not (vi @ ui).is_zero or ru + rv != b.dim(i):
             raise NotExact(f"sequence is not exact at degree {i}")
+    lo, hi = _ses_window(b, c)
     sigma = {i: solve(v.f1.component(i), Matrix.identity(a.field, c.dim(i)))
              for i in range(lo, hi + 2)}
 

@@ -86,16 +86,29 @@ def test_hom_human(doc_path, capsys):
     assert "dim Hom_1: 1" in out and "dim Hom_eps: 1" in out
 
 
+@pytest.mark.parametrize("body,args", [
+    ("seq P { interval 0 100000000 }", ("decompose", "P")),
+    ("seq P { window -100000000 0 dims 1 }", ("decompose", "P")),
+    ("", ("truncate", "S01", "-100000000")),
+])
+def test_span_limit_exit_code(tmp_path, capsys, body, args):
+    p = tmp_path / "big.txt"
+    p.write_text(DOC + body + "\n")
+    code, out, err = run(capsys, args[0], str(p), *args[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("validation error: ") and "more than the limit of" in err
+
+
 def test_hom_reports_stabilization_certificate(doc_path, capsys):
-    # S00 -> S00: irregular region [-1, 1], fixed margin 3
+    # S00 -> S00: irregular region [-1, 1], fixed margin 1
     code, out, _ = run(capsys, "hom", doc_path, "S00", "S00")
     lines = out.splitlines()
     assert code == 0 and lines[:2] == ["dim Hom_1: 1", "dim Hom_eps: 1"]
-    assert lines[-1] == "certificate: window [-4, 4], margin 3"
+    assert lines[-1] == "certificate: window [-2, 2], margin 1"
     code, out, _ = run(capsys, "hom", doc_path, "S00", "S00", "--json")
     data = json.loads(out)
     assert code == 0 and (data["dim_hom"], data["dim_eps"]) == (1, 1)
-    assert data["certificate"] == {"window": [-4, 4], "margin": 3}
+    assert data["certificate"] == {"window": [-2, 2], "margin": 1}
 
 
 def test_cone_human(doc_path, capsys):

@@ -10,9 +10,10 @@ from dualseq.errors import ValidationFailed
 from dualseq.gen import random_graded_element, random_scalar, random_seq
 from dualseq.graded import (compose, differential, is_morphism, shift_element,
                             zero_element)
-from dualseq.hom import (HatMorphism, compose_hat, direct_sum, get_context, hat,
+from dualseq import hom
+from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context, hat,
                          hat_eps, hom_complex, identity_hat, shift_hat, zero_hat)
-from dualseq.linalg import Field, row_space, subspaces
+from dualseq.linalg import Field, _rref, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
 F2 = Field(2)
@@ -81,10 +82,36 @@ def test_window_data_matches_fresh_elimination():
         assert d0.cols == ctx.N
         ker = subspaces(d0).kernel
         assert ctx.ker_basis_vecs == [ker.col(j) for j in range(ker.cols)]
-        img, pivots = row_space(ctx.dminus1.transpose().to_lists(), f, ctx.N)
+        img = ctx.dminus1.transpose().to_lists()
+        rank_, pivots = _rref(f, img, ctx.N)
+        # the coset rows are echelon rows, pivot entries 1, whose rref (by
+        # the oracle) is the fresh one
         dense = [[row.get(j, f.zero) for j in range(ctx.N)] for row in ctx.img_rows]
-        assert (dense, ctx.img_pivots) == (img, pivots)
+        assert ctx.img_pivots == pivots and len(dense) == rank_
+        assert all(min(row) == c and row[c] == 1
+                   for row, c in zip(ctx.img_rows, ctx.img_pivots))
+        assert oracles.gauss_jordan(f, dense, ctx.N) == (rank_, pivots, img[:rank_])
         assert ctx.nonpivots == [j for j in range(ctx.N) if j not in pivots]
+
+
+def test_reduce_vec_matches_oracle_rref():
+    # reducing by the echelon coset rows, in increasing pivot order, gives
+    # the reduction by the rref of the image of d^-1
+    rng = random.Random(13)
+    for _ in range(12):
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        ctx = get_context(v, w)
+        _, pivots, rref = oracles.gauss_jordan(f, ctx.dminus1.transpose().to_lists(), ctx.N)
+        for _ in range(3):
+            vec = [random_scalar(rng, f) for _ in range(ctx.N)]
+            want = list(vec)
+            for row, c in zip(rref, pivots):
+                coef = want[c]
+                want = [x - coef * y if f.p is None else (x - coef * y) % f.p
+                        for x, y in zip(want, row)]
+            assert ctx.reduce_vec(vec) == want
 
 
 def test_margin_zero_hom_basis():
@@ -147,6 +174,30 @@ def test_window_oracle_margin_zero_misses():
         w = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
         misses += oracles.window_dims(v, w, 0)[0] != get_context(v, w).dim_hom
     assert misses > 0
+
+
+@pytest.mark.parametrize("margin", [3, 5])
+def test_wider_margin_changes_no_answer(monkeypatch, margin):
+    # margin 1 is the proven bound; a wider window gives the same bases and
+    # the same canonical coset representatives, not just the same dimensions
+    rng = random.Random(70 + margin)
+    cases = []
+    for _ in range(15):
+        f = rng.choice([F2, F5, Q])
+        v = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        cases.append((v, w, [random_graded_element(rng, v, w) for _ in range(2)]))
+
+    def answers(v, w, els):
+        ctx = HomContext(v, w)
+        return (ctx.certificate.margin, ctx.hom_basis(), ctx.eps_basis(),
+                [ctx.canonical_eps(g) for g in els])
+
+    want = [answers(*case) for case in cases]
+    monkeypatch.setattr(hom, "MARGIN", margin)
+    for case, (base, *rest) in zip(cases, want):
+        assert base == 1
+        assert answers(*case) == (margin, *rest)
 
 
 @pytest.mark.parametrize("extra_checks", [1, 2, 3])

@@ -3,11 +3,13 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from dualseq.barcode import decompose
+from dualseq.config import MAX_SPAN
 from dualseq.errors import ParseError, ValidationFailed
 from dualseq.gen import random_eps_complex, random_seq
 from dualseq.hom import identity_hat
@@ -329,3 +331,51 @@ def test_field_json_roundtrip(field):
 def test_field_json_malformed(data):
     with pytest.raises(ValidationFailed):
         field_from_json(data)
+
+
+# -- the span limit -----------------------------------------------------
+
+
+def _refused_before_building(fn):
+    # the limit is checked before anything grows with the span: the whole
+    # call stays far below the memory one degree per entry would take
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationFailed, match=f"more than the limit of {MAX_SPAN}"):
+            fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("body", [
+    "seq P { interval 0 100000000 }",
+    "seq P { interval -100000000 0 }",
+    "seq V { window 0 100000000 dims 1 }",
+    "seq V { interval 0 0 }\nmor m : V -> V { window -100000000 0 }",
+])
+def test_document_span_limit(body):
+    _refused_before_building(lambda: parse_document(f"field 5\n{body}\n"))
+
+
+def test_document_span_limit_boundary():
+    doc = parse_document(f"field 5\nseq P {{ interval 0 {MAX_SPAN - 1} }}\n")
+    assert doc.seq("P").hi - doc.seq("P").lo + 1 == MAX_SPAN
+    with pytest.raises(ValidationFailed, match=f"spans {MAX_SPAN + 1} degrees"):
+        parse_document(f"field 5\nseq P {{ interval 0 {MAX_SPAN} }}\n")
+
+
+@pytest.mark.parametrize("intervals", [
+    [[0, 10**9]],
+    [[0, 0], [10**9, "inf"]],          # short bars, far apart
+    [["-inf", -10**9], [0, "inf"]],
+])
+def test_barcode_json_span_limit(intervals):
+    _refused_before_building(lambda: barcode_from_json({"intervals": intervals}, F5))
+
+
+def test_seq_json_span_limit():
+    _refused_before_building(lambda: seq_from_json(
+        {"window": [0, 10**9], "dims": [1], "maps": [], "tails": ["zero", "zero"]}, F5))
+

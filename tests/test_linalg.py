@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualseq.errors import ValidationFailed
-from dualseq.linalg import (Field, Matrix, _rref, block_matrix, complement, inverse,
-                            rank, row_space, solve, subspaces)
+from dualseq.linalg import (Field, Matrix, _kernel_vectors, _rref, block_matrix, complement, inverse,
+                            rank, solve, subspaces)
 import oracles
 from oracles import gauss_jordan
 
@@ -149,6 +149,25 @@ def test_subspaces_match_oracle(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_kernel_vectors_on_echelon_rows_match_oracle(field):
+    # the hom window reads its kernel basis off echelon rows, without back
+    # substitution in _rref; the basis is the one the oracle's rref gives
+    for m in _oracle_cases(field, 130 + (field.p or 0)):
+        _, pivots, rows = gauss_jordan(field, m.to_lists(), m.cols)
+        free = [j for j in range(m.cols) if j not in pivots]
+        want = [[field.one if i == fj
+                 else field.neg(rows[pivots.index(i)][fj]) if i in pivots
+                 else field.zero for i in range(m.cols)] for fj in free]
+        for reduced in (False, True):
+            work = [{j: x for j, x in enumerate(row) if x} for row in m.to_lists()]
+            assert _rref(field, work, m.cols, reduced=reduced)[1] == pivots
+            got = _kernel_vectors(field, work, pivots, m.cols)
+            assert got == want
+            assert [type(x) for vec in got for x in vec] == [type(x) for vec in want
+                                                              for x in vec]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_inverse_matches_oracle(field):
     # Gauss-Jordan on [a | identity]: the trailing columns are the inverse
     # exactly when a has full rank
@@ -190,10 +209,13 @@ def test_block_matrix():
 
 
 def test_row_space_canonical():
-    rows = [[1, 1, 0], [0, 1, 1]]
-    rs1 = row_space([[F2.coerce(x) for x in r] for r in rows], F2, 3)
-    rows2 = [[0, 1, 1], [1, 0, 1]]
-    rs2 = row_space([[F2.coerce(x) for x in r] for r in rows2], F2, 3)
+    def row_space(rows):
+        rows = [[F2.coerce(x) for x in r] for r in rows]
+        rank_, pivots = _rref(F2, rows, 3)
+        return rows[:rank_], pivots
+
+    rs1 = row_space([[1, 1, 0], [0, 1, 1]])
+    rs2 = row_space([[0, 1, 1], [1, 0, 1]])
     assert rs1 == rs2
 
 

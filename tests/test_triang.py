@@ -7,13 +7,14 @@ import pytest
 
 from dualseq.barcode import decompose, is_isomorphic
 from dualseq.errors import NotExact, ValidationFailed
-from dualseq.gen import random_seq
+from dualseq.gen import random_graded_element, random_seq
+from dualseq.graded import make_element, zero_element
 from dualseq import triang
-from dualseq.hom import (compose_hat, get_context, hat_eps, identity_hat,
-                         zero_hat)
+from dualseq.hom import (HatMorphism, compose_hat, get_context, hat, hat_eps,
+                         identity_hat, zero_hat)
 from dualseq.io import parse_document
-from dualseq.linalg import Field
-from dualseq.seq import direct_sum_seq, interval, shift, zero_seq
+from dualseq.linalg import Field, Matrix, block_matrix
+from dualseq.seq import Tail, direct_sum_seq, interval, make_seq, shift, zero_seq
 from dualseq.triang import (Triangle, cone, cone_triangle, extension_from_eps,
                             splits, triangle_from_ses, truncate_above,
                             truncate_below, truncation_inclusion,
@@ -149,6 +150,153 @@ def test_cone_window_is_wide_enough(monkeypatch, pad):
     monkeypatch.setattr(triang, "_cone_window", wider)
     for h, want in cases:
         assert _parts(*cone(h)) == want
+
+
+def _with_rays(rng, field, v):
+    # a left ray, a right ray, both or neither, so that ISO and ZERO tails
+    # meet on each side
+    for left in rng.sample([False, True], rng.randint(0, 2)):
+        end = rng.randint(-2, 2)
+        v = direct_sum_seq(v, interval(field, -INF, end) if left
+                           else interval(field, end, INF))
+    return v
+
+
+def _element_parts(e):
+    return e.lo, e.comps, e.ltail, e.rtail
+
+
+def _extension_cases():
+    # random representatives, not just basis elements, so canonical classes
+    # reach the edges of their windows
+    rng = random.Random(59)
+    out = []
+    for k in range(60):
+        f = (F2, F5, Q)[k % 3]
+        x = _with_rays(rng, f, random_seq(rng, f, max_bars=2, lo=-2, hi=2))
+        y = _with_rays(rng, f, random_seq(rng, f, max_bars=2, lo=-2, hi=2))
+        out.append(random_graded_element(rng, x, y))
+    return out
+
+
+def _extension_parts(g):
+    e = extension_from_eps(g)
+    return e.total, [_element_parts(m) for h in (e.incl, e.proj) for m in (h.f1, h.feps)]
+
+
+def _glued(g):
+    """The ses 0 -> Y[-1] -> E -> X -> 0 glued along the representative
+    ``g: X -> Y`` itself, not its canonical form, on a generous window."""
+    x, y, f = g.src, g.dst, g.src.field
+    lo, hi = min(x.lo, y.lo, g.lo) - 3, max(x.hi, y.hi, g.hi) + 3
+    maps = [block_matrix(f, [[x.map_at(i), Matrix.zeros(f, x.dim(i + 1), y.dim(i - 1))],
+                             [-g.component(i), -y.map_at(i - 1)]]) for i in range(lo, hi)]
+    e = make_seq(f, lo, [x.dim(i) + y.dim(i - 1) for i in range(lo, hi + 1)], maps,
+                 Tail.ISO if Tail.ISO in (x.left_tail, y.left_tail) else Tail.ZERO,
+                 Tail.ISO if Tail.ISO in (x.right_tail, y.right_tail) else Tail.ZERO)
+    inc = make_element(shift(y, -1), e, 0, lo, hi, lambda i: Matrix.zeros(
+        f, x.dim(i), y.dim(i - 1)).vstack(Matrix.identity(f, y.dim(i - 1))))
+    prj = make_element(e, x, 0, lo, hi, lambda i: Matrix.identity(f, x.dim(i)).hstack(
+        Matrix.zeros(f, x.dim(i), y.dim(i - 1))))
+    return hat(inc), hat(prj)
+
+
+def _ses_cases():
+    # the ses of extensions, glued along canonical and along random
+    # representatives (nonzero connecting classes), and the truncation
+    # sequences of sequences with rays
+    exts = _extension_cases()
+    out = [(e.incl, e.proj) for e in map(extension_from_eps, exts)]
+    out += [_glued(g) for g in exts]
+    rng = random.Random(60)
+    for k in range(30):
+        f = (F2, F5, Q)[k % 3]
+        v = _with_rays(rng, f, random_seq(rng, f, max_bars=2, lo=-2, hi=2))
+        n = rng.randint(v.lo - 1, v.hi + 1)
+        out.append((truncation_inclusion(v, n), truncation_projection(v, n)))
+    return out
+
+
+def _triangle_parts(u, v):
+    t = triangle_from_ses(u, v)
+    return t.a, t.b, t.c, [_element_parts(m) for h in (t.u, t.v, t.w)
+                           for m in (h.f1, h.feps)]
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_extension_and_ses_windows_are_wide_enough(monkeypatch, pad):
+    # beyond _extension_window every input of E and its maps is in its
+    # tail, and beyond _ses_window the connecting map is zero, so wider
+    # windows build the same objects, element windows included
+    exts, sess = _extension_cases(), _ses_cases()
+    want = [_extension_parts(g) for g in exts], [_triangle_parts(*p) for p in sess]
+    for name in ("_extension_window", "_ses_window"):
+        real = getattr(triang, name)
+        monkeypatch.setattr(triang, name, lambda *args, real=real: (
+            real(*args)[0] - pad, real(*args)[1] + pad))
+    assert [_extension_parts(g) for g in exts] == want[0]
+    assert [_triangle_parts(*p) for p in sess] == want[1]
+
+
+def _terms(name, args):
+    # the terms of each window, left side first, as the docstrings derive them
+    if name == "_extension_window":
+        (fc,) = args
+        return [fc.src.lo - 1, fc.lo], [fc.dst.hi + 2, fc.hi + 1]
+    b, c = args
+    return [b.lo, c.lo], [c.hi]
+
+
+@pytest.mark.parametrize("name,side,term", [
+    ("_extension_window", 0, 0), ("_extension_window", 0, 1),
+    ("_extension_window", 1, 0), ("_extension_window", 1, 1),
+    ("_ses_window", 0, 0), ("_ses_window", 0, 1), ("_ses_window", 1, 0)])
+def test_window_terms_are_needed(monkeypatch, name, side, term):
+    # moving any one term of a window in by one degree changes some answer
+    # (or breaks the construction)
+    exts, sess = _extension_cases(), _ses_cases()
+    want = [_extension_parts(g) for g in exts], [_triangle_parts(*p) for p in sess]
+    real = getattr(triang, name)
+
+    def narrower(*args):
+        terms = _terms(name, args)
+        assert real(*args) == (min(terms[0]), max(terms[1]))
+        terms[side][term] += 1 if side == 0 else -1
+        return min(terms[0]), max(terms[1])
+
+    monkeypatch.setattr(triang, name, narrower)
+    changed = 0
+    for g, parts in zip(exts, want[0]):
+        try:
+            changed += _extension_parts(g) != parts
+        except ValidationFailed:
+            changed += 1
+    for p, parts in zip(sess, want[1]):
+        try:
+            changed += _triangle_parts(*p) != parts
+        except ValidationFailed:
+            changed += 1
+    assert changed > 0
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_ses_checks_cover_both_tail_parities(side, parity):
+    # the exactness checks read only the components, so an input whose tail
+    # fails to be surjective in one parity only is caught, in either parity
+    for f in (F2, F5, Q):
+        b = interval(f, -INF, 0) if side == "left" else interval(f, 0, INF)
+        one, zero = Matrix.identity(f, 1), Matrix.zeros(f, 1, 1)
+
+        def fn(i):
+            if not b.dim(i):
+                return Matrix.zeros(f, 0, 0)
+            return one if -1 <= i <= 1 or i % 2 != parity else zero
+
+        v = HatMorphism(make_element(b, b, 0, -1, 1, fn), zero_element(b, b, 0))
+        u = zero_hat(zero_seq(f), b)
+        with pytest.raises(NotExact, match="not surjective"):
+            triangle_from_ses(u, v)
 
 
 def test_split_data_once_per_block(monkeypatch):
