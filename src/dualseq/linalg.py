@@ -417,8 +417,12 @@ def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
     negated row."""
     zero, one, p = field.zero, field.one, field.p
     pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    comb = {j: ((j, one),) for j in free}
+    comb, vecs = {}, {}
+    for j in range(n):
+        if j not in pivset:
+            comb[j] = ((j, one),)
+            vecs[j] = vec = [zero] * n
+            vec[j] = one
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         e = {}
@@ -426,10 +430,6 @@ def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
             if j != c:
                 _sub_row(e, x, comb[j], p)
         comb[c] = e.items()
-    vecs = {}
-    for j in free:
-        vecs[j] = vec = [zero] * n
-        vec[j] = one
     for c in pivots:
         for j, x in comb[c]:
             vecs[j][c] = x
