@@ -185,8 +185,9 @@ def _extension_parts(g):
 
 
 def _glued(g):
-    """The ses 0 -> Y[-1] -> E -> X -> 0 glued along the representative
-    ``g: X -> Y`` itself, not its canonical form, on a generous window."""
+    """The ses 0 -> Y[-1] -> E -> X -> 0 glued along the components of
+    ``g: X -> Y`` on a generous window (zero beyond it), not along the
+    canonical form of its class."""
     x, y, f = g.src, g.dst, g.src.field
     lo, hi = min(x.lo, y.lo, g.lo) - 3, max(x.hi, y.hi, g.hi) + 3
     maps = [block_matrix(f, [[x.map_at(i), Matrix.zeros(f, x.dim(i + 1), y.dim(i - 1))],
