@@ -16,9 +16,8 @@ from .errors import (NotExact, ParseError, StabilizationDepthExceeded,
                      ValidationFailed)
 from .graded import (GradedHomElement, compose, differential, identity_element,
                      is_morphism, make_element, shift_element, zero_element)
-from .hom import (HatMorphism, HomContext, HomData, compose_hat, direct_sum,
-                  get_context, hat, hat_eps, hom_complex, identity_hat,
-                  shift_hat, zero_hat)
+from .hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context,
+                  hat, hat_eps, identity_hat, shift_hat, zero_hat)
 from .io import (Document, parse_document, parse_path, report_json,
                  seq_from_json, seq_to_json)
 from .linalg import Field, Matrix, block_matrix, rank, solve, subspaces
@@ -36,14 +35,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Barcode", "Classification", "Derivation", "Diagram", "Document",
     "EpsComplex", "ExtensionClass", "Field", "GradedHomElement",
-    "HatMorphism", "HomContext", "HomData", "HomotopyEquivalence", "Interval",
+    "HatMorphism", "HomContext", "HomotopyEquivalence", "Interval",
     "Matrix", "MinimalComplex", "NotExact", "ParseError",
     "PhantomCertificate", "PhantomVerdict", "Seq", "StabilizationDepthExceeded",
     "Tail", "Triangle", "ValidationFailed", "as_complex", "assemble",
     "block_matrix", "check_derivation", "classify", "cohomology", "compose",
     "compose_hat", "cone", "cone_triangle", "decompose", "differential",
     "direct_sum", "direct_sum_seq", "eps_cohomology", "extension_from_eps",
-    "from_seq", "get_context", "hat", "hat_eps", "hom_complex", "hom_k",
+    "from_seq", "get_context", "hat", "hat_eps", "hom_k",
     "identity_element", "identity_hat", "inner_derivation", "interval",
     "is_isomorphic", "is_morphism", "is_phantom", "make_barcode",
     "make_element", "make_minimal", "make_seq", "max_injective_subobject",

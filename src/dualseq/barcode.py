@@ -107,11 +107,13 @@ def rank_pairing(v: Seq, a, b) -> int:
     exact: composing with a signed identity does not change rank, and a Zero
     tail forces rank 0 on that side.
     """
-    if float(a) > float(b):
+    if a > b:
         raise ValidationFailed("rank_pairing requires a <= b")
+    # ints and infinities compare exactly; clamping into [lo - 1, hi + 1]
+    # turns an infinite endpoint into an int
     lo_eval, hi_eval = v.lo - 1, v.hi + 1
-    aa = int(min(max(float(a), lo_eval), hi_eval))
-    bb = int(min(max(float(b), lo_eval), hi_eval))
+    aa = min(max(a, lo_eval), hi_eval)
+    bb = min(max(b, lo_eval), hi_eval)
     m = Matrix.identity(v.field, v.dim(aa))
     for i in range(aa, bb):
         m = v.map_at(i) @ m
@@ -130,7 +132,7 @@ def multiplicities(v: Seq) -> Dict[Interval, int]:
     ends = list(range(v.lo, v.hi + 1)) + [POS_INF]
     for a in starts:
         for b in ends:
-            if float(a) > float(b):
+            if a > b:
                 continue
             m = r(a, b)
             if not _is_neg_inf(a):
@@ -171,7 +173,7 @@ def assemble(bc: Barcode) -> Seq:
 
     def alive(i):
         return [j for j, iv in enumerate(ivs)
-                if float(iv.a) <= i <= float(iv.b)]
+                if iv.a <= i <= iv.b]
 
     dims = tuple(len(alive(i)) for i in range(lo, hi + 1))
     maps = []
@@ -284,7 +286,7 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
 
     def window_cols(i):
         cols = [b.vecs[i] for b in order
-                if float(b.birth) <= i <= float(b.death)]
+                if b.birth <= i <= b.death]
         return block_matrix(f, [cols]) if cols else Matrix.zeros(f, v.dim(i), 0)
 
     phi_lo = window_cols(lo)

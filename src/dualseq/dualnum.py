@@ -14,11 +14,10 @@ are verified exactly, split into 1-part and eps-part.
 
 Minimal complexes are the same data as sequences with both tails Zero
 (``D = eps * d_V``); ``to_seq``/``from_seq`` realize that dictionary.
-``hom_k`` computes homotopy classes of chain maps on the window of the two
-complexes.  It shares the Hom-complex differential
-(``graded.differential_rows``) with ``hom.HomContext``, but not its window,
-margin or basis extraction; the independent check of both is the dense
-window solve in ``tests/oracles.py``.
+``hom_k`` counts homotopy classes of chain maps: they are ``Hom_S`` and
+``Hom_eps`` of the two sequences, so it reads both dimensions off
+``hom.get_context``; the independent check is the dense window solve in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationFailed
-from .graded import differential_rows, hom_layout
-from .linalg import (Field, Matrix, _rref, block_matrix, complement, inverse,
+from .hom import get_context
+from .linalg import (Field, Matrix, block_matrix, complement, inverse,
                      rank as matrix_rank, solve, subspaces)
 from .seq import Seq, Tail, make_seq
 
@@ -403,15 +402,7 @@ def hom_k(m: MinimalComplex, n: MinimalComplex) -> Tuple[int, int]:
     complexes: chain maps are pairs (f1 intertwining deps, feps arbitrary),
     and null-homotopic ones are exactly f1 = 0 with feps of the form
     deps k1 + k1 deps.  These are the kernel of ``d^0`` and the cokernel of
-    ``d^-1`` in the Hom complex of ``to_seq(m)`` and ``to_seq(n)``."""
-    if m.field != n.field:
-        raise ValidationFailed("hom over different fields")
-    v, w = to_seq(m), to_seq(n)
-    lo, hi = min(m.lo, n.lo), max(m.hi, n.hi)
-    _, total = hom_layout(v, w, 0, lo, hi)
-    r1, _ = _rref(m.field, differential_rows(v, w, 0, lo, hi), total, reduced=False)
-    # homotopies k^j: degree j -> j-1, lo <= j <= hi+1
-    _, width = hom_layout(v, w, -1, lo, hi + 1)
-    r2, _ = _rref(m.field, differential_rows(v, w, -1, lo, hi + 1), width,
-                  reduced=False)
-    return total - r1, total - r2
+    ``d^-1`` in the Hom complex of ``to_seq(m)`` and ``to_seq(n)``, whose
+    hom context has both dimensions."""
+    ctx = get_context(to_seq(m), to_seq(n))
+    return ctx.dim_hom, ctx.dim_eps

@@ -11,7 +11,7 @@ from typing import List
 from .barcode import Interval, Barcode, assemble, make_barcode
 from .dualnum import EpsComplex, MinimalComplex, make_minimal, validate
 from .graded import GradedHomElement, differential_rows, hom_layout, make_element
-from .linalg import Field, Matrix, _rref, inverse, rank as matrix_rank
+from .linalg import Field, Matrix, _kernel_vectors, _rref, inverse, rank as matrix_rank
 from .seq import NEG_INF, POS_INF, Seq, Tail, make_seq
 
 
@@ -102,21 +102,13 @@ def random_deps_for(rng: random.Random, field: Field, ranks: List[int],
     v = Seq(field, 0, n - 1, tuple(ranks), tuple(d1), Tail.ZERO, Tail.ZERO)
     off, total = hom_layout(v, v, 1, 0, n - 2)
     rows = differential_rows(v, v, 1, 0, n - 2)
-    rk, pivots = _rref(field, rows, total)
-    pivset = set(pivots)
-    free = [j for j in range(total) if j not in pivset]
+    _, pivots = _rref(field, rows, total, reduced=False)
+    # one scalar per free column, in column order, on its kernel vector
+    p = field.p
     vec = [field.zero] * total
-    for j in free:
-        vec[j] = random_scalar(rng, field)
-    # back-substitute pivots so the full law holds
-    for prow, pcol in zip(rows[:rk], pivots):
-        s = field.zero
-        for j in free:
-            if j in prow and vec[j]:
-                s = s + prow[j] * vec[j]
-        if field.p is not None:
-            s = s % field.p
-        vec[pcol] = field.neg(s)
+    for basis in _kernel_vectors(field, rows, pivots, total):
+        c = random_scalar(rng, field)
+        vec = [x + c * y if p is None else (x + c * y) % p for x, y in zip(vec, basis)]
     out = []
     for k in range(n - 1):
         r, c = ranks[k + 1], ranks[k]

@@ -187,15 +187,50 @@ def hom_layout(v: Seq, w: Seq, n: int, lo: int, hi: int) -> tuple:
     return off, size
 
 
+def coords_of(g: GradedHomElement, lo: int, hi: int) -> list:
+    """The coordinates of ``g`` on the degrees ``lo..hi`` (``hom_layout``)."""
+    out = []
+    for i in range(lo, hi + 1):
+        out.extend(g.component(i).data)
+    return out
+
+
+def element_from_coords(v: Seq, w: Seq, n: int, lo: int, hi: int, vec: list,
+                        constant_tails: bool = False) -> GradedHomElement:
+    """The element of ``Hom^n(V, W)`` with coordinates ``vec`` on the
+    degrees ``lo..hi`` (``hom_layout``).  Beyond them its components are
+    zero, or with ``constant_tails`` repeat the boundary blocks ``f^lo`` and
+    ``f^hi``, which needs a window whose edge blocks have the tail shapes."""
+    field, zeros = v.field, Matrix.zeros
+    mats = {}
+    o = 0
+    for i in range(lo, hi + 1):
+        r, c = w.dim(n + i), v.dim(i)
+        block = vec[o:o + r * c]
+        o += r * c
+        mats[i] = Matrix(field, r, c, tuple(block)) if any(block) else zeros(field, r, c)
+
+    if constant_tails:
+        def fn(i):
+            return mats[min(max(i, lo), hi)]
+    else:
+        def fn(i):
+            if i < lo or i > hi:
+                return zeros(field, w.dim(n + i), v.dim(i))
+            return mats[i]
+    return make_element(v, w, n, lo, hi, fn)
+
+
 def differential_rows(v: Seq, w: Seq, n: int, lo: int, hi: int) -> list:
     """The matrix of ``d^n: Hom^n(V, W) -> Hom^(n+1)(V, W)`` on a window,
     as dict rows ``{column: entry}``.
 
     The columns are the coordinates of ``Hom^n`` on the degrees ``lo..hi``
-    (``hom_layout``).  The rows are those of ``Hom^(n+1)`` on ``lo..hi-1``,
-    the degrees ``i`` whose ``d^n(f)^i`` reads only window blocks: one row
-    per entry ``(a, b)`` of ``d^n(f)^i``, in coordinate order.  Each row
-    touches the blocks of ``f^i`` and ``f^(i+1)``.
+    (``hom_layout``).  The rows are the coordinates of ``Hom^(n+1)`` on
+    ``lo..hi-1``, the degrees ``i`` whose ``d^n(f)^i`` reads only window
+    blocks: one row per entry ``(a, b)`` of ``d^n(f)^i``, in coordinate
+    order, so row ``r`` is coordinate ``r`` of ``hom_layout(v, w, n + 1,
+    lo, hi - 1)``.  Each row touches the blocks of ``f^i`` and ``f^(i+1)``.
     """
     off, _ = hom_layout(v, w, n, lo, hi)
     neg = v.field.neg

@@ -58,6 +58,11 @@ touching two adjacent degree blocks, and both are reduced in place by
   a zeroed pivot coordinate stays zero.  A coset reduction subtracts only
   the nonzeros of the rows.
 
+The coordinates of an element on the window are those of
+``graded.hom_layout``, read by ``graded.coords_of`` and turned back into an
+element by ``graded.element_from_coords``; no dense window matrix is built.
+``triang.splits`` solves the same sparse rows of ``d^-1`` for a splitting.
+
 Basis elements share one zero matrix per block shape (most blocks are
 zero, and an eps-basis element has a single nonzero block), and
 ``all_morphisms`` skips the degrees where both components of an element
@@ -72,13 +77,13 @@ from typing import Optional, Tuple
 
 from .config import MARGIN
 from .errors import ValidationFailed
-from .graded import (GradedHomElement, all_morphisms, compose, differential_rows,
-                     hom_layout, identity_element, is_morphism, make_element,
-                     shift_element, zero_element)
+from .graded import (GradedHomElement, all_morphisms, compose, coords_of,
+                     differential_rows, element_from_coords, hom_layout,
+                     identity_element, is_morphism, make_element, shift_element,
+                     zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import (Matrix, _dense_rows, _kernel_vectors, _rref,  # noqa: F401
-                     subspaces)
+from .linalg import Matrix, _kernel_vectors, _rref, subspaces  # noqa: F401
 from .seq import Seq, direct_sum_seq
 
 
@@ -108,7 +113,7 @@ class HomContext:
         self.L = L = min(v.lo, w.lo - 1) - MARGIN
         self.R = R = max(v.hi, w.hi + 1) + MARGIN
         self.certificate = StabilizationCertificate((L, R), MARGIN)
-        self.off0, n = hom_layout(v, w, 0, L, R)
+        _, n = hom_layout(v, w, 0, L, R)
         self.N = n
 
         d0 = differential_rows(v, w, 0, L, R)
@@ -129,54 +134,17 @@ class HomContext:
         pivset = set(self.img_pivots)
         self.nonpivots = [j for j in range(n) if j not in pivset]
 
-    def _window_matrix(self, n: int, hi: int) -> Matrix:
-        _, cols = hom_layout(self.src, self.dst, n, self.L, hi)
-        rows = _dense_rows(differential_rows(self.src, self.dst, n, self.L, hi),
-                           cols, self.field.zero)
-        return Matrix(self.field, len(rows), cols, tuple(x for row in rows for x in row))
-
-    @property
-    def d0(self) -> Matrix:
-        """The window matrix of d^0 (rows: constraints, columns: coordinates)."""
-        return self._window_matrix(0, self.R)
-
-    @property
-    def dminus1(self) -> Matrix:
-        """The window matrix of d^-1 (columns: the entries of h^j,
-        L <= j <= R+1)."""
-        return self._window_matrix(-1, self.R + 1)
-
     # -- coordinates <-> elements ----------------------------------------
 
     def vec_of(self, g: GradedHomElement) -> list:
+        """The window coordinates of a degree-0 element from V to W."""
         if (g.src, g.dst, g.degree) != (self.src, self.dst, 0):
             raise ValidationFailed("element does not belong to this hom context")
-        out = []
-        for i in range(self.L, self.R + 1):
-            out.extend(g.component(i).data)
-        return out
+        return coords_of(g, self.L, self.R)
 
     def element_from_vec(self, vec: list, constant_tails: bool = False) -> GradedHomElement:
-        v, w, f = self.src, self.dst, self.field
-        zeros = Matrix.zeros
-        mats = {}
-        for i in range(self.L, self.R + 1):
-            r, c = w.dim(i), v.dim(i)
-            o = self.off0[i]
-            block = vec[o:o + r * c]
-            mats[i] = Matrix(f, r, c, tuple(block)) if any(block) else zeros(f, r, c)
-
-        if constant_tails:
-            # a morphism repeats its boundary blocks beyond the window (see
-            # the module docstring); their shapes are the tail shapes
-            def fn(i):
-                return mats[min(max(i, self.L), self.R)]
-        else:
-            def fn(i):
-                if i < self.L or i > self.R:
-                    return zeros(f, w.dim(i), v.dim(i))
-                return mats[i]
-        return make_element(v, w, 0, self.L, self.R, fn)
+        return element_from_coords(self.src, self.dst, 0, self.L, self.R, vec,
+                                   constant_tails)
 
     def reduce_vec(self, vec: list) -> list:
         """Canonical representative of ``vec`` modulo the image of d^-1: the
@@ -235,28 +203,6 @@ class HomContext:
 @lru_cache(maxsize=None)
 def get_context(v: Seq, w: Seq) -> HomContext:
     return HomContext(v, w)
-
-
-@dataclass(frozen=True, eq=False)
-class HomData:
-    """Result bundle of ``hom_complex``."""
-
-    dim_hom: int
-    dim_eps: int
-    hom_basis: Tuple[GradedHomElement, ...]
-    eps_basis: Tuple[GradedHomElement, ...]
-    d0: Matrix
-    dminus1: Matrix
-    window: Tuple[int, int]
-    certificate: StabilizationCertificate
-
-
-def hom_complex(v: Seq, w: Seq) -> HomData:
-    """Bases of Hom_S(v, w) and Hom_eps(v, w) plus the window differentials."""
-    ctx = get_context(v, w)
-    return HomData(ctx.dim_hom, ctx.dim_eps,
-                   tuple(ctx.hom_basis()), tuple(ctx.eps_basis()),
-                   ctx.d0, ctx.dminus1, (ctx.L, ctx.R), ctx.certificate)
 
 
 # -- morphisms of the enlarged category ---------------------------------

@@ -155,12 +155,18 @@ class Document:
         return self.morphisms[name]
 
 
-def check_span(lo: int, hi: int, what: str) -> None:
-    """Refuse a window of more than ``MAX_SPAN`` degrees
-    (``dualseq.config``), before anything is built for it."""
-    if hi - lo >= MAX_SPAN:
+def check_span(lo, hi, what: str) -> None:
+    """Refuse a window of more than ``MAX_SPAN`` degrees, or with a finite
+    end outside ``[-MAX_SPAN, MAX_SPAN]`` (``dualseq.config``), before
+    anything is built for it.  An infinite end (a ray) is not a degree and
+    is not bounded."""
+    if isinstance(lo, int) and isinstance(hi, int) and hi - lo >= MAX_SPAN:
         raise ValidationFailed(f"{what} [{lo}, {hi}] spans {hi - lo + 1} degrees, "
                                f"more than the limit of {MAX_SPAN}")
+    for x in (lo, hi):
+        if isinstance(x, int) and abs(x) > MAX_SPAN:
+            raise ValidationFailed(f"{what} [{lo}, {hi}] reaches degree {x}, "
+                                   f"more than the limit of {MAX_SPAN} from 0")
 
 
 def _int(s: _Stream, tok: _Tok) -> int:
@@ -269,8 +275,7 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
         if key.text == "interval":
             a = _parse_endpoint(s)
             b = _parse_endpoint(s)
-            if isinstance(a, int) and isinstance(b, int):
-                check_span(a, b, "interval")
+            check_span(a, b, "interval")
             s.next("punct", "}")
             return interval(field, a, b)
         if key.text == "window":
@@ -340,6 +345,7 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
     if ranks is None:
         raise s.error("complex needs ranks", s.peek())
     n = len(ranks)
+    check_span(degree, degree + n - 1, "complex window")
     d1 = tuple(d1_raw.get(k, Matrix.zeros(field, ranks[k + 1], ranks[k]))
                for k in range(n - 1))
     deps = tuple(deps_raw.get(k, Matrix.zeros(field, ranks[k + 1], ranks[k]))
@@ -641,6 +647,7 @@ def complex_from_json(data: dict, field: Field) -> EpsComplex:
     if not all(_is_int(r) and r >= 0 for r in data["ranks"]):
         raise ValidationFailed(f"complex ranks must be integers >= 0: {data['ranks']}")
     ranks = tuple(data["ranks"])
+    check_span(data["degree"], data["degree"] + len(ranks) - 1, "complex window")
     for key in ("d1", "deps"):
         if len(data[key]) != len(ranks) - 1:
             raise ValidationFailed(f"{len(ranks)} ranks need {len(ranks) - 1} "

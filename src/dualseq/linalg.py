@@ -3,14 +3,15 @@
 Matrices are immutable, row-major, dense, and tiny (the library works at
 desk scale), and scalars are exact: Python ints reduced mod p, or
 ``fractions.Fraction``.  No floats anywhere.  Every elimination goes through
-one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``:
-its cost follows the nonzeros, which is what the constraint systems of the
-hom windows need (a few nonzeros per row), and its result is exactly the
-Gauss-Jordan one, so callers with dense rows see no difference.  Nothing
-carries a transform witness: ``subspaces`` reads the kernel and image off
-one elimination of the matrix's own rows, ``solve`` eliminates ``[a | b]``
-and reads the solution off the trailing columns, and ``inverse`` is
-``solve(a, identity)``.
+one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``,
+the only row format: its cost follows the nonzeros, which is what the
+constraint systems of the hom windows need (a few nonzeros per row), and
+its result is exactly the Gauss-Jordan one, so callers that convert dense
+rows with ``_dict_rows`` see no difference.  Nothing carries a transform
+witness: ``subspaces`` reads the kernel and image off one elimination of
+the matrix's own rows, ``_solve_rows`` eliminates dict rows ``[a | b]`` and
+reads the solution off the trailing columns, ``solve`` hands it a matrix
+pair, and ``inverse`` is ``solve(a, identity)``.
 
 Zero matrices are shared: ``Matrix.zeros`` returns one immutable object per
 shape.  Most blocks of the enlarged category (composites, cone parts,
@@ -312,17 +313,15 @@ def _sub_row(row: dict, f, items, p) -> None:
 
 
 def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
-    """Gauss-Jordan on a list of rows; returns (rank, pivots).
+    """Gauss-Jordan on a list of dict rows ``{column: nonzero entry}``;
+    returns (rank, pivots).
 
-    Rows are dicts ``{column: nonzero entry}`` or dense lists.  Dict rows are
-    eliminated in place.  Dense rows keep the list contract: each is copied
-    into a dict first (so the caller's row lists are never mutated, and a
-    row object passed twice, as in ``[row] * 3``, is reduced as two separate
-    rows), and ``a`` is rewritten with dense lists at the end.  On return
-    ``a`` holds the rref rows, nonzero ones first.
+    The rows are eliminated in place (``_dict_rows`` converts dense ones).
+    On return ``a`` holds the rref rows, nonzero ones first.
 
     Only the first ``width`` columns are eliminated; trailing columns come
-    along for the ride.  That is how ``solve`` carries its right-hand sides.
+    along for the ride.  That is how ``_solve_rows`` carries its right-hand
+    sides.
 
     The work follows the nonzeros.  Each row's lead column is kept in a list
     (``min(row)``; a lead ``>= width`` means the row is zero on the
@@ -342,10 +341,6 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
     echelon rows are triangular at their pivots, and back substitution
     builds the same one.
     """
-    dense = bool(a) and not isinstance(a[0], dict)
-    if dense:
-        n = len(a[0])
-        a[:] = _dict_rows(a)
     m = len(a)
     p = field.p
     leads = [min(row) if row else width for row in a]
@@ -384,26 +379,12 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
             for c, x in [(c, x) for c, x in row.items() if c in pos and pos[c] > k]:
                 _sub_row(row, x, final[pos[c]], p)
             final[k] = list(row.items())
-    if dense:
-        a[:] = _dense_rows(a, n, field.zero)
     return r, tuple(pivots)
 
 
 def _dict_rows(rows) -> list:
     """Dense rows (any sequences) as dict rows."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-def _dense_rows(rows: list, n: int, zero) -> list:
-    """Dict rows as dense lists over the first ``n`` columns."""
-    out = []
-    for row in rows:
-        full = [zero] * n
-        for j, x in row.items():
-            if j < n:
-                full[j] = x
-        out.append(full)
-    return out
 
 
 def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
@@ -476,7 +457,7 @@ def complement(sub: Matrix, ambient_dim: int) -> Matrix:
     if sub.rows != ambient_dim:
         raise ValidationFailed("complement: ambient dimension mismatch")
     f = sub.field
-    _, pivots = _rref(f, [sub.col(j) for j in range(sub.cols)], ambient_dim,
+    _, pivots = _rref(f, _dict_rows(sub.col(j) for j in range(sub.cols)), ambient_dim,
                       reduced=False)
     pivots = set(pivots)
     free = [j for j in range(ambient_dim) if j not in pivots]
@@ -484,13 +465,32 @@ def complement(sub: Matrix, ambient_dim: int) -> Matrix:
     return Matrix(f, ambient_dim, len(free), data)
 
 
-def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Canonical solution ``x`` of ``a @ x == b`` (free variables zero), or None.
+def _solve_rows(field: Field, aug: list, k: int, m: int) -> Optional[list]:
+    """Canonical solution ``x`` (free variables zero) of a system given as
+    dict rows ``[a | b]``: ``a`` on the columns ``0..k-1`` and ``m``
+    right-hand sides on ``k..k+m-1``.  Returns the row-major entries of the
+    ``k x m`` matrix ``x``, or None when there is no solution.  ``aug`` is
+    eliminated in place.
 
-    ``[a | b]`` is eliminated on ``a``'s columns, so ``a``'s part ends in its
-    rref.  A solution with the free variables zero then sets each pivot
-    variable to the trailing entries of its pivot row.
+    The elimination runs on ``a``'s columns, so ``a``'s part ends in its
+    rref, and each pivot variable is set to the trailing entries of its
+    pivot row.
     """
+    rank_, pivots = _rref(field, aug, k)
+    # rows below the rank are zero on a's columns: the system is consistent
+    # exactly when their right-hand sides vanish too
+    if any(aug[rank_:]):
+        return None
+    x = [field.zero] * (k * m)
+    for row, c in zip(aug, pivots):
+        for j, y in row.items():
+            if j >= k:
+                x[c * m + j - k] = y
+    return x
+
+
+def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """Canonical solution ``x`` of ``a @ x == b`` (free variables zero), or None."""
     if a.rows != b.rows:
         raise ValidationFailed("solve: row mismatch")
     f = a.field
@@ -500,18 +500,8 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         for j, x in enumerate(b.data[i * m:(i + 1) * m], k):
             if x:
                 row[j] = x
-    rank_, pivots = _rref(f, aug, k)
-    # rows below the rank are zero on a's columns: the system is consistent
-    # exactly when their right-hand sides vanish too
-    if any(aug[rank_:]):
-        return None
-    z = f.zero
-    xdata = [z] * (k * m)
-    for row, c in zip(aug, pivots):
-        for j, x in row.items():
-            if j >= k:
-                xdata[c * m + j - k] = x
-    return Matrix(f, k, m, tuple(xdata))
+    x = _solve_rows(f, aug, k, m)
+    return None if x is None else Matrix(f, k, m, tuple(x))
 
 
 def inverse(a: Matrix) -> Matrix:

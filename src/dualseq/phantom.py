@@ -20,7 +20,7 @@ from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import compose
 from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
                   hat_eps, zero_hat)
-from .linalg import Matrix, _kernel_vectors, _rref, solve
+from .linalg import Matrix, _dict_rows, _kernel_vectors, _rref, solve
 from .seq import Seq, Tail
 from .triang import inclusion_element
 
@@ -52,6 +52,11 @@ class PhantomVerdict:
 _STABLE_RUN = 3
 
 
+def _require_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValidationFailed(f"phantom depth must be at least 1, got {depth}")
+
+
 def _require_h_projective(v: Seq, w: Seq) -> None:
     if not classify(v).h_projective or not classify(w).h_projective:
         raise ValidationFailed("phantom detection requires h-projective endpoints")
@@ -59,7 +64,7 @@ def _require_h_projective(v: Seq, w: Seq) -> None:
 
 def _kernel_chain(v: Seq, w: Seq, depth: int):
     """Stable subspace of classes killed by every truncation inclusion, as
-    coordinate rows in rref, with its level-by-level certificate.
+    coordinate dict rows in rref, with its level-by-level certificate.
 
     Each level ``n`` contributes one constraint row over the eps coordinates
     of Hom_eps(V, W) per eps coordinate of Hom_eps(V^(>=n), W).  The rows of
@@ -83,15 +88,14 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
         incl = inclusion_element(v, n)
         tctx = get_context(incl.src, w)
         cols = [tctx.eps_coords(compose(rep, incl)) for rep in reps]
-        system += [{j: col[r] for j, col in enumerate(cols) if col[r]}
-                   for r in range(tctx.dim_eps)]
+        system += _dict_rows(zip(*cols))
         new_rank, pivots = _rref(f, system, k)
         del system[new_rank:]
         run = run + 1 if new_rank == rank_ else 1
         rank_ = new_rank
         levels.append((n, k - rank_))
         if run >= _STABLE_RUN:
-            rows = _kernel_vectors(f, system, pivots, k)
+            rows = _dict_rows(_kernel_vectors(f, system, pivots, k))
             _rref(f, rows, k)           # in place: the rref basis of the kernel
             return rows, ctx, PhantomCertificate(tuple(levels), _STABLE_RUN)
         n -= 1
@@ -101,6 +105,7 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
 
 def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
     """Decide phantomness of a morphism between h-projective objects."""
+    _require_depth(depth)
     v, w = h.src, h.dst
     _require_h_projective(v, w)
     if not h.is_type_eps and not h.is_zero:
@@ -112,7 +117,8 @@ def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
     if not any(coords):
         return PhantomVerdict(True, "zero class", cert)
     # the class lies in the stable space when it adds nothing to the rank
-    if _rref(ctx.field, rows + [coords], ctx.dim_eps, reduced=False)[0] == len(rows):
+    if _rref(ctx.field, rows + _dict_rows([coords]), ctx.dim_eps,
+             reduced=False)[0] == len(rows):
         return PhantomVerdict(True, "class killed by every truncation", cert)
     return PhantomVerdict(False, "survives some truncation inclusion", cert)
 
@@ -120,12 +126,15 @@ def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
 def phantom_basis(v: Seq, w: Seq,
                   depth: int = 12) -> Tuple[List[HatMorphism], PhantomCertificate]:
     """Basis of the phantom subspace of Hom_eps(v, w)."""
+    _require_depth(depth)
     _require_h_projective(v, w)
     if v.left_tail is Tail.ZERO:
         _require_one_field(v, w)
         return [], PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
     rows, ctx, cert = _kernel_chain(v, w, depth)
-    return [hat_eps(ctx.eps_from_coords(r)) for r in rows], cert
+    zero = ctx.field.zero
+    return [hat_eps(ctx.eps_from_coords([r.get(j, zero) for j in range(ctx.dim_eps)]))
+            for r in rows], cert
 
 
 # -- finite diagrams and derivations ---------------------------------------

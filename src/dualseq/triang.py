@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import NotExact, ValidationFailed
-from .graded import GradedHomElement, differential, make_element
+from .graded import (GradedHomElement, differential, differential_rows,
+                     element_from_coords, hom_layout, make_element)
 from .hom import HatMorphism, compose_hat, get_context, hat, hat_eps, shift_hat
-from .linalg import (Matrix, block_matrix, complement, inverse, rank as mrank, solve,
-                     subspaces)
+from .linalg import (Matrix, _solve_rows, block_matrix, complement, inverse,
+                     rank as mrank, solve, subspaces)
 from .seq import Seq, Tail, make_seq, shift
 
 
@@ -275,35 +276,30 @@ def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
 
     A splitting is a degree -1 element h with -f^i = d_Y^(i-1) h^i
     + h^(i+1) d_X^i; it exists exactly when the class of f vanishes.  The
-    class is decided by reducing f modulo the image rows of the hom window;
-    only a vanishing class solves the window matrix of d^-1 for h.
+    class is decided by reducing f modulo the image rows of the hom window
+    ``[L, R]``.  Only a vanishing class is solved for h: the sparse rows of
+    d^-1 on ``L..R+1`` (``graded.differential_rows``, one row per window
+    coordinate of f) are solved against -f, and h repeats its boundary
+    blocks beyond ``L..R+1``, as a morphism does beyond its window.
     """
-    ctx = get_context(e.x, e.y)
+    x, y = e.x, e.y
+    ctx = get_context(x, y)
     field = ctx.field
     vec = ctx.vec_of(e.feps)
     # img_rows is an echelon basis of the image of d^-1, so a nonzero
-    # remainder means solve would return None
+    # remainder means the solve would find no h
     if any(ctx.reduce_vec(vec)):
         return None
-    target = Matrix.column(field, [field.neg(c) for c in vec])
-    sol = solve(ctx.dminus1, target)
+    L, R = ctx.L, ctx.R
+    _, width = hom_layout(x, y, -1, L, R + 1)
+    rows = differential_rows(x, y, -1, L, R + 1)
+    for row, c in zip(rows, vec):
+        if c:
+            row[width] = field.neg(c)
+    sol = _solve_rows(field, rows, width, 1)
     if sol is None:
         return None
-    mats = {}
-    pos = 0
-    for j in range(ctx.L, ctx.R + 2):
-        r, c = e.y.dim(j - 1), e.x.dim(j)
-        if r * c == 0:
-            mats[j] = Matrix.zeros(field, r, c)
-            continue
-        mats[j] = Matrix(field, r, c,
-                         tuple(sol.entry(pos + t, 0) for t in range(r * c)))
-        pos += r * c
-
-    def fn(j):
-        return mats[min(max(j, ctx.L), ctx.R + 1)]
-
-    h = make_element(e.x, e.y, -1, ctx.L, ctx.R + 1, fn)
+    h = element_from_coords(x, y, -1, L, R + 1, sol, constant_tails=True)
     if differential(h) != -e.feps:
         raise ValidationFailed("internal: splitting does not solve the coboundary equation")
     return h

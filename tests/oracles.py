@@ -169,16 +169,18 @@ def kernel_to_level(v: Seq, n: int, m: int) -> int:
     return v.dim(n) - rank(comp)
 
 
-def window_dims(v: Seq, w: Seq, margin: int) -> Tuple[int, int]:
-    """``(dim Hom_S, dim Hom_eps)`` as the window at ``margin`` sees them,
-    from dense ``d^0`` and ``d^-1`` built straight from the formula
+def window_matrices(v: Seq, w: Seq, margin: int) -> Tuple[list, list, int]:
+    """Dense ``d^0`` and ``d^-1`` of the window at ``margin``, built
+    straight from the formula
 
         d^n(f)^i = d_W^(n+i) f^i - (-1)^n f^(i+1) d_V^i
 
     on the window ``[L, R]`` around ``min(v.lo, w.lo - 1)`` and
-    ``max(v.hi, w.hi + 1)``, and ranked by ``gauss_jordan``.  ``d^0`` has
-    one row per entry of ``(df)^i``, ``L <= i < R``; ``d^-1`` one image
-    vector per entry of ``h^j``, ``L <= j <= R + 1``, cut to the window.
+    ``max(v.hi, w.hi + 1)``.  Returns ``(d0, dm1, N)``: ``d0`` has one row
+    per entry of ``(df)^i``, ``L <= i < R``; ``dm1`` one image vector per
+    entry of ``h^j``, ``L <= j <= R + 1``, cut to the window; both have
+    ``N`` columns, the entries of ``f^i``, ``L <= i <= R``, degree by
+    degree and row-major.
     """
     field = v.field
     lo = min(v.lo, w.lo - 1) - margin
@@ -220,5 +222,12 @@ def window_dims(v: Seq, w: Seq, margin: int) -> Tuple[int, int]:
                     for b in range(v.dim(j - 1)):
                         row[coord(j - 1, r, b)] += dv.entry(c, b)
                 dm1.append([field.coerce(x) for x in row])
+    return d0, dm1, n
 
+
+def window_dims(v: Seq, w: Seq, margin: int) -> Tuple[int, int]:
+    """``(dim Hom_S, dim Hom_eps)`` as the window at ``margin`` sees them:
+    ``window_matrices`` ranked by ``gauss_jordan``."""
+    d0, dm1, n = window_matrices(v, w, margin)
+    field = v.field
     return (n - gauss_jordan(field, d0, n)[0], n - gauss_jordan(field, dm1, n)[0])

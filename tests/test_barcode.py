@@ -164,3 +164,19 @@ def test_max_injective_subobject(field):
             break
     # cases mixing rays from -inf with other bars, where the choice matters
     assert hits == 12
+
+
+def test_huge_integer_endpoints_compare_exactly():
+    # ints and infinities compare exactly; float() of an endpoint past 1e308
+    # would overflow
+    big = 10**400
+    v = interval(F5, big, big + 1)
+    bar = Interval(big, big + 1)
+    assert multiplicities(v) == {bar: 1}
+    assert (rank_pairing(v, big, big + 1), rank_pairing(v, -INF, big),
+            rank_pairing(v, big, INF)) == (1, 0, 0)
+    bc = decompose(v)
+    assert bc.intervals == (bar,)
+    assert assemble(bc) == assemble(make_barcode(F5, [bar])) == v
+    ray = interval(F5, -INF, big)
+    assert decompose(ray).intervals == (Interval(-INF, big),)

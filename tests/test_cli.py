@@ -90,6 +90,10 @@ def test_hom_human(doc_path, capsys):
     ("seq P { interval 0 100000000 }", ("decompose", "P")),
     ("seq P { window -100000000 0 dims 1 }", ("decompose", "P")),
     ("", ("truncate", "S01", "-100000000")),
+    # short objects far apart, and a ray starting far out
+    ("seq Far { interval 4000000 4000000 }", ("hom", "S00", "Far")),
+    ("seq Far { interval 4000000 inf }", ("decompose", "Far")),
+    ("", ("truncate", "S01", "20000")),
 ])
 def test_span_limit_exit_code(tmp_path, capsys, body, args):
     p = tmp_path / "big.txt"
@@ -230,6 +234,13 @@ def test_exit_two_on_depth_exceeded(doc_path, capsys):
     code, _, err = run(capsys, "phantom", doc_path, "deep", "--depth", "1")
     assert code == 2
     assert "stabilize" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_depth_below_one_exits_one(doc_path, capsys, depth):
+    code, out, err = run(capsys, "phantom", doc_path, "deep", "--depth", depth)
+    assert (code, out) == (1, "")
+    assert err.startswith("validation error: ") and "at least 1" in err
 
 
 def test_depth_flag_default_succeeds(doc_path, capsys):

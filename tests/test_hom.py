@@ -12,8 +12,8 @@ from dualseq.graded import (compose, differential, is_morphism, shift_element,
                             zero_element)
 from dualseq import hom
 from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context, hat,
-                         hat_eps, hom_complex, identity_hat, shift_hat, zero_hat)
-from dualseq.linalg import Field, _rref, subspaces
+                         hat_eps, identity_hat, shift_hat, zero_hat)
+from dualseq.linalg import Field, Matrix, _dict_rows, _rref, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
 F2 = Field(2)
@@ -71,26 +71,28 @@ def test_hom_basis_elements_are_morphisms():
 
 def test_window_data_matches_fresh_elimination():
     # the context reads its kernel and coset data off one elimination per
-    # system; a fresh reduction of its own window matrices must agree
+    # system; a fresh reduction of the window matrices, built by the oracle
+    # straight from the formula, must agree
     rng = random.Random(12)
     for _ in range(12):
         f = rng.choice([F2, F5, Q])
         v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
         w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
         ctx = get_context(v, w)
-        d0 = ctx.d0
-        assert d0.cols == ctx.N
-        ker = subspaces(d0).kernel
+        d0, dm1, n = oracles.window_matrices(v, w, ctx.margin)
+        assert n == ctx.N
+        ker = subspaces(Matrix(f, len(d0), n, tuple(x for row in d0 for x in row))).kernel
         assert ctx.ker_basis_vecs == [ker.col(j) for j in range(ker.cols)]
-        img = ctx.dminus1.transpose().to_lists()
+        img = _dict_rows(dm1)
         rank_, pivots = _rref(f, img, ctx.N)
+        fresh = [[row.get(j, f.zero) for j in range(ctx.N)] for row in img[:rank_]]
         # the coset rows are echelon rows, pivot entries 1, whose rref (by
         # the oracle) is the fresh one
         dense = [[row.get(j, f.zero) for j in range(ctx.N)] for row in ctx.img_rows]
         assert ctx.img_pivots == pivots and len(dense) == rank_
         assert all(min(row) == c and row[c] == 1
                    for row, c in zip(ctx.img_rows, ctx.img_pivots))
-        assert oracles.gauss_jordan(f, dense, ctx.N) == (rank_, pivots, img[:rank_])
+        assert oracles.gauss_jordan(f, dense, ctx.N) == (rank_, pivots, fresh)
         assert ctx.nonpivots == [j for j in range(ctx.N) if j not in pivots]
 
 
@@ -103,7 +105,8 @@ def test_reduce_vec_matches_oracle_rref():
         v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
         w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
         ctx = get_context(v, w)
-        _, pivots, rref = oracles.gauss_jordan(f, ctx.dminus1.transpose().to_lists(), ctx.N)
+        dm1 = oracles.window_matrices(v, w, ctx.margin)[1]
+        _, pivots, rref = oracles.gauss_jordan(f, dm1, ctx.N)
         for _ in range(3):
             vec = [random_scalar(rng, f) for _ in range(ctx.N)]
             want = list(vec)
@@ -203,8 +206,9 @@ def test_wider_margin_changes_no_answer(monkeypatch, margin):
 @pytest.mark.parametrize("extra_checks", [1, 2, 3])
 @pytest.mark.parametrize("base_margin", [0, 1])
 def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
-    # the certificate's window is the one its margin lays out, and its own
-    # d^0 and d^-1, ranked by the oracle, give the context's dimensions.
+    # the certificate's window is the one its margin lays out, with the
+    # context's N coordinates, and its d^0 and d^-1, built and ranked by the
+    # oracle, give the context's dimensions.
     # Searching up from base_margin for the first margin whose next
     # extra_checks wider windows all agree, eliminated each on its own,
     # must stop at or below the certificate's margin, and every window it
@@ -223,8 +227,7 @@ def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
         assert cert.window == (min(v.lo, w.lo - 1) - cert.margin,
                                max(v.hi, w.hi + 1) + cert.margin)
         want = (ctx.dim_hom, ctx.dim_eps)
-        assert (ctx.N - oracles.rank(ctx.d0),
-                ctx.N - oracles.rank(ctx.dminus1)) == want
+        assert oracles.window_matrices(v, w, cert.margin)[2] == ctx.N
         assert oracles.window_dims(v, w, cert.margin) == want
         margin = base_margin
         while len({oracles.window_dims(v, w, margin + k)
@@ -236,12 +239,6 @@ def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
         widened += margin > base_margin
     if base_margin == 0:
         assert widened > 0
-
-
-def test_cached_context_keeps_no_dense_differentials():
-    ctx = get_context(interval(F5, 0, 2), interval(F5, 1, 3))
-    assert "d0" not in vars(ctx) and "dminus1" not in vars(ctx)
-    assert ctx.dminus1.rows == ctx.N == ctx.d0.cols
 
 
 def test_eps_basis_classes_independent():
@@ -358,13 +355,6 @@ def test_shift_hat_identity():
     v = interval(F5, 0, 2)
     s = shift_hat(identity_hat(v), 1)
     assert s == identity_hat(shift(v, 1))
-
-
-def test_hom_complex_window_is_proven_exact():
-    v = interval(F2, 0, 3)
-    w = interval(F2, 1, 2)
-    data = hom_complex(v, w)
-    assert data.dim_hom == get_context(v, w).dim_hom
 
 
 def test_zero_hat():

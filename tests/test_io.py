@@ -334,6 +334,12 @@ def test_field_json_malformed(data):
 
 
 # -- the span limit -----------------------------------------------------
+# A window spans at most MAX_SPAN degrees, and every finite degree read
+# from input, rays included, lies in [-MAX_SPAN, MAX_SPAN]: a hom window or
+# a cone spans the distance between two objects, so two short objects FAR
+# apart would cost as much as one long one.
+
+FAR = 4_000_000
 
 
 def _refused_before_building(fn):
@@ -354,6 +360,12 @@ def _refused_before_building(fn):
     "seq P { interval -100000000 0 }",
     "seq V { window 0 100000000 dims 1 }",
     "seq V { interval 0 0 }\nmor m : V -> V { window -100000000 0 }",
+    f"seq A {{ interval 0 0 }}\nseq B {{ interval {FAR} {FAR} }}",
+    f"seq P {{ interval {FAR} inf }}",
+    f"seq P {{ interval -inf {-FAR} }}",
+    f"seq V {{ window {FAR} {FAR + 1} dims 1 1 map {FAR} [[1]] }}",
+    f"seq V {{ interval 0 0 }}\nmor m : V -> V {{ window {FAR} {FAR} }}",
+    f"complex C {{ degree {-FAR} ranks 1 }}",
 ])
 def test_document_span_limit(body):
     _refused_before_building(lambda: parse_document(f"field 5\n{body}\n"))
@@ -366,10 +378,21 @@ def test_document_span_limit_boundary():
         parse_document(f"field 5\nseq P {{ interval 0 {MAX_SPAN} }}\n")
 
 
+def test_document_degree_limit_boundary():
+    doc = parse_document(f"field 5\nseq A {{ interval {-MAX_SPAN} {-MAX_SPAN} }}\n"
+                         f"seq B {{ interval {MAX_SPAN} inf }}\n")
+    assert (doc.seq("A").lo, doc.seq("B").lo) == (-MAX_SPAN, MAX_SPAN)
+    with pytest.raises(ValidationFailed, match=f"reaches degree {MAX_SPAN + 1},"):
+        parse_document(f"field 5\nseq P {{ interval {MAX_SPAN + 1} inf }}\n")
+
+
 @pytest.mark.parametrize("intervals", [
     [[0, 10**9]],
     [[0, 0], [10**9, "inf"]],          # short bars, far apart
     [["-inf", -10**9], [0, "inf"]],
+    [[FAR, FAR]],
+    [[FAR, "inf"]],
+    [["-inf", -FAR], ["-inf", "inf"]],
 ])
 def test_barcode_json_span_limit(intervals):
     _refused_before_building(lambda: barcode_from_json({"intervals": intervals}, F5))
@@ -378,4 +401,14 @@ def test_barcode_json_span_limit(intervals):
 def test_seq_json_span_limit():
     _refused_before_building(lambda: seq_from_json(
         {"window": [0, 10**9], "dims": [1], "maps": [], "tails": ["zero", "zero"]}, F5))
+
+
+def test_seq_json_degree_limit():
+    _refused_before_building(lambda: seq_from_json(
+        {"window": [FAR, FAR], "dims": [1], "maps": [], "tails": ["iso", "zero"]}, F5))
+
+
+def test_complex_json_degree_limit():
+    _refused_before_building(lambda: complex_from_json(
+        {"degree": FAR, "ranks": [1], "d1": [], "deps": []}, F5))
 

@@ -109,6 +109,21 @@ def test_depth_exceeded_raises():
         is_phantom(h, depth=1)
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_is_invalid(depth):
+    # refused before any shortcut: a compact source or a type-1 part would
+    # otherwise answer without reading the depth
+    v, w = interval(F2, -INF, 0), interval(F2, 0, 0)
+    h = hat_eps(get_context(v, w).eps_basis()[0])
+    calls = [lambda: is_phantom(h, depth=depth),
+             lambda: is_phantom(identity_hat(w), depth=depth),
+             lambda: phantom_basis(v, w, depth=depth),
+             lambda: phantom_basis(w, w, depth=depth)]
+    for call in calls:
+        with pytest.raises(ValidationFailed, match=f"at least 1, got {depth}"):
+            call()
+
+
 def _oracle_kernel_rows(field, rows, k):
     """The rref basis of the kernel of ``rows`` (over ``k`` coordinates),
     from the oracle's Gauss-Jordan."""
@@ -146,6 +161,7 @@ def test_kernel_chain_matches_stacked_oracle(field, shift, monkeypatch):
             continue
         checked += 1
         rows, _, cert = _kernel_chain(v, w, depth=12)
+        rows = [[row.get(j, field.zero) for j in range(k)] for row in rows]
         stacked, levels = [], []
         for n, _ in cert.levels:
             incl = inclusion_element(v, n + shift)

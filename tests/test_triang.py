@@ -331,8 +331,9 @@ def test_split_data_once_per_block(monkeypatch):
 def test_splits_decides_nonzero_class_without_solving(monkeypatch):
     from dualseq.graded import zero_element
     solves = []
-    real_solve = triang.solve
-    monkeypatch.setattr(triang, "solve", lambda a, b: solves.append(a) or real_solve(a, b))
+    real_solve = triang._solve_rows
+    monkeypatch.setattr(triang, "_solve_rows",
+                        lambda *args: solves.append(args) or real_solve(*args))
     for f in (F2, F5, Q):
         v = interval(f, 0, 0)
         ctx = get_context(v, v)
