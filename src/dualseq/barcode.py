@@ -9,11 +9,20 @@ blocks: one-dimensional in each degree of ``[a, b]`` (``a`` may be -inf,
   morphism from the assembled normal form onto the input,
 * the classification predicates that only depend on the barcode.
 
-The constructive decomposition is an elder rule: sweep degrees left to
-right, push each live basis vector through the transition, keep the oldest
-independent images, close off a bar when its image becomes dependent on
-older ones (correcting the bar's history so its column dies exactly), and
-open new bars on a complement of the image.
+The constructive decomposition is an elder rule, swept once per degree
+by column reduction against a running basis (as in Zomorodian-Carlsson's
+persistence algorithm).  Left to right, each live bar's vector is pushed
+through the transition, oldest bar first, and its image is reduced against
+an echelon basis of the images kept so far: pivot entries 1, each row
+carrying its coefficients over the kept bars.  An image that reduces to
+zero is a combination of older images, with the coefficients of that one
+reduction; they are unique, because the kept images are independent.  Its
+bar dies there, and the bar's history is rewritten by the same combination
+so that its column maps to zero exactly.  Any other bar survives.  New bars
+open on the unit vectors at the non-pivot coordinates.  The pivots are the
+leading coordinates of the span of the kept images, whichever basis of it
+is reduced, so this is the complement the rref of that span gives
+(docs/NOTES.md, "One sweep per decomposition").
 """
 
 from __future__ import annotations
@@ -25,8 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
-from .linalg import (Field, Matrix, block_matrix, complement, rank as matrix_rank,
-                     solve, subspaces)
+from .linalg import Field, Matrix, _sub_row, rank as matrix_rank, solve, subspaces
 from .seq import NEG_INF, POS_INF, Seq, Tail, interval, make_seq, zero_seq
 
 
@@ -171,21 +179,25 @@ def assemble(bc: Barcode) -> Seq:
     if right is Tail.ISO:
         hi += 1
 
-    def alive(i):
-        return [j for j, iv in enumerate(ivs)
-                if iv.a <= i <= iv.b]
-
-    dims = tuple(len(alive(i)) for i in range(lo, hi + 1))
+    # the bars alive in each degree of [lo, hi], in canonical order
+    alive: List[List[int]] = [[] for _ in range(lo, hi + 1)]
+    for j, iv in enumerate(ivs):
+        for i in range(max(iv.a, lo), min(iv.b, hi) + 1):
+            alive[i - lo].append(j)
+    dims = tuple(len(js) for js in alive)
     maps = []
     for i in range(lo, hi):
-        rows_idx = alive(i + 1)
-        cols_idx = alive(i)
+        rows_idx, cols_idx = alive[i + 1 - lo], alive[i - lo]
         sign = f.neg(f.one) if i % 2 else f.one
-        data = []
-        for rj in rows_idx:
-            for cj in cols_idx:
-                data.append(sign if rj == cj else f.zero)
-        maps.append(Matrix(f, len(rows_idx), len(cols_idx), tuple(data)))
+        # a bar alive at i and i + 1 maps its column onto its own row
+        row_of = {j: r for r, j in enumerate(rows_idx)}
+        n = len(cols_idx)
+        data = [f.zero] * (len(rows_idx) * n)
+        for c, j in enumerate(cols_idx):
+            r = row_of.get(j)
+            if r is not None:
+                data[r * n + c] = sign
+        maps.append(Matrix(f, len(rows_idx), n, tuple(data)))
     return make_seq(f, lo, dims, tuple(maps), left, right)
 
 
@@ -198,7 +210,7 @@ class _Bar:
     def __init__(self, birth, vec, degree, order):
         self.birth = birth
         self.death = None
-        self.vecs = {degree: vec}
+        self.vecs = {degree: vec}    # degree -> coordinates, a plain list
         self.order = order
 
 
@@ -206,56 +218,83 @@ def _interval_of(bar: _Bar) -> Interval:
     return Interval(bar.birth, bar.death)
 
 
+def _unit(f: Field, n: int, j: int) -> list:
+    vec = [f.zero] * n
+    vec[j] = f.one
+    return vec
+
+
 def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
     """Split ``v`` into interval blocks, returning the barcode together with
     an explicit degreewise isomorphism assemble(barcode) -> v."""
     f = v.field
+    p = f.p
     lo, hi = v.lo, v.hi
     bars: List[_Bar] = []
-    alive: List[_Bar] = []
     birth0 = NEG_INF if v.left_tail is Tail.ISO else lo
     n0 = v.dim(lo)
     for j in range(n0):
-        bar = _Bar(birth0, Matrix.identity(f, n0).column_matrix(j), lo, len(bars))
-        bars.append(bar)
-        alive.append(bar)
+        bars.append(_Bar(birth0, _unit(f, n0, j), lo, len(bars)))
+    alive = list(bars)
 
     for i in range(lo, hi + 1):
         m = v.map_at(i)
+        n, k = m.rows, m.cols
         sign = f.neg(f.one) if i % 2 else f.one
-        selected: List[_Bar] = []
-        sel_mat: Optional[Matrix] = None
+        # columns of sign * m as (row, entry) pairs of the nonzero entries
+        cols = [[(r, sign * x % p if p is not None else sign * x)
+                 for r, x in enumerate(m.data[t::k]) if x] for t in range(k)]
+        # echelon basis of the images kept so far: (pivot, row items, hist),
+        # pivot entry 1, with row = sum of hist[q] * (image of kept[q])
+        basis = []
+        kept: List[_Bar] = []
         for bar in alive:
-            u = (m @ bar.vecs[i]).scale(sign)
-            if u.is_zero:
-                bar.death = i
-                continue
-            coeffs = solve(sel_mat, u) if sel_mat is not None else None
-            if coeffs is None:
+            u = [f.zero] * n
+            for t, x in enumerate(bar.vecs[i]):
+                if x:
+                    for r, y in cols[t]:
+                        u[r] += x * y
+            if p is not None:
+                u = [x % p for x in u]
+            w = list(u)
+            hist = {len(kept): f.one}
+            for c, items, h in basis:
+                x = w[c]
+                if x:
+                    for r, y in items:
+                        w[r] = (w[r] - x * y) % p if p is not None else w[r] - x * y
+                    _sub_row(hist, x, h, p)
+            lead = next((r for r, x in enumerate(w) if x), None)
+            if lead is not None:
                 # independent of older images: the bar survives
+                inv = f.inv(w[lead])
+                basis.append((lead, [(r, x * inv % p if p is not None else x * inv)
+                                     for r, x in enumerate(w) if x],
+                              [(q, x * inv % p if p is not None else x * inv)
+                               for q, x in hist.items()]))
                 bar.vecs[i + 1] = u
-                selected.append(bar)
-                sel_mat = u if sel_mat is None else sel_mat.hstack(u)
+                kept.append(bar)
                 continue
-            # dependent on strictly older bars: dies here; rewrite the bar's
-            # history so its column maps to zero exactly
+            # u is a combination of strictly older images (hist says which,
+            # with this bar's own coefficient 1): the bar dies here, and its
+            # history is rewritten by the same combination so that its
+            # column maps to zero exactly
             bar.death = i
-            for t in list(bar.vecs):
-                corr = bar.vecs[t]
-                for k, older in enumerate(selected):
-                    c = coeffs.entry(k, 0)
-                    if c:
-                        corr = corr - older.vecs[t].scale(c)
-                bar.vecs[t] = corr
-        new_dim = v.dim(i + 1)
-        img = sel_mat if sel_mat is not None else Matrix.zeros(f, new_dim, 0)
-        comp = complement(img, new_dim)
-        fresh = []
-        for j in range(comp.cols):
-            bar = _Bar(i + 1, comp.column_matrix(j), i + 1, len(bars))
-            bars.append(bar)
-            fresh.append(bar)
-        alive = selected + fresh
+            del hist[len(kept)]
+            if hist:
+                for t, vec in bar.vecs.items():
+                    corr = list(vec)
+                    for q, h in hist.items():
+                        for r, x in enumerate(kept[q].vecs[t]):
+                            if x:
+                                corr[r] += h * x
+                    bar.vecs[t] = [x % p for x in corr] if p is not None else corr
+        # new bars on the non-pivot coordinates: a complement of the image
+        pivots = {c for c, _, _ in basis}
+        fresh = [_Bar(i + 1, _unit(f, n, j), i + 1, len(bars) + q)
+                 for q, j in enumerate(j for j in range(n) if j not in pivots)]
+        bars.extend(fresh)
+        alive = kept + fresh
 
     if v.right_tail is Tail.ISO:
         for bar in alive:
@@ -280,27 +319,28 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
 
 def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
     """Columns of the certificate at degree i are the vectors of the bars
-    alive at i, in canonical interval order."""
+    alive at i, in canonical interval order: a bar has a vector at exactly
+    the degrees of its bar inside ``[lo, hi + 1]``."""
     f = v.field
     lo, hi = v.lo, v.hi
+    cols_at: Dict[int, list] = {}
+    for b in order:
+        for t, vec in b.vecs.items():
+            cols_at.setdefault(t, []).append(vec)
 
-    def window_cols(i):
-        cols = [b.vecs[i] for b in order
-                if b.birth <= i <= b.death]
-        return block_matrix(f, [cols]) if cols else Matrix.zeros(f, v.dim(i), 0)
+    def cols_matrix(i):
+        cols = cols_at.get(i)
+        if not cols:
+            return Matrix.zeros(f, v.dim(i), 0)
+        return Matrix(f, len(cols[0]), len(cols),
+                      tuple(x for row in zip(*cols) for x in row))
 
-    phi_lo = window_cols(lo)
     if v.left_tail is Tail.ISO:
         sign = f.neg(f.one) if (lo - 1) % 2 else f.one
-        left_const = phi_lo @ a_seq.map_at(lo - 1).scale(sign)
+        left_const = cols_matrix(lo) @ a_seq.map_at(lo - 1).scale(sign)
     else:
         left_const = None
-    if v.right_tail is Tail.ISO:
-        cols = [b.vecs[hi + 1] for b in order if _is_pos_inf(b.death)]
-        right_const = (block_matrix(f, [cols]) if cols
-                       else Matrix.zeros(f, v.dim(hi + 1), 0))
-    else:
-        right_const = None
+    right_const = cols_matrix(hi + 1) if v.right_tail is Tail.ISO else None
 
     def fn(i):
         if i < lo:
@@ -311,7 +351,7 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
             if right_const is not None:
                 return right_const
             return Matrix.zeros(f, v.dim(i), a_seq.dim(i))
-        return window_cols(i)
+        return cols_matrix(i)
 
     return make_element(a_seq, v, 0, lo, hi, fn)
 

@@ -51,23 +51,23 @@ def random_seq(rng: random.Random, field: Field, max_bars: int = 8,
     """A random sequence, optionally conjugated by random basis changes so
     it does not arrive in normal form."""
     v = assemble(random_barcode(rng, field, max_bars, lo, hi))
-    if not scrambled or v.is_zero_object:
+    return scramble(rng, v) if scrambled else v
+
+
+def scramble(rng: random.Random, v: Seq) -> Seq:
+    """``v`` conjugated by a random basis change in every window degree.
+    The basis next to an Iso tail stays fixed, because the tail maps are
+    fixed signed identities; a change is drawn for it all the same."""
+    if v.is_zero_object:
         return v
+    field = v.field
     u = {i: random_invertible(rng, field, v.dim(i))
          for i in range(v.lo, v.hi + 1)}
-    maps = []
-    for i in range(v.lo, v.hi):
-        maps.append(u[i + 1] @ v.map_at(i) @ inverse(u[i]))
-    # boundary changes of basis must respect the declared tails, so only
-    # interior degrees are scrambled when a tail is Iso
-    if v.left_tail is Tail.ISO or v.right_tail is Tail.ISO:
-        fixed_lo = v.left_tail is Tail.ISO
-        fixed_hi = v.right_tail is Tail.ISO
-        maps = []
-        for i in range(v.lo, v.hi):
-            a = Matrix.identity(field, v.dim(i)) if (fixed_lo and i == v.lo) else u[i]
-            b = Matrix.identity(field, v.dim(i + 1)) if (fixed_hi and i + 1 == v.hi) else u[i + 1]
-            maps.append(b @ v.map_at(i) @ inverse(a))
+    if v.left_tail is Tail.ISO:
+        u[v.lo] = Matrix.identity(field, v.dim(v.lo))
+    if v.right_tail is Tail.ISO:
+        u[v.hi] = Matrix.identity(field, v.dim(v.hi))
+    maps = [u[i + 1] @ v.map_at(i) @ inverse(u[i]) for i in range(v.lo, v.hi)]
     return make_seq(field, v.lo, tuple(v.dim(i) for i in range(v.lo, v.hi + 1)),
                     maps, v.left_tail, v.right_tail)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .barcode import classify
 from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import compose
 from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
@@ -58,7 +57,8 @@ def _require_depth(depth: int) -> None:
 
 
 def _require_h_projective(v: Seq, w: Seq) -> None:
-    if not classify(v).h_projective or not classify(w).h_projective:
+    # h-projective means a Zero right tail (``barcode.classify``)
+    if v.right_tail is not Tail.ZERO or w.right_tail is not Tail.ZERO:
         raise ValidationFailed("phantom detection requires h-projective endpoints")
 
 

@@ -9,9 +9,9 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from dualseq.barcode import Interval, assemble, make_barcode
+from dualseq.barcode import Barcode, Interval, make_barcode
 from dualseq.linalg import Field, Matrix
-from dualseq.seq import Seq
+from dualseq.seq import Seq, Tail, make_seq, zero_seq
 
 F2 = Field(2)
 
@@ -117,6 +117,38 @@ def graded_iso_exists(v: Seq, w: Seq, lo: int, hi: int) -> bool:
     return extend(0, None)
 
 
+def assemble_all_pairs(bc: Barcode) -> Seq:
+    """The normal form of a barcode straight from the definition: the bars
+    alive in each degree are recounted, and each transition compares every
+    pair of bars, putting (-1)^i where a bar meets itself."""
+    f = bc.field
+    ivs = sorted(bc.intervals, key=lambda iv: iv.sort_key)
+    if not ivs:
+        return zero_seq(f)
+    finite = [x for iv in ivs for x in (iv.a, iv.b) if isinstance(x, int)]
+    if not finite:
+        return make_seq(f, 0, (len(ivs),), (), Tail.ISO, Tail.ISO)
+    lo, hi = min(finite), max(finite)
+    left = Tail.ISO if any(iv.a == -float("inf") for iv in ivs) else Tail.ZERO
+    right = Tail.ISO if any(iv.b == float("inf") for iv in ivs) else Tail.ZERO
+    if left is Tail.ISO:
+        lo -= 1
+    if right is Tail.ISO:
+        hi += 1
+
+    def alive(i):
+        return [j for j, iv in enumerate(ivs) if iv.a <= i <= iv.b]
+
+    dims = tuple(len(alive(i)) for i in range(lo, hi + 1))
+    maps = []
+    for i in range(lo, hi):
+        sign = f.neg(f.one) if i % 2 else f.one
+        data = [sign if rj == cj else f.zero
+                for rj in alive(i + 1) for cj in alive(i)]
+        maps.append(Matrix(f, len(alive(i + 1)), len(alive(i)), tuple(data)))
+    return make_seq(f, lo, dims, tuple(maps), left, right)
+
+
 def bar_shapes(lo: int, hi: int) -> List[Tuple[int, int]]:
     return [(a, b) for a in range(lo, hi + 1) for b in range(a, hi + 1)]
 
@@ -147,7 +179,7 @@ def brute_force_multiplicities(v: Seq, lo: int, hi: int) -> Dict[Interval, int]:
         bars = []
         for (a, b), k in zip(shapes, counts):
             bars.extend([Interval(a, b)] * k)
-        w = assemble(make_barcode(v.field, bars))
+        w = assemble_all_pairs(make_barcode(v.field, bars))
         if graded_iso_exists(v, w, lo, hi):
             hits.append(counts)
     assert len(hits) == 1, f"expected a unique normal form, found {len(hits)}"

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from oracles import brute_force_multiplicities
+from oracles import assemble_all_pairs, brute_force_multiplicities
+from dualseq import barcode, linalg
 from dualseq.barcode import (Interval, assemble, classify, decompose,
                              is_isomorphic, make_barcode, max_injective_subobject,
                              multiplicities, rank_pairing, verify_certificate)
 from dualseq.errors import ValidationFailed
-from dualseq.gen import random_barcode, random_seq
-from dualseq.linalg import Field, rank
-from dualseq.seq import direct_sum_seq, interval, shift
+from dualseq.gen import random_barcode, random_interval, random_seq, scramble
+from dualseq.linalg import Field, Matrix, rank
+from dualseq.seq import Tail, direct_sum_seq, interval, make_seq, shift
 
 F2 = Field(2)
 F5 = Field(5)
@@ -67,12 +68,15 @@ def test_decompose_scrambled_basis():
 
 
 def test_multiplicities_match_decompose():
+    # scrambled sequences over every field, rays included, with and without
+    # the certificate
     rng = random.Random(103)
-    for _ in range(40):
-        f = rng.choice([F2, F5])
-        v = random_seq(rng, f, max_bars=5, lo=-3, hi=3)
+    for t in range(60):
+        f = (F2, F5, Q)[t % 3]
+        v = random_seq(rng, f, max_bars=9, lo=-3, hi=3)
         mult = {iv: k for iv, k in multiplicities(v).items() if k}
         assert mult == decompose(v).counts()
+        assert mult == decompose(v, with_certificate=False).counts()
 
 
 def test_multiplicities_against_brute_force_spot():
@@ -180,3 +184,74 @@ def test_huge_integer_endpoints_compare_exactly():
     assert assemble(bc) == assemble(make_barcode(F5, [bar])) == v
     ray = interval(F5, -INF, big)
     assert decompose(ray).intervals == (Interval(-INF, big),)
+
+
+def _typed(v):
+    """A sequence with every entry's type, for comparisons that must see
+    Fraction(0) and 0 as different."""
+    return (v.lo, v.dims, v.left_tail, v.right_tail,
+            tuple(tuple((type(x), x) for x in m.data) for m in v.maps))
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_assemble_matches_all_pairs_definition(field):
+    rng = random.Random(105)
+    empty = make_barcode(field, [])
+    assert _typed(assemble(empty)) == _typed(assemble_all_pairs(empty))
+    for _ in range(80):
+        bc = random_barcode(rng, field, max_bars=9, lo=-4, hi=4)
+        assert _typed(assemble(bc)) == _typed(assemble_all_pairs(bc))
+
+
+def test_sweep_counts_match_brute_force_on_small_windows():
+    rng = random.Random(107)
+    checked = 0
+    while checked < 20:
+        bars = [random_interval(rng, 0, 2) for _ in range(rng.randint(1, 4))]
+        if any(not isinstance(x, int) for iv in bars for x in (iv.a, iv.b)):
+            continue
+        v = scramble(rng, assemble(make_barcode(F2, bars)))
+        if v.is_zero_object or v.lo != 0 or v.hi != 2:
+            continue
+        if max(v.dim(i) for i in range(3)) > 2:
+            continue
+        assert decompose(v).counts() == brute_force_multiplicities(v, 0, 2)
+        checked += 1
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["F5", "Q"])
+def test_bar_dies_as_combination_of_two_older_bars(field):
+    # three bars born at -1; at degree 0 the third image is 2 * first +
+    # 3 * second, so the third bar dies there and its history is rewritten
+    one = Matrix.identity(field, 3)
+    m = Matrix.from_rows(field, [[1, 0, 2], [0, 1, 3]])
+    v = make_seq(field, -1, (3, 3, 2), (one, m), Tail.ZERO, Tail.ZERO)
+    bc = decompose(v)
+    assert bc.counts() == {Interval(-1, 0): 1, Interval(-1, 1): 2}
+    verify_certificate(bc, v)
+    # the dying bar comes first in canonical order; its rewritten column is
+    # e3 - 2 e1 - 3 e2 at -1 and maps to zero at 0
+    col = bc.certificate.component(-1).col(0)
+    assert col == [field.coerce(x) for x in (-2, -3, 1)]
+    assert (m @ bc.certificate.component(0)).col(0) == [field.zero] * 2
+    # the same sequence in a scrambled basis
+    rng = random.Random(108)
+    for _ in range(5):
+        w = scramble(rng, v)
+        back = decompose(w)
+        assert back == bc
+        verify_certificate(back, w)
+
+
+def test_decompose_neither_solves_nor_complements(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("decompose must reduce against its own basis")
+
+    rng = random.Random(109)
+    seqs = [random_seq(rng, (F2, F5, Q)[k % 3], max_bars=8) for k in range(30)]
+    for mod in (barcode, linalg):
+        monkeypatch.setattr(mod, "solve", boom, raising=False)
+        monkeypatch.setattr(mod, "complement", boom, raising=False)
+    for v in seqs:
+        decompose(v, with_certificate=False)
+        verify_certificate(decompose(v), v)

@@ -40,6 +40,26 @@ def test_phantom_requires_h_projective():
         is_phantom(zero_hat(v, v))
 
 
+def test_h_projective_read_from_the_right_tail(monkeypatch):
+    # the guard reads the tails; it must not classify (rank every
+    # transition and decompose) the endpoints
+    from dualseq import barcode
+
+    def boom(v):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(barcode, "classify", boom)
+    monkeypatch.setattr(phantom, "classify", boom, raising=False)
+    proj, ray = interval(F5, -INF, 1), interval(F5, 0, INF)
+    msg = "phantom detection requires h-projective endpoints"
+    for v, w in [(ray, proj), (proj, ray), (ray, ray)]:
+        with pytest.raises(ValidationFailed, match=msg):
+            is_phantom(zero_hat(v, w))
+        with pytest.raises(ValidationFailed, match=msg):
+            phantom_basis(v, w)
+    assert phantom_basis(proj, proj) is not None
+
+
 def test_type_one_morphisms_never_phantom():
     v = interval(F5, 0, 1)
     verdict = is_phantom(identity_hat(v))

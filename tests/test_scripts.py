@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["hom_grid.py", "--lo", "0", "--hi", "0"],
     ["phantom_scan.py", "--lo", "0", "--hi", "0"],
     ["derivation_search.py", "--trials", "1", "--per-trial", "1"],
+    ["decompose_scaling.py", "--sizes", "8", "--repeats", "1"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0])] + argv[1:],
