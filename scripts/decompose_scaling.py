@@ -1,11 +1,11 @@
 """Time ``decompose`` over a series of barcode sizes.
 
-For every size the script draws scrambled sequences with exactly that many
-bars (random intervals with endpoints in ``[lo, hi]`` and rays, each
-sequence conjugated by random basis changes) and prints one JSON line with
-the median milliseconds of ``decompose`` without and with its verified
-certificate.  A change in the complexity of the sweep shows up as a change
-in how the medians grow with the size.
+For every size the script draws scrambled F5 sequences with exactly that
+many bars (random intervals with endpoints in ``[-4, 4]`` and rays, each
+sequence conjugated by random basis changes, seed 1) and prints one JSON
+line with the median milliseconds of ``decompose`` without and with its
+verified certificate.  A change in the complexity of the sweep shows up as
+a change in how the medians grow with the size.
 """
 
 import argparse
@@ -21,9 +21,13 @@ from dualseq import Field, decompose
 from dualseq.barcode import assemble, make_barcode
 from dualseq.gen import random_interval, scramble
 
+FIELD = Field(5)
+LO, HI = -4, 4
+SEED = 1
 
-def sample(rng, field, bars, lo, hi):
-    bc = make_barcode(field, [random_interval(rng, lo, hi) for _ in range(bars)])
+
+def sample(rng, bars):
+    bc = make_barcode(FIELD, [random_interval(rng, LO, HI) for _ in range(bars)])
     return scramble(rng, assemble(bc))
 
 
@@ -38,24 +42,19 @@ def median_ms(fn, seqs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--field", default="5", help="prime p, or Q for rationals")
     ap.add_argument("--sizes", default="8,16,24,32,48,64",
                     help="comma-separated bar counts")
     ap.add_argument("--repeats", type=int, default=5,
                     help="sequences drawn per size")
-    ap.add_argument("--lo", type=int, default=-4)
-    ap.add_argument("--hi", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    f = Field(None) if args.field.upper() == "Q" else Field(int(args.field))
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     for bars in (int(s) for s in args.sizes.split(",")):
-        seqs = [sample(rng, f, bars, args.lo, args.hi) for _ in range(args.repeats)]
+        seqs = [sample(rng, bars) for _ in range(args.repeats)]
         print(json.dumps({
-            "field": repr(f), "bars": bars, "repeats": args.repeats,
+            "field": repr(FIELD), "bars": bars, "repeats": args.repeats,
             "decompose_ms": round(median_ms(
                 lambda v: decompose(v, with_certificate=False), seqs), 3),
             "decompose_certified_ms": round(median_ms(decompose, seqs), 3),

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
-from .linalg import Field, Matrix, _sub_row, rank as matrix_rank, solve, subspaces
+from .linalg import Field, Matrix, rank as matrix_rank, solve, subspaces
 from .seq import NEG_INF, POS_INF, Seq, Tail, interval, make_seq, zero_seq
 
 
@@ -244,8 +244,10 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
         # columns of sign * m as (row, entry) pairs of the nonzero entries
         cols = [[(r, sign * x % p if p is not None else sign * x)
                  for r, x in enumerate(m.data[t::k]) if x] for t in range(k)]
-        # echelon basis of the images kept so far: (pivot, row items, hist),
-        # pivot entry 1, with row = sum of hist[q] * (image of kept[q])
+        # echelon basis of the images kept so far, one (pivot, items) per
+        # kept bar: items are the nonzero entries of a row that holds an
+        # image vector at 0..n-1 and, at n + q, its coefficient over the
+        # image of kept[q]; pivot entry 1
         basis = []
         kept: List[_Bar] = []
         for bar in alive:
@@ -256,41 +258,37 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
                         u[r] += x * y
             if p is not None:
                 u = [x % p for x in u]
-            w = list(u)
-            hist = {len(kept): f.one}
-            for c, items, h in basis:
+            w = u + [f.zero] * len(kept) + [f.one]
+            for c, items in basis:
                 x = w[c]
                 if x:
                     for r, y in items:
                         w[r] = (w[r] - x * y) % p if p is not None else w[r] - x * y
-                    _sub_row(hist, x, h, p)
-            lead = next((r for r, x in enumerate(w) if x), None)
+            lead = next((r for r in range(n) if w[r]), None)
             if lead is not None:
                 # independent of older images: the bar survives
                 inv = f.inv(w[lead])
                 basis.append((lead, [(r, x * inv % p if p is not None else x * inv)
-                                     for r, x in enumerate(w) if x],
-                              [(q, x * inv % p if p is not None else x * inv)
-                               for q, x in hist.items()]))
+                                     for r, x in enumerate(w) if x]))
                 bar.vecs[i + 1] = u
                 kept.append(bar)
                 continue
-            # u is a combination of strictly older images (hist says which,
-            # with this bar's own coefficient 1): the bar dies here, and its
-            # history is rewritten by the same combination so that its
+            # u is a combination of strictly older images (w[n:] says which,
+            # with this bar's own coefficient 1 last): the bar dies here, and
+            # its history is rewritten by the same combination so that its
             # column maps to zero exactly
             bar.death = i
-            del hist[len(kept)]
+            hist = [(q, h) for q, h in enumerate(w[n:-1]) if h]
             if hist:
                 for t, vec in bar.vecs.items():
                     corr = list(vec)
-                    for q, h in hist.items():
+                    for q, h in hist:
                         for r, x in enumerate(kept[q].vecs[t]):
                             if x:
                                 corr[r] += h * x
                     bar.vecs[t] = [x % p for x in corr] if p is not None else corr
         # new bars on the non-pivot coordinates: a complement of the image
-        pivots = {c for c, _, _ in basis}
+        pivots = {c for c, _ in basis}
         fresh = [_Bar(i + 1, _unit(f, n, j), i + 1, len(bars) + q)
                  for q, j in enumerate(j for j in range(n) if j not in pivots)]
         bars.extend(fresh)

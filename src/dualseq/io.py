@@ -15,6 +15,7 @@ entries as plain integers.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field as dfield
@@ -27,7 +28,6 @@ from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
 from .graded import GradedHomElement, make_element, zero_element
 from .hom import HatMorphism, hat
-from .jsonfmt import dumps_report
 from .linalg import Field, Matrix
 from .phantom import Derivation, Diagram
 from .seq import Seq, Tail, interval, make_seq
@@ -725,4 +725,4 @@ def morphism_to_json(h: HatMorphism) -> dict:
 
 
 def report_json(payload: dict) -> str:
-    return dumps_report({"schema": 1, **payload})
+    return json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True)

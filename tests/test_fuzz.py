@@ -81,15 +81,10 @@ def test_mutated_document_cli_exit_codes(doc_file, case, as_json):
     text, argv = case
     doc_file.write_text(text)
     args = [argv[0], str(doc_file), *argv[1:]] + (["--json"] if as_json else [])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
+    with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(args)
     assert code in (0, 1, 2)
-    if as_json and code == 0:
-        # the report is what the stdlib encoder writes for its own data
-        text = out.getvalue()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 # -- JSON payloads -----------------------------------------------------------

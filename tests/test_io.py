@@ -1,6 +1,5 @@
 """Document grammar and JSON serialization."""
 
-import gc
 import json
 import math
 import random
@@ -312,45 +311,6 @@ def test_json_payload_is_valid_json():
     data = json.loads(s)
     assert data["schema"] == 1
     assert data["object"]["window"] == [0, 1]
-
-
-def _stdlib_report(payload):
-    return json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("payload", [
-    {},
-    {"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {}}},
-    {"deep": {"x": [1, [2, [3, {"y": [None, True, False]}]]]}, "z": -7, "big": 10**30},
-    {"esc": "quote \" slash \\ tab \t nl \n nul \x00", "uni": "\u00e9\u2192\U0001d53d",
-     "\u00e9 key": "v", "": ""},
-    {"floats": [0.1, -2.5, 1e300, float("inf"), -float("inf"), float("nan")],
-     "keys": {3: "int", 2.5: "float"}, "tuple": (1, "a")},
-    {"schema": 2, "b": 1, "a": 2},
-], ids=["empty", "empty-containers", "nested", "escaped", "numbers", "schema"])
-def test_report_json_matches_stdlib_encoder(payload):
-    assert report_json(payload) == _stdlib_report(payload)
-
-
-def test_report_json_rejects_what_json_rejects():
-    for payload in ({"x": Fraction(1, 2)}, {"x": {(1, 2): 0}}):
-        with pytest.raises(TypeError):
-            _stdlib_report(payload)
-        with pytest.raises(TypeError):
-            report_json(payload)
-
-
-def test_report_json_leaves_no_cyclic_garbage():
-    payload = {"object": seq_to_json(interval(Q, 0, 1)),
-               "barcode": barcode_to_json(decompose(interval(F5, -math.inf, 2)))}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(10):
-            report_json(payload)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_rational_entries_serialized_as_strings():
