@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
-from .linalg import Field, Matrix, rank as matrix_rank, solve, subspaces
+from .linalg import Field, Matrix, rank as matrix_rank
 from .seq import NEG_INF, POS_INF, Seq, Tail, interval, make_seq, zero_seq
 
 
@@ -389,24 +389,17 @@ class Classification:
 
 
 def classify(v: Seq) -> Classification:
-    """Predicates readable from window plus tails.
+    """Predicates readable from window plus tails, off one barcode.
 
-    * injective: every transition surjective (no finite births);
-    * acyclic: every transition an isomorphism;
+    * injective: every transition surjective, i.e. no bar has a finite
+      start (a bar born at a finite ``a`` is missed by the map into ``a``);
+    * acyclic: every transition an isomorphism, i.e. every bar is
+      ``[-inf, inf]`` (a finite end is a kernel, a finite start a cokernel);
     * h-projective: the right tail vanishes;
     * bounded_class: strictest of sb (finite support), b (right-bounded),
       plus.  With Zero/Iso tails the transitions are always eventually
       isomorphisms on the left, so minus/unbounded cannot occur.
     """
-    surj = True
-    iso = True
-    for i in range(v.lo - 1, v.hi + 1):
-        m = v.map_at(i)
-        r = matrix_rank(m)
-        if r != m.rows:
-            surj = False
-        if r != m.rows or r != m.cols:
-            iso = False
     h_proj = v.right_tail is Tail.ZERO
     if v.left_tail is Tail.ZERO and v.right_tail is Tail.ZERO:
         bounded = "sb"
@@ -414,14 +407,15 @@ def classify(v: Seq) -> Classification:
         bounded = "b"
     else:
         bounded = "plus"
-    bc = decompose(v, with_certificate=False)
+    ivs = decompose(v, with_certificate=False).intervals
+    injective = all(_is_neg_inf(iv.a) for iv in ivs)
     return Classification(
-        injective=surj,
-        acyclic=iso,
+        injective=injective,
+        acyclic=injective and all(_is_pos_inf(iv.b) for iv in ivs),
         h_projective=h_proj,
         bounded_class=bounded,
         finitely_generated_degreewise=True,
-        indecomposable=len(bc) == 1,
+        indecomposable=len(ivs) == 1,
     )
 
 
@@ -430,35 +424,20 @@ def classify(v: Seq) -> Classification:
 
 def max_injective_subobject(v: Seq) -> Tuple[Seq, HatMorphism]:
     """The largest subobject on which all transitions are surjective: the
-    stable images flowing in from the left tail.  Returns it with its
-    type-1 inclusion."""
-    f = v.field
-    if v.left_tail is Tail.ZERO:
-        sub = zero_seq(f)
-        incl = hat(make_element(sub, v, 0, v.lo, v.hi,
-                                lambda i: Matrix.zeros(f, v.dim(i), 0)))
-        return sub, incl
-    lo, hi = v.lo, v.hi
-    basis = {lo: Matrix.identity(f, v.dim(lo))}
-    for i in range(lo, hi):
-        pushed = v.map_at(i) @ basis[i]
-        basis[i + 1] = subspaces(pushed).image
-    dims = tuple(basis[i].cols for i in range(lo, hi + 1))
-    maps = tuple(solve(basis[i + 1], v.map_at(i) @ basis[i]) for i in range(lo, hi))
-    if None in maps:
-        raise ValidationFailed("internal: image basis does not span")
-    sub = make_seq(f, lo, dims, maps, Tail.ISO, v.right_tail)
+    stable images flowing in from the left tail, which are the bars that
+    start at -inf.  Returns it with its type-1 inclusion.
 
-    right_const = basis[hi] if v.right_tail is Tail.ISO else None
+    Those bars sort first, so in every degree they are the leading columns
+    of the certificate of ``v``'s decomposition, and the inclusion's
+    component is that column block."""
+    f = v.field
+    bc = decompose(v)
+    sub = assemble(Barcode(f, tuple(iv for iv in bc.intervals if _is_neg_inf(iv.a))))
+    cert = bc.certificate
 
     def fn(i):
-        if i < lo:
-            return basis[lo]
-        if i > hi:
-            if right_const is not None:
-                return right_const
-            return Matrix.zeros(f, v.dim(i), 0)
-        return basis[i]
+        # the leading sub.dim(i) columns of the certificate's component
+        return cert.component(i).transpose().row_block(0, sub.dim(i)).transpose()
 
-    incl = hat(make_element(sub, v, 0, lo, hi, fn))
+    incl = hat(make_element(sub, v, 0, v.lo, v.hi, fn))
     return sub, incl

@@ -247,19 +247,13 @@ class HomotopyEquivalence:
         lo = min(m.lo, nd.lo) - 1
         hi = max(m.hi, nd.hi) + 1
 
-        def n_rank(i):
-            return nd.rank_at(i)
-
-        def n_deps(i):
-            return nd.deps_at(i)
-
         for i in range(lo, hi + 1):
             f1_i, fe_i = self.f_at(i)
             f1_n, fe_n = self.f_at(i + 1)
             g1_i, ge_i = self.g_at(i)
             g1_n, ge_n = self.g_at(i + 1)
             dm1, dme = m.d1_at(i), m.deps_at(i)
-            dne = n_deps(i)
+            dne = nd.deps_at(i)
             # f chain map: 1-part and eps-part
             if not (f1_n @ dm1).is_zero:
                 raise ValidationFailed(f"f fails the 1-part chain law at {i}")
@@ -271,7 +265,7 @@ class HomotopyEquivalence:
             if (dme @ g1_i + dm1 @ ge_i) != (g1_n @ dne):
                 raise ValidationFailed(f"g fails the eps chain law at {i}")
             # f g = id on the target
-            ident = Matrix.identity(m.field, n_rank(i))
+            ident = Matrix.identity(m.field, nd.rank_at(i))
             if (f1_i @ g1_i) != ident:
                 raise ValidationFailed(f"f g is not the identity at {i}")
             if not (f1_i @ ge_i + fe_i @ g1_i).is_zero:
@@ -293,103 +287,62 @@ class HomotopyEquivalence:
 def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
     """Reduce to a complex with d1 = 0 and certify the reduction.
 
-    Per degree the basis is reordered as (B | H | C): image of the previous
-    d1, a complement of it inside the kernel, and a complement of the
-    kernel.  The new basis of B^(i+1) is d1(C^i basis), which makes d1 the
-    identity from the C block to the next B block; the minimal model is the
-    H block with the conjugated eps differential restricted to it.
+    Per degree the basis is reordered as P_i = (B_i | H_i | C_i): image of
+    the previous d1, a complement of it inside the kernel, and a complement
+    of the kernel.  The new basis of B_(i+1) is d1(C_i), which makes d1 the
+    identity from the C block to the next B block.  Every map is read off
+    blocks: with Q_i = P_i^-1, Q_i^B and Q_i^H its B and H rows, and
+    E_i^XY = Q_(i+1)^X deps^i Y_i, the minimal model is the H blocks with
+    differential E_i^HH, and
+
+        f1^i = Q_i^H                   feps^i = -E_(i-1)^HC Q_i^B
+        g1^i = H_i                     geps^i = -C_i E_i^BH
+        k1^i = -C_(i-1) Q_i^B          keps^i = C_(i-1) E_(i-1)^BC Q_i^B
+
+    with the terms of degree lo - 1 or hi + 1 zero (docs/NOTES.md, "Minimal
+    models in adapted coordinates").
     """
     report = validate(c)
     if not report.ok:
         raise ValidationFailed(f"cannot minimize: {report}")
     f = c.field
     lo, hi = c.lo, c.hi
-    n = hi - lo + 1
-    Z, C, B, H, P, Pinv = {}, {}, {}, {}, {}, {}
-    B[lo] = Matrix.zeros(f, c.rank_at(lo), 0)
+    # per degree i = lo + t: the blocks H_i, C_i of P_i, and Q_i^B, Q_i^H
+    H, C, QB, QH = [], [], [], []
+    b = Matrix.zeros(f, c.rank_at(lo), 0)
     for i in range(lo, hi + 1):
-        r = c.rank_at(i)
-        Z[i] = subspaces(c.d1_at(i)).kernel  # full space at i = hi
-        C[i] = complement(Z[i], r)
-        if i < hi:
-            B[i + 1] = c.d1_at(i) @ C[i]
-        beta = solve(Z[i], B[i])
+        ker = subspaces(c.d1_at(i)).kernel  # full space at i = hi
+        beta = solve(ker, b)
         if beta is None:
             raise ValidationFailed("internal: vector outside subspace")
-        gamma = complement(beta, Z[i].cols)
-        H[i] = Z[i] @ gamma
-        P[i] = block_matrix(f, [[B[i], H[i], C[i]]])
-        if P[i].rows != P[i].cols:
+        h = ker @ complement(beta, ker.cols)
+        cc = complement(ker, c.rank_at(i))
+        p = block_matrix(f, [[b, h, cc]])
+        if p.rows != p.cols:
             raise ValidationFailed("internal: basis count mismatch")
-        Pinv[i] = inverse(P[i])
-    bdim = {i: B[i].cols for i in range(lo, hi + 1)}
-    hdim = {i: H[i].cols for i in range(lo, hi + 1)}
-    cdim = {i: C[i].cols for i in range(lo, hi + 1)}
-    bdim[hi + 1] = 0
+        q = inverse(p)
+        H.append(h)
+        C.append(cc)
+        QB.append(q.row_block(0, b.cols))
+        QH.append(q.row_block(b.cols, b.cols + h.cols))
+        b = c.d1_at(i) @ cc
 
-    E = {}
-    for i in range(lo, hi):
-        E[i] = Pinv[i + 1] @ c.deps_at(i) @ P[i]
+    deps_n, e_bh, e_hc, e_bc = [], [], [], []
+    for t in range(hi - lo):
+        dh, dc = c.deps[t] @ H[t], c.deps[t] @ C[t]
+        deps_n.append(QH[t + 1] @ dh)
+        e_bh.append(QB[t + 1] @ dh)
+        e_hc.append(QH[t + 1] @ dc)
+        e_bc.append(QB[t + 1] @ dc)
+    nmin = make_minimal(f, lo, tuple(h.cols for h in H), deps_n)
 
-    def block(mat: Matrix, row_i: int, row_part: str, col_i: int, col_part: str) -> Matrix:
-        row_off = {"B": 0, "H": bdim[row_i], "C": bdim[row_i] + hdim[row_i]}
-        col_off = {"B": 0, "H": bdim[col_i], "C": bdim[col_i] + hdim[col_i]}
-        sizes = {"B": bdim, "H": hdim, "C": cdim}
-        r0 = row_off[row_part]
-        c0 = col_off[col_part]
-        nr = sizes[row_part][row_i]
-        nc = sizes[col_part][col_i]
-        data = []
-        for a in range(nr):
-            row = mat.row(r0 + a)
-            data.append(row[c0:c0 + nc])
-        return Matrix.from_rows(f, data) if nr and nc else Matrix.zeros(f, nr, nc)
-
-    deps_n = tuple(block(E[i], i + 1, "H", i, "H") for i in range(lo, hi))
-    nmin = make_minimal(f, lo, tuple(hdim[i] for i in range(lo, hi + 1)), deps_n)
-
-    z = Matrix.zeros
-    f1, feps, g1, geps, k1, keps = [], [], [], [], [], []
-    for i in range(lo, hi + 1):
-        r = c.rank_at(i)
-        h = hdim[i]
-        # f1 = [0 I 0] and g1 = [0;I;0] in the adapted basis
-        sel = block_matrix(f, [[z(f, h, bdim[i]), Matrix.identity(f, h),
-                                z(f, h, cdim[i])]])
-        f1.append(sel @ Pinv[i])
-        g1.append(P[i] @ sel.transpose())
-        # feps = [-(H,C block of E^(i-1)) 0 0]: columns of B^i are indexed by
-        # the C^(i-1) basis through B^(i+1) := d1(C^i)
-        if i > lo:
-            ctil = block(E[i - 1], i, "H", i - 1, "C")
-        else:
-            ctil = Matrix.zeros(f, h, 0)
-        fe = block_matrix(f, [[-ctil, z(f, h, hdim[i] + cdim[i])]])
-        feps.append(fe @ Pinv[i])
-        # geps = [0;0;-(B,H block of E^i)]
-        if i < hi:
-            a_blk = block(E[i], i + 1, "B", i, "H")
-        else:
-            a_blk = Matrix.zeros(f, 0, h)
-        ge = block_matrix(f, [[z(f, bdim[i] + hdim[i], h)], [-a_blk]])
-        geps.append(P[i] @ ge)
-        # k (already sign-adjusted so that g f - id = D k + k D):
-        # k1 = -id from B^i back to C^(i-1), keps = +(B,C block of E^(i-1))
-        if i > lo:
-            # rows (B H | C) of degree i-1, columns (B | H C) of degree i
-            top = z(f, bdim[i - 1] + hdim[i - 1], r)
-            rest = z(f, cdim[i - 1], hdim[i] + cdim[i])
-            k1_new = block_matrix(f, [[top], [-Matrix.identity(f, bdim[i]), rest]])
-            b_blk = block(E[i - 1], i, "B", i - 1, "C")
-            ke_new = block_matrix(f, [[top], [b_blk, rest]])
-            k1.append(P[i - 1] @ k1_new @ Pinv[i])
-            keps.append(P[i - 1] @ ke_new @ Pinv[i])
-        else:
-            k1.append(z(f, 0, r))
-            keps.append(z(f, 0, r))
-
-    he = HomotopyEquivalence(c, nmin, tuple(f1), tuple(feps), tuple(g1),
-                             tuple(geps), tuple(k1), tuple(keps))
+    # degree lo has no B block and degree hi no C block
+    z, r_lo = Matrix.zeros, c.rank_at(lo)
+    feps = (z(f, H[0].cols, r_lo),) + tuple(-e @ qb for e, qb in zip(e_hc, QB[1:]))
+    geps = tuple(-cc @ e for cc, e in zip(C, e_bh)) + (z(f, c.rank_at(hi), H[-1].cols),)
+    k1 = (z(f, 0, r_lo),) + tuple(-cc @ qb for cc, qb in zip(C, QB[1:]))
+    keps = (z(f, 0, r_lo),) + tuple(cc @ e @ qb for cc, e, qb in zip(C, e_bc, QB[1:]))
+    he = HomotopyEquivalence(c, nmin, tuple(QH), feps, tuple(H), geps, k1, keps)
     he.verify()
     return nmin, he
 

@@ -166,8 +166,13 @@ class Matrix:
     def to_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
 
-    def column_matrix(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, tuple(self.col(j)))
+    def row_block(self, start: int, stop: int) -> "Matrix":
+        """Rows ``start..stop-1`` as a ``(stop - start) x cols`` matrix."""
+        if not 0 <= start <= stop <= self.rows:
+            raise ValidationFailed(
+                f"row block {start}:{stop} outside a matrix with {self.rows} rows")
+        k = self.cols
+        return Matrix(self.field, stop - start, k, self.data[start * k:stop * k])
 
     @property
     def is_zero(self) -> bool:

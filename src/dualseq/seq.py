@@ -110,10 +110,6 @@ class Seq:
         return (all(d == 0 for d in self.dims)
                 and self.left_tail is Tail.ZERO and self.right_tail is Tail.ZERO)
 
-    @property
-    def span(self) -> int:
-        return self.hi - self.lo
-
     def stable_dim(self, side: str) -> int:
         if side == "left":
             return self.dims[0] if self.left_tail is Tail.ISO else 0

@@ -88,19 +88,15 @@ class _SplitData:
         rest = complement(sd.image, h1.rows)              # W^i = im (+) rest
         t = inverse(sd.image.hstack(rest)) if h1.rows else Matrix.zeros(f, 0, 0)
         q = rest.cols
-        pi = Matrix(f, q, h1.rows,
-                    tuple(t.entry(r, c) for r in range(h1.rows - q, h1.rows)
-                          for c in range(h1.rows)))       # coker coordinates
+        pi = t.row_block(h1.rows - q, h1.rows)            # coker coordinates
         p_im = Matrix.identity(f, h1.rows) - rest @ pi    # projection onto im
         hc = h1 @ comp
         y = solve(hc, p_im)
         if y is None:
             raise ValidationFailed("internal: section solve failed")
         sec = comp @ y                                    # h1 . sec = p_im
-        pk = inverse(ker.hstack(comp))
-        pker = Matrix(f, ker.cols, h1.cols,
-                      tuple(pk.entry(r, c) for r in range(ker.cols)
-                            for c in range(h1.cols)))     # kernel coordinates
+        # kernel coordinates
+        pker = inverse(ker.hstack(comp)).row_block(0, ker.cols)
         return ker, pker, pi, rest, sec
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from oracles import assemble_all_pairs, brute_force_multiplicities
 from dualseq import barcode, linalg
 from dualseq.barcode import (Interval, assemble, classify, decompose,
@@ -255,3 +256,67 @@ def test_decompose_neither_solves_nor_complements(monkeypatch):
     for v in seqs:
         decompose(v, with_certificate=False)
         verify_certificate(decompose(v), v)
+
+
+def _transition(v, a: int, b: int) -> Matrix:
+    """The composite transition of ``v`` from degree ``a`` to degree ``b >= a``."""
+    m = Matrix.identity(v.field, v.dim(a))
+    for i in range(a, b):
+        m = v.map_at(i) @ m
+    return m
+
+
+def _classify_draws(rng, field, n):
+    """Scrambled sequences, every other one of rays from -inf only, so that
+    injective and acyclic sequences are common."""
+    for k in range(n):
+        if k % 2:
+            ends = [rng.choice([-1, 0, 2, INF, INF]) for _ in range(rng.randint(0, 4))]
+            bc = make_barcode(field, [Interval(-INF, b) for b in ends])
+            yield scramble(rng, assemble(bc))
+        else:
+            yield random_seq(rng, field, max_bars=6)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_classify_flags_match_transition_ranks(field):
+    # injective means every transition is surjective, acyclic that every
+    # transition is an isomorphism; classify reads both off the bars
+    rng = random.Random(111)
+    seen = set()
+    for v in _classify_draws(rng, field, 120):
+        ts = [v.map_at(i) for i in range(v.lo - 1, v.hi + 1)]
+        ranks = [(oracles.rank(m), m.rows, m.cols) for m in ts]
+        c = classify(v)
+        assert c.injective == all(r == n for r, n, _ in ranks)
+        assert c.acyclic == all(r == n == k for r, n, k in ranks)
+        seen.add((c.injective, c.acyclic, v.is_zero_object))
+    assert {(False, False, False), (True, False, False), (True, True, False)} <= seen
+
+
+def test_classify_takes_no_rank(monkeypatch):
+    # the predicates come from the one decomposition, not from transition ranks
+    rng = random.Random(112)
+    seqs = list(_classify_draws(rng, F5, 20))
+    want = [classify(v) for v in seqs]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("classify must read its predicates off the bars")
+
+    monkeypatch.setattr(barcode, "matrix_rank", boom)
+    assert [classify(v) for v in seqs] == want
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_max_injective_subobject_is_stable_image(field):
+    # the subobject has surjective transitions, and its image in degree i is
+    # the image of the composite transition from v.lo - 1, inside the left tail
+    rng = random.Random(113)
+    for v in _classify_draws(rng, field, 60):
+        sub, incl = max_injective_subobject(v)
+        for i in range(sub.lo - 2, sub.hi + 2):
+            m = sub.map_at(i)
+            assert oracles.rank(m) == m.rows
+        for i in range(v.lo - 1, v.hi + 3):
+            inc, t = incl.f1.component(i), _transition(v, v.lo - 1, i)
+            assert oracles.rank(inc) == oracles.rank(t) == oracles.rank(inc.hstack(t))

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from oracles import window_dims
+from dualseq import dualnum
 from dualseq.dualnum import (EpsComplex, as_complex, cohomology,
                              eps_cohomology, from_seq, hom_k, make_minimal,
                              minimize, to_seq, validate)
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_eps_complex, random_minimal
 from dualseq.hom import get_context
-from dualseq.linalg import Field, Matrix
+from dualseq.linalg import Field, Matrix, block_matrix
 from dualseq.seq import interval
 
 F2 = Field(2)
@@ -131,3 +132,22 @@ def test_minimize_preserves_field():
     c = random_eps_complex(random.Random(34), Q, max_len=5, max_rank=3)
     nm, _ = minimize(c)
     assert nm.field == Q
+
+
+def test_minimize_builds_only_the_adapted_bases(monkeypatch):
+    # every map is read off blocks of P_i = (B_i | H_i | C_i) and its
+    # inverse: the one block matrix minimize builds per degree is P_i itself
+    grids = []
+
+    def recording(field, grid):
+        grids.append(grid)
+        return block_matrix(field, grid)
+
+    monkeypatch.setattr(dualnum, "block_matrix", recording)
+    rng = random.Random(47)
+    for k in range(40):
+        c = random_eps_complex(rng, (F2, F5, Q)[k % 3], max_len=6, max_rank=4)
+        grids.clear()
+        dualnum.minimize(c)
+        assert len(grids) == len(c.ranks)
+        assert all(len(g) == 1 and len(g[0]) == 3 for g in grids)

@@ -376,3 +376,27 @@ def test_rref_dict_rows_match_dense_oracle(field):
         assert _rref(field, rows, width) == (want_rank, want_pivots)
         assert all(isinstance(row, dict) and all(row.values()) for row in rows)
         assert [[row.get(j, field.zero) for j in range(n)] for row in rows] == want_rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_row_block_matches_list_slices(field):
+    # every range, empty ones and zero-column matrices included
+    rng = random.Random(61)
+    for _ in range(30):
+        r, c = rng.randint(0, 5), rng.randint(0, 3)
+        m = Matrix(field, r, c, tuple(field.coerce(rng.randint(-2, 2)) for _ in range(r * c)))
+        for start in range(r + 1):
+            for stop in range(start, r + 1):
+                blk = m.row_block(start, stop)
+                assert (blk.field, blk.rows, blk.cols) == (field, stop - start, c)
+                assert blk.to_lists() == m.to_lists()[start:stop]
+                assert [type(x) for x in blk.data] == [type(x) for row in
+                                                       m.to_lists()[start:stop] for x in row]
+
+
+def test_row_block_rejects_ranges_outside():
+    m = Matrix.zeros(F5, 3, 2)
+    for start, stop in [(-1, 2), (2, 1), (0, 4), (4, 4), (-1, -1), (3, 2)]:
+        with pytest.raises(ValidationFailed):
+            m.row_block(start, stop)
+    assert m.row_block(3, 3) == Matrix.zeros(F5, 0, 2)
