@@ -191,6 +191,14 @@ def _parse_endpoint(s: _Stream):
     return _parse_int(s)
 
 
+def _parse_window(s: _Stream, key: _Tok) -> Tuple[int, int]:
+    lo, hi = _parse_int(s), _parse_int(s)
+    if hi < lo:
+        raise s.error("window upper end below lower end", key)
+    check_span(lo, hi, "window")
+    return lo, hi
+
+
 def _scalar(text: str, field: Field):
     """The scalar ``text`` (``-?a`` or ``-?a/b``) in ``field``; ``b = 0``
     raises ``ZeroDivisionError``."""
@@ -264,27 +272,35 @@ def _parse_matrix(s: _Stream, field: Field, rows: int, cols: int) -> Matrix:
 _TAILS = {"zero": Tail.ZERO, "iso": Tail.ISO}
 
 
+def _once(s: _Stream, seen: set, tok: _Tok, *item) -> None:
+    """Record a key of a block, or a component and its degree; a repeat is
+    a parse error at ``tok``."""
+    if item in seen:
+        raise s.error("repeated " + " ".join(map(str, item)), tok)
+    seen.add(item)
+
+
 def _parse_seq(s: _Stream, field: Field) -> Seq:
     s.next("punct", "{")
     window = None
     dims = None
     maps_raw: Dict[int, Matrix] = {}
     tails = (Tail.ZERO, Tail.ZERO)
+    seen: set = set()
     while not s.accept("}"):
         key = s.next("word")
+        if key.text != "map":
+            _once(s, seen, key, key.text)
         if key.text == "interval":
+            if len(seen) > 1:
+                raise s.error("interval must be the only key", key)
             a = _parse_endpoint(s)
             b = _parse_endpoint(s)
             check_span(a, b, "interval")
             s.next("punct", "}")
             return interval(field, a, b)
         if key.text == "window":
-            lo = _parse_int(s)
-            hi = _parse_int(s)
-            if hi < lo:
-                raise s.error("window upper end below lower end", key)
-            check_span(lo, hi, "window")
-            window = (lo, hi)
+            window = _parse_window(s, key)
         elif key.text == "dims":
             if window is None:
                 raise s.error("dims must follow window", key)
@@ -297,6 +313,7 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
             i = _parse_int(s)
             if not window[0] <= i < window[1]:
                 raise s.error(f"map degree {i} outside window", key)
+            _once(s, seen, key, "map", i)
             k = i - window[0]
             maps_raw[i] = _parse_matrix(s, field, dims[k + 1], dims[k])
         elif key.text == "tails":
@@ -321,9 +338,14 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
     ranks = None
     d1_raw: Dict[int, Matrix] = {}
     deps_raw: Dict[int, Matrix] = {}
+    seen: set = set()
     while not s.accept("}"):
         key = s.next("word")
+        if key.text not in ("d1", "deps"):
+            _once(s, seen, key, key.text)
         if key.text == "degree":
+            if d1_raw or deps_raw:
+                raise s.error("degree must precede d1 and deps", key)
             degree = _parse_int(s)
         elif key.text == "ranks":
             ranks = []
@@ -338,6 +360,7 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
             k = i - degree
             if not 0 <= k < len(ranks) - 1:
                 raise s.error(f"{key.text} degree {i} outside window", key)
+            _once(s, seen, key, key.text, i)
             m = _parse_matrix(s, field, ranks[k + 1], ranks[k])
             (d1_raw if key.text == "d1" else deps_raw)[k] = m
         else:
@@ -368,21 +391,20 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
     one_raw: Dict[int, Matrix] = {}
     eps_raw: Dict[int, Matrix] = {}
     constant = None        # the `constant` token, when given
+    seen: set = set()
     while not s.accept("}"):
         key = s.next("word")
+        if key.text not in ("one", "eps"):
+            _once(s, seen, key, key.text)
         if key.text == "window":
-            lo = _parse_int(s)
-            hi = _parse_int(s)
-            if hi < lo:
-                raise s.error("window upper end below lower end", key)
-            check_span(lo, hi, "window")
-            window = (lo, hi)
+            window = _parse_window(s, key)
         elif key.text in ("one", "eps"):
             if window is None:
                 raise s.error(f"{key.text} must follow window", key)
             i = _parse_int(s)
             if not window[0] <= i <= window[1]:
                 raise s.error(f"component degree {i} outside window", key)
+            _once(s, seen, key, key.text, i)
             m = _parse_matrix(s, field, dst.dim(i), src.dim(i))
             (one_raw if key.text == "one" else eps_raw)[i] = m
         elif key.text == "tails":

@@ -148,10 +148,6 @@ class Matrix:
         z = field.zero
         return Matrix(field, n, n, tuple(v if i == j else z for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def column(field: Field, entries: Sequence) -> "Matrix":
-        return Matrix(field, len(entries), 1, tuple(field.coerce(x) for x in entries))
-
     # -- accessors ----------------------------------------------------
 
     def entry(self, i: int, j: int):

@@ -19,7 +19,7 @@ from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import compose
 from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
                   hat_eps, zero_hat)
-from .linalg import Matrix, _dict_rows, _kernel_vectors, _rref, solve
+from .linalg import _dict_rows, _kernel_vectors, _rref, _solve_rows
 from .seq import Seq, Tail
 from .triang import inclusion_element
 
@@ -235,36 +235,27 @@ def solve_inner(diag: Diagram, der: Derivation) -> Optional[Dict[str, HatMorphis
     for nm in names:
         offs[nm] = total
         total += ctxs[nm].dim_eps
-    rows: List[list] = []
-    rhs: List = []
+    rows: List[dict] = []
     f = None
     for gname in sorted(diag.generators):
         sn, dn, mor = diag.generators[gname]
         pctx = get_context(mor.src, mor.dst)
         f = pctx.field
-        target = pctx.eps_coords(der.at(gname).feps)
-        ncoords = len(target)
-        block = [[f.zero] * total for _ in range(ncoords)]
-        for j, rep in enumerate(ctxs[sn].eps_basis()):
-            col = pctx.eps_coords(compose(mor.f1, rep))
-            for r in range(ncoords):
-                block[r][offs[sn] + j] += col[r]
-        for j, rep in enumerate(ctxs[dn].eps_basis()):
-            col = pctx.eps_coords(compose(rep, mor.f1))
-            for r in range(ncoords):
-                block[r][offs[dn] + j] -= col[r]
-        rows.extend(block)
-        rhs.extend(target)
+        # one dict row per eps coordinate of the generator, the RHS in column total
+        block = [{total: y} if y else {} for y in pctx.eps_coords(der.at(gname).feps)]
+        cols = [(offs[sn] + j, 1, compose(mor.f1, rep))
+                for j, rep in enumerate(ctxs[sn].eps_basis())]
+        cols += [(offs[dn] + j, -1, compose(rep, mor.f1))
+                 for j, rep in enumerate(ctxs[dn].eps_basis())]
+        for c, sign, g in cols:
+            for row, x in zip(block, pctx.eps_coords(g)):
+                if x:
+                    row[c] = row.get(c, 0) + sign * x
+        rows += [{c: y for c, x in row.items() if (y := f.coerce(x))} for row in block]
     if f is None:
         return {nm: zero_hat(diag.objects[nm], diag.objects[nm]) for nm in names}
-    a = Matrix(f, len(rows), total, tuple(f.coerce(x) for row in rows for x in row))
-    b = Matrix.column(f, rhs)
-    sol = solve(a, b)
+    sol = _solve_rows(f, rows, total, 1)
     if sol is None:
         return None
-    out = {}
-    for nm in names:
-        k = ctxs[nm].dim_eps
-        coords = [sol.entry(offs[nm] + j, 0) for j in range(k)]
-        out[nm] = hat_eps(ctxs[nm].eps_from_coords(coords))
-    return out
+    return {nm: hat_eps(ctxs[nm].eps_from_coords(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]))
+            for nm in names}

@@ -57,16 +57,17 @@ class Triangle:
 class _SplitData:
     """Degreewise splittings attached to the 1-part of a morphism h: V -> W.
 
-    Per degree: a kernel basis, a complement of the kernel, a section of the
-    induced surjection onto the image, and cokernel coordinates.  All choices
-    are canonical (echelon based) and depend only on the block h1^i, so they
-    are computed once per distinct block and degrees with equal blocks share
-    identical data.
+    Per degree ``(ker, pker, pi, rest, sec)``: a kernel basis and the kernel
+    coordinates of V^i = ker (+) comp; the cokernel coordinates ``pi`` of
+    W^i = im (+) rest; and the section ``sec`` into span(comp) with ``h1 .
+    sec`` the projection onto im along rest.  h1 is injective on span(comp),
+    so ``img = h1 . comp`` is a basis of im and ``pi`` and ``sec`` are read
+    off ``(img | rest)^-1``.  All choices are canonical and depend only on
+    the block h1^i, so degrees with equal blocks share one computation.
     """
 
     def __init__(self, f1: GradedHomElement):
         self.f1 = f1
-        self.field = f1.src.field
         self._at: Dict[int, tuple] = {}
         self._by_block: Dict[Matrix, tuple] = {}
 
@@ -80,53 +81,57 @@ class _SplitData:
             self._at[i] = out
         return out
 
-    def _split(self, h1: Matrix) -> tuple:
-        f = self.field
-        sd = subspaces(h1)
-        ker = sd.kernel                                   # V^i basis of ker
+    @staticmethod
+    def _split(h1: Matrix) -> tuple:
+        ker = subspaces(h1).kernel                        # V^i basis of ker
         comp = complement(ker, h1.cols)                   # V^i = ker (+) comp
-        rest = complement(sd.image, h1.rows)              # W^i = im (+) rest
-        t = inverse(sd.image.hstack(rest)) if h1.rows else Matrix.zeros(f, 0, 0)
-        q = rest.cols
-        pi = t.row_block(h1.rows - q, h1.rows)            # coker coordinates
-        p_im = Matrix.identity(f, h1.rows) - rest @ pi    # projection onto im
-        hc = h1 @ comp
-        y = solve(hc, p_im)
-        if y is None:
-            raise ValidationFailed("internal: section solve failed")
-        sec = comp @ y                                    # h1 . sec = p_im
-        # kernel coordinates
+        img = h1 @ comp                                   # a basis of im
+        rest = complement(img, h1.rows)                   # W^i = im (+) rest
+        t = inverse(img.hstack(rest))
+        pi = t.row_block(img.cols, h1.rows)               # coker coordinates
+        sec = comp @ t.row_block(0, img.cols)             # h1 . sec projects onto im
         pker = inverse(ker.hstack(comp)).row_block(0, ker.cols)
         return ker, pker, pi, rest, sec
 
 
+def _glue(field, lo: int, hi: int, xdim, ydim, dx, dy, f, ends: Tuple[Seq, Seq]) -> Seq:
+    """E^i = X^i (+) Y^(i-1) on ``[lo, hi]``, with the map ``[[d_X^i, 0],
+    [-f^i, -d_Y^(i-1)]]``; a tail is ISO when either of ``ends`` has an ISO
+    tail on that side."""
+    dims = tuple(xdim(i) + ydim(i - 1) for i in range(lo, hi + 1))
+    maps = [block_matrix(field, [[dx(i), Matrix.zeros(field, xdim(i + 1), ydim(i - 1))],
+                                 [-f(i), -dy(i - 1)]]) for i in range(lo, hi)]
+    a, b = ends
+    lt = Tail.ISO if Tail.ISO in (a.left_tail, b.left_tail) else Tail.ZERO
+    rt = Tail.ISO if Tail.ISO in (a.right_tail, b.right_tail) else Tail.ZERO
+    return make_seq(field, lo, dims, maps, lt, rt)
+
+
 def _cone_window(h: HatMorphism) -> Tuple[int, int]:
     """The degrees on which ``cone`` builds U and samples f and g (see there)."""
-    v, w, f1, he = h.src, h.dst, h.f1, h.feps
-    return (min(v.lo, w.lo + 1, f1.lo - 1, he.lo),
-            max(v.hi, w.hi + 1, f1.hi + 2, he.hi + 1))
+    f1, he = h.f1, h.feps
+    return min(f1.lo - 1, he.lo), max(f1.hi + 2, he.hi + 1)
 
 
 def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     """Complete h: V -> W to a triangle shift(W,-1) -> U -> V -> W.
 
-    Returns (U, f, g).  The 1-parts of f and g are the natural inclusion of
-    the kernel and projection onto the cokernel; their eps-parts factor
-    through the image of h1 via the canonical section.
+    Returns (U, f, g).  U is glued by ``_glue`` from ker(h1) and cok(h1)
+    along the class ``gamma = pi . he . ker``; its maps alpha and beta are
+    those that h1, a chain map, induces on the kernel and the cokernel, so
+    ``alpha^i = pker^(i+1) . d_V^i . ker^i``.  The 1-parts of f and g are
+    the natural inclusion of the kernel and projection onto the cokernel;
+    their eps-parts factor through the image of h1 via the canonical section.
 
     U is built, and f and g sampled, on the window ``[lo, hi]`` of
     ``_cone_window``; beyond it every input they read is in its tail, so
     they are parity-periodic there, as ``make_seq`` and ``make_element``
-    require.  The map of U at degree i reads the splittings of h1 at
-    i-1..i+1, d_V^i, he^i and d_W^(i-1), and the dimension of U^i the
-    splittings at i-1 and i.  Below ``lo = min(v.lo, w.lo + 1, f1.lo - 1,
-    he.lo)`` all of these lie in the left tails: the splitting at i+1
-    reads h1^(i+1), hence ``f1.lo - 1``.  From ``hi = max(v.hi, w.hi + 1,
-    f1.hi + 2, he.hi + 1)`` on they lie in the right tails: the splitting at
-    i-1 reads h1^(i-1), hence ``f1.hi + 2``.  The components of f at degree i
-    read the splittings at i-1 and i, d_V^(i-1) and he^(i-1), and those of g
-    the splittings at i-1 and i, he^i and d_W^(i-1); outside ``[lo, hi]``
-    these are tail inputs too.
+    require.  At degree i they read the splittings of h1 at i-1..i+1,
+    d_V^(i-1), d_V^i, d_W^(i-1), he^(i-1) and he^i.  So they need ``lo <=
+    min(v.lo, w.lo + 1, f1.lo - 1, he.lo)`` and ``hi >= max(v.hi, w.hi + 1,
+    f1.hi + 2, he.hi + 1)``.  Every stored window contains ``base_window(v,
+    w)``, so ``f1.lo - 1 < min(v.lo, w.lo + 1)`` and ``f1.hi + 2 > max(v.hi,
+    w.hi + 1)``: the v and w terms never decide and are left out.
     """
     v, w = h.src, h.dst
     f1, he = h.f1, h.feps
@@ -140,23 +145,22 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     def qdim(i):
         return sp.at(i)[2].rows
 
-    dims = tuple(kdim(i) + qdim(i - 1) for i in range(lo, hi + 1))
-    maps = []
-    for i in range(lo, hi):
-        ker_i, _, pi_i, _, _ = sp.at(i)
-        ker_n = sp.at(i + 1)[0]
-        rest_p = sp.at(i - 1)[3]
-        alpha = solve(ker_n, v.map_at(i) @ ker_i)
-        if alpha is None:
+    def alpha(i):
+        ker_i, (ker_n, pker_n) = sp.at(i)[0], sp.at(i + 1)[:2]
+        d_ker = v.map_at(i) @ ker_i
+        out = pker_n @ d_ker
+        if ker_n @ out != d_ker:
             raise ValidationFailed("internal: kernel is not preserved")
-        gamma = pi_i @ he.component(i) @ ker_i
-        beta = pi_i @ w.map_at(i - 1) @ rest_p
-        maps.append(block_matrix(field, [[alpha, Matrix.zeros(field, alpha.rows, beta.cols)],
-                                         [-gamma, -beta]]))
-    lt = Tail.ISO if Tail.ISO in (v.left_tail, w.left_tail) else Tail.ZERO
-    rt = Tail.ISO if Tail.ISO in (v.right_tail, w.right_tail) else Tail.ZERO
-    u_obj = make_seq(field, lo, dims, maps, lt, rt)
+        return out
 
+    def beta(i):
+        return sp.at(i + 1)[2] @ w.map_at(i) @ sp.at(i)[3]
+
+    def gamma(i):
+        ker_i, _, pi_i, _, _ = sp.at(i)
+        return pi_i @ he.component(i) @ ker_i
+
+    u_obj = _glue(field, lo, hi, kdim, qdim, alpha, beta, gamma, (v, w))
     wm1 = shift(w, -1)
 
     def f1_at(i):
@@ -243,15 +247,7 @@ def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
     ctx = get_context(x, y)
     fc = ctx.canonical_eps(f)
     lo, hi = _extension_window(fc)
-    dims = tuple(x.dim(i) + y.dim(i - 1) for i in range(lo, hi + 1))
-    maps = []
-    for i in range(lo, hi):
-        z = Matrix.zeros(field, x.dim(i + 1), y.dim(i - 1))
-        maps.append(block_matrix(field, [[x.map_at(i), z],
-                                         [-fc.component(i), -y.map_at(i - 1)]]))
-    lt = Tail.ISO if Tail.ISO in (x.left_tail, y.left_tail) else Tail.ZERO
-    rt = Tail.ISO if Tail.ISO in (x.right_tail, y.right_tail) else Tail.ZERO
-    total = make_seq(field, lo, dims, maps, lt, rt)
+    total = _glue(field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fc.component, (x, y))
     ym1 = shift(y, -1)
 
     def inc_at(i):

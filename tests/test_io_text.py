@@ -66,6 +66,42 @@ def test_empty_matrix_literal_shape(text, line, col, msg):
     assert str(exc.value) == f"line {line}, col {col}: {msg}"
 
 
+_V = "seq V { interval 0 1 }\n"
+
+
+@pytest.mark.parametrize("text,line,col,msg", [
+    # a key of a block given twice: a traceback or a silent override before
+    ("seq V { window 0 1 dims 1 1 window 0 3 }", 2, 29, "repeated window"),
+    ("seq V { window 0 1 dims 1 1 map 0 [[1]] window 5 6 }", 2, 41, "repeated window"),
+    ("seq V { window 0 1 dims 1 1 map 0 [[1]] map 0 [[0]] }", 2, 41, "repeated map 0"),
+    ("seq V { window 0 1 dims 1 1 dims 1 1 }", 2, 29, "repeated dims"),
+    ("seq V { window 0 1 dims 1 1 tails zero zero tails iso iso }", 2, 45,
+     "repeated tails"),
+    ("seq V { window 0 3 dims 1 1 1 1 interval 0 0 }", 2, 33,
+     "interval must be the only key"),
+    ("complex C { ranks 1 1 d1 0 [[0]] degree 1 }", 2, 34,
+     "degree must precede d1 and deps"),
+    ("complex C { ranks 1 1 deps 0 [[0]] degree 1 }", 2, 36,
+     "degree must precede d1 and deps"),
+    ("complex C { degree 0 degree 1 ranks 1 1 }", 2, 22, "repeated degree"),
+    ("complex C { ranks 1 1 1 d1 0 [[0]] ranks 1 1 }", 2, 36, "repeated ranks"),
+    ("complex C { ranks 1 1 d1 0 [[0]] d1 0 [[0]] }", 2, 34, "repeated d1 0"),
+    ("complex C { ranks 1 1 deps 0 [[0]] deps 0 [[0]] }", 2, 36, "repeated deps 0"),
+    (_V + "mor h : V -> V { window 0 1 one 0 [[1]] one 1 [[1]] window 0 3 }", 3, 53,
+     "repeated window"),
+    (_V + "mor h : V -> V { window 0 1 window 0 3 }", 3, 29, "repeated window"),
+    (_V + "mor h : V -> V { tails zero tails constant }", 3, 29, "repeated tails"),
+    (_V + "mor h : V -> V { window 0 1 one 0 [[1]] one 0 [[2]] }", 3, 41,
+     "repeated one 0"),
+    (_V + "mor h : V -> V { window 0 1 eps 0 [[1]] eps 0 [[2]] }", 3, 41,
+     "repeated eps 0"),
+])
+def test_repeated_key_is_a_parse_error(text, line, col, msg):
+    with pytest.raises(ParseError) as exc:
+        parse_document("field 5\n" + text)
+    assert str(exc.value) == f"line {line}, col {col}: {msg}"
+
+
 def test_comment_inside_a_matrix_is_skipped():
     doc = parse_document(HEAD + "  map 0 [[1, 2], # first row\n [3,\n# between\n 4]]\n}\n")
     assert doc.seq("A").map_at(0).to_lists() == [[1, 2], [3, 4]]

@@ -16,7 +16,7 @@ from dualseq.linalg import Field
 from dualseq.phantom import (Derivation, Diagram, _kernel_chain, check_derivation,
                              inner_derivation, is_phantom, phantom_basis,
                              solve_inner)
-from dualseq.seq import Tail, interval
+from dualseq.seq import Tail, direct_sum_seq, interval
 from dualseq.triang import inclusion_element
 from oracles import gauss_jordan
 
@@ -255,6 +255,47 @@ def test_inner_by_construction_roundtrip():
         again = inner_derivation(diag, sol)
         for name in diag.generators:
             assert again.at(name) == der.at(name)
+
+
+def _random_one(rng, f, x, y):
+    h = zero_hat(x, y)
+    for g in get_context(x, y).hom_basis():
+        h = h + hat(g).scale(f.coerce(rng.randint(0, 2)))
+    return h
+
+
+@pytest.mark.parametrize("f", [F5, Q], ids=str)
+def test_inner_recovered_on_random_diagrams(f):
+    # objects with left rays, a composable pair and an endomorphism, so the
+    # terms f.theta_src and -theta_dst.f meet in one system, and on one
+    # object; F2 would hide their signs
+    rng = random.Random(72)
+    nonzero = 0
+    for _ in range(40):
+        objs = {}
+        for nm in "ABC":
+            v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+            if rng.random() < 0.5:
+                v = direct_sum_seq(v, interval(f, -INF, rng.randint(-1, 1)))
+            objs[nm] = v
+        a, b, c = objs.values()
+        fab, gbc = _random_one(rng, f, a, b), _random_one(rng, f, b, c)
+        diag = Diagram(objects=objs,
+                       generators={"f": ("A", "B", fab), "g": ("B", "C", gbc),
+                                   "gf": ("A", "C", compose_hat(gbc, fab)),
+                                   "e": ("A", "A", _random_one(rng, f, a, a))},
+                       relations=(("g", "f", "gf"),))
+        theta = {}
+        for nm, v in objs.items():
+            ctx = get_context(v, v)
+            theta[nm] = hat_eps(ctx.eps_from_coords(
+                [f.coerce(rng.randint(-2, 2)) for _ in range(ctx.dim_eps)]))
+        der = inner_derivation(diag, theta)
+        nonzero += any(not d.is_zero for d in der.assignment.values())
+        sol = solve_inner(diag, der)
+        assert sol is not None
+        assert inner_derivation(diag, sol).assignment == der.assignment
+    assert nonzero >= 10, nonzero
 
 
 def test_eps_generator_derivation_not_inner():

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import oracles
 from dualseq.barcode import decompose, is_isomorphic
 from dualseq.errors import NotExact, ValidationFailed
-from dualseq.gen import random_graded_element, random_seq
-from dualseq.graded import make_element, zero_element
+from dualseq.gen import (random_graded_element, random_invertible, random_matrix,
+                         random_seq)
+from dualseq.graded import base_window, make_element, zero_element
 from dualseq import triang
 from dualseq.hom import (HatMorphism, compose_hat, get_context, hat, hat_eps,
                          identity_hat, zero_hat)
@@ -326,6 +328,110 @@ def test_split_data_once_per_block(monkeypatch):
         visited += len(degrees)
     # the cone visits more than twice as many degrees as it splits blocks
     assert visited > 2 * blocks, (visited, blocks)
+
+
+def _blocks(rng, f):
+    # zero blocks, empty ones, blocks of full row and column rank, and
+    # random products m x r x n of every rank r
+    out = [Matrix.zeros(f, m, n) for m, n in ((0, 0), (0, 3), (3, 0), (2, 3))]
+    for n in range(1, 4):
+        g = random_invertible(rng, f, n)
+        out += [g, g.row_block(0, n - 1), g.row_block(0, n - 1).transpose()]
+    for _ in range(40):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        r = rng.randint(0, min(m, n))
+        out.append(random_matrix(rng, f, m, r) @ random_matrix(rng, f, r, n))
+    return out
+
+
+@pytest.mark.parametrize("f", [F2, F5, Q], ids=str)
+def test_split_data_identities(f):
+    # each part of the split against its defining identities, with the
+    # nullity and corank from the oracle rank
+    for h1 in _blocks(random.Random(62), f):
+        ker, pker, pi, rest, sec = triang._SplitData._split(h1)
+        m, n, r = h1.rows, h1.cols, oracles.rank(h1)
+        assert (ker.cols, rest.cols) == (n - r, m - r)
+        assert (h1 @ ker).is_zero and pker @ ker == Matrix.identity(f, n - r)
+        assert (pker @ sec).is_zero                   # sec maps into span(comp)
+        assert h1 @ sec @ h1 == h1
+        assert (pi @ h1).is_zero and pi @ rest == Matrix.identity(f, m - r)
+        assert h1 @ sec + rest @ pi == Matrix.identity(f, m)
+
+
+def test_cone_calls_no_solve(monkeypatch):
+    # every map of the cone is read off the splits: no solve is left
+    rng = random.Random(63)
+    cases = []
+    for k in range(24):
+        f = (F2, F5, Q)[k % 3]
+        v = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        h = random_hat(rng, f, v, w)
+        cases.append((h, _parts(*cone(h))))
+
+    def no_solve(*args):
+        raise AssertionError("cone called solve")
+
+    monkeypatch.setattr(triang, "solve", no_solve)
+    for h, want in cases:
+        assert _parts(*cone(h)) == want
+
+
+def test_cone_checks_kernel_is_preserved():
+    # a HatMorphism built without hat's check: h1 kills V^0 but not d_V(V^0)
+    for f in (F2, F5, Q):
+        v = interval(f, 0, 1)
+        w = direct_sum_seq(interval(f, 0, 0), interval(f, 1, 1))
+        one = make_element(v, w, 0, 0, 1, lambda i: Matrix.identity(f, 1) if i == 1
+                           else Matrix.zeros(f, w.dim(i), v.dim(i)))
+        with pytest.raises(ValidationFailed, match="kernel is not preserved"):
+            cone(HatMorphism(one, zero_element(v, w, 0)))
+
+
+def _wide_eps(rng, v, w, pad=3):
+    # a representative of an eps class that is not canonical: random
+    # components on the base window widened by pad, zero beyond
+    blo, bhi = base_window(v, w, 0)
+    comps = {i: random_matrix(rng, v.field, w.dim(i), v.dim(i))
+             for i in range(blo - pad, bhi + pad + 1)}
+    return make_element(v, w, 0, blo - pad, bhi + pad, lambda i: comps.get(
+        i, Matrix.zeros(v.field, w.dim(i), v.dim(i))))
+
+
+@pytest.mark.parametrize("side,term", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_cone_window_terms_are_needed(monkeypatch, side, term):
+    # moving any one term of _cone_window in by one degree changes some cone
+    # with rays (or breaks it).  The f1 terms bind on every cone; the eps
+    # terms never bind on a canonical eps part, whose window lies inside
+    # [f1.lo - 1, f1.hi + 1], but they do on a HatMorphism built directly
+    # with a wider representative
+    rng = random.Random(64)
+    cases = []
+    for k in range(60):
+        f = (F2, F5, Q)[k % 3]
+        v = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-3, hi=3))
+        w = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-3, hi=3))
+        h = random_hat(rng, f, v, w)
+        if k % 2:
+            h = HatMorphism(h.f1, _wide_eps(rng, v, w))
+        cases.append((h, _parts(*cone(h))))
+    real = triang._cone_window
+
+    def narrower(h):
+        terms = [h.f1.lo - 1, h.feps.lo], [h.f1.hi + 2, h.feps.hi + 1]
+        assert real(h) == (min(terms[0]), max(terms[1]))
+        terms[side][term] += 1 if side == 0 else -1
+        return min(terms[0]), max(terms[1])
+
+    monkeypatch.setattr(triang, "_cone_window", narrower)
+    changed = 0
+    for h, want in cases:
+        try:
+            changed += _parts(*cone(h)) != want
+        except ValidationFailed:
+            changed += 1
+    assert changed > 0
 
 
 def test_splits_decides_nonzero_class_without_solving(monkeypatch):
