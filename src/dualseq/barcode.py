@@ -35,7 +35,7 @@ from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
 from .linalg import Field, Matrix, rank as matrix_rank
-from .seq import NEG_INF, POS_INF, Seq, Tail, interval, make_seq, zero_seq
+from .seq import NEG_INF, POS_INF, Seq, Tail, make_seq
 
 
 def _is_neg_inf(x) -> bool:
@@ -164,13 +164,8 @@ def assemble(bc: Barcode) -> Seq:
     form: every transition restricted to a block is (-1)^i times identity."""
     f = bc.field
     ivs = sorted(bc.intervals, key=lambda iv: iv.sort_key)
-    if not ivs:
-        return zero_seq(f)
-    finite = [x for iv in ivs for x in (iv.a, iv.b) if isinstance(x, int)]
-    if not finite:
-        # every bar is [-inf, inf]
-        n = len(ivs)
-        return make_seq(f, 0, (n,), (), Tail.ISO, Tail.ISO)
+    # with no finite endpoint any degree will do: make_seq moves it to 0
+    finite = [x for iv in ivs for x in (iv.a, iv.b) if isinstance(x, int)] or [0]
     lo, hi = min(finite), max(finite)
     left = Tail.ISO if any(_is_neg_inf(iv.a) for iv in ivs) else Tail.ZERO
     right = Tail.ISO if any(_is_pos_inf(iv.b) for iv in ivs) else Tail.ZERO
@@ -326,30 +321,18 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
         for t, vec in b.vecs.items():
             cols_at.setdefault(t, []).append(vec)
 
-    def cols_matrix(i):
+    def fn(i):
+        # both ends are in sign normal form, and the bars alive at lo are
+        # exactly the -inf bars, so an ISO side repeats its edge columns
+        if i < lo and v.left_tail is Tail.ISO:
+            i = lo
+        elif i > hi and v.right_tail is Tail.ISO:
+            i = hi + 1
         cols = cols_at.get(i)
         if not cols:
             return Matrix.zeros(f, v.dim(i), 0)
         return Matrix(f, len(cols[0]), len(cols),
                       tuple(x for row in zip(*cols) for x in row))
-
-    if v.left_tail is Tail.ISO:
-        sign = f.neg(f.one) if (lo - 1) % 2 else f.one
-        left_const = cols_matrix(lo) @ a_seq.map_at(lo - 1).scale(sign)
-    else:
-        left_const = None
-    right_const = cols_matrix(hi + 1) if v.right_tail is Tail.ISO else None
-
-    def fn(i):
-        if i < lo:
-            if left_const is not None:
-                return left_const
-            return Matrix.zeros(f, v.dim(i), a_seq.dim(i))
-        if i > hi:
-            if right_const is not None:
-                return right_const
-            return Matrix.zeros(f, v.dim(i), a_seq.dim(i))
-        return cols_matrix(i)
 
     return make_element(a_seq, v, 0, lo, hi, fn)
 

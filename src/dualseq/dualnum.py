@@ -128,19 +128,9 @@ def as_complex(n: MinimalComplex) -> EpsComplex:
 
 
 def make_minimal(field: Field, lo: int, ranks, deps) -> MinimalComplex:
-    """Normal form: zero ranks at the ends are trimmed."""
-    ranks = list(ranks)
-    deps = list(deps)
-    while len(ranks) > 1 and ranks[0] == 0:
-        ranks.pop(0)
-        deps.pop(0)
-        lo += 1
-    while len(ranks) > 1 and ranks[-1] == 0:
-        ranks.pop()
-        deps.pop()
-    if len(ranks) == 1 and ranks[0] == 0:
-        lo = 0
-    return MinimalComplex(field, lo, tuple(ranks), tuple(deps))
+    """Normal form: the normal form of the sequence (ranks, deps) with both
+    tails Zero, which trims zero ranks at the ends."""
+    return from_seq(make_seq(field, lo, ranks, deps, Tail.ZERO, Tail.ZERO))
 
 
 # -- the dictionary with sequences ----------------------------------------
@@ -152,11 +142,13 @@ def to_seq(n: MinimalComplex) -> Seq:
 
 
 def from_seq(v: Seq) -> MinimalComplex:
+    """Read a sequence with both tails Zero as a minimal complex; ``v`` is
+    already in normal form, so nothing is trimmed."""
     if v.left_tail is not Tail.ZERO or v.right_tail is not Tail.ZERO:
         raise ValidationFailed(
             "only sequences with both tails Zero correspond to finite "
             "complexes of free modules")
-    return make_minimal(v.field, v.lo, v.dims, v.maps)
+    return MinimalComplex(v.field, v.lo, v.dims, v.maps)
 
 
 # -- cohomology ------------------------------------------------------------

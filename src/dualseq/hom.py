@@ -200,7 +200,14 @@ class HomContext:
         return out
 
 
-@lru_cache(maxsize=None)
+# Hom contexts kept by get_context.  Measured working sets of the benchmark
+# workloads: hatcat_warm holds 150-161 contexts once warm (seeds 1, 2, 3, 7,
+# 11); hom_cold builds 266 distinct pairs a pass and clears the cache every
+# pass; cli_docs clears it before every query.
+CONTEXT_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def get_context(v: Seq, w: Seq) -> HomContext:
     return HomContext(v, w)
 

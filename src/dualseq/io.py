@@ -456,7 +456,10 @@ def _parse_diagram(s: _Stream, doc: Document) -> Diagram:
                 if not s.accept(","):
                     break
         elif key.text == "gen":
-            gname = s.next("word").text
+            gtok = s.next("word")
+            gname = gtok.text
+            if gname in generators:
+                raise s.error(f"repeated gen {gname}", gtok)
             s.next("punct", ":")
             sn = s.next("word").text
             s.next("arrow")
@@ -490,7 +493,12 @@ def _parse_derivation(s: _Stream, doc: Document) -> Derivation:
         key = s.next("word", None)
         if key.text != "D":
             raise s.error("derivation entries read 'D <gen> = <morphism>'", key)
-        gname = s.next("word").text
+        gtok = s.next("word")
+        gname = gtok.text
+        if gname in assignment:
+            raise s.error(f"repeated D {gname}", gtok)
+        if gname not in diag.generators:
+            raise s.error(f"{gname} is not a generator of {dg_tok.text}", gtok)
         s.next("punct", "=")
         assignment[gname] = doc.morphism(s.next("word").text)
     return Derivation(diagram=diag, assignment=assignment)

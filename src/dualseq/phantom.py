@@ -183,6 +183,9 @@ class Derivation:
 
     def __post_init__(self):
         full = dict(self.assignment)
+        extra = sorted(full.keys() - self.diagram.generators.keys())
+        if extra:
+            raise ValidationFailed(f"derivation value on {extra[0]}: not a generator")
         for name, (sn, dn, mor) in self.diagram.generators.items():
             if name not in full:
                 full[name] = zero_hat(mor.src, mor.dst)

@@ -117,58 +117,43 @@ class Seq:
 
 
 def make_seq(field: Field, lo: int, dims, maps, left_tail: Tail, right_tail: Tail) -> Seq:
-    """Build a Seq in normal form.
+    """Build a Seq in normal form, the one form every constructor goes through.
 
-    Normalization: an ISO tail with stable dimension zero is the same object
-    as a ZERO tail; zero-dimensional window edges under a ZERO tail and
-    signed-identity edge maps under an ISO tail are trimmed.  The zero object
-    normalizes to window [0,0], dims (0,).
+    An ISO tail whose edge dimension is 0 is the same object as a ZERO tail,
+    and becomes one first.  Then the left end is trimmed, then the right: an
+    edge degree is dropped while it is a tail degree for its side, that is
+    dimension 0 under ZERO, or the dimension of its neighbour with the signed
+    identity of its parity as the map under ISO.  A result with no finite
+    structure, the zero object or a single degree under two ISO tails, has
+    window [0,0].
     """
-    dims = list(dims)
-    maps = list(maps)
+    dims = tuple(dims)
+    maps = tuple(maps)
     if len(dims) != len(maps) + 1:
         raise ValidationFailed("dims/maps length mismatch")
-    if dims and dims[0] == 0 and left_tail is Tail.ISO:
+    if dims[0] == 0:
         left_tail = Tail.ZERO
-    if dims and dims[-1] == 0 and right_tail is Tail.ISO:
+    if dims[-1] == 0:
         right_tail = Tail.ZERO
-    changed = True
-    while changed and len(dims) > 1:
-        changed = False
-        if left_tail is Tail.ZERO and dims[0] == 0:
-            dims.pop(0)
-            maps.pop(0)
-            lo += 1
-            changed = True
-        elif (left_tail is Tail.ISO and dims[0] == dims[1]
-              and maps[0] == signed_identity(field, dims[0], lo)):
-            dims.pop(0)
-            maps.pop(0)
-            lo += 1
-            changed = True
-        if len(dims) > 1 and right_tail is Tail.ZERO and dims[-1] == 0:
-            dims.pop()
-            maps.pop()
-            changed = True
-        elif (len(dims) > 1 and right_tail is Tail.ISO and dims[-1] == dims[-2]
-              and maps[-1] == signed_identity(field, dims[-1], lo + len(dims) - 2)):
-            dims.pop()
-            maps.pop()
-            changed = True
-        if dims[0] == 0 and left_tail is Tail.ISO:
-            left_tail = Tail.ZERO
-            changed = True
-        if dims[-1] == 0 and right_tail is Tail.ISO:
-            right_tail = Tail.ZERO
-            changed = True
-    if len(dims) == 1 and dims[0] == 0:
-        return Seq(field, 0, 0, (0,), (), Tail.ZERO, Tail.ZERO)
-    return Seq(field, lo, lo + len(dims) - 1, tuple(dims), tuple(maps),
-               left_tail, right_tail)
+
+    def tail_edge(tail, d, d_next, m, degree):
+        if tail is Tail.ZERO:
+            return d == 0
+        return d == d_next and m == signed_identity(field, d, degree)
+
+    a, b = 0, len(dims) - 1
+    while a < b and tail_edge(left_tail, dims[a], dims[a + 1], maps[a], lo + a):
+        a += 1
+    while a < b and tail_edge(right_tail, dims[b], dims[b - 1], maps[b - 1], lo + b - 1):
+        b -= 1
+    start = lo + a
+    if a == b and (dims[a] == 0 or left_tail is right_tail is Tail.ISO):
+        start = 0
+    return Seq(field, start, start + b - a, dims[a:b + 1], maps[a:b], left_tail, right_tail)
 
 
 def zero_seq(field: Field) -> Seq:
-    return Seq(field, 0, 0, (0,), (), Tail.ZERO, Tail.ZERO)
+    return make_seq(field, 0, (0,), (), Tail.ZERO, Tail.ZERO)
 
 
 def interval(field: Field, a, b) -> Seq:
@@ -182,15 +167,13 @@ def interval(field: Field, a, b) -> Seq:
         raise ValidationFailed(f"bad interval endpoint: {b!r}")
     if not left_inf and not right_inf and a > b:
         raise ValidationFailed("interval endpoints out of order")
-    if left_inf and right_inf:
-        return Seq(field, 0, 0, (1,), (), Tail.ISO, Tail.ISO)
-    if left_inf:
-        return Seq(field, b, b, (1,), (), Tail.ISO, Tail.ZERO)
-    if right_inf:
-        return Seq(field, a, a, (1,), (), Tail.ZERO, Tail.ISO)
-    dims = (1,) * (b - a + 1)
-    maps = tuple(signed_identity(field, 1, i) for i in range(a, b))
-    return Seq(field, a, b, dims, maps, Tail.ZERO, Tail.ZERO)
+    # the finite endpoints span the window; with none, any degree will do
+    ends = [x for x in (a, b) if isinstance(x, int)] or [0]
+    lo, hi = ends[0], ends[-1]
+    return make_seq(field, lo, (1,) * (hi - lo + 1),
+                    [signed_identity(field, 1, i) for i in range(lo, hi)],
+                    Tail.ISO if left_inf else Tail.ZERO,
+                    Tail.ISO if right_inf else Tail.ZERO)
 
 
 def shift(v: Seq, n: int) -> Seq:

@@ -128,6 +128,12 @@ def test_make_minimal_validates_shapes():
     assert validate(as_complex(n)).ok
 
 
+def test_make_minimal_refuses_a_missing_differential():
+    # two ranks and no deps: a ValidationFailed, not an IndexError
+    with pytest.raises(ValidationFailed):
+        make_minimal(F2, 0, (0, 1), ())
+
+
 def test_minimize_preserves_field():
     c = random_eps_complex(random.Random(34), Q, max_len=5, max_rank=3)
     nm, _ = minimize(c)

@@ -450,3 +450,11 @@ def test_zero_eps_part_of_wrong_type_rejected():
         hat(f1, zero_element(w, v, 0))
     with pytest.raises(ValidationFailed):
         hat(f1, zero_element(v, w, 1))
+
+
+def test_compose_across_a_shifted_constant_sequence():
+    # shifting the constant Iso-Iso sequence gives the same Seq, so the
+    # identities of both compose
+    v = interval(F5, -math.inf, math.inf)
+    assert shift(v, 1) == v
+    assert compose_hat(identity_hat(v), identity_hat(shift(v, 1))) == identity_hat(v)

@@ -12,6 +12,7 @@ from dualseq.graded import base_window, make_element
 from dualseq.hom import get_context, hat
 from dualseq.io import parse_document
 from dualseq.linalg import Field, Matrix
+from dualseq.phantom import Derivation
 
 F2 = Field(2)
 F5 = Field(5)
@@ -100,6 +101,33 @@ def test_repeated_key_is_a_parse_error(text, line, col, msg):
     with pytest.raises(ParseError) as exc:
         parse_document("field 5\n" + text)
     assert str(exc.value) == f"line {line}, col {col}: {msg}"
+
+
+_DIAG = ("seq A { interval 0 0 }\n"
+         "mor p : A -> A { window 0 0 one 0 [[1]] }\n"
+         "mor z : A -> A { }\n")
+
+
+@pytest.mark.parametrize("text,line,col,msg", [
+    # a second generator or value of the same name used to replace the first,
+    # and a value on a name that is no generator was kept and ignored
+    (_DIAG + "diagram D { objects A gen f : A -> A = p gen f : A -> A = z }",
+     5, 46, "repeated gen f"),
+    (_DIAG + "diagram D { objects A gen f : A -> A = p }\n"
+     "derivation T on D { D f = z D f = z }", 6, 31, "repeated D f"),
+    (_DIAG + "diagram D { objects A gen f : A -> A = p }\n"
+     "derivation T on D { D q = z }", 6, 23, "q is not a generator of D"),
+])
+def test_repeated_or_unknown_generator_is_a_parse_error(text, line, col, msg):
+    with pytest.raises(ParseError) as exc:
+        parse_document("field 5\n" + text)
+    assert str(exc.value) == f"line {line}, col {col}: {msg}"
+
+
+def test_derivation_refuses_a_value_on_no_generator():
+    doc = parse_document("field 5\n" + _DIAG + "diagram D { objects A gen f : A -> A = p }")
+    with pytest.raises(ValidationFailed, match="q: not a generator"):
+        Derivation(doc.diagrams["D"], {"q": doc.morphism("z")})
 
 
 def test_comment_inside_a_matrix_is_skipped():

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from dualseq.barcode import Interval, assemble, make_barcode
 from dualseq.errors import ValidationFailed
-from dualseq.gen import random_seq
+from dualseq.gen import random_barcode, random_seq
+from dualseq.io import parse_document
 from dualseq.linalg import Field, Matrix
-from dualseq.seq import (Seq, Tail, direct_sum_seq, interval, make_seq, shift,
-                         zero_seq)
+from dualseq.seq import (NEG_INF, POS_INF, Seq, Tail, direct_sum_seq, interval,
+                         make_seq, shift, signed_identity, zero_seq)
 
 F2 = Field(2)
 F5 = Field(5)
@@ -103,3 +105,70 @@ def test_far_transitions_signed_identity():
         m = v.map_at(i)
         want = F5.coerce((-1) ** i)
         assert m.entry(0, 0) == want
+
+
+# -- one normal form -----------------------------------------------------------
+
+
+def _matrix_text(m):
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]"
+                           for row in m.to_lists()) + "]"
+
+
+@pytest.mark.parametrize("f", [F2, F5, Q], ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_iso_sequence_is_one_seq(f, n):
+    # the constant Iso-Iso sequence has no finite structure: however it is
+    # declared, its window is [0,0]
+    want = Seq(f, 0, 0, (n,), (), Tail.ISO, Tail.ISO)
+    if n == 1:
+        assert interval(f, NEG_INF, POS_INF) == want
+    field_text = "Q" if f.p is None else str(f.p)
+    for lo in range(-3, 4):
+        for hi in range(lo, 4):
+            maps = [signed_identity(f, n, i) for i in range(lo, hi)]
+            v = make_seq(f, lo, (n,) * (hi - lo + 1), maps, Tail.ISO, Tail.ISO)
+            assert v == want
+            for k in (-2, -1, 1, 2):
+                assert shift(v, k) == want
+            text = (f"field {field_text}\nseq V {{ window {lo} {hi} "
+                    f"dims {' '.join([str(n)] * (hi - lo + 1))} "
+                    + "".join(f"map {lo + t} {_matrix_text(m)} " for t, m in enumerate(maps))
+                    + "tails iso iso }")
+            assert parse_document(text).seq("V") == want
+
+
+def _shifted(bc, k):
+    """The barcode of ``shift(assemble(bc), k)``: every bar moves down by k."""
+    return make_barcode(bc.field, [Interval(iv.a - k if isinstance(iv.a, int) else iv.a,
+                                            iv.b - k if isinstance(iv.b, int) else iv.b)
+                                   for iv in bc.intervals])
+
+
+def test_shift_moves_bars_on_the_nose():
+    rng = random.Random(17)
+    barcodes = []
+    for f in (F2, F5, Q):
+        barcodes += [random_barcode(rng, f, max_bars=4, lo=-3, hi=3) for _ in range(15)]
+        barcodes += [make_barcode(f, [Interval(NEG_INF, POS_INF)] * m) for m in (1, 2, 3)]
+    for bc in barcodes:
+        v = assemble(bc)
+        for k in (-3, -2, -1, 1, 2, 3):
+            assert shift(v, k) == assemble(_shifted(bc, k))
+            assert shift(shift(v, k), -k) == v
+
+
+def test_make_seq_ignores_padding_with_tail_degrees():
+    # materializing past the window pads with tail degrees: zero spaces under
+    # a Zero tail, signed identities under an Iso tail
+    rng = random.Random(23)
+    seqs = [assemble(make_barcode(f, [Interval(NEG_INF, POS_INF)] * m))
+            for f in (F2, F5, Q) for m in (1, 2)]
+    for _ in range(120):
+        f = rng.choice([F2, F5, Q])
+        seqs.append(random_seq(rng, f, max_bars=4, lo=-3, hi=3,
+                               scrambled=rng.random() < 0.5))
+    for v in seqs:
+        lo, hi = v.lo - rng.randint(0, 3), v.hi + rng.randint(0, 3)
+        dims, maps = v.materialize(lo, hi)
+        assert make_seq(v.field, lo, dims, maps, v.left_tail, v.right_tail) == v
