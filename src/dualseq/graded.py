@@ -24,7 +24,7 @@ def base_window(src: Seq, dst: Seq, degree: int) -> tuple:
     return (min(src.lo, dst.lo - degree), max(src.hi, dst.hi - degree))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GradedHomElement:
     src: Seq
     dst: Seq

@@ -83,7 +83,7 @@ from .graded import (GradedHomElement, all_morphisms, compose, coords_of,
                      zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import Matrix, _kernel_vectors, _rref, subspaces  # noqa: F401
+from .linalg import Matrix, _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
 from .seq import Seq, direct_sum_seq
 
 
@@ -133,6 +133,11 @@ class HomContext:
         self.img_rows = img[:rank1]
         pivset = set(self.img_pivots)
         self.nonpivots = [j for j in range(n) if j not in pivset]
+        # invariants of the pair, built on first use: the eps basis, and
+        # the stable phantom chain ``(rows, certificate)`` of
+        # ``phantom._kernel_chain``
+        self._eps_basis = None
+        self.phantom_chain = None
 
     # -- coordinates <-> elements ----------------------------------------
 
@@ -147,20 +152,9 @@ class HomContext:
                                    constant_tails)
 
     def reduce_vec(self, vec: list) -> list:
-        """Canonical representative of ``vec`` modulo the image of d^-1: the
-        image rows are in echelon form with pivot entries 1, so subtracting
-        each at its pivot, in increasing pivot order, zeroes its pivot
-        coordinate for good (the later rows are zero there) and leaves a
-        zero in every pivot coordinate."""
-        out = list(vec)
-        p = self.field.p
-        for row, c in zip(self.img_rows, self.img_pivots):
-            coef = out[c]
-            if coef:
-                for j, y in row.items():
-                    x = out[j] - coef * y
-                    out[j] = x if p is None else x % p
-        return out
+        """Canonical representative of ``vec`` modulo the image of d^-1, the
+        one with a zero in every pivot coordinate of the image rows."""
+        return _reduce_vec(self.field, self.img_rows, self.img_pivots, vec)
 
     def canonical_eps(self, g: GradedHomElement) -> GradedHomElement:
         """Canonical representative of the class of ``g`` in Hom_eps.
@@ -192,18 +186,25 @@ class HomContext:
         return out
 
     def eps_basis(self) -> list:
-        out = []
-        for j in self.nonpivots:
-            vec = [self.field.zero] * self.N
-            vec[j] = self.field.one
-            out.append(self.element_from_vec(vec))
-        return out
+        """One element per eps coordinate, built on the first call; every
+        call returns a new list of the same (immutable) elements."""
+        if self._eps_basis is None:
+            out = []
+            for j in self.nonpivots:
+                vec = [self.field.zero] * self.N
+                vec[j] = self.field.one
+                out.append(self.element_from_vec(vec))
+            self._eps_basis = tuple(out)
+        return list(self._eps_basis)
 
 
-# Hom contexts kept by get_context.  Measured working sets of the benchmark
-# workloads: hatcat_warm holds 150-161 contexts once warm (seeds 1, 2, 3, 7,
-# 11); hom_cold builds 266 distinct pairs a pass and clears the cache every
-# pass; cli_docs clears it before every query.
+# Hom contexts kept by get_context, each with its eps basis and phantom
+# chain once asked for (docs/NOTES.md, "What a hom context keeps").
+# Measured working sets of the benchmark workloads: hatcat_warm holds
+# 150-161 contexts once warm (seeds 1, 2, 3, 7, 11); hom_cold builds 266
+# distinct pairs a pass, about 5.6 MB of contexts with their eps bases
+# (3.4 MB of it img_rows), and clears the cache every pass; cli_docs clears
+# it before every query.
 CONTEXT_CACHE_SIZE = 512
 
 

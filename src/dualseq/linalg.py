@@ -104,7 +104,7 @@ class Field:
         return "Q" if self.p is None else f"F{self.p}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable ``rows x cols`` matrix with row-major flat storage."""
 
@@ -416,6 +416,26 @@ def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
         for j, x in comb[c]:
             vecs[j][c] = x
     return list(vecs.values())
+
+
+def _reduce_vec(field: Field, rows, pivots, vec) -> list:
+    """``vec`` reduced by ``rows``, as a new list: dict rows in echelon form
+    with pivot entries 1 and increasing pivots (as ``_rref`` leaves them,
+    reduced or not).  Subtracting each row at its pivot, in that order,
+    zeroes the pivot coordinate for good, since the later rows are zero
+    there.  So the result is the unique representative of ``vec`` modulo
+    the row space with zeros at every pivot, and it is zero exactly when
+    ``vec`` lies in the row space.  Only the nonzeros of the rows are
+    visited, and the rows are only read."""
+    out = list(vec)
+    p = field.p
+    for row, c in zip(rows, pivots):
+        coef = out[c]
+        if coef:
+            for j, y in row.items():
+                x = out[j] - coef * y
+                out[j] = x if p is None else x % p
+    return out
 
 
 def _matrix_rows(m: Matrix) -> list:

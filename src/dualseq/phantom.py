@@ -7,7 +7,8 @@ out of a compact object is zero.  For a left-Iso source the vanishing
 conditions form a decreasing chain of subspaces of Hom_eps(V, W): level n
 is the kernel of the constraint rows of all truncations down to n, kept as
 one system in rref that each level extends.  The chain is certified
-empirically by requiring three consecutive equal levels.
+empirically by requiring three consecutive equal levels, and it is kept
+on the hom context of the pair once it has stabilized.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import StabilizationDepthExceeded, ValidationFailed
 from .graded import compose
 from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
                   hat_eps, zero_hat)
-from .linalg import _dict_rows, _kernel_vectors, _rref, _solve_rows
+from .linalg import _dict_rows, _kernel_vectors, _reduce_vec, _rref, _solve_rows
 from .seq import Seq, Tail
 from .triang import inclusion_element
 
@@ -66,16 +67,33 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
     """Stable subspace of classes killed by every truncation inclusion, as
     coordinate dict rows in rref, with its level-by-level certificate.
 
+    The chain is an invariant of the pair, so the first call that
+    stabilizes keeps it on the hom context of (V, W) (``phantom_chain``),
+    and every call gets copies of the kept rows.  A call whose ``depth`` is
+    below the number of levels the chain took raises, as the loop of
+    ``_stable_chain`` would after ``depth`` levels."""
+    ctx = get_context(v, w)
+    if ctx.phantom_chain is None:
+        ctx.phantom_chain = _stable_chain(ctx, v, w, depth)
+    rows, cert = ctx.phantom_chain
+    if depth < len(cert.levels):
+        raise StabilizationDepthExceeded(
+            f"phantom chain did not stabilize within {depth} truncation levels", depth)
+    return [dict(r) for r in rows], ctx, cert
+
+
+def _stable_chain(ctx, v: Seq, w: Seq, depth: int):
+    """The chain of ``_kernel_chain``, run level by level.
+
     Each level ``n`` contributes one constraint row over the eps coordinates
     of Hom_eps(V, W) per eps coordinate of Hom_eps(V^(>=n), W).  The rows of
     all levels so far are one system, held in rref: a class is killed at
     every level so far exactly when it lies in the kernel of that system,
     so the dimension of a level is ``k`` minus its rank.  The stable rows
     are the rref basis of the final kernel."""
-    ctx = get_context(v, w)
     k = ctx.dim_eps
     if k == 0:
-        return [], ctx, PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
+        return (), PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
     reps = ctx.eps_basis()
     f = ctx.field
     system, rank_ = [], 0
@@ -97,7 +115,7 @@ def _kernel_chain(v: Seq, w: Seq, depth: int):
         if run >= _STABLE_RUN:
             rows = _dict_rows(_kernel_vectors(f, system, pivots, k))
             _rref(f, rows, k)           # in place: the rref basis of the kernel
-            return rows, ctx, PhantomCertificate(tuple(levels), _STABLE_RUN)
+            return tuple(rows), PhantomCertificate(tuple(levels), _STABLE_RUN)
         n -= 1
     raise StabilizationDepthExceeded(
         f"phantom chain did not stabilize within {depth} truncation levels", depth)
@@ -116,9 +134,9 @@ def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
     coords = ctx.eps_coords(h.feps)
     if not any(coords):
         return PhantomVerdict(True, "zero class", cert)
-    # the class lies in the stable space when it adds nothing to the rank
-    if _rref(ctx.field, rows + _dict_rows([coords]), ctx.dim_eps,
-             reduced=False)[0] == len(rows):
+    # the class lies in the stable space when the rref rows (each pivot
+    # its least column) reduce it to zero; they are only read
+    if not any(_reduce_vec(ctx.field, rows, [min(r) for r in rows], coords)):
         return PhantomVerdict(True, "class killed by every truncation", cert)
     return PhantomVerdict(False, "survives some truncation inclusion", cert)
 

@@ -64,15 +64,7 @@ class Seq:
             raise ValidationFailed("dims length does not match window")
         if len(self.maps) != n - 1:
             raise ValidationFailed("maps length does not match window")
-        if any(d < 0 for d in self.dims):
-            raise ValidationFailed("negative dimension")
-        for k, m in enumerate(self.maps):
-            if m.field != self.field:
-                raise ValidationFailed("map over wrong field")
-            if m.rows != self.dims[k + 1] or m.cols != self.dims[k]:
-                raise ValidationFailed(
-                    f"map at degree {self.lo + k} has shape {m.rows}x{m.cols}, "
-                    f"expected {self.dims[k + 1]}x{self.dims[k]}")
+        _check_maps(self.field, self.lo, self.dims, self.maps)
 
     # -- degreewise access (tail-aware) --------------------------------
 
@@ -116,6 +108,20 @@ class Seq:
         return self.dims[-1] if self.right_tail is Tail.ISO else 0
 
 
+def _check_maps(field: Field, lo: int, dims: tuple, maps: tuple) -> None:
+    """Dimensions are nonnegative and each map ``dims[k] -> dims[k+1]`` has
+    that shape, over ``field``."""
+    if any(d < 0 for d in dims):
+        raise ValidationFailed("negative dimension")
+    for k, m in enumerate(maps):
+        if m.field != field:
+            raise ValidationFailed("map over wrong field")
+        if m.rows != dims[k + 1] or m.cols != dims[k]:
+            raise ValidationFailed(
+                f"map at degree {lo + k} has shape {m.rows}x{m.cols}, "
+                f"expected {dims[k + 1]}x{dims[k]}")
+
+
 def make_seq(field: Field, lo: int, dims, maps, left_tail: Tail, right_tail: Tail) -> Seq:
     """Build a Seq in normal form, the one form every constructor goes through.
 
@@ -125,12 +131,14 @@ def make_seq(field: Field, lo: int, dims, maps, left_tail: Tail, right_tail: Tai
     dimension 0 under ZERO, or the dimension of its neighbour with the signed
     identity of its parity as the map under ISO.  A result with no finite
     structure, the zero object or a single degree under two ISO tails, has
-    window [0,0].
+    window [0,0].  Every map is checked against ``dims`` before anything is
+    trimmed, so a wrong shape next to a dropped degree is still refused.
     """
     dims = tuple(dims)
     maps = tuple(maps)
     if len(dims) != len(maps) + 1:
         raise ValidationFailed("dims/maps length mismatch")
+    _check_maps(field, lo, dims, maps)
     if dims[0] == 0:
         left_tail = Tail.ZERO
     if dims[-1] == 0:

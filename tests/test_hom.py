@@ -257,6 +257,36 @@ def test_eps_basis_classes_independent():
                                                      for x in coords]
 
 
+def test_eps_basis_built_once_and_handed_out_in_fresh_lists():
+    rng = random.Random(8)
+    seen = 0
+    while seen < 6:
+        f = rng.choice([F2, F5, Q])
+        v = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, f, max_bars=3, lo=-2, hi=2)
+        ctx = HomContext(v, w)
+        if ctx.dim_eps == 0:
+            continue
+        seen += 1
+        first = ctx.eps_basis()
+        kept = list(first)
+        second = ctx.eps_basis()
+        assert second is not first
+        assert all(a is b for a, b in zip(first, second)) and len(second) == len(first)
+        first.clear()
+        second.append(None)
+        third = ctx.eps_basis()
+        assert len(third) == ctx.dim_eps
+        assert all(a is b for a, b in zip(third, kept))
+
+
+def test_matrices_and_elements_have_no_instance_dict():
+    v = interval(F5, 0, 1)
+    elements = [identity_hat(v).f1, get_context(v, v).eps_basis()[0]]
+    for obj in elements + [elements[0].comps[0], Matrix.identity(Q, 2), Matrix.zeros(F2, 1, 3)]:
+        assert not hasattr(obj, "__dict__")
+
+
 @pytest.mark.parametrize("coords", [[1, 2, 3], [], [1, 0]])
 def test_eps_from_coords_refuses_wrong_length(coords):
     ctx = get_context(interval(F5, 0, 0), interval(F5, 0, 0))

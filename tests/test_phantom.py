@@ -159,6 +159,7 @@ def _oracle_kernel_rows(field, rows, k):
 @pytest.mark.parametrize("shift", [0, 4])
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
 def test_kernel_chain_matches_stacked_oracle(field, shift, monkeypatch):
+    get_context.cache_clear()
     # every level is the kernel of the constraint rows of all levels down to
     # it, stacked and reduced by the oracle; the stable rows are the rref
     # basis of the last kernel, and membership decides is_phantom.  The
@@ -198,6 +199,91 @@ def test_kernel_chain_matches_stacked_oracle(field, shift, monkeypatch):
             inside = gauss_jordan(field, stable + [coords], k)[0] == len(stable)
             assert is_phantom(hat_eps(e)).phantom == inside
     assert nonzero == 0 if shift == 0 else nonzero > 0
+
+
+@pytest.fixture()
+def fresh_contexts():
+    """An empty context cache before and after the test, so that no phantom
+    chain kept under a patched inclusion reaches another test."""
+    get_context.cache_clear()
+    yield
+    get_context.cache_clear()
+
+
+def _truncate_higher(monkeypatch, shift):
+    monkeypatch.setattr(phantom, "inclusion_element",
+                        lambda v, n: inclusion_element(v, n + shift))
+
+
+def _chain_pairs(field, count):
+    """Pairs with a left-Iso source, h-projective ends and Hom_eps != 0, as
+    drawn by the stacked oracle test."""
+    rng = random.Random({F2: 21, F5: 22, Q: 23}[field])
+    out = []
+    while len(out) < count:
+        v = random_seq(rng, field, max_bars=4, lo=-2, hi=2)
+        w = random_seq(rng, field, max_bars=4, lo=-2, hi=2)
+        if (v.left_tail is Tail.ISO and classify(v).h_projective
+                and classify(w).h_projective and get_context(v, w).dim_eps):
+            out.append((v, w))
+    return out
+
+
+@pytest.mark.parametrize("shift", [0, 4])
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_kept_chain_matches_a_cold_context(field, shift, monkeypatch, fresh_contexts):
+    # the first call keeps the chain on the context, the second reads it
+    # back, and after the cache is cleared a cold context runs it again
+    _truncate_higher(monkeypatch, shift)
+    pairs = _chain_pairs(field, 8)
+    kept = [_kernel_chain(v, w, 12) for v, w in pairs]
+    again = [_kernel_chain(v, w, 12) for v, w in pairs]
+    get_context.cache_clear()
+    cold = [_kernel_chain(v, w, 12) for v, w in pairs]
+    for (r1, c1, cert1), (r2, c2, cert2), (r3, c3, cert3) in zip(kept, again, cold):
+        assert r1 == r2 == r3
+        assert cert1 == cert2 == cert3
+        assert c1 is c2 and c3 is not c1
+        # copies: a caller that edits its rows cannot reach the kept ones
+        assert all(a is not b for a, b in zip(r1 + r2, c1.phantom_chain[0] * 2))
+    assert any(rows for rows, _, _ in cold) == (shift == 4)
+
+
+def test_kept_chain_still_refuses_a_shallow_depth(fresh_contexts):
+    v, w = interval(F2, -INF, 0), interval(F2, 0, 0)
+    h = hat_eps(get_context(v, w).eps_basis()[0])
+    verdict = is_phantom(h)
+    levels = len(verdict.certificate.levels)
+    assert levels > 1 and get_context(v, w).phantom_chain is not None
+    for depth in range(1, levels):
+        get_context.cache_clear()
+        with pytest.raises(StabilizationDepthExceeded) as cold:
+            is_phantom(h, depth=depth)
+        assert is_phantom(h) == verdict              # kept again
+        for call in (lambda: is_phantom(h, depth=depth),
+                     lambda: phantom_basis(v, w, depth=depth)):
+            with pytest.raises(StabilizationDepthExceeded) as kept:
+                call()
+            assert (str(kept.value), kept.value.depth) == (str(cold.value), depth)
+    assert is_phantom(h, depth=levels) == verdict
+    assert phantom_basis(v, w, depth=levels)[1] == verdict.certificate
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_is_phantom_leaves_the_kept_rows_alone(field, monkeypatch, fresh_contexts):
+    _truncate_higher(monkeypatch, 4)
+    nonzero = 0
+    for v, w in _chain_pairs(field, 6):
+        ctx = get_context(v, w)
+        basis, _ = phantom_basis(v, w)
+        rows, cert = ctx.phantom_chain
+        before = [dict(r) for r in rows]
+        for e in ctx.eps_basis() + [b.feps for b in basis]:
+            is_phantom(hat_eps(e))
+        assert ctx.phantom_chain[0] is rows and ctx.phantom_chain[1] is cert
+        assert [dict(r) for r in rows] == before
+        nonzero += bool(rows)
+    assert nonzero
 
 
 # -- diagrams and derivations ---------------------------------------------

@@ -99,6 +99,14 @@ def test_map_shape_validation():
         make_seq(F2, 0, (1, 1), [Matrix.zeros(F2, 2, 1)], Tail.ZERO, Tail.ZERO)
 
 
+def test_make_seq_checks_shapes_before_trimming():
+    # degree 0 is trimmed under the Zero tail; its map is still checked
+    with pytest.raises(ValidationFailed, match="shape 5x7, expected 1x0"):
+        make_seq(F2, 0, (0, 1), [Matrix.zeros(F2, 5, 7)], Tail.ZERO, Tail.ZERO)
+    with pytest.raises(ValidationFailed, match="wrong field"):
+        make_seq(F2, 0, (0, 1), [Matrix.zeros(F5, 1, 0)], Tail.ZERO, Tail.ZERO)
+
+
 def test_far_transitions_signed_identity():
     v = interval(F5, -math.inf, math.inf)
     for i in (-7, -4, 6):
