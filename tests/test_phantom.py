@@ -245,7 +245,8 @@ def test_kept_chain_matches_a_cold_context(field, shift, monkeypatch, fresh_cont
         assert cert1 == cert2 == cert3
         assert c1 is c2 and c3 is not c1
         # copies: a caller that edits its rows cannot reach the kept ones
-        assert all(a is not b for a, b in zip(r1 + r2, c1.phantom_chain[0] * 2))
+        kept_rows = c1.phantom_chain[0]
+        assert all(a is not b for rows in (r1, r2) for a, b in zip(rows, kept_rows))
     assert any(rows for rows, _, _ in cold) == (shift == 4)
 
 
