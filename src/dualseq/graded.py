@@ -107,30 +107,31 @@ def make_element(src: Seq, dst: Seq, degree: int, lo: int, hi: int,
     """Build an element from a component function, in normal form.
 
     ``fn`` must be total and parity-periodic below/above the requested
-    window; the tail matrices are sampled just outside it.  The stored
-    window is then trimmed, the way ``make_seq`` trims a sequence: each
-    edge component equal to the tail matrix of its side and parity is
-    dropped, but never one inside ``base_window``.  So an element is stored
-    on the smallest window its components allow, whatever window it was
-    built on.
+    window; the tail matrices are sampled just outside it, and ``_trimmed``
+    stores the element on the smallest window its components allow.
     """
     blo, bhi = base_window(src, dst, degree)
-    lo = min(lo, blo)
-    hi = max(hi, bhi)
+    lo, hi = min(lo, blo), max(hi, bhi)
     comps = [fn(i) for i in range(lo, hi + 1)]
-    lt = [None, None]
-    lt[(lo - 1) % 2] = fn(lo - 1)
-    lt[(lo - 2) % 2] = fn(lo - 2)
-    rt = [None, None]
-    rt[(hi + 1) % 2] = fn(hi + 1)
-    rt[(hi + 2) % 2] = fn(hi + 2)
-    start, stop = lo, hi
-    while start < blo and comps[start - lo] == lt[start % 2]:
+    # the tails, by parity (even, odd), sampled at lo-1, lo-2, hi+1, hi+2 in turn
+    l1, l2, r1, r2 = fn(lo - 1), fn(lo - 2), fn(hi + 1), fn(hi + 2)
+    return _trimmed(src, dst, degree, (blo, bhi), lo, comps,
+                    (l1, l2) if lo % 2 else (l2, l1), (r1, r2) if hi % 2 else (r2, r1))
+
+
+def _trimmed(src: Seq, dst: Seq, degree: int, window: tuple, lo: int, comps: list,
+             ltail: tuple, rtail: tuple) -> GradedHomElement:
+    """``comps`` from degree ``lo`` on, with these tails, in normal form: as
+    ``make_seq`` trims a sequence, each edge component equal to the tail of
+    its side and parity is dropped, but none inside ``window``, the base window."""
+    blo, bhi = window
+    start, stop = lo, lo + len(comps) - 1
+    while start < blo and comps[start - lo] == ltail[start % 2]:
         start += 1
-    while stop > bhi and comps[stop - lo] == rt[stop % 2]:
+    while stop > bhi and comps[stop - lo] == rtail[stop % 2]:
         stop -= 1
     return GradedHomElement(src, dst, degree, start, tuple(comps[start - lo:stop - lo + 1]),
-                            (lt[0], lt[1]), (rt[0], rt[1]))
+                            ltail, rtail)
 
 
 def zero_element(src: Seq, dst: Seq, degree: int) -> GradedHomElement:
@@ -195,30 +196,48 @@ def coords_of(g: GradedHomElement, lo: int, hi: int) -> list:
     return out
 
 
-def element_from_coords(v: Seq, w: Seq, n: int, lo: int, hi: int, vec: list,
-                        constant_tails: bool = False) -> GradedHomElement:
-    """The element of ``Hom^n(V, W)`` with coordinates ``vec`` on the
-    degrees ``lo..hi`` (``hom_layout``).  Beyond them its components are
-    zero, or with ``constant_tails`` repeat the boundary blocks ``f^lo`` and
-    ``f^hi``, which needs a window whose edge blocks have the tail shapes."""
-    field, zeros = v.field, Matrix.zeros
-    mats = {}
-    o = 0
+def _blocks(v: Seq, w: Seq, n: int, lo: int, hi: int) -> tuple:
+    """``(start, stop, zero block)`` per degree ``lo..hi`` in ``hom_layout``
+    coordinates, and the zero tails beyond a window containing ``base_window``."""
+    out, o, z = [], 0, Matrix.zeros
     for i in range(lo, hi + 1):
-        r, c = w.dim(n + i), v.dim(i)
-        block = vec[o:o + r * c]
-        o += r * c
-        mats[i] = Matrix(field, r, c, tuple(block)) if any(block) else zeros(field, r, c)
+        zi = z(v.field, w.dim(n + i), v.dim(i))
+        out.append((o, o + len(zi.data), zi))
+        o += len(zi.data)
+    lt, rt = (z(v.field, w.stable_dim(side), v.stable_dim(side)) for side in ("left", "right"))
+    return out, ((lt, lt), (rt, rt))
 
-    if constant_tails:
-        def fn(i):
-            return mats[min(max(i, lo), hi)]
-    else:
-        def fn(i):
-            if i < lo or i > hi:
-                return zeros(field, w.dim(n + i), v.dim(i))
-            return mats[i]
-    return make_element(v, w, n, lo, hi, fn)
+
+def elements_from_coords(v: Seq, w: Seq, n: int, lo: int, hi: int, vecs,
+                         constant_tails: bool = False) -> list:
+    """The elements of ``Hom^n(V, W)`` with coordinates ``vecs`` on the
+    degrees ``lo..hi`` (``hom_layout``), a window containing ``base_window``.
+    Beyond it their components are zero (shared ``Matrix.zeros`` blocks), or
+    with ``constant_tails`` repeat the edge blocks, which then need the tail shapes."""
+    blocks, tails = _blocks(v, w, n, lo, hi)
+    out, window = [], base_window(v, w, n)
+    for vec in vecs:
+        if len(vec) != blocks[-1][1]:
+            raise ValidationFailed(f"{blocks[-1][1]} coordinates on {lo}..{hi}, got {len(vec)}")
+        comps = [Matrix(v.field, z.rows, z.cols, blk) if any(blk := tuple(vec[s:e])) else z
+                 for s, e, z in blocks]
+        ends = ((comps[0],) * 2, (comps[-1],) * 2) if constant_tails else tails
+        out.append(_trimmed(v, w, n, window, lo, comps, *ends))
+    return out
+
+
+def unit_elements(v: Seq, w: Seq, n: int, lo: int, hi: int, coords) -> list:
+    """``elements_from_coords`` of the unit vector at each coordinate of
+    ``coords``, built with the 1 placed in its one block."""
+    blocks, tails = _blocks(v, w, n, lo, hi)
+    out, window = [], base_window(v, w, n)
+    for j in coords:
+        k = next(k for k, (_, stop, _) in enumerate(blocks) if stop > j)   # the block of j
+        (s, _, z), comps = blocks[k], [b[2] for b in blocks]
+        data = z.data[:j - s] + (v.field.one,) + z.data[j - s + 1:]
+        comps[k] = Matrix(v.field, z.rows, z.cols, data)
+        out.append(_trimmed(v, w, n, window, lo, comps, *tails))
+    return out
 
 
 def differential_rows(v: Seq, w: Seq, n: int, lo: int, hi: int) -> list:
@@ -265,10 +284,10 @@ def all_morphisms(fs) -> bool:
     The degrees checked are those ``differential`` stores, ``[lo-3, hi+3]``
     over the widest stored window; beyond ``[lo-2, hi+1]`` the commutator
     is parity-periodic, so each element is checked on all of Z.  Per degree
-    ``i`` it compares ``d_W^i f^i`` with ``f^(i+1) d_V^i`` for each element;
-    no degree-1 element is built.  An element with ``f^i`` and ``f^(i+1)``
-    both zero commutes there whatever the maps, so that pair is skipped,
-    and a zero element is a morphism, so it is dropped before the loop.
+    ``i`` each entry of ``d_W^i f^i - f^(i+1) d_V^i`` is summed from the
+    nonzeros of the rows of ``d_W^i`` and columns of ``d_V^i`` until one is
+    nonzero.  A zero pair ``f^i``, ``f^(i+1)`` commutes whatever the maps and
+    is skipped; so is a zero factor, and a zero element before the loop.
     """
     fs = list(fs)
     if not fs:
@@ -281,14 +300,30 @@ def all_morphisms(fs) -> bool:
     fs = [f for f in fs if not f.is_zero]
     if not fs:
         return True
+    p, zero = src.field.p, src.field.zero
     for i in range(min(f.lo for f in fs) - 3, max(f.hi for f in fs) + 4):
-        if src.dim(i) == 0 or dst.dim(i + 1) == 0:
+        k, m = src.dim(i), dst.dim(i + 1)
+        todo = [(a, b) for a, b in ((f.component(i).data, f.component(i + 1).data) for f in fs)
+                if any(a) or any(b)] if k and m else ()
+        if not todo:
             continue
-        dw, dv = dst.map_at(i), src.map_at(i)
-        for f in fs:
-            a, b = f.component(i), f.component(i + 1)
-            if not (a.is_zero and b.is_zero) and dw @ a != b @ dv:
-                return False
+        dw, dv, kw, kv = dst.map_at(i).data, src.map_at(i).data, dst.dim(i), src.dim(i + 1)
+        # (offset of row j of f^i, d_W[r, j]) per row r; (s, d_V[s, c]) per column c
+        dw_rows = [[(j * k, x) for j, x in enumerate(dw[r * kw:r * kw + kw]) if x]
+                   for r in range(m)]
+        dv_cols = [[(s, y) for s, y in enumerate(dv[c::k]) if y] for c in range(k)]
+        for a, b in todo:
+            cols_b = dv_cols if any(b) else [()] * k     # a zero factor adds no sum
+            for r, row_a in enumerate(dw_rows if any(a) else [()] * m):
+                row_b = b[r * kv:r * kv + kv]
+                for c, col_b in enumerate(cols_b):
+                    e = zero
+                    for o, x in row_a:
+                        e += x * a[o + c]
+                    for s, y in col_b:
+                        e -= row_b[s] * y
+                    if (e if p is None else e % p):
+                        return False
     return True
 
 

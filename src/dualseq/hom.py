@@ -59,14 +59,13 @@ touching two adjacent degree blocks, and both are reduced in place by
   the nonzeros of the rows.
 
 The coordinates of an element on the window are those of
-``graded.hom_layout``, read by ``graded.coords_of`` and turned back into an
-element by ``graded.element_from_coords``; no dense window matrix is built.
-``triang.splits`` solves the same sparse rows of ``d^-1`` for a splitting.
-
-Basis elements share one zero matrix per block shape (most blocks are
-zero, and an eps-basis element has a single nonzero block), and
-``all_morphisms`` skips the degrees where both components of an element
-are zero.
+``graded.hom_layout``, read by ``graded.coords_of``; no dense window matrix
+is built, and ``triang.splits`` solves the same sparse rows of ``d^-1``.
+Basis elements go straight from coordinates into blocks, every zero block
+the shared one of its shape: ``graded.elements_from_coords`` slices each
+block of all kernel vectors on one layout, ``graded.unit_elements`` puts
+each eps coordinate in its one block, and ``all_morphisms`` certifies the
+hom basis entry by entry from the nonzeros of the maps.
 """
 
 from __future__ import annotations
@@ -78,9 +77,9 @@ from typing import Optional, Tuple
 from .config import MARGIN
 from .errors import ValidationFailed
 from .graded import (GradedHomElement, all_morphisms, compose, coords_of,
-                     differential_rows, element_from_coords, hom_layout,
+                     differential_rows, elements_from_coords, hom_layout,
                      identity_element, is_morphism, make_element, shift_element,
-                     zero_element)
+                     unit_elements, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
 from .linalg import Matrix, _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
@@ -148,8 +147,8 @@ class HomContext:
         return coords_of(g, self.L, self.R)
 
     def element_from_vec(self, vec: list, constant_tails: bool = False) -> GradedHomElement:
-        return element_from_coords(self.src, self.dst, 0, self.L, self.R, vec,
-                                   constant_tails)
+        return elements_from_coords(self.src, self.dst, 0, self.L, self.R, [vec],
+                                    constant_tails)[0]
 
     def reduce_vec(self, vec: list) -> list:
         """Canonical representative of ``vec`` modulo the image of d^-1, the
@@ -179,8 +178,8 @@ class HomContext:
         return self.element_from_vec(vec)
 
     def hom_basis(self) -> list:
-        out = [self.element_from_vec(vec, constant_tails=True)
-               for vec in self.ker_basis_vecs]
+        out = elements_from_coords(self.src, self.dst, 0, self.L, self.R,
+                                   self.ker_basis_vecs, constant_tails=True)
         if not all_morphisms(out):
             raise ValidationFailed("internal: kernel vector failed the morphism check")
         return out
@@ -189,12 +188,8 @@ class HomContext:
         """One element per eps coordinate, built on the first call; every
         call returns a new list of the same (immutable) elements."""
         if self._eps_basis is None:
-            out = []
-            for j in self.nonpivots:
-                vec = [self.field.zero] * self.N
-                vec[j] = self.field.one
-                out.append(self.element_from_vec(vec))
-            self._eps_basis = tuple(out)
+            self._eps_basis = tuple(unit_elements(self.src, self.dst, 0, self.L, self.R,
+                                                  self.nonpivots))
         return list(self._eps_basis)
 
 

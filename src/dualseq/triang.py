@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import NotExact, ValidationFailed
 from .graded import (GradedHomElement, differential, differential_rows,
-                     element_from_coords, hom_layout, make_element)
+                     elements_from_coords, hom_layout, make_element)
 from .hom import HatMorphism, compose_hat, get_context, hat, hat_eps, shift_hat
 from .linalg import (Matrix, _solve_rows, block_matrix, complement, inverse,
                      rank as mrank, solve, subspaces)
@@ -291,7 +291,7 @@ def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
     sol = _solve_rows(field, rows, width, 1)
     if sol is None:
         return None
-    h = element_from_coords(x, y, -1, L, R + 1, sol, constant_tails=True)
+    h = elements_from_coords(x, y, -1, L, R + 1, [sol], constant_tails=True)[0]
     if differential(h) != -e.feps:
         raise ValidationFailed("internal: splitting does not solve the coboundary equation")
     return h

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from dualseq.barcode import Barcode, Interval, make_barcode
+from dualseq.graded import GradedHomElement, make_element
 from dualseq.linalg import Field, Matrix
 from dualseq.seq import Seq, Tail, make_seq, zero_seq
 
@@ -263,3 +264,83 @@ def window_dims(v: Seq, w: Seq, margin: int) -> Tuple[int, int]:
     d0, dm1, n = window_matrices(v, w, margin)
     field = v.field
     return (n - gauss_jordan(field, d0, n)[0], n - gauss_jordan(field, dm1, n)[0])
+
+
+# -- elements from window coordinates, one element at a time -------------
+
+
+def element_from_coords(v: Seq, w: Seq, n: int, lo: int, hi: int, vec: list,
+                        constant_tails: bool = False) -> GradedHomElement:
+    """The element of ``Hom^n(V, W)`` with coordinates ``vec`` on the
+    degrees ``lo..hi`` (``graded.hom_layout``), through ``make_element``:
+    one matrix per block, then a component function that is zero beyond
+    the window, or with ``constant_tails`` repeats the boundary blocks, is
+    sampled on the window and just beyond it and trimmed to normal form."""
+    field, zeros = v.field, Matrix.zeros
+    mats = {}
+    o = 0
+    for i in range(lo, hi + 1):
+        r, c = w.dim(n + i), v.dim(i)
+        block = vec[o:o + r * c]
+        o += r * c
+        mats[i] = Matrix(field, r, c, tuple(block)) if any(block) else zeros(field, r, c)
+
+    if constant_tails:
+        def fn(i):
+            return mats[min(max(i, lo), hi)]
+    else:
+        def fn(i):
+            if i < lo or i > hi:
+                return zeros(field, w.dim(n + i), v.dim(i))
+            return mats[i]
+    return make_element(v, w, n, lo, hi, fn)
+
+
+def all_morphisms(fs) -> bool:
+    """``graded.all_morphisms`` by matrix products: per element and degree
+    ``i`` of ``[lo-3, hi+3]`` over the widest stored window, ``d_W^i f^i``
+    against ``f^(i+1) d_V^i``."""
+    fs = list(fs)
+    if not fs:
+        return True
+    if any(f.degree != 0 for f in fs):
+        return False
+    src, dst = fs[0].src, fs[0].dst
+    for i in range(min(f.lo for f in fs) - 3, max(f.hi for f in fs) + 4):
+        dw, dv = dst.map_at(i), src.map_at(i)
+        for f in fs:
+            if dw @ f.component(i) != f.component(i + 1) @ dv:
+                return False
+    return True
+
+
+def hom_basis(ctx) -> list:
+    """``HomContext.hom_basis``: one element per kernel vector, with
+    constant tails, checked by ``all_morphisms`` above."""
+    out = [element_from_coords(ctx.src, ctx.dst, 0, ctx.L, ctx.R, vec, True)
+           for vec in ctx.ker_basis_vecs]
+    if not all_morphisms(out):
+        raise AssertionError("a kernel vector is not a morphism")
+    return out
+
+
+def eps_basis(ctx) -> list:
+    """``HomContext.eps_basis``: one dense unit vector of length ``N`` per
+    eps coordinate, zero beyond the window."""
+    out = []
+    for j in ctx.nonpivots:
+        vec = [ctx.field.zero] * ctx.N
+        vec[j] = ctx.field.one
+        out.append(element_from_coords(ctx.src, ctx.dst, 0, ctx.L, ctx.R, vec))
+    return out
+
+
+def canonical_eps(ctx, g: GradedHomElement) -> GradedHomElement:
+    """``HomContext.canonical_eps``: the reduced window vector of ``g``."""
+    return element_from_coords(ctx.src, ctx.dst, 0, ctx.L, ctx.R,
+                               ctx.reduce_vec(ctx.vec_of(g)))
+
+
+def stored(g: GradedHomElement) -> tuple:
+    """Every stored field of an element: ``(lo, comps, ltail, rtail)``."""
+    return (g.lo, g.comps, g.ltail, g.rtail)

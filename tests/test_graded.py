@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_graded_element, random_matrix, random_seq
 from dualseq.graded import (all_morphisms, base_window, compose, differential,
@@ -202,6 +203,7 @@ def test_all_morphisms_matches_differential_reference():
         batch = basis + [random_graded_element(rng, v, w) for _ in range(2)]
         rng.shuffle(batch)
         assert all_morphisms(batch) == all(map(_reference_is_morphism, batch))
+        assert all_morphisms(batch) == oracles.all_morphisms(batch)
         for g in batch:
             assert is_morphism(g) == _reference_is_morphism(g)
         # one element of a closed batch perturbed at one degree, inside or

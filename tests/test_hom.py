@@ -8,7 +8,8 @@ import pytest
 import oracles
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_graded_element, random_scalar, random_seq
-from dualseq.graded import (compose, differential, is_morphism, shift_element,
+from dualseq.graded import (compose, differential, elements_from_coords, hom_layout,
+                            is_morphism, shift_element, unit_elements,
                             zero_element)
 from dualseq import hom
 from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context, hat,
@@ -239,6 +240,87 @@ def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
         widened += margin > base_margin
     if base_margin == 0:
         assert widened > 0
+
+
+def _same_stored(got, want):
+    # field for field, and entry types too: over Q every entry is a Fraction
+    assert len(got) == len(want)
+    for g, o in zip(got, want):
+        assert oracles.stored(g) == oracles.stored(o)
+        assert ([type(x) for m in g.comps + g.ltail + g.rtail for x in m.data]
+                == [type(x) for m in o.comps + o.ltail + o.rtail for x in m.data])
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_element_building_matches_the_make_element_oracle(field):
+    # elements_from_coords, unit_elements and the bases and coset
+    # representatives built on them store what the oracle's make_element
+    # path stores: hom windows of degree 0 and -1, zero and constant tails
+    rng = random.Random({F2: 71, F5: 72, Q: 73}[field])
+    bases = 0
+    for _ in range(10):
+        v = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        ctx = HomContext(v, w)
+        for n, lo, hi in ((0, ctx.L, ctx.R), (-1, ctx.L, ctx.R + 1)):
+            size = hom_layout(v, w, n, lo, hi)[1]
+            vecs = [[random_scalar(rng, field) if rng.random() < density else field.zero
+                     for _ in range(size)] for density in (0, 0.1, 0.5, 1)]
+            for constant in (False, True):
+                _same_stored(elements_from_coords(v, w, n, lo, hi, vecs, constant),
+                             [oracles.element_from_coords(v, w, n, lo, hi, vec, constant)
+                              for vec in vecs])
+            units = [[field.one if k == j else field.zero for k in range(size)]
+                     for j in range(size)]
+            _same_stored(unit_elements(v, w, n, lo, hi, range(size)),
+                         [oracles.element_from_coords(v, w, n, lo, hi, vec) for vec in units])
+        _same_stored(ctx.hom_basis(), oracles.hom_basis(ctx))
+        _same_stored(ctx.eps_basis(), oracles.eps_basis(ctx))
+        gs = [random_graded_element(rng, v, w) for _ in range(3)]
+        _same_stored([ctx.canonical_eps(g) for g in gs],
+                     [oracles.canonical_eps(ctx, g) for g in gs])
+        bases += ctx.dim_hom > 0 and ctx.dim_eps > 0
+    assert bases >= 3
+
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_element_from_vec_refuses_a_vector_of_the_wrong_length(length):
+    v = interval(F5, 0, 1)
+    ctx = get_context(v, v)
+    assert ctx.N == 2
+    for constant in (False, True):
+        with pytest.raises(ValidationFailed, match="2 coordinates on -2..3, got"):
+            ctx.element_from_vec([1] * length, constant)
+        with pytest.raises(ValidationFailed, match=f"got {length}"):
+            elements_from_coords(v, v, 0, ctx.L, ctx.R, [[1, 2], [1] * length], constant)
+    assert ctx.vec_of(ctx.element_from_vec([1, 2])) == [1, 2]
+
+
+def test_corrupted_kernel_vector_fails_the_morphism_check():
+    # one entry of a kernel vector changed, in a window block or in an edge
+    # block that the constant tails repeat: hom_basis must refuse it whenever
+    # the oracle finds the element is no morphism
+    rng = random.Random(74)
+    caught = {"edge": 0, "inside": 0}
+    while min(caught.values()) < 6:
+        field = rng.choice([F2, F5, Q])
+        v = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        ctx = HomContext(v, w)      # not cached: its kernel vectors are changed
+        if not ctx.dim_hom:
+            continue
+        t, j = rng.randrange(ctx.dim_hom), rng.randrange(ctx.N)
+        vec = list(ctx.ker_basis_vecs[t])
+        vec[j] = field.coerce(vec[j] + 1)
+        bad = oracles.element_from_coords(v, w, 0, ctx.L, ctx.R, vec, True)
+        if oracles.all_morphisms([bad]):
+            continue
+        ctx.ker_basis_vecs[t] = vec
+        with pytest.raises(ValidationFailed,
+                           match="internal: kernel vector failed the morphism check"):
+            ctx.hom_basis()
+        off = hom_layout(v, w, 0, ctx.L, ctx.R)[0]
+        caught["edge" if j < off[ctx.L + 1] or j >= off[ctx.R] else "inside"] += 1
 
 
 def test_eps_basis_classes_independent():

@@ -158,8 +158,7 @@ def _oracle_kernel_rows(field, rows, k):
 
 @pytest.mark.parametrize("shift", [0, 4])
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
-def test_kernel_chain_matches_stacked_oracle(field, shift, monkeypatch):
-    get_context.cache_clear()
+def test_kernel_chain_matches_stacked_oracle(field, shift, monkeypatch, fresh_contexts):
     # every level is the kernel of the constraint rows of all levels down to
     # it, stacked and reduced by the oracle; the stable rows are the rref
     # basis of the last kernel, and membership decides is_phantom.  The
