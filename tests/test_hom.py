@@ -302,7 +302,9 @@ def test_corrupted_kernel_vector_fails_the_morphism_check():
     # the oracle finds the element is no morphism
     rng = random.Random(74)
     caught = {"edge": 0, "inside": 0}
-    while min(caught.values()) < 6:
+    for _ in range(400):
+        if min(caught.values()) >= 6:
+            break
         field = rng.choice([F2, F5, Q])
         v = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
         w = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
@@ -321,6 +323,7 @@ def test_corrupted_kernel_vector_fails_the_morphism_check():
             ctx.hom_basis()
         off = hom_layout(v, w, 0, ctx.L, ctx.R)[0]
         caught["edge" if j < off[ctx.L + 1] or j >= off[ctx.R] else "inside"] += 1
+    assert min(caught.values()) >= 6, caught
 
 
 def test_eps_basis_classes_independent():
