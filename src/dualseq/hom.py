@@ -82,8 +82,8 @@ from .graded import (GradedHomElement, all_morphisms, compose, coords_of,
                      unit_elements, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import Matrix, _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
-from .seq import Seq, direct_sum_seq
+from .linalg import _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
+from .seq import Seq, direct_sum_seq, summand_blocks
 
 
 @dataclass(frozen=True)
@@ -336,26 +336,15 @@ class DirectSum:
 
 
 def direct_sum(v: Seq, w: Seq) -> DirectSum:
-    """Blockwise direct sum with its inclusion and projection morphisms."""
+    """Blockwise direct sum with its inclusion and projection morphisms,
+    whose blocks are those of ``seq.summand_blocks``."""
     s = direct_sum_seq(v, w)
     f = v.field
-    z = Matrix.zeros
 
-    def inc_l(i):
-        return Matrix.identity(f, v.dim(i)).vstack(z(f, w.dim(i), v.dim(i)))
-
-    def inc_r(i):
-        return z(f, v.dim(i), w.dim(i)).vstack(Matrix.identity(f, w.dim(i)))
-
-    def pr_l(i):
-        return Matrix.identity(f, v.dim(i)).hstack(z(f, v.dim(i), w.dim(i)))
-
-    def pr_r(i):
-        return z(f, w.dim(i), v.dim(i)).hstack(Matrix.identity(f, w.dim(i)))
+    def part(k):
+        return lambda i: summand_blocks(f, v.dim(i), w.dim(i))[k]
 
     lo, hi = min(v.lo, w.lo), max(v.hi, w.hi)
-    il = hat(make_element(v, s, 0, lo, hi, inc_l))
-    ir = hat(make_element(w, s, 0, lo, hi, inc_r))
-    pl = hat(make_element(s, v, 0, lo, hi, pr_l))
-    pr = hat(make_element(s, w, 0, lo, hi, pr_r))
+    il, ir, pl, pr = (hat(make_element(a, b, 0, lo, hi, part(k)))
+                      for k, (a, b) in enumerate(((v, s), (w, s), (s, v), (s, w))))
     return DirectSum(s, il, ir, pl, pr)

@@ -88,13 +88,6 @@ class Seq:
             return signed_identity(self.field, self.dims[0], i)
         return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i))
 
-    def materialize(self, m: int, n: int) -> tuple:
-        """Explicit ``(dims, maps)`` over degrees ``m..n`` (maps ``m..n-1``)."""
-        if n < m:
-            raise ValidationFailed("materialize: empty range")
-        return ([self.dim(i) for i in range(m, n + 1)],
-                [self.map_at(i) for i in range(m, n)])
-
     # -- global facts ---------------------------------------------------
 
     @property
@@ -194,25 +187,50 @@ def shift(v: Seq, n: int) -> Seq:
     return make_seq(v.field, v.lo - n, v.dims, maps, v.left_tail, v.right_tail)
 
 
+def glue(field: Field, lo: int, hi: int, xdim, ydim, dx, dy, f,
+         ends: Tuple[Seq, Seq]) -> Seq:
+    """E^i = X^i (+) Y^(i-1) on ``[lo, hi]``, X first, with the map ``[[d_X^i,
+    0], [-f^i, -d_Y^(i-1)]]`` (X and Y given degreewise by dimensions and
+    maps); a tail is ISO when either of ``ends`` has an ISO tail on that
+    side.  Beyond ``[lo, hi]`` E continues by its tails."""
+    dims = tuple(xdim(i) + ydim(i - 1) for i in range(lo, hi + 1))
+    maps = [block_matrix(field, [[dx(i), Matrix.zeros(field, xdim(i + 1), ydim(i - 1))],
+                                 [-f(i), -dy(i - 1)]]) for i in range(lo, hi)]
+    a, b = ends
+    lt = Tail.ISO if Tail.ISO in (a.left_tail, b.left_tail) else Tail.ZERO
+    rt = Tail.ISO if Tail.ISO in (a.right_tail, b.right_tail) else Tail.ZERO
+    return make_seq(field, lo, dims, maps, lt, rt)
+
+
+def summand_blocks(field: Field, x: int, y: int) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """The blocks ``[I; 0], [0; I], [I, 0], [0, I]`` of the inclusions and
+    projections of S = X (+) Y, X first, for dim X = x and dim Y = y (one
+    shared tuple per field and shape)."""
+    return _summand_blocks(field.p, x, y)
+
+
+@lru_cache(maxsize=SHARED_BLOCKS)
+def _summand_blocks(p: Optional[int], x: int, y: int) -> tuple:
+    field = Field(p)
+    ix, iy = Matrix.identity(field, x), Matrix.identity(field, y)
+    zxy, zyx = Matrix.zeros(field, x, y), Matrix.zeros(field, y, x)
+    return ix.vstack(zyx), zxy.vstack(iy), ix.hstack(zxy), zyx.hstack(iy)
+
+
 def direct_sum_seq(v: Seq, w: Seq) -> Seq:
-    """Blockwise direct sum on the union window (inclusions live in hom.py)."""
+    """Blockwise direct sum on the union window: ``glue`` of v and
+    ``shift(w, 1)`` along zero."""
     if v.field != w.field:
         raise ValidationFailed("direct sum over different fields")
     lo = min(v.lo, w.lo)
     hi = max(v.hi, w.hi)
-    left = Tail.ISO if Tail.ISO in (v.left_tail, w.left_tail) else Tail.ZERO
-    right = Tail.ISO if Tail.ISO in (v.right_tail, w.right_tail) else Tail.ZERO
     # one past the union window both summands are stable, so the boundary
     # dimension there is the true stable dimension of the sum
-    if left is Tail.ISO:
+    if Tail.ISO in (v.left_tail, w.left_tail):
         lo -= 1
-    if right is Tail.ISO:
+    if Tail.ISO in (v.right_tail, w.right_tail):
         hi += 1
-    vd, vm = v.materialize(lo, hi)
-    wd, wm = w.materialize(lo, hi)
-    dims = [a + b for a, b in zip(vd, wd)]
     f = v.field
-    z = Matrix.zeros
-    maps = [block_matrix(f, [[a, z(f, a.rows, b.cols)], [z(f, b.rows, a.cols), b]])
-            for a, b in zip(vm, wm)]
-    return make_seq(f, lo, dims, maps, left, right)
+    y = shift(w, 1)
+    return glue(f, lo, hi, v.dim, y.dim, v.map_at, y.map_at,
+                lambda i: Matrix.zeros(f, y.dim(i), v.dim(i)), (v, w))

@@ -19,9 +19,9 @@ from .errors import NotExact, ValidationFailed
 from .graded import (GradedHomElement, differential, differential_rows,
                      elements_from_coords, hom_layout, make_element)
 from .hom import HatMorphism, compose_hat, get_context, hat, hat_eps, shift_hat
-from .linalg import (Matrix, _solve_rows, block_matrix, complement, inverse,
-                     rank as mrank, solve, subspaces)
-from .seq import Seq, Tail, make_seq, shift
+from .linalg import (Matrix, _solve_rows, complement, inverse, rank as mrank, solve,
+                     subspaces)
+from .seq import Seq, Tail, glue, make_seq, shift, summand_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,19 +94,6 @@ class _SplitData:
         return ker, pker, pi, rest, sec
 
 
-def _glue(field, lo: int, hi: int, xdim, ydim, dx, dy, f, ends: Tuple[Seq, Seq]) -> Seq:
-    """E^i = X^i (+) Y^(i-1) on ``[lo, hi]``, with the map ``[[d_X^i, 0],
-    [-f^i, -d_Y^(i-1)]]``; a tail is ISO when either of ``ends`` has an ISO
-    tail on that side."""
-    dims = tuple(xdim(i) + ydim(i - 1) for i in range(lo, hi + 1))
-    maps = [block_matrix(field, [[dx(i), Matrix.zeros(field, xdim(i + 1), ydim(i - 1))],
-                                 [-f(i), -dy(i - 1)]]) for i in range(lo, hi)]
-    a, b = ends
-    lt = Tail.ISO if Tail.ISO in (a.left_tail, b.left_tail) else Tail.ZERO
-    rt = Tail.ISO if Tail.ISO in (a.right_tail, b.right_tail) else Tail.ZERO
-    return make_seq(field, lo, dims, maps, lt, rt)
-
-
 def _cone_window(h: HatMorphism) -> Tuple[int, int]:
     """The degrees on which ``cone`` builds U and samples f and g (see there)."""
     f1, he = h.f1, h.feps
@@ -116,7 +103,7 @@ def _cone_window(h: HatMorphism) -> Tuple[int, int]:
 def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     """Complete h: V -> W to a triangle shift(W,-1) -> U -> V -> W.
 
-    Returns (U, f, g).  U is glued by ``_glue`` from ker(h1) and cok(h1)
+    Returns (U, f, g).  U is glued by ``seq.glue`` from ker(h1) and cok(h1)
     along the class ``gamma = pi . he . ker``; its maps alpha and beta are
     those that h1, a chain map, induces on the kernel and the cokernel, so
     ``alpha^i = pker^(i+1) . d_V^i . ker^i``.  The 1-parts of f and g are
@@ -160,7 +147,7 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
         ker_i, _, pi_i, _, _ = sp.at(i)
         return pi_i @ he.component(i) @ ker_i
 
-    u_obj = _glue(field, lo, hi, kdim, qdim, alpha, beta, gamma, (v, w))
+    u_obj = glue(field, lo, hi, kdim, qdim, alpha, beta, gamma, (v, w))
     wm1 = shift(w, -1)
 
     def f1_at(i):
@@ -247,19 +234,13 @@ def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
     ctx = get_context(x, y)
     fc = ctx.canonical_eps(f)
     lo, hi = _extension_window(fc)
-    total = _glue(field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fc.component, (x, y))
-    ym1 = shift(y, -1)
+    total = glue(field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fc.component, (x, y))
 
-    def inc_at(i):
-        return Matrix.zeros(field, x.dim(i), y.dim(i - 1)).vstack(
-            Matrix.identity(field, y.dim(i - 1)))
+    def blocks(i):
+        return summand_blocks(field, x.dim(i), y.dim(i - 1))
 
-    def prj_at(i):
-        return Matrix.identity(field, x.dim(i)).hstack(
-            Matrix.zeros(field, x.dim(i), y.dim(i - 1)))
-
-    incl = hat(make_element(ym1, total, 0, lo, hi, inc_at))
-    proj = hat(make_element(total, x, 0, lo, hi, prj_at))
+    incl = hat(make_element(shift(y, -1), total, 0, lo, hi, lambda i: blocks(i)[1]))
+    proj = hat(make_element(total, x, 0, lo, hi, lambda i: blocks(i)[2]))
     return ExtensionClass(x, y, fc, total, incl, proj)
 
 
@@ -386,9 +367,7 @@ def inclusion_element(v: Seq, n: int) -> GradedHomElement:
     t = truncate_above(v, n)
 
     def fn(i):
-        if i >= n:
-            return Matrix.identity(v.field, v.dim(i))
-        return Matrix.zeros(v.field, v.dim(i), t.dim(i))
+        return summand_blocks(v.field, v.dim(i) - t.dim(i), t.dim(i))[1]
 
     return make_element(t, v, 0, min(v.lo, n) - 1, max(v.hi, n) + 1, fn)
 
@@ -401,9 +380,7 @@ def truncation_projection(v: Seq, n: int) -> HatMorphism:
     t = truncate_below(v, n)
 
     def fn(i):
-        if i < n:
-            return Matrix.identity(v.field, v.dim(i))
-        return Matrix.zeros(v.field, t.dim(i), v.dim(i))
+        return summand_blocks(v.field, t.dim(i), v.dim(i) - t.dim(i))[2]
 
     lo = min(v.lo, n) - 1
     hi = max(v.hi, n) + 1
@@ -411,7 +388,17 @@ def truncation_projection(v: Seq, n: int) -> HatMorphism:
 
 
 def truncation_triangle(v: Seq, n: int) -> Triangle:
-    """The triangle truncate_above(v, n) -> v -> truncate_below(v, n) -> shift."""
-    beta = truncation_inclusion(v, n)
-    delta = truncation_projection(v, n)
-    return triangle_from_ses(beta, delta)
+    """The triangle truncate_above(v, n) -> v -> truncate_below(v, n) -> shift.
+
+    v is ``seq.glue`` of X = truncate_below(v, n) and shift(truncate_above(v,
+    n), 1) along f, zero but for f^(n-1) = -d_V^(n-1), so the connecting
+    class is [f]; nothing is solved (docs/NOTES.md, "One glued sum")."""
+    u = truncation_inclusion(v, n)
+    p = truncation_projection(v, n)
+    x, y = p.dst, shift(u.src, 1)
+    d = v.map_at(n - 1)
+
+    def fn(i):
+        return -d if i == n - 1 else Matrix.zeros(v.field, y.dim(i), x.dim(i))
+
+    return Triangle(u.src, v, x, u, p, hat_eps(make_element(x, y, 0, n - 1, n - 1, fn)))

@@ -488,6 +488,28 @@ def test_direct_sum_projections_section():
     assert compose_hat(ds.project_left, ds.include_right).is_zero
 
 
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_direct_sum_is_a_biproduct(field):
+    # on random sequences with rays: each projection splits its inclusion,
+    # the cross composites vanish, and the two idempotents sum to id_S
+    rng = random.Random(64)
+    for _ in range(30):
+        v = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        ds = direct_sum(v, w)
+        il, ir, pl, pr = ds.include_left, ds.include_right, ds.project_left, ds.project_right
+        assert compose_hat(pl, il) == identity_hat(v)
+        assert compose_hat(pr, ir) == identity_hat(w)
+        assert compose_hat(pl, ir).is_zero and compose_hat(pr, il).is_zero
+        assert compose_hat(il, pl) + compose_hat(ir, pr) == identity_hat(ds.seq)
+
+
+@pytest.mark.parametrize("build", [direct_sum_seq, direct_sum])
+def test_direct_sum_refuses_different_fields(build):
+    with pytest.raises(ValidationFailed, match="different fields"):
+        build(interval(F2, 0, 1), interval(F5, 0, 1))
+
+
 def _random_morphism(rng, v, w):
     ctx = get_context(v, w)
     out = zero_element(v, w, 0)

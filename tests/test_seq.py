@@ -178,5 +178,6 @@ def test_make_seq_ignores_padding_with_tail_degrees():
                                scrambled=rng.random() < 0.5))
     for v in seqs:
         lo, hi = v.lo - rng.randint(0, 3), v.hi + rng.randint(0, 3)
-        dims, maps = v.materialize(lo, hi)
+        dims = [v.dim(i) for i in range(lo, hi + 1)]
+        maps = [v.map_at(i) for i in range(lo, hi)]
         assert make_seq(v.field, lo, dims, maps, v.left_tail, v.right_tail) == v

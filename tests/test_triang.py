@@ -16,7 +16,7 @@ from dualseq.hom import (HatMorphism, compose_hat, get_context, hat, hat_eps,
                          identity_hat, zero_hat)
 from dualseq.io import parse_document
 from dualseq.linalg import Field, Matrix, block_matrix
-from dualseq.seq import Tail, direct_sum_seq, interval, make_seq, shift, zero_seq
+from dualseq.seq import Tail, direct_sum_seq, glue, interval, make_seq, shift, zero_seq
 from dualseq.triang import (Triangle, cone, cone_triangle, extension_from_eps,
                             splits, triangle_from_ses, truncate_above,
                             truncate_below, truncation_inclusion,
@@ -566,6 +566,56 @@ def test_truncation_of_glued_vs_split():
     assert tri.a == top and tri.c == bottom
     assert decompose(direct_sum_seq(top, bottom)).counts() != \
         decompose(v).counts()
+
+
+def _connecting(v, n):
+    """f: truncate_below(v, n) -> shift(truncate_above(v, n), 1), zero
+    except f^(n-1) = -d_V^(n-1), as a component function."""
+    x, y = truncate_below(v, n), shift(truncate_above(v, n), 1)
+
+    def fn(i):
+        return -v.map_at(n - 1) if i == n - 1 else Matrix.zeros(v.field, y.dim(i), x.dim(i))
+
+    return x, y, fn
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_truncation_triangle_is_its_extension_triangle(field):
+    # v is glued from its two truncations along -d_V^(n-1), and the closed
+    # form triangle is the one triangle_from_ses solves for, part by part
+    rng = random.Random(62)
+    for _ in range(25):
+        v = _with_rays(rng, field, random_seq(rng, field, max_bars=3, lo=-2, hi=2))
+        n = rng.randint(v.lo - 2, v.hi + 2)
+        x, y, fn = _connecting(v, n)
+        lo, hi = min(v.lo, n) - 2, max(v.hi, n) + 2
+        assert glue(field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fn, (x, y)) == v
+        tri = truncation_triangle(v, n)
+        want = triangle_from_ses(truncation_inclusion(v, n), truncation_projection(v, n))
+        for part in ("a", "b", "c", "u", "v", "w"):
+            assert getattr(tri, part) == getattr(want, part), part
+
+
+def test_truncation_triangle_solves_nothing(monkeypatch):
+    # the connecting class is read off d_V^(n-1): no rank, no solve
+    def boom(*args):
+        raise AssertionError("truncation_triangle solved for its connecting class")
+
+    for name in ("triangle_from_ses", "solve", "mrank"):
+        monkeypatch.setattr(triang, name, boom)
+    for f in (F2, F5, Q):
+        truncation_triangle(interval(f, -INF, 1), 1).verify()
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_split_extension_is_the_direct_sum(field):
+    # the extension along the zero class and the direct sum are one glue
+    rng = random.Random(63)
+    for _ in range(25):
+        x = _with_rays(rng, field, random_seq(rng, field, max_bars=2, lo=-2, hi=2))
+        y = _with_rays(rng, field, random_seq(rng, field, max_bars=2, lo=-2, hi=2))
+        e = extension_from_eps(zero_element(x, y, 0))
+        assert e.total == direct_sum_seq(x, shift(y, -1))
 
 
 def test_cone_shift_consistency():
