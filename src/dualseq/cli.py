@@ -25,7 +25,7 @@ from .io import (Document, barcode_to_json, check_span, complex_to_json,
                  report_json, seq_to_json)
 from .phantom import check_derivation, is_phantom, solve_inner
 from .seq import Seq
-from .triang import cone, truncate_above
+from .triang import cone_object, truncate_above
 
 
 class _UsageError(Exception):
@@ -131,7 +131,7 @@ def _cmd_hom(doc: Document, args) -> dict:
 
 def _cmd_cone(doc: Document, args) -> dict:
     h = doc.morphism(args.morphism)
-    u, _, _ = cone(h)
+    u = cone_object(h)
     bc = decompose(u)
     if args.json:
         return {"command": "cone", "morphism": args.morphism,

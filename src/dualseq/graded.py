@@ -188,11 +188,11 @@ def hom_layout(v: Seq, w: Seq, n: int, lo: int, hi: int) -> tuple:
     return off, size
 
 
-def coords_of(g: GradedHomElement, lo: int, hi: int) -> list:
-    """The coordinates of ``g`` on the degrees ``lo..hi`` (``hom_layout``)."""
+def coords_of(fn: Callable[[int], Matrix], lo: int, hi: int) -> list:
+    """The coordinates of the blocks ``fn(i)`` on ``lo..hi`` (``hom_layout``)."""
     out = []
     for i in range(lo, hi + 1):
-        out.extend(g.component(i).data)
+        out.extend(fn(i).data)
     return out
 
 
@@ -238,6 +238,18 @@ def unit_elements(v: Seq, w: Seq, n: int, lo: int, hi: int, coords) -> list:
         comps[k] = Matrix(v.field, z.rows, z.cols, data)
         out.append(_trimmed(v, w, n, window, lo, comps, *tails))
     return out
+
+
+def placed_element(v: Seq, w: Seq, n: int, lo: int, hi: int, entries: dict) -> GradedHomElement:
+    """``elements_from_coords`` of the vector whose nonzeros are ``entries``
+    ({coordinate: x}), each placed in its block as ``unit_elements`` does."""
+    blocks, tails = _blocks(v, w, n, lo, hi)
+    comps = [b[2] for b in blocks]
+    for j, x in entries.items():
+        k = next(k for k, (_, stop, _) in enumerate(blocks) if stop > j)   # the block of j
+        s, m = blocks[k][0], comps[k]
+        comps[k] = Matrix(v.field, m.rows, m.cols, m.data[:j - s] + (x,) + m.data[j - s + 1:])
+    return _trimmed(v, w, n, base_window(v, w, n), lo, comps, *tails)
 
 
 def differential_rows(v: Seq, w: Seq, n: int, lo: int, hi: int) -> list:

@@ -10,8 +10,8 @@ Two spaces matter everywhere:
 * ``Hom_eps(V, W) = cok(d^-1)`` - the extra "epsilon" component of the
   enlarged category, whose morphisms are pairs ``f_1 + [f_eps]`` composing by
   ``(g o f)_1 = g_1 f_1`` and ``(g o f)_eps = g_1 f_eps + g_eps f_1``.
-  The class of zero is zero, so a morphism without an epsilon part needs
-  no window computation at all.
+  Every epsilon part is reduced on one path, ``_eps_class``, from the
+  coordinates of its blocks on the window ``[L, R]`` below.
 
 Both are computed on the finite window ``[L, R] = [a - m, b + m]`` around
 the irregular region ``a = min(v.lo, w.lo - 1)``, ``b = max(v.hi, w.hi + 1)``,
@@ -72,17 +72,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .config import MARGIN
 from .errors import ValidationFailed
 from .graded import (GradedHomElement, all_morphisms, compose, coords_of,
                      differential_rows, elements_from_coords, hom_layout,
-                     identity_element, is_morphism, make_element, shift_element,
-                     unit_elements, zero_element)
+                     identity_element, is_morphism, make_element, placed_element,
+                     shift_element, unit_elements, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
-from .linalg import _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
+from .linalg import Matrix, _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
 from .seq import Seq, direct_sum_seq, summand_blocks
 
 
@@ -100,6 +100,11 @@ def _require_one_field(v: Seq, w: Seq) -> None:
         raise ValidationFailed("hom between sequences over different fields")
 
 
+def hom_window(v: Seq, w: Seq) -> Tuple[int, int]:
+    """The window ``[L, R]`` of both hom spaces (module docstring)."""
+    return min(v.lo, w.lo - 1) - MARGIN, max(v.hi, w.hi + 1) + MARGIN
+
+
 class HomContext:
     """Everything the package needs to know about one ordered pair (V, W)."""
 
@@ -109,8 +114,7 @@ class HomContext:
         self.dst = w
         self.field = f = v.field
         self.margin = MARGIN
-        self.L = L = min(v.lo, w.lo - 1) - MARGIN
-        self.R = R = max(v.hi, w.hi + 1) + MARGIN
+        self.L, self.R = L, R = hom_window(v, w)
         self.certificate = StabilizationCertificate((L, R), MARGIN)
         _, n = hom_layout(v, w, 0, L, R)
         self.N = n
@@ -144,7 +148,7 @@ class HomContext:
         """The window coordinates of a degree-0 element from V to W."""
         if (g.src, g.dst, g.degree) != (self.src, self.dst, 0):
             raise ValidationFailed("element does not belong to this hom context")
-        return coords_of(g, self.L, self.R)
+        return coords_of(g.component, self.L, self.R)
 
     def element_from_vec(self, vec: list, constant_tails: bool = False) -> GradedHomElement:
         return elements_from_coords(self.src, self.dst, 0, self.L, self.R, [vec],
@@ -156,26 +160,30 @@ class HomContext:
         return _reduce_vec(self.field, self.img_rows, self.img_pivots, vec)
 
     def canonical_eps(self, g: GradedHomElement) -> GradedHomElement:
-        """Canonical representative of the class of ``g`` in Hom_eps.
-
-        Components outside the window do not affect the class (stable-zone
-        targets are absorbable), so the representative is window-supported
-        with zeros in every pivot coordinate of the image row space.
-        """
+        """Canonical representative of the class of ``g``, as ``_eps_class``."""
         return self.element_from_vec(self.reduce_vec(self.vec_of(g)))
 
     def eps_coords(self, g: GradedHomElement) -> list:
         red = self.reduce_vec(self.vec_of(g))
         return [red[j] for j in self.nonpivots]
 
+    def eps_coords_at(self, eps_at: Callable[[int], Matrix]) -> list:
+        """``eps_coords`` of the representative with blocks ``eps_at(i)``."""
+        red = self.reduce_vec(coords_of(eps_at, self.L, self.R))
+        return [red[j] for j in self.nonpivots]
+
     def eps_from_coords(self, coords: list) -> GradedHomElement:
+        """The canonical element with these coordinates, placed in its blocks."""
         if len(coords) != self.dim_eps:
             raise ValidationFailed(f"Hom_eps has dimension {self.dim_eps}, "
                                    f"got {len(coords)} coordinates")
-        vec = [self.field.zero] * self.N
-        for j, c in zip(self.nonpivots, coords):
-            vec[j] = self.field.coerce(c)
-        return self.element_from_vec(vec)
+        co = self.field.coerce
+        return placed_element(self.src, self.dst, 0, self.L, self.R,
+                              {j: x for j, c in zip(self.nonpivots, coords) if (x := co(c))})
+
+    def eps_hat(self, coords: list) -> "HatMorphism":
+        """``hat_eps(eps_from_coords(coords))``, which is canonical already."""
+        return HatMorphism(zero_element(self.src, self.dst, 0), self.eps_from_coords(coords))
 
     def hom_basis(self) -> list:
         out = elements_from_coords(self.src, self.dst, 0, self.L, self.R,
@@ -213,7 +221,9 @@ def get_context(v: Seq, w: Seq) -> HomContext:
 
 @dataclass(frozen=True, eq=False)
 class HatMorphism:
-    """A morphism ``f_1 + [f_eps]`` with ``f_eps`` kept in canonical form."""
+    """A morphism ``f_1 + [f_eps]`` with ``f_eps`` kept in canonical form:
+    every library constructor keeps ``feps`` the element ``_eps_class``
+    gives, and ``shift_hat`` relies on it.  This constructor does not."""
 
     f1: GradedHomElement
     feps: GradedHomElement
@@ -266,30 +276,34 @@ class HatMorphism:
         return HatMorphism(self.f1.scale(c), self.feps.scale(c))
 
 
-def _eps_class(v: Seq, w: Seq, eps: Optional[GradedHomElement]) -> GradedHomElement:
-    """Canonical representative of the class of ``eps`` in Hom_eps(v, w).
-
-    The class of zero is zero: a missing or zero ``eps`` needs no cokernel
-    data, so no hom context is built or looked up for it.  A zero ``eps`` is
-    returned as it is, and ``HatMorphism`` checks that it lies in
-    Hom^0(v, w).  Any other ``eps`` is reduced by
-    ``get_context(v, w).canonical_eps``.
-    """
+def _eps_class(v: Seq, w: Seq, eps_at: Optional[Callable[[int], Matrix]]) -> GradedHomElement:
+    """Canonical class in Hom_eps(v, w) of the representative with the total,
+    parity-periodic blocks ``eps_at(i)`` (``g.component``), or of zero for
+    ``None``.  The blocks are read once, as coordinates on ``hom_window``;
+    all zero is the ``zero_element``, with no hom context built or looked
+    up, and otherwise ``reduce_vec`` and ``element_from_vec`` build one."""
     _require_one_field(v, w)
-    if eps is None:
+    vec = None if eps_at is None else coords_of(eps_at, *hom_window(v, w))
+    if not vec or not any(vec):
         return zero_element(v, w, 0)
-    if eps.is_zero:
-        return eps
-    return get_context(v, w).canonical_eps(eps)
+    ctx = get_context(v, w)
+    return ctx.element_from_vec(ctx.reduce_vec(vec))
+
+
+def _hat(f1: GradedHomElement, eps_at: Optional[Callable[[int], Matrix]]) -> HatMorphism:
+    """``hat`` with the epsilon part given by its blocks (``_eps_class``)."""
+    if not is_morphism(f1):
+        raise ValidationFailed("type-1 part does not commute with the differentials")
+    return HatMorphism(f1, _eps_class(f1.src, f1.dst, eps_at))
 
 
 def hat(f1: GradedHomElement, feps: Optional[GradedHomElement] = None) -> HatMorphism:
     """Build a morphism, checking the type-1 part and canonicalizing the
     epsilon part.  A type-1 morphism (``feps`` missing or zero) builds no
     hom context."""
-    if not is_morphism(f1):
-        raise ValidationFailed("type-1 part does not commute with the differentials")
-    return HatMorphism(f1, _eps_class(f1.src, f1.dst, feps))
+    if feps is not None:
+        HatMorphism(f1, feps)       # the parts agree, before feps is read
+    return _hat(f1, None if feps is None else feps.component)
 
 
 def hat_eps(feps: GradedHomElement) -> HatMorphism:
@@ -307,20 +321,33 @@ def zero_hat(v: Seq, w: Seq) -> HatMorphism:
 def compose_hat(g: HatMorphism, f: HatMorphism) -> HatMorphism:
     """``g o f = g_1 f_1 + [g_1 f_eps + g_eps f_1]`` (epsilon squares to zero).
 
-    The epsilon part is computed only when ``f`` or ``g`` has one, and a
-    hom context is built only when that part is nonzero."""
+    The epsilon part is read only when ``f`` or ``g`` has one, from the
+    blocks ``g_1^i f_eps^i + g_eps^i f_1^i`` (``_eps_class``)."""
     if f.dst != g.src:
         raise ValidationFailed("compose: target/source mismatch")
-    f1 = compose(g.f1, f.f1)
-    eps = (None if f.is_type_one and g.is_type_one
-           else compose(g.f1, f.feps) + compose(g.feps, f.f1))
-    return HatMorphism(f1, _eps_class(f.src, g.dst, eps))
+    g1, ge, f1, fe = g.f1.component, g.feps.component, f.f1.component, f.feps.component
+    eps_at = (None if f.is_type_one and g.is_type_one
+              else lambda i: g1(i) @ fe(i) + ge(i) @ f1(i))
+    return HatMorphism(compose(g.f1, f.f1), _eps_class(f.src, g.dst, eps_at))
 
 
 def shift_hat(h: HatMorphism, k: int) -> HatMorphism:
+    """``h`` moved by the shift ``k``, its epsilon part not reduced again.
+
+    Shifting both objects by k moves the hom window by -k, coordinate i to
+    coordinate k + i in the same layout order, and scales the rows of
+    ``d^-1`` by ``(-1)^k``.  ``_rref`` scales every pivot to 1, so the
+    echelon rows, the pivots and the canonical representatives move with
+    the shift exactly.  The exception is an object that ``make_seq`` pins
+    at window [0,0], the zero object or a constant Iso-Iso sequence: its
+    differential is invertible in every degree, so every window-supported
+    ``f`` is ``d^-1(x)`` for the x solved from ``x = 0`` upward (``d_V``
+    invertible) or downward (``d_W`` invertible).  Then Hom_eps = 0, ``h``
+    is type 1, and the ``is_type_one`` branch gives the zero element.
+    """
     f1 = shift_element(h.f1, k)
-    eps = None if h.is_type_one else shift_element(h.feps, k)
-    return HatMorphism(f1, _eps_class(f1.src, f1.dst, eps))
+    return HatMorphism(f1, zero_element(f1.src, f1.dst, 0) if h.is_type_one
+                       else shift_element(h.feps, k))
 
 
 # -- direct sums ---------------------------------------------------------

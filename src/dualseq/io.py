@@ -27,7 +27,7 @@ from .config import MAX_SPAN
 from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
 from .graded import GradedHomElement, make_element, zero_element
-from .hom import HatMorphism, hat
+from .hom import HatMorphism, _hat
 from .linalg import Field, Matrix
 from .phantom import Derivation, Diagram
 from .seq import Seq, Tail, interval, make_seq
@@ -419,7 +419,7 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
         window = (min(src.lo, dst.lo), max(src.hi, dst.hi))
     lo, hi = window
 
-    def build(raw):
+    def blocks(raw):
         def fn(i):
             j = min(max(i, lo), hi) if constant else i
             m = raw.get(j)
@@ -435,11 +435,15 @@ def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
                     f"tails constant cannot repeat the {m.rows} x {m.cols} component "
                     f"of degree {j} into degree {i}, where components are {r} x {c}", constant)
             return Matrix.zeros(field, r, c)
-        return make_element(src, dst, 0, lo, hi, fn)
+        return fn
 
-    zero = zero_element(src, dst, 0) if not (one_raw and eps_raw) else None
-    return hat(build(one_raw) if one_raw else zero,
-               build(eps_raw) if eps_raw else zero)
+    f1 = (make_element(src, dst, 0, lo, hi, blocks(one_raw)) if one_raw
+          else zero_element(src, dst, 0))
+    eps_at = blocks(eps_raw) if eps_raw else None
+    if eps_at and constant:     # report a bad repeat where make_element would
+        for i in range(min(lo, src.lo, dst.lo), max(hi, src.hi, dst.hi) + 1):
+            eps_at(i)
+    return _hat(f1, eps_at)
 
 
 def _parse_diagram(s: _Stream, doc: Document) -> Diagram:

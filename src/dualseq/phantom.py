@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import StabilizationDepthExceeded, ValidationFailed
-from .graded import compose
 from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
-                  hat_eps, zero_hat)
+                  zero_hat)
 from .linalg import _dict_rows, _kernel_vectors, _reduce_vec, _rref, _solve_rows
 from .seq import Seq, Tail
 from .triang import inclusion_element
@@ -105,7 +104,8 @@ def _stable_chain(ctx, v: Seq, w: Seq, depth: int):
     for step in range(depth):
         incl = inclusion_element(v, n)
         tctx = get_context(incl.src, w)
-        cols = [tctx.eps_coords(compose(rep, incl)) for rep in reps]
+        cols = [tctx.eps_coords_at(lambda i, e=rep.component: e(i) @ incl.component(i))
+                for rep in reps]
         system += _dict_rows(zip(*cols))
         new_rank, pivots = _rref(f, system, k)
         del system[new_rank:]
@@ -151,8 +151,7 @@ def phantom_basis(v: Seq, w: Seq,
         return [], PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
     rows, ctx, cert = _kernel_chain(v, w, depth)
     zero = ctx.field.zero
-    return [hat_eps(ctx.eps_from_coords([r.get(j, zero) for j in range(ctx.dim_eps)]))
-            for r in rows], cert
+    return [ctx.eps_hat([r.get(j, zero) for j in range(ctx.dim_eps)]) for r in rows], cert
 
 
 # -- finite diagrams and derivations ---------------------------------------
@@ -264,12 +263,13 @@ def solve_inner(diag: Diagram, der: Derivation) -> Optional[Dict[str, HatMorphis
         f = pctx.field
         # one dict row per eps coordinate of the generator, the RHS in column total
         block = [{total: y} if y else {} for y in pctx.eps_coords(der.at(gname).feps)]
-        cols = [(offs[sn] + j, 1, compose(mor.f1, rep))
+        f1 = mor.f1.component
+        cols = [(offs[sn] + j, 1, lambda i, e=rep.component: f1(i) @ e(i))
                 for j, rep in enumerate(ctxs[sn].eps_basis())]
-        cols += [(offs[dn] + j, -1, compose(rep, mor.f1))
+        cols += [(offs[dn] + j, -1, lambda i, e=rep.component: e(i) @ f1(i))
                  for j, rep in enumerate(ctxs[dn].eps_basis())]
-        for c, sign, g in cols:
-            for row, x in zip(block, pctx.eps_coords(g)):
+        for c, sign, g_at in cols:
+            for row, x in zip(block, pctx.eps_coords_at(g_at)):
                 if x:
                     row[c] = row.get(c, 0) + sign * x
         rows += [{c: y for c, x in row.items() if (y := f.coerce(x))} for row in block]
@@ -278,5 +278,4 @@ def solve_inner(diag: Diagram, der: Derivation) -> Optional[Dict[str, HatMorphis
     sol = _solve_rows(f, rows, total, 1)
     if sol is None:
         return None
-    return {nm: hat_eps(ctxs[nm].eps_from_coords(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]))
-            for nm in names}
+    return {nm: ctxs[nm].eps_hat(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]) for nm in names}

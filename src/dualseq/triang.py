@@ -17,8 +17,8 @@ from typing import Dict, Optional, Tuple
 
 from .errors import NotExact, ValidationFailed
 from .graded import (GradedHomElement, differential, differential_rows,
-                     elements_from_coords, hom_layout, make_element)
-from .hom import HatMorphism, compose_hat, get_context, hat, hat_eps, shift_hat
+                     elements_from_coords, hom_layout, make_element, zero_element)
+from .hom import HatMorphism, _eps_class, _hat, compose_hat, get_context, hat, shift_hat
 from .linalg import (Matrix, _solve_rows, complement, inverse, rank as mrank, solve,
                      subspaces)
 from .seq import Seq, Tail, glue, make_seq, shift, summand_blocks
@@ -95,42 +95,17 @@ class _SplitData:
 
 
 def _cone_window(h: HatMorphism) -> Tuple[int, int]:
-    """The degrees on which ``cone`` builds U and samples f and g (see there)."""
+    """The degrees on which ``cone`` builds U and the 1-parts of f and g."""
     f1, he = h.f1, h.feps
     return min(f1.lo - 1, he.lo), max(f1.hi + 2, he.hi + 1)
 
 
-def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
-    """Complete h: V -> W to a triangle shift(W,-1) -> U -> V -> W.
-
-    Returns (U, f, g).  U is glued by ``seq.glue`` from ker(h1) and cok(h1)
-    along the class ``gamma = pi . he . ker``; its maps alpha and beta are
-    those that h1, a chain map, induces on the kernel and the cokernel, so
-    ``alpha^i = pker^(i+1) . d_V^i . ker^i``.  The 1-parts of f and g are
-    the natural inclusion of the kernel and projection onto the cokernel;
-    their eps-parts factor through the image of h1 via the canonical section.
-
-    U is built, and f and g sampled, on the window ``[lo, hi]`` of
-    ``_cone_window``; beyond it every input they read is in its tail, so
-    they are parity-periodic there, as ``make_seq`` and ``make_element``
-    require.  At degree i they read the splittings of h1 at i-1..i+1,
-    d_V^(i-1), d_V^i, d_W^(i-1), he^(i-1) and he^i.  So they need ``lo <=
-    min(v.lo, w.lo + 1, f1.lo - 1, he.lo)`` and ``hi >= max(v.hi, w.hi + 1,
-    f1.hi + 2, he.hi + 1)``.  Every stored window contains ``base_window(v,
-    w)``, so ``f1.lo - 1 < min(v.lo, w.lo + 1)`` and ``f1.hi + 2 > max(v.hi,
-    w.hi + 1)``: the v and w terms never decide and are left out.
-    """
-    v, w = h.src, h.dst
-    f1, he = h.f1, h.feps
-    field = v.field
-    lo, hi = _cone_window(h)
-    sp = _SplitData(f1)
-
-    def kdim(i):
-        return sp.at(i)[0].cols
-
-    def qdim(i):
-        return sp.at(i)[2].rows
+def cone_object(h: HatMorphism, sp: Optional[_SplitData] = None) -> Seq:
+    """U of ``cone(h)``: ``seq.glue`` of ker(h1) and cok(h1) along ``gamma =
+    pi . he . ker``, by the splittings ``sp`` of h1.  Its maps are those h1,
+    a chain map, induces: ``alpha^i = pker^(i+1) . d_V^i . ker^i``."""
+    v, w, he = h.src, h.dst, h.feps
+    sp = sp or _SplitData(h.f1)
 
     def alpha(i):
         ker_i, (ker_n, pker_n) = sp.at(i)[0], sp.at(i + 1)[:2]
@@ -147,13 +122,39 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
         ker_i, _, pi_i, _, _ = sp.at(i)
         return pi_i @ he.component(i) @ ker_i
 
-    u_obj = glue(field, lo, hi, kdim, qdim, alpha, beta, gamma, (v, w))
+    return glue(v.field, *_cone_window(h), lambda i: sp.at(i)[0].cols,
+                lambda i: sp.at(i)[2].rows, alpha, beta, gamma, (v, w))
+
+
+def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
+    """Complete h: V -> W to a triangle shift(W,-1) -> U -> V -> W.
+
+    Returns (U, f, g), U from ``cone_object``.  The 1-parts of f and g are
+    the natural inclusion of the kernel and projection onto the cokernel;
+    their eps-parts, handed to ``_eps_class`` as block functions, factor
+    through the image of h1 via the canonical section.
+
+    U is built, and the 1-parts of f and g stored, on the window ``[lo,
+    hi]`` of ``_cone_window``; beyond it every input their blocks read is
+    in its tail, so the blocks are parity-periodic there, as ``make_seq``,
+    ``make_element`` and ``_eps_class`` require.  At degree i they read the
+    splittings of h1 at i-1..i+1, d_V^(i-1), d_V^i, d_W^(i-1), he^(i-1) and
+    he^i.  So they need ``lo <= min(v.lo, w.lo + 1, f1.lo - 1, he.lo)`` and
+    ``hi >= max(v.hi, w.hi + 1, f1.hi + 2, he.hi + 1)``.  Every stored
+    window contains ``base_window(v, w)``, so ``f1.lo - 1 < min(v.lo, w.lo
+    + 1)`` and ``f1.hi + 2 > max(v.hi, w.hi + 1)``: the v and w terms never
+    decide and are left out.
+    """
+    v, w, he = h.src, h.dst, h.feps
+    lo, hi = _cone_window(h)
+    sp = _SplitData(h.f1)
+    u_obj = cone_object(h, sp)
     wm1 = shift(w, -1)
 
     def f1_at(i):
         ker_i, _, _, _, _ = sp.at(i)
         _, _, pi_p, _, _ = sp.at(i - 1)
-        return Matrix.zeros(field, ker_i.cols, pi_p.cols).vstack(pi_p)
+        return Matrix.zeros(v.field, ker_i.cols, pi_p.cols).vstack(pi_p)
 
     def feps_at(i):
         _, pker_i, _, _, _ = sp.at(i)
@@ -164,7 +165,7 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
 
     def g1_at(i):
         ker_i = sp.at(i)[0]
-        return ker_i.hstack(Matrix.zeros(field, v.dim(i), qdim(i - 1)))
+        return ker_i.hstack(Matrix.zeros(v.field, v.dim(i), sp.at(i - 1)[2].rows))
 
     def geps_at(i):
         ker_i, _, _, _, sec_i = sp.at(i)
@@ -173,10 +174,8 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
         right = -(sec_i @ w.map_at(i - 1) @ rest_p)
         return left.hstack(right)
 
-    f = hat(make_element(wm1, u_obj, 0, lo, hi, f1_at),
-            make_element(wm1, u_obj, 0, lo, hi, feps_at))
-    g = hat(make_element(u_obj, v, 0, lo, hi, g1_at),
-            make_element(u_obj, v, 0, lo, hi, geps_at))
+    f = _hat(make_element(wm1, u_obj, 0, lo, hi, f1_at), feps_at)
+    g = _hat(make_element(u_obj, v, 0, lo, hi, g1_at), geps_at)
     return u_obj, f, g
 
 
@@ -231,8 +230,7 @@ def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
         raise ValidationFailed("extension class requires a degree-0 element")
     x, y = f.src, f.dst
     field = x.field
-    ctx = get_context(x, y)
-    fc = ctx.canonical_eps(f)
+    fc = _eps_class(x, y, f.component)
     lo, hi = _extension_window(fc)
     total = glue(field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fc.component, (x, y))
 
@@ -341,7 +339,7 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
             raise ValidationFailed("internal: connecting defect misses the image")
         return out
 
-    w = hat_eps(make_element(c, shift(a, 1), 0, lo, hi, w_at))
+    w = _hat(zero_element(c, shift(a, 1), 0), w_at)
     return Triangle(a, b, c, u, v, w)
 
 
@@ -401,4 +399,4 @@ def truncation_triangle(v: Seq, n: int) -> Triangle:
     def fn(i):
         return -d if i == n - 1 else Matrix.zeros(v.field, y.dim(i), x.dim(i))
 
-    return Triangle(u.src, v, x, u, p, hat_eps(make_element(x, y, 0, n - 1, n - 1, fn)))
+    return Triangle(u.src, v, x, u, p, _hat(zero_element(x, y, 0), fn))

@@ -10,8 +10,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from dualseq.barcode import Barcode, Interval, make_barcode
-from dualseq.graded import GradedHomElement, make_element
-from dualseq.linalg import Field, Matrix
+from dualseq.graded import GradedHomElement, compose, make_element, shift_element
+from dualseq.hom import HatMorphism, get_context, hat_eps, zero_hat
+from dualseq.linalg import Field, Matrix, _solve_rows
 from dualseq.seq import Seq, Tail, make_seq, zero_seq
 
 F2 = Field(2)
@@ -344,3 +345,65 @@ def canonical_eps(ctx, g: GradedHomElement) -> GradedHomElement:
 def stored(g: GradedHomElement) -> tuple:
     """Every stored field of an element: ``(lo, comps, ltail, rtail)``."""
     return (g.lo, g.comps, g.ltail, g.rtail)
+
+
+# -- eps classes by building elements ----------------------------------------
+# ``hom._eps_class`` reads a representative's blocks as window coordinates;
+# these build the representative as an element first, as every composite,
+# shift, cone and triangle once did, and reduce it with ``canonical_eps``.
+
+
+def eps_class(v: Seq, w: Seq, eps: GradedHomElement) -> GradedHomElement:
+    """The canonical representative of the class of ``eps`` in Hom_eps(v, w)."""
+    return canonical_eps(get_context(v, w), eps)
+
+
+def eps_class_at(v: Seq, w: Seq, lo: int, hi: int, eps_at) -> GradedHomElement:
+    """``eps_class`` of the element ``make_element`` samples from the block
+    function ``eps_at`` on ``[lo, hi]``, beyond which it is parity-periodic."""
+    return eps_class(v, w, make_element(v, w, 0, lo, hi, eps_at))
+
+
+def compose_hat(g: HatMorphism, f: HatMorphism) -> HatMorphism:
+    """``hom.compose_hat``: compose the parts, add the two eps terms, reduce."""
+    eps = compose(g.f1, f.feps) + compose(g.feps, f.f1)
+    return HatMorphism(compose(g.f1, f.f1), eps_class(f.src, g.dst, eps))
+
+
+def shift_hat(h: HatMorphism, k: int) -> HatMorphism:
+    """``hom.shift_hat``: shift both parts, then reduce the eps part again."""
+    f1 = shift_element(h.f1, k)
+    return HatMorphism(f1, eps_class(f1.src, f1.dst, shift_element(h.feps, k)))
+
+
+def solve_inner(diag, der):
+    """``phantom.solve_inner`` with every column read off the composites
+    ``f1.rep`` and ``rep.f1``, built as elements."""
+    names = sorted(diag.objects)
+    ctxs = {nm: get_context(diag.objects[nm], diag.objects[nm]) for nm in names}
+    offs, total = {}, 0
+    for nm in names:
+        offs[nm] = total
+        total += ctxs[nm].dim_eps
+    rows, f = [], None
+    for gname in sorted(diag.generators):
+        sn, dn, mor = diag.generators[gname]
+        pctx = get_context(mor.src, mor.dst)
+        f = pctx.field
+        block = [{total: y} if y else {} for y in pctx.eps_coords(der.at(gname).feps)]
+        cols = [(offs[sn] + j, 1, compose(mor.f1, rep))
+                for j, rep in enumerate(ctxs[sn].eps_basis())]
+        cols += [(offs[dn] + j, -1, compose(rep, mor.f1))
+                 for j, rep in enumerate(ctxs[dn].eps_basis())]
+        for c, sign, g in cols:
+            for row, x in zip(block, pctx.eps_coords(g)):
+                if x:
+                    row[c] = row.get(c, 0) + sign * x
+        rows += [{c: y for c, x in row.items() if (y := f.coerce(x))} for row in block]
+    if f is None:
+        return {nm: zero_hat(diag.objects[nm], diag.objects[nm]) for nm in names}
+    sol = _solve_rows(f, rows, total, 1)
+    if sol is None:
+        return None
+    return {nm: hat_eps(ctxs[nm].eps_from_coords(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]))
+            for nm in names}
