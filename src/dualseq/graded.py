@@ -12,7 +12,7 @@ shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 from .errors import ValidationFailed
@@ -33,10 +33,12 @@ class GradedHomElement:
     comps: Tuple[Matrix, ...]
     ltail: Tuple[Matrix, Matrix]   # indexed by degree parity (even, odd)
     rtail: Tuple[Matrix, Matrix]
+    hi: int = field(init=False, repr=False)     # the last stored degree, set once
 
     def __post_init__(self):
         src_dim, dst_dim, n = self.src.dim, self.dst.dim, self.degree
-        lo, hi = self.lo, self.hi
+        lo, hi = self.lo, self.lo + len(self.comps) - 1
+        object.__setattr__(self, "hi", hi)
         blo, bhi = base_window(self.src, self.dst, n)
         if lo > blo or hi < bhi:
             raise ValidationFailed("stored window must contain the combined window")
@@ -48,10 +50,6 @@ class GradedHomElement:
                                (self.rtail[par], hi + 2 - (hi - par) % 2)):
                 if mat.rows != dst_dim(n + probe) or mat.cols != src_dim(probe):
                     raise ValidationFailed("tail matrix has wrong shape")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.comps) - 1
 
     def component(self, i: int) -> Matrix:
         if i < self.lo:

@@ -11,7 +11,8 @@ Two spaces matter everywhere:
   enlarged category, whose morphisms are pairs ``f_1 + [f_eps]`` composing by
   ``(g o f)_1 = g_1 f_1`` and ``(g o f)_eps = g_1 f_eps + g_eps f_1``.
   Every epsilon part is reduced on one path, ``_eps_class``, from the
-  coordinates of its blocks on the window ``[L, R]`` below.
+  coordinates of its blocks on the window ``[L, R]`` below; ``_vanishes``
+  decides from the same coordinates whether a composite is zero.
 
 Both are computed on the finite window ``[L, R] = [a - m, b + m]`` around
 the irregular region ``a = min(v.lo, w.lo - 1)``, ``b = max(v.hi, w.hi + 1)``,
@@ -76,14 +77,14 @@ from typing import Callable, Optional, Tuple
 
 from .config import MARGIN
 from .errors import ValidationFailed
-from .graded import (GradedHomElement, all_morphisms, compose, coords_of,
+from .graded import (GradedHomElement, all_morphisms, coords_of,
                      differential_rows, elements_from_coords, hom_layout,
                      identity_element, is_morphism, make_element, placed_element,
                      shift_element, unit_elements, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
 from .linalg import Matrix, _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
-from .seq import Seq, direct_sum_seq, summand_blocks
+from .seq import Seq, direct_sum_seq, shift, summand_blocks
 
 
 @dataclass(frozen=True)
@@ -315,20 +316,56 @@ def identity_hat(v: Seq) -> HatMorphism:
 
 
 def zero_hat(v: Seq, w: Seq) -> HatMorphism:
-    return HatMorphism(zero_element(v, w, 0), zero_element(v, w, 0))
+    z = zero_element(v, w, 0)
+    return HatMorphism(z, z)
+
+
+def _composite(g: HatMorphism, f: HatMorphism, k: int = 0) -> tuple:
+    """``(src, dst, lo, hi, one_at, eps_at)`` of ``shift(g, k) o f``, with
+    ``g`` read ``k`` degrees up: the blocks ``g_1^(k+i) f_1^i`` and, unless
+    both are type 1, ``g_1^(k+i) f_eps^i + g_eps^(k+i) f_1^i`` of ``g o f =
+    g_1 f_1 + [g_1 f_eps + g_eps f_1]``.  Beyond ``[lo, hi]`` every factor
+    is a tail block, so both block functions are parity-periodic there."""
+    g1, ge, f1, fe = g.f1.component, g.feps.component, f.f1.component, f.feps.component
+    eps_at = (None if f.is_type_one and g.is_type_one
+              else lambda i: g1(k + i) @ fe(i) + ge(k + i) @ f1(i))
+    return (f.src, shift(g.dst, k) if k else g.dst, min(f.f1.lo, g.f1.lo - k),
+            max(f.f1.hi, g.f1.hi - k), lambda i: g1(k + i) @ f1(i), eps_at)
 
 
 def compose_hat(g: HatMorphism, f: HatMorphism) -> HatMorphism:
-    """``g o f = g_1 f_1 + [g_1 f_eps + g_eps f_1]`` (epsilon squares to zero).
-
-    The epsilon part is read only when ``f`` or ``g`` has one, from the
-    blocks ``g_1^i f_eps^i + g_eps^i f_1^i`` (``_eps_class``)."""
+    """``g o f`` from the blocks of ``_composite``; the epsilon part is read
+    only when ``f`` or ``g`` has one (``_eps_class``)."""
     if f.dst != g.src:
         raise ValidationFailed("compose: target/source mismatch")
-    g1, ge, f1, fe = g.f1.component, g.feps.component, f.f1.component, f.feps.component
-    eps_at = (None if f.is_type_one and g.is_type_one
-              else lambda i: g1(i) @ fe(i) + ge(i) @ f1(i))
-    return HatMorphism(compose(g.f1, f.f1), _eps_class(f.src, g.dst, eps_at))
+    src, dst, lo, hi, one_at, eps_at = _composite(g, f)
+    return HatMorphism(make_element(src, dst, 0, lo, hi, one_at), _eps_class(src, dst, eps_at))
+
+
+def _vanishes(src: Seq, dst: Seq, lo: int, hi: int, one_at: Callable[[int], Matrix],
+              eps_at: Optional[Callable[[int], Matrix]]) -> bool:
+    """True when the morphism ``src -> dst`` with the blocks ``one_at(i)``
+    and ``eps_at(i)`` (``None`` for type 1), both parity-periodic beyond
+    ``[lo, hi]``, is zero; no element is built.
+
+    The type-1 part is zero when every ``one_at(i)`` for ``i`` in
+    ``lo-2..hi+2`` is: the degrees ``make_element`` samples, which cover
+    both parities on each side.  The epsilon part is read once as
+    coordinates on ``hom_window``; it is zero when they are, with no
+    context looked up, or when ``reduce_vec`` of them is, as in
+    ``_eps_class``.  So on the blocks of ``_composite(g, f)`` it is
+    ``compose_hat(g, f).is_zero``, whose stored window ``[lo, hi]``
+    already contains ``base_window(src, dst)``; and on those of
+    ``_composite(g, f, k)`` it is ``compose_hat(shift_hat(g, k), f).is_zero``:
+    ``shift_hat`` keeps the blocks ``g^(k+i)`` of both parts (or the zero
+    element, when ``g_eps`` is zero already) and a stored window of ``g_1``
+    moved by ``-k``."""
+    if any(not one_at(i).is_zero for i in range(lo - 2, hi + 3)):
+        return False
+    if eps_at is None:
+        return True
+    vec = coords_of(eps_at, *hom_window(src, dst))
+    return not any(vec) or not any(get_context(src, dst).reduce_vec(vec))
 
 
 def shift_hat(h: HatMorphism, k: int) -> HatMorphism:

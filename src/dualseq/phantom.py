@@ -233,11 +233,12 @@ def check_derivation(diag: Diagram, der: Derivation) -> Optional[Tuple[str, str,
 def inner_derivation(diag: Diagram, theta: Mapping[str, HatMorphism]) -> Derivation:
     """The derivation D(f) = f.theta_src - theta_dst.f induced by per-object
     type-eps endomorphisms."""
+    def theta_at(nm):   # the zero of an object theta leaves out, built only then
+        return theta[nm] if nm in theta else zero_hat(diag.objects[nm], diag.objects[nm])
+
     assignment = {}
     for name, (sn, dn, mor) in diag.generators.items():
-        t_src = theta.get(sn, zero_hat(diag.objects[sn], diag.objects[sn]))
-        t_dst = theta.get(dn, zero_hat(diag.objects[dn], diag.objects[dn]))
-        assignment[name] = compose_hat(mor, t_src) - compose_hat(t_dst, mor)
+        assignment[name] = compose_hat(mor, theta_at(sn)) - compose_hat(theta_at(dn), mor)
     return Derivation(diag, assignment)
 
 

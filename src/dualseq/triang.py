@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from .errors import NotExact, ValidationFailed
 from .graded import (GradedHomElement, differential, differential_rows,
                      elements_from_coords, hom_layout, make_element, zero_element)
-from .hom import HatMorphism, _eps_class, _hat, compose_hat, get_context, hat, shift_hat
+from .hom import HatMorphism, _composite, _eps_class, _hat, _vanishes, get_context, hat
 from .linalg import (Matrix, _solve_rows, complement, inverse, rank as mrank, solve,
                      subspaces)
 from .seq import Seq, Tail, glue, make_seq, shift, summand_blocks
@@ -44,14 +44,15 @@ class Triangle:
             raise ValidationFailed("triangle: w must run c -> shift(a, 1)")
 
     def verify(self) -> None:
-        """Check that consecutive composites vanish; raises on failure."""
-        if not compose_hat(self.v, self.u).is_zero:
-            raise ValidationFailed("triangle: v.u does not vanish")
-        if not compose_hat(self.w, self.v).is_zero:
-            raise ValidationFailed("triangle: w.v does not vanish")
-        rot = compose_hat(shift_hat(self.u, 1), self.w)
-        if not rot.is_zero:
-            raise ValidationFailed("triangle: shift(u).w does not vanish")
+        """Check that ``v o u``, ``w o v`` and ``shift(u, 1) o w`` vanish, in
+        that order; raises on the first that does not.  Each is decided by
+        ``hom._vanishes`` from the blocks of ``hom._composite``, with ``u``
+        read one degree up for the rotation: no composite, shifted ``u`` or
+        other element is built."""
+        for g, f, k, name in ((self.v, self.u, 0, "v.u"), (self.w, self.v, 0, "w.v"),
+                              (self.u, self.w, 1, "shift(u).w")):
+            if not _vanishes(*_composite(g, f, k)):
+                raise ValidationFailed(f"triangle: {name} does not vanish")
 
 
 class _SplitData:

@@ -376,6 +376,12 @@ def shift_hat(h: HatMorphism, k: int) -> HatMorphism:
     return HatMorphism(f1, eps_class(f1.src, f1.dst, shift_element(h.feps, k)))
 
 
+def vanishes(g: HatMorphism, f: HatMorphism, k: int = 0) -> bool:
+    """``hom._vanishes`` of ``hom._composite(g, f, k)``, by building the
+    composite: ``compose_hat(shift_hat(g, k), f).is_zero``."""
+    return compose_hat(shift_hat(g, k), f).is_zero
+
+
 def solve_inner(diag, der):
     """``phantom.solve_inner`` with every column read off the composites
     ``f1.rep`` and ``rep.f1``, built as elements."""

@@ -1,6 +1,8 @@
 """Eps classes read from window coordinates (``hom._eps_class``), against
 the element-building path of ``tests/oracles.py``: every result must have
-the stored fields the old path gave, entry types included."""
+the stored fields the old path gave, entry types included.  The zero test
+of a composite (``hom._vanishes``) must give the answer of the composite
+built as an element."""
 
 import math
 import random
@@ -8,16 +10,16 @@ import random
 import pytest
 
 import oracles
-from dualseq import triang
+from dualseq import hom, triang
 from dualseq.errors import ParseError
 from dualseq.gen import random_graded_element, random_matrix, random_scalar, random_seq
-from dualseq.graded import base_window, make_element, zero_element
-from dualseq.hom import (compose_hat, direct_sum, get_context, hat, hat_eps,
+from dualseq.graded import base_window, differential, make_element, zero_element
+from dualseq.hom import (HatMorphism, compose_hat, direct_sum, get_context, hat, hat_eps,
                          hom_window, identity_hat, shift_hat, zero_hat)
 from dualseq.io import parse_document
 from dualseq.linalg import Field, Matrix
 from dualseq.phantom import Diagram, inner_derivation, solve_inner
-from dualseq.seq import direct_sum_seq, interval, zero_seq
+from dualseq.seq import direct_sum_seq, interval, shift, zero_seq
 from dualseq.triang import (cone, truncation_inclusion, truncation_projection,
                             truncation_triangle, triangle_from_ses)
 
@@ -295,3 +297,40 @@ def test_library_constructors_keep_feps_canonical(field):
         hats.append(hat(f.f1, ctx.eps_basis()[0]) if ctx.dim_eps else f)
         for h in hats:
             _same(h.feps, get_context(h.src, h.dst).canonical_eps(h.feps))
+
+
+def _perturbed(rng, h):
+    """``h`` with a random coboundary added to its eps part, by the raw
+    constructor: the class is that of ``h``, the representative is not canonical."""
+    return HatMorphism(h.f1, h.feps + differential(random_graded_element(rng, h.src, h.dst, -1)))
+
+
+def _random_kind(rng, v, w):
+    # a full morphism (plus the identity, on an endomorphism), its type-1 or
+    # type-eps part, or zero; some perturbed
+    h = _random_hat(rng, v, w)
+    if v == w and rng.random() < 0.5:
+        h = h + identity_hat(v)
+    h = rng.choice([h, h, h, hat(h.f1), HatMorphism(zero_element(v, w, 0), h.feps), zero_hat(v, w)])
+    return _perturbed(rng, h) if rng.random() < 0.3 else h
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_vanishes_matches_the_element_path(field):
+    # shift(g, k) o f for f: X -> shift(Y, k) and g: Y -> Z, decided from
+    # the blocks against the composite built and reduced as an element;
+    # the objects are often one, so that many composites are nonzero
+    rng = random.Random(2190 + (field.p or 0))
+    seen = {"zero": 0, "nonzero": 0, "eps only": 0}
+    for t in range(120):
+        k = t % 2
+        pool = [_obj(rng, field) for _ in range(rng.choice((1, 1, 2)))]
+        y = rng.choice(pool)
+        x, z = shift(rng.choice(pool), k), rng.choice(pool)
+        f, g = _random_kind(rng, x, shift(y, k)), _random_kind(rng, y, z)
+        got = hom._vanishes(*hom._composite(g, f, k))
+        assert got == oracles.vanishes(g, f, k)
+        one = oracles.compose_hat(oracles.shift_hat(g, k), f).f1
+        seen["zero" if got else "eps only" if one.is_zero else "nonzero"] += 1
+    assert seen["zero"] >= 8 and seen["nonzero"] + seen["eps only"] >= 34, seen
+    assert seen["eps only"] >= 4, seen

@@ -9,7 +9,7 @@ from dualseq import phantom
 from dualseq.barcode import classify
 from dualseq.errors import StabilizationDepthExceeded, ValidationFailed
 from dualseq.gen import random_seq
-from dualseq.graded import compose
+from dualseq.graded import GradedHomElement, compose
 from dualseq.hom import (compose_hat, get_context, hat, hat_eps, identity_hat,
                          zero_hat)
 from dualseq.linalg import Field
@@ -341,6 +341,35 @@ def test_inner_by_construction_roundtrip():
         again = inner_derivation(diag, sol)
         for name in diag.generators:
             assert again.at(name) == der.at(name)
+
+
+def _count_elements(monkeypatch):
+    built, real = [], GradedHomElement.__post_init__
+    monkeypatch.setattr(GradedHomElement, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    return built
+
+
+def test_zero_parts_are_built_only_when_needed(monkeypatch):
+    # zero_hat shares one zero element between its parts, and
+    # inner_derivation builds a zero only for an object theta leaves out
+    diag = _two_object_diagram(F5)
+    a, b = diag.objects["A"], diag.objects["B"]
+    theta = {nm: hat_eps(get_context(v, v).eps_basis()[0]) for nm, v in diag.objects.items()}
+    built = _count_elements(monkeypatch)
+    z = zero_hat(a, b)
+    assert len(built) == 1 and z.f1 is z.feps
+    built.clear()
+    for sn, dn, mor in diag.generators.values():
+        compose_hat(mor, theta[sn]) - compose_hat(theta[dn], mor)
+    by_hand = len(built)
+    built.clear()
+    zeros = []
+    monkeypatch.setattr(phantom, "zero_hat", lambda v, w: zeros.append(v) or zero_hat(v, w))
+    inner_derivation(diag, theta)
+    assert len(built) == by_hand and not zeros
+    inner_derivation(diag, {"A": theta["A"]})
+    assert zeros == [b, b]      # the target of f and the source of g
 
 
 def _random_one(rng, f, x, y):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -10,10 +11,11 @@ from dualseq.barcode import decompose, is_isomorphic
 from dualseq.errors import NotExact, ValidationFailed
 from dualseq.gen import (random_graded_element, random_invertible, random_matrix,
                          random_seq)
-from dualseq.graded import base_window, make_element, zero_element
-from dualseq import triang
+from dualseq.graded import (GradedHomElement, base_window, coords_of, differential,
+                            make_element, zero_element)
+from dualseq import graded, hom, triang
 from dualseq.hom import (HatMorphism, compose_hat, get_context, hat, hat_eps,
-                         identity_hat, zero_hat)
+                         hom_window, identity_hat, zero_hat)
 from dualseq.io import parse_document
 from dualseq.linalg import Field, Matrix, block_matrix
 from dualseq.seq import Tail, direct_sum_seq, glue, interval, make_seq, shift, zero_seq
@@ -622,3 +624,101 @@ def test_cone_shift_consistency():
     # the wrapped shift really is inverse to shifting back
     v = interval(F2, 0, 2)
     assert shift(shift(v, -1), 1) == v
+
+
+# -- Triangle.verify: the three composites, decided without building them ---
+
+
+def _eps_unit(a, b):
+    """The one eps basis morphism ``a -> b``."""
+    ctx = get_context(a, b)
+    assert ctx.dim_eps == 1
+    return ctx.eps_hat([1])
+
+
+def _failing_triangle(field, name):
+    # v.u: the identity twice; w.v: the eps unit [0,1] -> shift([2,3], 1)
+    # after the identity; the rotation: the eps unit after shift(id, 1)
+    x, a = interval(field, 0, 1), interval(field, 2, 3)
+    if name == "v.u":
+        return Triangle(x, x, x, identity_hat(x), identity_hat(x), zero_hat(x, shift(x, 1)))
+    e = _eps_unit(x, shift(a, 1))
+    assert e.is_type_eps and not e.is_zero
+    if name == "w.v":
+        return Triangle(a, x, x, zero_hat(a, x), identity_hat(x), e)
+    return Triangle(a, a, x, identity_hat(a), zero_hat(a, x), e)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+@pytest.mark.parametrize("name", ["v.u", "w.v", "shift(u).w"])
+def test_verify_names_the_composite_that_does_not_vanish(field, name):
+    tri = _failing_triangle(field, name)
+    with pytest.raises(ValidationFailed, match=re.escape(f"triangle: {name} does not vanish")):
+        tri.verify()
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_verify_reads_the_tails_of_a_raw_morphism(field):
+    # a raw v: X -> X zero on its stored window but the identity beyond it,
+    # on both rays of X: v.u has its nonzero blocks only in the tails
+    x = direct_sum_seq(interval(field, -INF, 0), interval(field, 1, INF))
+    lo, hi = base_window(x, x, 0)
+    for side in (-1, 1):
+        def fn(i, side=side):
+            beyond = i < lo if side < 0 else i > hi
+            return (Matrix.identity(field, x.dim(i)) if beyond
+                    else Matrix.zeros(field, x.dim(i), x.dim(i)))
+
+        v = HatMorphism(make_element(x, x, 0, lo, hi, fn), zero_element(x, x, 0))
+        assert not v.is_zero and all(m.is_zero for m in v.f1.comps)
+        tri = Triangle(x, x, x, identity_hat(x), v, zero_hat(x, shift(x, 1)))
+        with pytest.raises(ValidationFailed, match=re.escape("triangle: v.u does not vanish")):
+            tri.verify()
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_a_coboundary_eps_part_vanishes(field):
+    # w: Y -> shift(Z, 1) whose raw eps part is a coboundary d(x): w o id_Y
+    # has the blocks of d(x), nonzero window coordinates, but the zero class;
+    # so has a cone triangle whose last map carries such a coboundary
+    rng = random.Random(64)
+    done = 0
+    while done < 6:
+        y, z = (_with_rays(rng, field, random_seq(rng, field, max_bars=2, lo=-2, hi=2))
+                for _ in range(2))
+        z1 = shift(z, 1)
+        d = differential(random_graded_element(rng, y, z1, -1))
+        if not any(coords_of(d.component, *hom_window(y, z1))):
+            continue
+        w = HatMorphism(zero_element(y, z1, 0), d)
+        assert oracles.vanishes(w, identity_hat(y))
+        Triangle(z, y, y, zero_hat(z, y), identity_hat(y), w).verify()
+        h = random_hat(rng, field, y, z)
+        tri = cone_triangle(h)
+        dh = differential(random_graded_element(rng, y, z, -1))
+        Triangle(tri.a, tri.b, tri.c, tri.u, tri.v, HatMorphism(h.f1, h.feps + dh)).verify()
+        done += 1
+
+
+def test_verify_builds_no_element(monkeypatch):
+    rng = random.Random(65)
+    tris = [truncation_triangle(interval(f, -INF, 1), 1) for f in (F2, F5, Q)]
+    for f in (F2, F5, Q):
+        for _ in range(4):
+            v, w = (_with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+                    for _ in range(2))
+            tris.append(cone_triangle(random_hat(rng, f, v, w)))
+    assert any(not t.u.is_type_one for t in tris)
+
+    def boom(*args):
+        raise AssertionError("Triangle.verify built a composite")
+
+    for module in (graded, hom, triang):
+        for name in ("compose", "shift_element", "compose_hat", "shift_hat"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    built, real = [], GradedHomElement.__post_init__
+    monkeypatch.setattr(GradedHomElement, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    for tri in tris:
+        tri.verify()
+    assert not built
