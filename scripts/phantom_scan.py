@@ -1,10 +1,10 @@
 """Scan pairs of h-projective intervals for nonzero phantom subspaces.
 
 For every ordered pair drawn from the grid the script reports the dimension
-of the phantom subspace of Hom^eps together with the stabilization
-certificate (the truncation levels at which the kernel chain settled).
-Non-compact sources exercise the interesting code path; compact sources are
-included as controls and always report zero.
+of the phantom subspace of Hom^eps together with its certificate (the
+truncation levels, each proven 0 by the argument in ``dualseq.phantom``, so
+every pair reports zero).  Compact sources are included as controls.  A
+depth below the number of levels is reported as a depth failure.
 """
 
 import argparse

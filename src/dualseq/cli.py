@@ -3,7 +3,7 @@
 Every subcommand reads a document file, resolves named values out of it, runs
 one library operation, and prints either a short human report or, with
 ``--json``, a stable versioned JSON report. Exit codes: 0 on success, 1 on
-parse or validation failure, 2 when a phantom chain fails to stabilize.
+parse or validation failure, 2 when a phantom certificate exceeds --depth.
 """
 
 from __future__ import annotations

@@ -16,10 +16,11 @@ class NotExact(ValidationFailed):
 
 
 class StabilizationDepthExceeded(Exception):
-    """A phantom chain did not stabilize within its depth.
+    """A phantom certificate has more levels than the depth allows.
 
-    Only ``phantom`` raises it: its "three equal levels" rule is empirical.
-    Hom windows need no such check, since their margin is proven.
+    Only ``phantom`` raises it.  The levels are proven, not sampled
+    (``dualseq.phantom``); a depth below their number still raises, so
+    that ``depth`` keeps the meaning it had when they were computed.
     """
 
     def __init__(self, message: str, depth: int):

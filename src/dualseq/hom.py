@@ -137,11 +137,8 @@ class HomContext:
         self.img_rows = img[:rank1]
         pivset = set(self.img_pivots)
         self.nonpivots = [j for j in range(n) if j not in pivset]
-        # invariants of the pair, built on first use: the eps basis, and
-        # the stable phantom chain ``(rows, certificate)`` of
-        # ``phantom._kernel_chain``
+        # the eps basis, an invariant of the pair built on first use
         self._eps_basis = None
-        self.phantom_chain = None
 
     # -- coordinates <-> elements ----------------------------------------
 
@@ -202,10 +199,10 @@ class HomContext:
         return list(self._eps_basis)
 
 
-# Hom contexts kept by get_context, each with its eps basis and phantom
-# chain once asked for (docs/NOTES.md, "What a hom context keeps").
-# Measured working sets of the benchmark workloads: hatcat_warm holds
-# 150-161 contexts once warm (seeds 1, 2, 3, 7, 11); hom_cold builds 266
+# Hom contexts kept by get_context, each with its eps basis once asked for
+# (docs/NOTES.md, "What a hom context keeps").  Measured working sets of
+# the benchmark workloads: hatcat_warm holds 126-131 contexts once warm
+# (seeds 1, 2, 3, 7, 11); hom_cold builds 266
 # distinct pairs a pass, about 5.6 MB of contexts with their eps bases
 # (3.4 MB of it img_rows), and clears the cache every pass; cli_docs clears
 # it before every query.

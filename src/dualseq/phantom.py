@@ -1,14 +1,26 @@
 """Phantom-morphism detection and a finite derivation harness.
 
 A morphism is phantom when it dies against every truncation inclusion
-beta_n: V^(>=n) -> V.  Only the type-eps part can survive that test, and for
-a compact source (left tail Zero) the truncations exhaust V, so a phantom
-out of a compact object is zero.  For a left-Iso source the vanishing
-conditions form a decreasing chain of subspaces of Hom_eps(V, W): level n
-is the kernel of the constraint rows of all truncations down to n, kept as
-one system in rref that each level extends.  The chain is certified
-empirically by requiring three consecutive equal levels, and it is kept
-on the hom context of the pair once it has stabilized.
+beta_n: V^(>=n) -> V.  Only the type-eps part can survive that test, and a
+phantom out of a compact source (left tail Zero) is zero, since the
+truncations exhaust it.  Between h-projective objects every phantom is
+zero: beta_n^*: Hom_eps(V, W) -> Hom_eps(V^(>=n), W) is injective for n <= w.lo.
+
+Proof.  Take f o beta_n = d^-1(h') with h' in Hom^-1(V^(>=n), W).  Keep
+h^i = h'^i for i >= n, and for i < n solve f^i = d_W^(i-1) h^i + h^(i+1) d_V^i
+downward.  Since i <= n - 1 < w.lo, the left tail of W decides each step:
+for a Zero tail W^i = 0, so f^i = 0 and h^i = 0 works (h'^n maps into
+W^(n-1) = 0 too); for an Iso tail d_W^(i-1) is a signed identity, so
+h^i = (d_W^(i-1))^-1 (f^i - h^(i+1) d_V^i).  So f = d^-1(h) and [f] = 0.
+The margin proof in ``dualseq.hom`` shows that the windowed Hom_eps is this
+cokernel on all of Z.
+
+The answers keep the form of the kernel chain that once computed them
+(``kernel_chain`` in ``tests/oracles.py``): level n, the classes killed by
+every truncation from n0 = min(v.lo, w.lo) - 1 down to n, accepted after
+three equal levels.  Each such n is at most w.lo, so the certificate is
+``((n0, 0), (n0-1, 0), (n0-2, 0))`` when Hom_eps(V, W) is nonzero, else
+``((v.lo, 0),)``, and a ``depth`` below its length raises, as the chain did.
 """
 
 from __future__ import annotations
@@ -17,20 +29,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import StabilizationDepthExceeded, ValidationFailed
-from .hom import (HatMorphism, _require_one_field, compose_hat, get_context,
-                  zero_hat)
-from .linalg import _dict_rows, _kernel_vectors, _reduce_vec, _rref, _solve_rows
+from .hom import (HatMorphism, HomContext, _require_one_field, _vanishes,
+                  compose_hat, get_context, zero_hat)
+from .linalg import _solve_rows
 from .seq import Seq, Tail
-from .triang import inclusion_element
 
 
 @dataclass(frozen=True)
 class PhantomCertificate:
     """Stabilization record: kernel dimension per truncation level.
 
-    The chain is accepted after three consecutive equal levels.  That rule
-    is empirical: no bound is proven that the chain cannot drop again
-    further down, unlike the hom window margin (``dualseq.hom``).
+    Every level is proven 0 (module docstring), not sampled: the record
+    has the form of the three equal levels the kernel chain accepted.
     """
 
     levels: Tuple[Tuple[int, int], ...]   # (n, dim of kernel at level n)
@@ -51,107 +61,50 @@ class PhantomVerdict:
 _STABLE_RUN = 3
 
 
-def _require_depth(depth: int) -> None:
+def _require_valid(v: Seq, w: Seq, depth: int) -> None:
     if depth < 1:
         raise ValidationFailed(f"phantom depth must be at least 1, got {depth}")
-
-
-def _require_h_projective(v: Seq, w: Seq) -> None:
     # h-projective means a Zero right tail (``barcode.classify``)
     if v.right_tail is not Tail.ZERO or w.right_tail is not Tail.ZERO:
         raise ValidationFailed("phantom detection requires h-projective endpoints")
 
 
-def _kernel_chain(v: Seq, w: Seq, depth: int):
-    """Stable subspace of classes killed by every truncation inclusion, as
-    coordinate dict rows in rref, with its level-by-level certificate.
-
-    The chain is an invariant of the pair, so the first call that
-    stabilizes keeps it on the hom context of (V, W) (``phantom_chain``),
-    and every call gets copies of the kept rows.  A call whose ``depth`` is
-    below the number of levels the chain took raises, as the loop of
-    ``_stable_chain`` would after ``depth`` levels."""
-    ctx = get_context(v, w)
-    if ctx.phantom_chain is None:
-        ctx.phantom_chain = _stable_chain(ctx, v, w, depth)
-    rows, cert = ctx.phantom_chain
-    if depth < len(cert.levels):
+def _certificate(ctx: HomContext, depth: int) -> PhantomCertificate:
+    """The proven levels of the pair of ``ctx`` (module docstring)."""
+    v, w = ctx.src, ctx.dst
+    n0 = min(v.lo, w.lo) - 1
+    levels = (tuple((n0 - j, 0) for j in range(_STABLE_RUN)) if ctx.dim_eps
+              else ((v.lo, 0),))
+    if depth < len(levels):
         raise StabilizationDepthExceeded(
             f"phantom chain did not stabilize within {depth} truncation levels", depth)
-    return [dict(r) for r in rows], ctx, cert
-
-
-def _stable_chain(ctx, v: Seq, w: Seq, depth: int):
-    """The chain of ``_kernel_chain``, run level by level.
-
-    Each level ``n`` contributes one constraint row over the eps coordinates
-    of Hom_eps(V, W) per eps coordinate of Hom_eps(V^(>=n), W).  The rows of
-    all levels so far are one system, held in rref: a class is killed at
-    every level so far exactly when it lies in the kernel of that system,
-    so the dimension of a level is ``k`` minus its rank.  The stable rows
-    are the rref basis of the final kernel."""
-    k = ctx.dim_eps
-    if k == 0:
-        return (), PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
-    reps = ctx.eps_basis()
-    f = ctx.field
-    system, rank_ = [], 0
-    levels = []
-    run = 0
-    # the chain is decreasing, so levels above both windows are redundant:
-    # start where the truncation point has passed all finite structure
-    n = min(v.lo, w.lo) - 1
-    for step in range(depth):
-        incl = inclusion_element(v, n)
-        tctx = get_context(incl.src, w)
-        cols = [tctx.eps_coords_at(lambda i, e=rep.component: e(i) @ incl.component(i))
-                for rep in reps]
-        system += _dict_rows(zip(*cols))
-        new_rank, pivots = _rref(f, system, k)
-        del system[new_rank:]
-        run = run + 1 if new_rank == rank_ else 1
-        rank_ = new_rank
-        levels.append((n, k - rank_))
-        if run >= _STABLE_RUN:
-            rows = _dict_rows(_kernel_vectors(f, system, pivots, k))
-            _rref(f, rows, k)           # in place: the rref basis of the kernel
-            return tuple(rows), PhantomCertificate(tuple(levels), _STABLE_RUN)
-        n -= 1
-    raise StabilizationDepthExceeded(
-        f"phantom chain did not stabilize within {depth} truncation levels", depth)
+    return PhantomCertificate(levels, _STABLE_RUN)
 
 
 def is_phantom(h: HatMorphism, depth: int = 12) -> PhantomVerdict:
     """Decide phantomness of a morphism between h-projective objects."""
-    _require_depth(depth)
     v, w = h.src, h.dst
-    _require_h_projective(v, w)
+    _require_valid(v, w, depth)
     if not h.is_type_eps and not h.is_zero:
         return PhantomVerdict(False, "type-1 part is nonzero")
     if v.left_tail is Tail.ZERO:
         return PhantomVerdict(h.is_zero, "compact source: phantom iff zero")
-    rows, ctx, cert = _kernel_chain(v, w, depth)
-    coords = ctx.eps_coords(h.feps)
-    if not any(coords):
+    ctx = get_context(v, w)
+    cert = _certificate(ctx, depth)
+    if not any(ctx.eps_coords(h.feps)):
         return PhantomVerdict(True, "zero class", cert)
-    # the class lies in the stable space when the rref rows (each pivot
-    # its least column) reduce it to zero; they are only read
-    if not any(_reduce_vec(ctx.field, rows, [min(r) for r in rows], coords)):
-        return PhantomVerdict(True, "class killed by every truncation", cert)
     return PhantomVerdict(False, "survives some truncation inclusion", cert)
 
 
 def phantom_basis(v: Seq, w: Seq,
                   depth: int = 12) -> Tuple[List[HatMorphism], PhantomCertificate]:
-    """Basis of the phantom subspace of Hom_eps(v, w)."""
-    _require_depth(depth)
-    _require_h_projective(v, w)
+    """Basis of the phantom subspace of Hom_eps(v, w), which is 0 (module
+    docstring), with its certificate."""
+    _require_valid(v, w, depth)
     if v.left_tail is Tail.ZERO:
         _require_one_field(v, w)
         return [], PhantomCertificate(((v.lo, 0),), _STABLE_RUN)
-    rows, ctx, cert = _kernel_chain(v, w, depth)
-    zero = ctx.field.zero
-    return [ctx.eps_hat([r.get(j, zero) for j in range(ctx.dim_eps)]) for r in rows], cert
+    return [], _certificate(get_context(v, w), depth)
 
 
 # -- finite diagrams and derivations ---------------------------------------
@@ -219,13 +172,17 @@ class Derivation:
 
 def check_derivation(diag: Diagram, der: Derivation) -> Optional[Tuple[str, str, str]]:
     """Leibniz check over the composition table; None when every declared
-    composite satisfies D(g.f) = D(g).f + g.D(f)."""
+    composite satisfies D(g.f) = D(g).f + g.D(f).  Values of D are type eps,
+    so ``hom._vanishes`` decides each relation from the type-1 part of
+    D(g.f), zero, and the blocks D(g.f)_eps - D(g)_eps f_1 - g_1 D(f)_eps."""
     for outer, inner, equals in diag.relations:
-        g = diag.generators[outer][2]
-        f = diag.generators[inner][2]
+        g1 = diag.generators[outer][2].f1.component
+        f1 = diag.generators[inner][2].f1.component
+        dg, df = der.at(outer).feps.component, der.at(inner).feps.component
         lhs = der.at(equals)
-        rhs = compose_hat(der.at(outer), f) + compose_hat(g, der.at(inner))
-        if lhs != rhs:
+        dgf = lhs.feps.component
+        if not _vanishes(lhs.src, lhs.dst, lhs.f1.lo, lhs.f1.hi, lhs.f1.component,
+                         lambda i: dgf(i) - dg(i) @ f1(i) - g1(i) @ df(i)):
             return (outer, inner, equals)
     return None
 

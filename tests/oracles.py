@@ -12,8 +12,12 @@ from typing import Dict, List, Optional, Tuple
 from dualseq.barcode import Barcode, Interval, make_barcode
 from dualseq.graded import GradedHomElement, compose, make_element, shift_element
 from dualseq.hom import HatMorphism, get_context, hat_eps, zero_hat
-from dualseq.linalg import Field, Matrix, _solve_rows
+from dualseq.errors import StabilizationDepthExceeded
+from dualseq.linalg import (Field, Matrix, _dict_rows, _kernel_vectors, _rref,
+                            _solve_rows)
+from dualseq.phantom import PhantomCertificate
 from dualseq.seq import Seq, Tail, make_seq, zero_seq
+from dualseq.triang import inclusion_element
 
 F2 = Field(2)
 
@@ -413,3 +417,60 @@ def solve_inner(diag, der):
         return None
     return {nm: hat_eps(ctxs[nm].eps_from_coords(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]))
             for nm in names}
+
+
+def check_derivation(diag, der):
+    """``phantom.check_derivation`` by building both sides of every relation
+    as morphisms and comparing them."""
+    for outer, inner, equals in diag.relations:
+        g = diag.generators[outer][2]
+        f = diag.generators[inner][2]
+        rhs = compose_hat(der.at(outer), f) + compose_hat(g, der.at(inner))
+        if der.at(equals) != rhs:
+            return (outer, inner, equals)
+    return None
+
+
+# -- the phantom kernel chain --------------------------------------------------
+# ``phantom`` reads its certificates off a proof; this is the loop that
+# computed them, level by level, with the truncation points moved up by
+# ``shift`` (the certificate still records the unshifted n).
+
+
+def kernel_chain(v: Seq, w: Seq, depth: int, shift: int = 0):
+    """``(rows, certificate)``: the subspace of Hom_eps(v, w) killed by every
+    truncation inclusion, as coordinate dict rows in rref, stable after three
+    equal levels.
+
+    Level n adds one constraint row over the eps coordinates of Hom_eps(V, W)
+    per eps coordinate of Hom_eps(V^(>=n+shift), W).  The rows of all levels
+    so far are one system in rref, so the dimension of a level is ``k``
+    minus its rank, and the stable rows are the rref basis of its kernel."""
+    ctx = get_context(v, w)
+    k = ctx.dim_eps
+    if k == 0:
+        return [], PhantomCertificate(((v.lo, 0),), 3)
+    reps = ctx.eps_basis()
+    f = ctx.field
+    system, rank_ = [], 0
+    levels = []
+    run = 0
+    n = min(v.lo, w.lo) - 1
+    for _ in range(depth):
+        incl = inclusion_element(v, n + shift)
+        tctx = get_context(incl.src, w)
+        cols = [tctx.eps_coords_at(lambda i, e=rep.component: e(i) @ incl.component(i))
+                for rep in reps]
+        system += _dict_rows(zip(*cols))
+        new_rank, pivots = _rref(f, system, k)
+        del system[new_rank:]
+        run = run + 1 if new_rank == rank_ else 1
+        rank_ = new_rank
+        levels.append((n, k - rank_))
+        if run >= 3:
+            rows = _dict_rows(_kernel_vectors(f, system, pivots, k))
+            _rref(f, rows, k)           # in place: the rref basis of the kernel
+            return rows, PhantomCertificate(tuple(levels), 3)
+        n -= 1
+    raise StabilizationDepthExceeded(
+        f"phantom chain did not stabilize within {depth} truncation levels", depth)
