@@ -225,20 +225,57 @@ def _chain_pairs(field, count):
     return out
 
 
+@pytest.mark.parametrize("shift", [0, 4])
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
-def test_phantom_queries_build_one_context_and_keep_nothing(field, fresh_contexts):
+def test_kept_chain_matches_a_cold_context(field, shift, fresh_contexts):
+    # nothing is kept between queries: the oracle chain and the library's
+    # answers read twice from a warm cache equal those from a cold one, and
+    # at shift 0 the library certificate is the oracle's
+    pairs = _chain_pairs(field, 8)
+    hats = [hat_eps(get_context(v, w).eps_basis()[-1]) for v, w in pairs]
+
+    def answers():
+        return [(oracles.kernel_chain(v, w, 12, shift), phantom_basis(v, w),
+                 is_phantom(h), get_context(v, w))
+                for (v, w), h in zip(pairs, hats)]
+
+    warm, again = answers(), answers()
+    get_context.cache_clear()
+    cold = answers()
+    for (c1, b1, p1, x1), (c2, b2, p2, x2), (c3, b3, p3, x3) in zip(warm, again, cold):
+        assert c1 == c2 == c3 and b1 == b2 == b3 and p1 == p2 == p3
+        assert x1 is x2 and x3 is not x1
+        # fresh lists: a caller that edits its basis cannot reach a later answer
+        assert b1[0] is not b2[0]
+        assert not p1.phantom and b1[0] == [] and b1[1] == p1.certificate
+        if shift == 0:
+            assert b1[1] == c1[1]
+    assert any(rows for (rows, _), _, _, _ in cold) == (shift == 4)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_is_phantom_leaves_the_kept_rows_alone(field, fresh_contexts):
     # the answers are read off the proof: one hom context, that of (V, W),
-    # left as a cold build leaves it, and the same answers from a cold cache
+    # left as a cold build leaves it, with no rows or chain kept on it.  The
+    # queried classes include the nonzero rows of the oracle chain moved 4
+    # degrees up, which die there but are not phantom.
+    nonzero = 0
     for v, w in _chain_pairs(field, 6):
-        h = hat_eps(get_context(v, w).eps_basis()[-1])
-        answers = []
-        for _ in range(2):
-            get_context.cache_clear()
-            answers.append((is_phantom(h), phantom_basis(v, w)))
-            assert get_context.cache_info().misses == 1
-            assert vars(get_context(v, w)) == vars(HomContext(v, w))
-        assert answers[0] == answers[1]
-        assert not answers[0][0].phantom and answers[0][1][0] == []
+        ctx = get_context(v, w)
+        rows, _ = oracles.kernel_chain(v, w, 12, 4)
+        hats = [hat_eps(e) for e in
+                ctx.eps_basis() + [ctx.eps_from_coords(
+                    [r.get(j, field.zero) for j in range(ctx.dim_eps)])
+                    for r in rows]]
+        get_context.cache_clear()
+        verdicts = [is_phantom(h) for h in hats]
+        basis, cert = phantom_basis(v, w)
+        assert get_context.cache_info().misses == 1
+        assert vars(get_context(v, w)) == vars(HomContext(v, w))
+        assert not any(p.phantom for p in verdicts) and basis == []
+        assert all(p.certificate == cert for p in verdicts)
+        nonzero += bool(rows)
+    assert nonzero
 
 
 def test_kept_chain_still_refuses_a_shallow_depth(fresh_contexts):
