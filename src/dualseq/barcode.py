@@ -100,9 +100,8 @@ class Barcode:
         return len(self.intervals)
 
 
-def make_barcode(field: Field, intervals, certificate=None) -> Barcode:
-    ivs = tuple(sorted(intervals, key=lambda iv: iv.sort_key))
-    return Barcode(field, ivs, certificate)
+def make_barcode(field: Field, intervals) -> Barcode:
+    return Barcode(field, tuple(sorted(intervals, key=lambda iv: iv.sort_key)))
 
 
 # -- rank pairings and multiplicities ------------------------------------

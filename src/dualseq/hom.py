@@ -61,7 +61,7 @@ touching two adjacent degree blocks, and both are reduced in place by
 
 The coordinates of an element on the window are those of
 ``graded.hom_layout``, read by ``graded.coords_of``; no dense window matrix
-is built, and ``triang.splits`` solves the same sparse rows of ``d^-1``.
+is built, and nothing outside this module and ``graded`` reads them.
 Basis elements go straight from coordinates into blocks, every zero block
 the shared one of its shape: ``graded.elements_from_coords`` slices each
 block of all kernel vectors on one layout, ``graded.unit_elements`` puts
@@ -148,9 +148,8 @@ class HomContext:
             raise ValidationFailed("element does not belong to this hom context")
         return coords_of(g.component, self.L, self.R)
 
-    def element_from_vec(self, vec: list, constant_tails: bool = False) -> GradedHomElement:
-        return elements_from_coords(self.src, self.dst, 0, self.L, self.R, [vec],
-                                    constant_tails)[0]
+    def element_from_vec(self, vec: list) -> GradedHomElement:
+        return elements_from_coords(self.src, self.dst, 0, self.L, self.R, [vec])[0]
 
     def reduce_vec(self, vec: list) -> list:
         """Canonical representative of ``vec`` modulo the image of d^-1, the
@@ -397,15 +396,21 @@ class DirectSum:
 
 
 def direct_sum(v: Seq, w: Seq) -> DirectSum:
-    """Blockwise direct sum with its inclusion and projection morphisms,
-    whose blocks are those of ``seq.summand_blocks``."""
+    """Blockwise direct sum with its inclusion and projection morphisms."""
     s = direct_sum_seq(v, w)
-    f = v.field
-
-    def part(k):
-        return lambda i: summand_blocks(f, v.dim(i), w.dim(i))[k]
-
     lo, hi = min(v.lo, w.lo), max(v.hi, w.hi)
-    il, ir, pl, pr = (hat(make_element(a, b, 0, lo, hi, part(k)))
+    il, ir, pl, pr = (_summand_map(a, b, k, v.dim, w.dim, lo, hi)
                       for k, (a, b) in enumerate(((v, s), (w, s), (s, v), (s, w))))
     return DirectSum(s, il, ir, pl, pr)
+
+
+def _summand_map(src: Seq, dst: Seq, k: int, xdim: Callable[[int], int],
+                 ydim: Callable[[int], int], lo: int, hi: int) -> HatMorphism:
+    """The type-1 morphism ``src -> dst`` whose block at degree i is block
+    ``k`` of ``seq.summand_blocks`` for ``S^i = X^i (+) Y^i`` with dim X^i =
+    ``xdim(i)`` and dim Y^i = ``ydim(i)``: the inclusion of X (k = 0) or Y
+    (1), or the projection onto X (2) or Y (3), stored on ``[lo, hi]``.
+    Every inclusion and projection of a degreewise split sum is built here."""
+    f = src.field
+    return hat(make_element(src, dst, 0, lo, hi,
+                            lambda i: summand_blocks(f, xdim(i), ydim(i))[k]))

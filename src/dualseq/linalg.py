@@ -81,16 +81,22 @@ class Field:
         return 1 if self.p is not None else Fraction(1)
 
     def coerce(self, x):
-        """Normalize an int/Fraction/string scalar into this field."""
-        if self.p is not None:
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise ValidationFailed(f"denominator not invertible mod {self.p}")
-                return x.numerator * pow(x.denominator, -1, self.p) % self.p
-            return int(x) % self.p
-        if isinstance(x, Fraction):
+        """Normalize a scalar into this field.  Anything but an int is read
+        exactly as a ``Fraction`` first, so over F5 both ``0.5`` and ``"1/2"``
+        are 3, as they are 1/2 over Q."""
+        p = self.p
+        if isinstance(x, int):
+            return x % p if p is not None else Fraction(x)
+        if not isinstance(x, Fraction):
+            try:
+                x = Fraction(x)
+            except (ValueError, OverflowError, TypeError, ZeroDivisionError) as e:
+                raise ValidationFailed(f"not a scalar: {x!r}") from e
+        if p is None:
             return x
-        return Fraction(x)
+        if x.denominator % p == 0:
+            raise ValidationFailed(f"denominator not invertible mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def neg(self, x):
         return (-x) % self.p if self.p is not None else -x

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import NotExact, ValidationFailed
-from .graded import (GradedHomElement, differential, differential_rows,
-                     elements_from_coords, hom_layout, make_element, zero_element)
-from .hom import HatMorphism, _composite, _eps_class, _hat, _vanishes, get_context, hat
-from .linalg import (Matrix, _solve_rows, complement, inverse, rank as mrank, solve,
-                     subspaces)
-from .seq import Seq, Tail, glue, make_seq, shift, summand_blocks
+from .graded import GradedHomElement, make_element, zero_element
+from .hom import HatMorphism, _composite, _eps_class, _hat, _summand_map, _vanishes
+from .linalg import Matrix, complement, inverse, rank as mrank, solve, subspaces
+from .seq import Seq, Tail, glue, make_seq, shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +186,11 @@ def cone_triangle(h: HatMorphism) -> Triangle:
 @dataclass(frozen=True, eq=False)
 class ExtensionClass:
     """Degreewise split short exact sequence 0 -> Y[-1] -> E -> X -> 0 with
-    E^i = X^i (+) Y^(i-1) and differential [[d_X, 0], [-f, -d_Y]]."""
+    E^i = X^i (+) Y^(i-1) and differential [[d_X, 0], [-f, -d_Y]].
+
+    ``feps`` is f in canonical form: ``extension_from_eps`` keeps it the
+    element ``hom._eps_class`` gives, and ``splits`` relies on it.  This
+    constructor does not."""
 
     x: Seq
     y: Seq
@@ -230,16 +232,12 @@ def extension_from_eps(f: GradedHomElement) -> ExtensionClass:
     if f.degree != 0:
         raise ValidationFailed("extension class requires a degree-0 element")
     x, y = f.src, f.dst
-    field = x.field
     fc = _eps_class(x, y, f.component)
     lo, hi = _extension_window(fc)
-    total = glue(field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fc.component, (x, y))
-
-    def blocks(i):
-        return summand_blocks(field, x.dim(i), y.dim(i - 1))
-
-    incl = hat(make_element(shift(y, -1), total, 0, lo, hi, lambda i: blocks(i)[1]))
-    proj = hat(make_element(total, x, 0, lo, hi, lambda i: blocks(i)[2]))
+    total = glue(x.field, lo, hi, x.dim, y.dim, x.map_at, y.map_at, fc.component, (x, y))
+    ym1 = shift(y, -1)
+    incl = _summand_map(ym1, total, 1, x.dim, ym1.dim, lo, hi)
+    proj = _summand_map(total, x, 2, x.dim, ym1.dim, lo, hi)
     return ExtensionClass(x, y, fc, total, incl, proj)
 
 
@@ -247,34 +245,13 @@ def splits(e: ExtensionClass) -> Optional[GradedHomElement]:
     """Splitting data of an extension, or None.
 
     A splitting is a degree -1 element h with -f^i = d_Y^(i-1) h^i
-    + h^(i+1) d_X^i; it exists exactly when the class of f vanishes.  The
-    class is decided by reducing f modulo the image rows of the hom window
-    ``[L, R]``.  Only a vanishing class is solved for h: the sparse rows of
-    d^-1 on ``L..R+1`` (``graded.differential_rows``, one row per window
-    coordinate of f) are solved against -f, and h repeats its boundary
-    blocks beyond ``L..R+1``, as a morphism does beyond its window.
-    """
-    x, y = e.x, e.y
-    ctx = get_context(x, y)
-    field = ctx.field
-    vec = ctx.vec_of(e.feps)
-    # img_rows is an echelon basis of the image of d^-1, so a nonzero
-    # remainder means the solve would find no h
-    if any(ctx.reduce_vec(vec)):
-        return None
-    L, R = ctx.L, ctx.R
-    _, width = hom_layout(x, y, -1, L, R + 1)
-    rows = differential_rows(x, y, -1, L, R + 1)
-    for row, c in zip(rows, vec):
-        if c:
-            row[width] = field.neg(c)
-    sol = _solve_rows(field, rows, width, 1)
-    if sol is None:
-        return None
-    h = elements_from_coords(x, y, -1, L, R + 1, [sol], constant_tails=True)[0]
-    if differential(h) != -e.feps:
-        raise ValidationFailed("internal: splitting does not solve the coboundary equation")
-    return h
+    + h^(i+1) d_X^i; it exists exactly when the class of f vanishes.  f is
+    ``e.feps``, the canonical representative of its class, and the
+    canonical representative of the zero class is the zero element.  So
+    the class vanishes exactly when ``e.feps`` is zero, and then h = 0
+    solves the equation: no context is looked up and nothing is solved
+    (docs/NOTES.md, "Splitting read off the canonical class")."""
+    return zero_element(e.x, e.y, -1) if e.feps.is_zero else None
 
 
 def _ses_window(b: Seq, c: Seq) -> Tuple[int, int]:
@@ -360,30 +337,18 @@ def truncate_below(v: Seq, n: int) -> Seq:
     return make_seq(v.field, lo, dims, maps, v.left_tail, Tail.ZERO)
 
 
-def inclusion_element(v: Seq, n: int) -> GradedHomElement:
-    """The inclusion ``truncate_above(v, n) -> v`` as a degree-0 element,
-    unchecked: the identity in degrees ``>= n`` and zero below."""
-    t = truncate_above(v, n)
-
-    def fn(i):
-        return summand_blocks(v.field, v.dim(i) - t.dim(i), t.dim(i))[1]
-
-    return make_element(t, v, 0, min(v.lo, n) - 1, max(v.hi, n) + 1, fn)
-
-
 def truncation_inclusion(v: Seq, n: int) -> HatMorphism:
-    return hat(inclusion_element(v, n))
+    """``truncate_above(v, n) -> v``: the identity in degrees ``>= n``."""
+    t = truncate_above(v, n)
+    return _summand_map(t, v, 1, lambda i: v.dim(i) - t.dim(i), t.dim,
+                        min(v.lo, n) - 1, max(v.hi, n) + 1)
 
 
 def truncation_projection(v: Seq, n: int) -> HatMorphism:
+    """``v -> truncate_below(v, n)``: the identity in degrees ``< n``."""
     t = truncate_below(v, n)
-
-    def fn(i):
-        return summand_blocks(v.field, t.dim(i), v.dim(i) - t.dim(i))[2]
-
-    lo = min(v.lo, n) - 1
-    hi = max(v.hi, n) + 1
-    return hat(make_element(v, t, 0, lo, hi, fn))
+    return _summand_map(v, t, 2, t.dim, lambda i: v.dim(i) - t.dim(i),
+                        min(v.lo, n) - 1, max(v.hi, n) + 1)
 
 
 def truncation_triangle(v: Seq, n: int) -> Triangle:

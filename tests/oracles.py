@@ -10,14 +10,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from dualseq.barcode import Barcode, Interval, make_barcode
-from dualseq.graded import GradedHomElement, compose, make_element, shift_element
+from dualseq.graded import (GradedHomElement, compose, differential, differential_rows,
+                            hom_layout, make_element, shift_element)
 from dualseq.hom import HatMorphism, get_context, hat_eps, zero_hat
 from dualseq.errors import StabilizationDepthExceeded
 from dualseq.linalg import (Field, Matrix, _dict_rows, _kernel_vectors, _rref,
                             _solve_rows)
 from dualseq.phantom import PhantomCertificate
 from dualseq.seq import Seq, Tail, make_seq, zero_seq
-from dualseq.triang import inclusion_element
+from dualseq.triang import truncation_inclusion
 
 F2 = Field(2)
 
@@ -386,6 +387,33 @@ def vanishes(g: HatMorphism, f: HatMorphism, k: int = 0) -> bool:
     return compose_hat(shift_hat(g, k), f).is_zero
 
 
+def splits(e) -> Optional[GradedHomElement]:
+    """``triang.splits`` by solving for the splitting h of the extension
+    ``e``: the class of ``e.feps`` is decided by reducing its window
+    coordinates, and only a vanishing class is solved for h, from the sparse
+    rows of d^-1 on ``L..R+1`` against ``-e.feps``.  h repeats its boundary
+    blocks beyond them, and ``d^-1(h) = -e.feps`` is checked."""
+    x, y = e.x, e.y
+    ctx = get_context(x, y)
+    field = ctx.field
+    vec = ctx.vec_of(e.feps)
+    if any(ctx.reduce_vec(vec)):
+        return None
+    L, R = ctx.L, ctx.R
+    _, width = hom_layout(x, y, -1, L, R + 1)
+    rows = differential_rows(x, y, -1, L, R + 1)
+    for row, c in zip(rows, vec):
+        if c:
+            row[width] = field.neg(c)
+    sol = _solve_rows(field, rows, width, 1)
+    if sol is None:
+        return None
+    h = element_from_coords(x, y, -1, L, R + 1, sol, constant_tails=True)
+    if differential(h) != -e.feps:
+        raise AssertionError("splitting does not solve the coboundary equation")
+    return h
+
+
 def solve_inner(diag, der):
     """``phantom.solve_inner`` with every column read off the composites
     ``f1.rep`` and ``rep.f1``, built as elements."""
@@ -457,7 +485,7 @@ def kernel_chain(v: Seq, w: Seq, depth: int, shift: int = 0):
     run = 0
     n = min(v.lo, w.lo) - 1
     for _ in range(depth):
-        incl = inclusion_element(v, n + shift)
+        incl = truncation_inclusion(v, n + shift).f1
         tctx = get_context(incl.src, w)
         cols = [tctx.eps_coords_at(lambda i, e=rep.component: e(i) @ incl.component(i))
                 for rep in reps]

@@ -15,12 +15,15 @@ field 2
 seq S01 { interval 0 1 }
 seq S00 { interval 0 0 }
 seq MRay { interval -inf 0 }
+seq P00 { interval 0 0 }
 
 complex Contractible {
   degree 0
   ranks 1 1
   d1 0 [[1]]
 }
+
+complex Point { ranks 1 }
 
 mor e00 : S00 -> S00 {
   window 0 0
@@ -32,13 +35,26 @@ mor deep : MRay -> S00 {
   eps 0 [[1]]
 }
 
+mor idS : S00 -> S00 { window 0 0 one 0 [[1]] }
+
 diagram D {
   objects S00
   gen e : S00 -> S00 = e00
 }
 
+diagram E {
+  objects S00, P00
+  gen i : S00 -> S00 = idS
+  gen j : S00 -> P00 = idS
+  rel i i = i
+}
+
 derivation T on D { D e = e00 }
 derivation Z on D { }
+# D(i.i) = D(i) + D(i) = 0 over F2, but D(i) = e00
+derivation Bad on E { D i = e00 }
+# D(j) = j.theta_S00 - theta_P00.j is solved by theta_P00 = e00 (over F2), theta_S00 = 0
+derivation Inner on E { D j = e00 }
 """
 
 
@@ -66,12 +82,17 @@ def test_cohomology_human(doc_path, capsys):
     code, out, _ = run(capsys, "cohomology", doc_path, "S01")
     assert code == 0
     assert "H^0: 1, H^1: 1" in out
+    # a complex is read by eps_cohomology: k[eps] in degree 0 has H^0 = k^2
+    assert run(capsys, "cohomology", doc_path, "Point") == (0, "H^0: 2\n", "")
+    assert run(capsys, "cohomology", doc_path, "Contractible") == (0, "H^0: 0, H^1: 0\n", "")
 
 
 def test_minimize_human(doc_path, capsys):
     code, out, _ = run(capsys, "minimize", doc_path, "Contractible")
     assert code == 0
     assert "minimal model: 0; certificates: OK" in out
+    code, out, _ = run(capsys, "minimize", doc_path, "Point")
+    assert (code, out) == (0, "minimal model: ranks 1 (degrees 0..0); certificates: OK\n")
 
 
 def test_classify_human(doc_path, capsys):
@@ -140,9 +161,26 @@ def test_derivation_check_and_solve(doc_path, capsys):
     assert code == 0 and "not inner" in out
     code, out, _ = run(capsys, "inner-solve", doc_path, "D", "Z")
     assert code == 0 and out.startswith("inner")
+    assert run(capsys, "derivation-check", doc_path, "E", "Bad") == (0, "violated: i i = i\n", "")
+    assert run(capsys, "derivation-check", doc_path, "E", "Inner") == (0, "OK\n", "")
+    assert run(capsys, "inner-solve", doc_path, "E", "Inner") == (
+        0, "inner\ntheta[P00]  0: [[1]]\ntheta[S00]  0\n", "")
+
+
+@pytest.mark.parametrize("command", ["derivation-check", "inner-solve"])
+@pytest.mark.parametrize("diagram,derivation,message", [
+    ("Nope", "T", "unknown diagram 'Nope'"),
+    ("D", "Nope", "unknown derivation 'Nope'"),
+    ("D", "Bad", "derivation 'Bad' is not defined on diagram 'D'"),
+])
+def test_derivation_lookup_errors_exit_one(doc_path, capsys, command, diagram, derivation,
+                                           message):
+    assert run(capsys, command, doc_path, diagram, derivation) == (
+        1, "", f"validation error: {message}\n")
 
 
 def test_json_reports(doc_path, capsys):
+    reports = {}
     for args, key in [
         (("decompose", doc_path, "S01", "--json"), "barcode"),
         (("classify", doc_path, "S01", "--json"), "h_projective"),
@@ -154,12 +192,28 @@ def test_json_reports(doc_path, capsys):
         (("truncate", doc_path, "S01", "0", "--json"), "truncation"),
         (("derivation-check", doc_path, "D", "T", "--json"), "ok"),
         (("inner-solve", doc_path, "D", "Z", "--json"), "theta"),
+        (("cohomology", doc_path, "Point", "--json"), "cohomology"),
+        (("minimize", doc_path, "Point", "--json"), "minimal"),
+        (("phantom", doc_path, "deep", "--json"), "levels"),
+        (("derivation-check", doc_path, "E", "Bad", "--json"), "violated"),
+        (("inner-solve", doc_path, "E", "Inner", "--json"), "theta"),
     ]:
         code, out, _ = run(capsys, *args)
         assert code == 0, args
         data = json.loads(out)
         assert data["schema"] == 1
         assert key in data, args
+        reports[args[0], args[2]] = data
+    assert reports["cohomology", "Point"]["cohomology"] == {"0": 2}
+    assert reports["minimize", "Point"]["minimal"]["ranks"] == [1]
+    deep = reports["phantom", "deep"]
+    assert (deep["levels"], deep["phantom"]) == ([[-1, 0], [-2, 0], [-3, 0]], False)
+    assert "levels" not in reports["phantom", "e00"]
+    bad = reports["derivation-check", "E"]
+    assert (bad["ok"], bad["violated"]) == (False, ["i", "i", "i"])
+    theta = reports["inner-solve", "E"]["theta"]
+    assert theta["P00"]["eps"] == {"degree": 0, "window": [0, 0], "components": {"0": [[1]]}}
+    assert "eps" not in theta["S00"] and "eps" not in reports["inner-solve", "D"]["theta"]["S00"]
 
 
 def test_json_decompose_roundtrips(doc_path, capsys):

@@ -47,6 +47,20 @@ def test_field_coerce_fraction_mod_p():
         F5.coerce(Fraction(1, 5))
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_field_coerce_reads_every_scalar_exactly(field):
+    # a float or a string is the rational it denotes, in every field
+    for x, exact in ((-1.0, -1), (3.0, 3), (True, 1), ("-2/3", Fraction(-2, 3)),
+                     (" 7 ", 7), ("1.5e1", 15)):
+        assert field.coerce(x) == field.coerce(exact)
+    if field.p != 2:
+        assert field.coerce(0.5) == field.coerce("1/2") == field.coerce(Fraction(1, 2))
+    assert F5.coerce(0.5) == 3 and Q.coerce(0.5) == Fraction(1, 2)
+    for bad in ("x", "1/2/3", "", "1/0", float("nan"), float("inf"), -float("inf"), None, 1j):
+        with pytest.raises(ValidationFailed, match="not a scalar"):
+            field.coerce(bad)
+
+
 def test_matrix_shape_mismatch():
     with pytest.raises(ValidationFailed):
         Matrix(F2, 2, 2, (1, 0, 1))

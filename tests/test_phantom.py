@@ -17,7 +17,7 @@ from dualseq.phantom import (Derivation, Diagram, check_derivation,
                              inner_derivation, is_phantom, phantom_basis,
                              solve_inner)
 from dualseq.seq import Tail, direct_sum_seq, interval
-from dualseq.triang import inclusion_element
+from dualseq.triang import truncation_inclusion
 import oracles
 from oracles import gauss_jordan
 
@@ -183,7 +183,7 @@ def test_kernel_chain_matches_stacked_oracle(field, shift):
         rows, cert = oracles.kernel_chain(v, w, 12, shift)
         stacked, levels = [], []
         for n, _ in cert.levels:
-            incl = inclusion_element(v, n + shift)
+            incl = truncation_inclusion(v, n + shift).f1
             tctx = get_context(incl.src, w)
             cols = [tctx.eps_coords(compose(e, incl)) for e in ctx.eps_basis()]
             stacked += [[col[r] for col in cols] for r in range(tctx.dim_eps)]
