@@ -111,21 +111,19 @@ def _cmd_hom(doc: Document, args) -> dict:
     ctx = get_context(v, w)
     hb = ctx.hom_basis()
     eb = ctx.eps_basis()
-    cert = ctx.certificate
     if args.json:
         return {"command": "hom", "src": args.src, "dst": args.dst,
                 "dim_hom": ctx.dim_hom, "dim_eps": ctx.dim_eps,
                 "hom_basis": [element_to_json(g) for g in hb],
                 "eps_basis": [element_to_json(g) for g in eb],
-                "certificate": {"window": list(cert.window), "margin": cert.margin}}
+                "certificate": {"window": [ctx.L, ctx.R], "margin": ctx.margin}}
     print(f"dim Hom_1: {ctx.dim_hom}")
     print(f"dim Hom_eps: {ctx.dim_eps}")
     for t, g in enumerate(hb):
         print(f"one[{t}]  {_fmt_element(g)}")
     for t, g in enumerate(eb):
         print(f"eps[{t}]  {_fmt_element(g)}")
-    print(f"certificate: window [{cert.window[0]}, {cert.window[1]}], "
-          f"margin {cert.margin}")
+    print(f"certificate: window [{ctx.L}, {ctx.R}], margin {ctx.margin}")
     return {}
 
 

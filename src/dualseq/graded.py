@@ -12,6 +12,7 @@ shapes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -194,60 +195,40 @@ def coords_of(fn: Callable[[int], Matrix], lo: int, hi: int) -> list:
     return out
 
 
-def _blocks(v: Seq, w: Seq, n: int, lo: int, hi: int) -> tuple:
-    """``(start, stop, zero block)`` per degree ``lo..hi`` in ``hom_layout``
-    coordinates, and the zero tails beyond a window containing ``base_window``."""
-    out, o, z = [], 0, Matrix.zeros
-    for i in range(lo, hi + 1):
-        zi = z(v.field, w.dim(n + i), v.dim(i))
-        out.append((o, o + len(zi.data), zi))
-        o += len(zi.data)
-    lt, rt = (z(v.field, w.stable_dim(side), v.stable_dim(side)) for side in ("left", "right"))
-    return out, ((lt, lt), (rt, rt))
-
-
-def elements_from_coords(v: Seq, w: Seq, n: int, lo: int, hi: int, vecs,
-                         constant_tails: bool = False) -> list:
-    """The elements of ``Hom^n(V, W)`` with coordinates ``vecs`` on the
-    degrees ``lo..hi`` (``hom_layout``), a window containing ``base_window``.
-    Beyond it their components are zero (shared ``Matrix.zeros`` blocks), or
-    with ``constant_tails`` repeat the edge blocks, which then need the tail shapes."""
-    blocks, tails = _blocks(v, w, n, lo, hi)
-    out, window = [], base_window(v, w, n)
-    for vec in vecs:
-        if len(vec) != blocks[-1][1]:
-            raise ValidationFailed(f"{blocks[-1][1]} coordinates on {lo}..{hi}, got {len(vec)}")
-        comps = [Matrix(v.field, z.rows, z.cols, blk) if any(blk := tuple(vec[s:e])) else z
-                 for s, e, z in blocks]
+def placed_elements(v: Seq, w: Seq, n: int, lo: int, hi: int, entries,
+                    constant_tails: bool = False) -> list:
+    """The elements of ``Hom^n(V, W)`` whose coordinates on the degrees
+    ``lo..hi`` (``hom_layout``), a window containing ``base_window``, are
+    one ``{coordinate: x}`` dict of ``entries`` each, zero elsewhere.  Each
+    touched block is written once, every other one is the shared
+    ``Matrix.zeros`` of its shape.  Beyond the window the components are
+    zero, or with ``constant_tails`` repeat the edge blocks, which then need
+    the tail shapes.  A coordinate outside the layout is refused."""
+    off, size = hom_layout(v, w, n, lo, hi)
+    field, z = v.field, Matrix.zeros
+    starts = list(off.values())
+    zeros = [z(field, w.dim(n + i), v.dim(i)) for i in off]
+    tails = tuple((t, t) for t in (z(field, w.stable_dim(side), v.stable_dim(side))
+                                   for side in ("left", "right")))
+    window = base_window(v, w, n)
+    out = []
+    for ent in entries:
+        touched = {}
+        for j, x in ent.items():
+            if not 0 <= j < size:
+                raise ValidationFailed(f"coordinate {j} is outside the {size} "
+                                       f"coordinates on {lo}..{hi}")
+            k = bisect_right(starts, j) - 1        # the block of j
+            data = touched.get(k)
+            if data is None:
+                data = touched[k] = list(zeros[k].data)
+            data[j - starts[k]] = x
+        comps = list(zeros)
+        for k, data in touched.items():
+            comps[k] = Matrix(field, comps[k].rows, comps[k].cols, tuple(data))
         ends = ((comps[0],) * 2, (comps[-1],) * 2) if constant_tails else tails
         out.append(_trimmed(v, w, n, window, lo, comps, *ends))
     return out
-
-
-def unit_elements(v: Seq, w: Seq, n: int, lo: int, hi: int, coords) -> list:
-    """``elements_from_coords`` of the unit vector at each coordinate of
-    ``coords``, built with the 1 placed in its one block."""
-    blocks, tails = _blocks(v, w, n, lo, hi)
-    out, window = [], base_window(v, w, n)
-    for j in coords:
-        k = next(k for k, (_, stop, _) in enumerate(blocks) if stop > j)   # the block of j
-        (s, _, z), comps = blocks[k], [b[2] for b in blocks]
-        data = z.data[:j - s] + (v.field.one,) + z.data[j - s + 1:]
-        comps[k] = Matrix(v.field, z.rows, z.cols, data)
-        out.append(_trimmed(v, w, n, window, lo, comps, *tails))
-    return out
-
-
-def placed_element(v: Seq, w: Seq, n: int, lo: int, hi: int, entries: dict) -> GradedHomElement:
-    """``elements_from_coords`` of the vector whose nonzeros are ``entries``
-    ({coordinate: x}), each placed in its block as ``unit_elements`` does."""
-    blocks, tails = _blocks(v, w, n, lo, hi)
-    comps = [b[2] for b in blocks]
-    for j, x in entries.items():
-        k = next(k for k, (_, stop, _) in enumerate(blocks) if stop > j)   # the block of j
-        s, m = blocks[k][0], comps[k]
-        comps[k] = Matrix(v.field, m.rows, m.cols, m.data[:j - s] + (x,) + m.data[j - s + 1:])
-    return _trimmed(v, w, n, base_window(v, w, n), lo, comps, *tails)
 
 
 def differential_rows(v: Seq, w: Seq, n: int, lo: int, hi: int) -> list:

@@ -62,11 +62,11 @@ touching two adjacent degree blocks, and both are reduced in place by
 The coordinates of an element on the window are those of
 ``graded.hom_layout``, read by ``graded.coords_of``; no dense window matrix
 is built, and nothing outside this module and ``graded`` reads them.
-Basis elements go straight from coordinates into blocks, every zero block
-the shared one of its shape: ``graded.elements_from_coords`` slices each
-block of all kernel vectors on one layout, ``graded.unit_elements`` puts
-each eps coordinate in its one block, and ``all_morphisms`` certifies the
-hom basis entry by entry from the nonzeros of the maps.
+Every element built from coordinates, a basis element or a canonical
+class, goes through ``graded.placed_elements``: its nonzero coordinates
+are written into their blocks, every other block the shared zero one of
+its shape, and ``all_morphisms`` certifies the hom basis entry by entry
+from the nonzeros of the maps.
 """
 
 from __future__ import annotations
@@ -78,22 +78,12 @@ from typing import Callable, Optional, Tuple
 from .config import MARGIN
 from .errors import ValidationFailed
 from .graded import (GradedHomElement, all_morphisms, coords_of,
-                     differential_rows, elements_from_coords, hom_layout,
-                     identity_element, is_morphism, make_element, placed_element,
-                     shift_element, unit_elements, zero_element)
+                     differential_rows, hom_layout, identity_element, is_morphism,
+                     make_element, placed_elements, shift_element, zero_element)
 # subspaces is unused here but stays bound: bench/test_bench.py checks that
 # the tracer rebinds the copy of it imported into this module.
 from .linalg import Matrix, _kernel_vectors, _reduce_vec, _rref, subspaces  # noqa: F401
 from .seq import Seq, direct_sum_seq, shift, summand_blocks
-
-
-@dataclass(frozen=True)
-class StabilizationCertificate:
-    """The hom window and its margin, which the module docstring proves
-    wide enough for both hom spaces."""
-
-    window: Tuple[int, int]
-    margin: int
 
 
 def _require_one_field(v: Seq, w: Seq) -> None:
@@ -116,7 +106,6 @@ class HomContext:
         self.field = f = v.field
         self.margin = MARGIN
         self.L, self.R = L, R = hom_window(v, w)
-        self.certificate = StabilizationCertificate((L, R), MARGIN)
         _, n = hom_layout(v, w, 0, L, R)
         self.N = n
 
@@ -142,27 +131,16 @@ class HomContext:
 
     # -- coordinates <-> elements ----------------------------------------
 
-    def vec_of(self, g: GradedHomElement) -> list:
-        """The window coordinates of a degree-0 element from V to W."""
-        if (g.src, g.dst, g.degree) != (self.src, self.dst, 0):
-            raise ValidationFailed("element does not belong to this hom context")
-        return coords_of(g.component, self.L, self.R)
-
-    def element_from_vec(self, vec: list) -> GradedHomElement:
-        return elements_from_coords(self.src, self.dst, 0, self.L, self.R, [vec])[0]
-
     def reduce_vec(self, vec: list) -> list:
         """Canonical representative of ``vec`` modulo the image of d^-1, the
         one with a zero in every pivot coordinate of the image rows."""
         return _reduce_vec(self.field, self.img_rows, self.img_pivots, vec)
 
-    def canonical_eps(self, g: GradedHomElement) -> GradedHomElement:
-        """Canonical representative of the class of ``g``, as ``_eps_class``."""
-        return self.element_from_vec(self.reduce_vec(self.vec_of(g)))
-
     def eps_coords(self, g: GradedHomElement) -> list:
-        red = self.reduce_vec(self.vec_of(g))
-        return [red[j] for j in self.nonpivots]
+        """The eps coordinates of the class of a degree-0 element from V to W."""
+        if (g.src, g.dst, g.degree) != (self.src, self.dst, 0):
+            raise ValidationFailed("element does not belong to this hom context")
+        return self.eps_coords_at(g.component)
 
     def eps_coords_at(self, eps_at: Callable[[int], Matrix]) -> list:
         """``eps_coords`` of the representative with blocks ``eps_at(i)``."""
@@ -175,16 +153,17 @@ class HomContext:
             raise ValidationFailed(f"Hom_eps has dimension {self.dim_eps}, "
                                    f"got {len(coords)} coordinates")
         co = self.field.coerce
-        return placed_element(self.src, self.dst, 0, self.L, self.R,
-                              {j: x for j, c in zip(self.nonpivots, coords) if (x := co(c))})
+        entries = {j: x for j, c in zip(self.nonpivots, coords) if (x := co(c))}
+        return placed_elements(self.src, self.dst, 0, self.L, self.R, [entries])[0]
 
     def eps_hat(self, coords: list) -> "HatMorphism":
         """``hat_eps(eps_from_coords(coords))``, which is canonical already."""
         return HatMorphism(zero_element(self.src, self.dst, 0), self.eps_from_coords(coords))
 
     def hom_basis(self) -> list:
-        out = elements_from_coords(self.src, self.dst, 0, self.L, self.R,
-                                   self.ker_basis_vecs, constant_tails=True)
+        out = placed_elements(self.src, self.dst, 0, self.L, self.R,
+                              ({j: x for j, x in enumerate(vec) if x}
+                               for vec in self.ker_basis_vecs), constant_tails=True)
         if not all_morphisms(out):
             raise ValidationFailed("internal: kernel vector failed the morphism check")
         return out
@@ -193,8 +172,9 @@ class HomContext:
         """One element per eps coordinate, built on the first call; every
         call returns a new list of the same (immutable) elements."""
         if self._eps_basis is None:
-            self._eps_basis = tuple(unit_elements(self.src, self.dst, 0, self.L, self.R,
-                                                  self.nonpivots))
+            one = self.field.one
+            self._eps_basis = tuple(placed_elements(self.src, self.dst, 0, self.L, self.R,
+                                                    ({j: one} for j in self.nonpivots)))
         return list(self._eps_basis)
 
 
@@ -273,18 +253,26 @@ class HatMorphism:
         return HatMorphism(self.f1.scale(c), self.feps.scale(c))
 
 
+def _class_entries(v: Seq, w: Seq, eps_at: Callable[[int], Matrix]) -> dict:
+    """The nonzero coordinates ``{j: x}`` on ``hom_window`` of the canonical
+    class of the representative with the total, parity-periodic blocks
+    ``eps_at(i)``.  The blocks are read once; all zero gives ``{}`` with no
+    hom context built or looked up, and otherwise ``reduce_vec`` runs."""
+    vec = coords_of(eps_at, *hom_window(v, w))
+    if not any(vec):
+        return {}
+    return {j: x for j, x in enumerate(get_context(v, w).reduce_vec(vec)) if x}
+
+
 def _eps_class(v: Seq, w: Seq, eps_at: Optional[Callable[[int], Matrix]]) -> GradedHomElement:
-    """Canonical class in Hom_eps(v, w) of the representative with the total,
-    parity-periodic blocks ``eps_at(i)`` (``g.component``), or of zero for
-    ``None``.  The blocks are read once, as coordinates on ``hom_window``;
-    all zero is the ``zero_element``, with no hom context built or looked
-    up, and otherwise ``reduce_vec`` and ``element_from_vec`` build one."""
+    """Canonical class in Hom_eps(v, w) of the representative with the blocks
+    ``eps_at(i)`` (``g.component``), or of zero for ``None``: the
+    ``zero_element``, or ``_class_entries`` placed in their blocks."""
     _require_one_field(v, w)
-    vec = None if eps_at is None else coords_of(eps_at, *hom_window(v, w))
-    if not vec or not any(vec):
+    entries = None if eps_at is None else _class_entries(v, w, eps_at)
+    if not entries:
         return zero_element(v, w, 0)
-    ctx = get_context(v, w)
-    return ctx.element_from_vec(ctx.reduce_vec(vec))
+    return placed_elements(v, w, 0, *hom_window(v, w), [entries])[0]
 
 
 def _hat(f1: GradedHomElement, eps_at: Optional[Callable[[int], Matrix]]) -> HatMorphism:
@@ -346,22 +334,18 @@ def _vanishes(src: Seq, dst: Seq, lo: int, hi: int, one_at: Callable[[int], Matr
 
     The type-1 part is zero when every ``one_at(i)`` for ``i`` in
     ``lo-2..hi+2`` is: the degrees ``make_element`` samples, which cover
-    both parities on each side.  The epsilon part is read once as
-    coordinates on ``hom_window``; it is zero when they are, with no
-    context looked up, or when ``reduce_vec`` of them is, as in
-    ``_eps_class``.  So on the blocks of ``_composite(g, f)`` it is
-    ``compose_hat(g, f).is_zero``, whose stored window ``[lo, hi]``
-    already contains ``base_window(src, dst)``; and on those of
+    both parities on each side.  The epsilon part is zero when
+    ``_class_entries`` of it is empty, as in ``_eps_class``.  So on the
+    blocks of ``_composite(g, f)`` it is ``compose_hat(g, f).is_zero``,
+    whose stored window ``[lo, hi]`` already contains
+    ``base_window(src, dst)``; and on those of
     ``_composite(g, f, k)`` it is ``compose_hat(shift_hat(g, k), f).is_zero``:
     ``shift_hat`` keeps the blocks ``g^(k+i)`` of both parts (or the zero
     element, when ``g_eps`` is zero already) and a stored window of ``g_1``
     moved by ``-k``."""
     if any(not one_at(i).is_zero for i in range(lo - 2, hi + 3)):
         return False
-    if eps_at is None:
-        return True
-    vec = coords_of(eps_at, *hom_window(src, dst))
-    return not any(vec) or not any(get_context(src, dst).reduce_vec(vec))
+    return eps_at is None or not _class_entries(src, dst, eps_at)
 
 
 def shift_hat(h: HatMorphism, k: int) -> HatMorphism:

@@ -188,9 +188,9 @@ class ExtensionClass:
     """Degreewise split short exact sequence 0 -> Y[-1] -> E -> X -> 0 with
     E^i = X^i (+) Y^(i-1) and differential [[d_X, 0], [-f, -d_Y]].
 
-    ``feps`` is f in canonical form: ``extension_from_eps`` keeps it the
-    element ``hom._eps_class`` gives, and ``splits`` relies on it.  This
-    constructor does not."""
+    ``feps`` is f in canonical form, the element ``hom._eps_class`` gives,
+    as ``extension_from_eps`` builds it; ``splits`` relies on it, so the
+    constructor refuses any other ``feps``."""
 
     x: Seq
     y: Seq
@@ -198,6 +198,12 @@ class ExtensionClass:
     total: Seq
     incl: HatMorphism
     proj: HatMorphism
+
+    def __post_init__(self):
+        f = self.feps
+        if ((f.src, f.dst, f.degree) != (self.x, self.y, 0)
+                or f != _eps_class(self.x, self.y, f.component)):
+            raise ValidationFailed("extension class: feps is not its canonical class")
 
 
 def _extension_window(fc: GradedHomElement) -> Tuple[int, int]:

@@ -341,10 +341,16 @@ def eps_basis(ctx) -> list:
     return out
 
 
+def window_vec(ctx, g: GradedHomElement) -> list:
+    """The coordinates of ``g`` on the window of ``ctx``, block after block."""
+    return [x for i in range(ctx.L, ctx.R + 1) for x in g.component(i).data]
+
+
 def canonical_eps(ctx, g: GradedHomElement) -> GradedHomElement:
-    """``HomContext.canonical_eps``: the reduced window vector of ``g``."""
+    """``hom._eps_class`` of ``g``: its reduced window vector, built through
+    ``make_element``."""
     return element_from_coords(ctx.src, ctx.dst, 0, ctx.L, ctx.R,
-                               ctx.reduce_vec(ctx.vec_of(g)))
+                               ctx.reduce_vec(window_vec(ctx, g)))
 
 
 def stored(g: GradedHomElement) -> tuple:
@@ -396,7 +402,7 @@ def splits(e) -> Optional[GradedHomElement]:
     x, y = e.x, e.y
     ctx = get_context(x, y)
     field = ctx.field
-    vec = ctx.vec_of(e.feps)
+    vec = window_vec(ctx, e.feps)
     if any(ctx.reduce_vec(vec)):
         return None
     L, R = ctx.L, ctx.R

@@ -296,7 +296,7 @@ def test_library_constructors_keep_feps_canonical(field):
                 ds.project_left, ds.project_right, *cone(f)[1:]]
         hats.append(hat(f.f1, ctx.eps_basis()[0]) if ctx.dim_eps else f)
         for h in hats:
-            _same(h.feps, get_context(h.src, h.dst).canonical_eps(h.feps))
+            _same(h.feps, oracles.canonical_eps(get_context(h.src, h.dst), h.feps))
 
 
 def _perturbed(rng, h):

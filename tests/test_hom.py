@@ -8,9 +8,8 @@ import pytest
 import oracles
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_graded_element, random_scalar, random_seq
-from dualseq.graded import (compose, differential, elements_from_coords, hom_layout,
-                            is_morphism, shift_element, unit_elements,
-                            zero_element)
+from dualseq.graded import (compose, differential, hom_layout, is_morphism,
+                            placed_elements, shift_element, zero_element)
 from dualseq import hom
 from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context, hat,
                          hat_eps, identity_hat, shift_hat, zero_hat)
@@ -194,8 +193,8 @@ def test_wider_margin_changes_no_answer(monkeypatch, margin):
 
     def answers(v, w, els):
         ctx = HomContext(v, w)
-        return (ctx.certificate.margin, ctx.hom_basis(), ctx.eps_basis(),
-                [ctx.canonical_eps(g) for g in els])
+        return (ctx.margin, ctx.hom_basis(), ctx.eps_basis(),
+                [oracles.canonical_eps(ctx, g) for g in els])
 
     want = [answers(*case) for case in cases]
     monkeypatch.setattr(hom, "MARGIN", margin)
@@ -223,18 +222,16 @@ def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):
         w = direct_sum_seq(random_seq(rng, f, max_bars=2, lo=-2, hi=2),
                            interval(f, rng.randint(-1, 1), INF))
         ctx = get_context(v, w)
-        cert = ctx.certificate
-        assert cert.margin == ctx.margin
-        assert cert.window == (min(v.lo, w.lo - 1) - cert.margin,
-                               max(v.hi, w.hi + 1) + cert.margin)
+        assert (ctx.L, ctx.R) == (min(v.lo, w.lo - 1) - ctx.margin,
+                                  max(v.hi, w.hi + 1) + ctx.margin)
         want = (ctx.dim_hom, ctx.dim_eps)
-        assert oracles.window_matrices(v, w, cert.margin)[2] == ctx.N
-        assert oracles.window_dims(v, w, cert.margin) == want
+        assert oracles.window_matrices(v, w, ctx.margin)[2] == ctx.N
+        assert oracles.window_dims(v, w, ctx.margin) == want
         margin = base_margin
         while len({oracles.window_dims(v, w, margin + k)
                    for k in range(extra_checks + 1)}) > 1:
             margin += 1
-        assert margin <= cert.margin
+        assert margin <= ctx.margin
         for k in range(extra_checks + 1):
             assert oracles.window_dims(v, w, margin + k) == want
         widened += margin > base_margin
@@ -253,9 +250,9 @@ def _same_stored(got, want):
 
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
 def test_element_building_matches_the_make_element_oracle(field):
-    # elements_from_coords, unit_elements and the bases and coset
-    # representatives built on them store what the oracle's make_element
-    # path stores: hom windows of degree 0 and -1, zero and constant tails
+    # placed_elements and the bases and coset representatives built on it
+    # store what the oracle's make_element path stores: hom windows of
+    # degree 0 and -1, zero and constant tails
     rng = random.Random({F2: 71, F5: 72, Q: 73}[field])
     bases = 0
     for _ in range(10):
@@ -266,18 +263,20 @@ def test_element_building_matches_the_make_element_oracle(field):
             size = hom_layout(v, w, n, lo, hi)[1]
             vecs = [[random_scalar(rng, field) if rng.random() < density else field.zero
                      for _ in range(size)] for density in (0, 0.1, 0.5, 1)]
+            entries = [{j: x for j, x in enumerate(vec) if x} for vec in vecs]
             for constant in (False, True):
-                _same_stored(elements_from_coords(v, w, n, lo, hi, vecs, constant),
+                _same_stored(placed_elements(v, w, n, lo, hi, entries, constant),
                              [oracles.element_from_coords(v, w, n, lo, hi, vec, constant)
                               for vec in vecs])
             units = [[field.one if k == j else field.zero for k in range(size)]
                      for j in range(size)]
-            _same_stored(unit_elements(v, w, n, lo, hi, range(size)),
+            _same_stored(placed_elements(v, w, n, lo, hi,
+                                         ({j: field.one} for j in range(size))),
                          [oracles.element_from_coords(v, w, n, lo, hi, vec) for vec in units])
         _same_stored(ctx.hom_basis(), oracles.hom_basis(ctx))
         _same_stored(ctx.eps_basis(), oracles.eps_basis(ctx))
         gs = [random_graded_element(rng, v, w) for _ in range(3)]
-        _same_stored([ctx.canonical_eps(g) for g in gs],
+        _same_stored([hom._eps_class(v, w, g.component) for g in gs],
                      [oracles.canonical_eps(ctx, g) for g in gs])
         bases += ctx.dim_hom > 0 and ctx.dim_eps > 0
     assert bases >= 3
@@ -285,15 +284,20 @@ def test_element_building_matches_the_make_element_oracle(field):
 
 @pytest.mark.parametrize("length", [1, 5])
 def test_element_from_vec_refuses_a_vector_of_the_wrong_length(length):
+    # eps coordinates of any length but dim Hom_eps are refused, and so is
+    # a coordinate outside the N of the layout, past its end or before it,
+    # by name: N and -1 for length 1
     v = interval(F5, 0, 1)
     ctx = get_context(v, v)
-    assert ctx.N == 2
-    with pytest.raises(ValidationFailed, match="2 coordinates on -2..3, got"):
-        ctx.element_from_vec([1] * length)
+    assert (ctx.N, ctx.dim_eps) == (2, 1)
+    with pytest.raises(ValidationFailed, match=f"dimension 1, got {length + 1}"):
+        ctx.eps_from_coords([1] * (length + 1))
     for constant in (False, True):
-        with pytest.raises(ValidationFailed, match=f"got {length}"):
-            elements_from_coords(v, v, 0, ctx.L, ctx.R, [[1, 2], [1] * length], constant)
-    assert ctx.vec_of(ctx.element_from_vec([1, 2])) == [1, 2]
+        for j in (ctx.N + length - 1, -length):
+            with pytest.raises(ValidationFailed,
+                               match=f"coordinate {j} is outside the 2 coordinates on -2..3"):
+                placed_elements(v, v, 0, ctx.L, ctx.R, [{0: 1}, {j: 1}], constant)
+    assert ctx.eps_coords(ctx.eps_from_coords([2])) == [2]
 
 
 def test_corrupted_kernel_vector_fails_the_morphism_check():
@@ -520,7 +524,7 @@ def _random_morphism(rng, v, w):
 
 def _old_hat(f1, eps):
     # every epsilon part reduced through the pair's hom context
-    return HatMorphism(f1, get_context(f1.src, f1.dst).canonical_eps(eps))
+    return HatMorphism(f1, oracles.canonical_eps(get_context(f1.src, f1.dst), eps))
 
 
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
@@ -556,7 +560,7 @@ def test_nonzero_eps_part_still_reduced(field):
         feps = random_graded_element(rng, u, v)
         f = hat(f1, feps)
         assert f == _old_hat(f1, feps)
-        assert f.feps == get_context(u, v).canonical_eps(feps)
+        assert f.feps == oracles.canonical_eps(get_context(u, v), feps)
         reduced += f.feps != feps
         g = hat(g1, random_graded_element(rng, v, w))
         eps = compose(g1, f.feps) + compose(g.feps, f1)

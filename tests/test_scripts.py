@@ -1,4 +1,5 @@
-"""Smoke test for the command-line scripts under ``scripts/``.
+"""Smoke test for the command-line scripts under ``scripts/``, and for
+what importing the package loads.
 
 The scripts import the package from ``src`` relative to the working
 directory, so each runs as a subprocess from the repository root on the
@@ -26,3 +27,17 @@ def test_script_runs(argv):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_runtime_imports_only_the_standard_library():
+    # numpy may be installed next to the package; a stray import of it, or
+    # of anything else outside the standard library, fails here
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "before = set(sys.modules); import dualseq, dualseq.cli, dualseq.gen; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "dualseq" in loaded
+    assert loaded - {"dualseq"} <= set(sys.stdlib_module_names)

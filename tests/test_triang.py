@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -490,13 +491,35 @@ def test_splits_matches_the_solving_oracle():
             assert oracles.stored(h) == oracles.stored(want)
             assert differential(h) == -e.feps
             # the oracle solves: a coboundary on the window needs a nonzero h
-            raw = dataclasses.replace(e, feps=_window_coboundary(rng, x, y, ctx))
+            raw = SimpleNamespace(x=x, y=y, feps=_window_coboundary(rng, x, y, ctx))
             assert oracles.splits(raw) is not None
             solved += not raw.feps.is_zero
             split += 1
         done[f] += 1
         rays += Tail.ISO in (x.left_tail, x.right_tail, y.left_tail, y.right_tail)
     assert min(done.values()) >= 50 and rays >= 100 and solved >= 50
+
+
+def test_extension_class_refuses_a_representative_that_is_not_canonical():
+    # a nonzero coboundary represents the zero class, so an extension on it
+    # splits, but splits reads the canonical class off feps: the
+    # constructor refuses any feps but the canonical one
+    rng = random.Random(3)
+    refused = 0
+    while refused < 16:
+        x = random_seq(rng, F5, max_bars=3, lo=-2, hi=2)
+        y = random_seq(rng, F5, max_bars=3, lo=-2, hi=2)
+        g = differential(random_graded_element(rng, x, y, -1))
+        if g.is_zero:
+            continue
+        e = extension_from_eps(g)
+        assert e.feps.is_zero and splits(dataclasses.replace(e)) is not None
+        with pytest.raises(ValidationFailed, match="not its canonical class"):
+            dataclasses.replace(e, feps=g)
+        refused += 1
+    # and an element of another hom space
+    with pytest.raises(ValidationFailed, match="not its canonical class"):
+        dataclasses.replace(e, feps=zero_element(x, y, -1))
 
 
 def test_triangle_endpoint_validation():
