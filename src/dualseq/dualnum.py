@@ -27,8 +27,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import ValidationFailed
 from .hom import get_context
-from .linalg import (Field, Matrix, block_matrix, complement, inverse,
-                     rank as matrix_rank, solve, subspaces)
+from .linalg import Field, Matrix, block_matrix, rank as matrix_rank, split_map
 from .seq import Seq, Tail, make_seq
 
 
@@ -161,12 +160,11 @@ def cohomology(v: Seq) -> Dict[int, int]:
     identities), so the support lies inside the window.
     """
     out: Dict[int, int] = {}
+    prev_rank = matrix_rank(v.map_at(v.lo - 1))
     for i in range(v.lo, v.hi + 1):
-        d_here = v.map_at(i)
-        d_prev = v.map_at(i - 1)
-        ker = d_here.cols - matrix_rank(d_here)
-        cok = v.dim(i) - matrix_rank(d_prev)
-        out[i] = ker + cok
+        r = matrix_rank(v.map_at(i))
+        out[i] = 2 * v.dim(i) - r - prev_rank
+        prev_rank = r
     return out
 
 
@@ -282,8 +280,10 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
     Per degree the basis is reordered as P_i = (B_i | H_i | C_i): image of
     the previous d1, a complement of it inside the kernel, and a complement
     of the kernel.  The new basis of B_(i+1) is d1(C_i), which makes d1 the
-    identity from the C block to the next B block.  Every map is read off
-    blocks: with Q_i = P_i^-1, Q_i^B and Q_i^H its B and H rows, and
+    identity from the C block to the next B block.  P_i is never formed:
+    s = split_map(d1^i) gives the kernel K, C_i = s.comp and s.pker, and
+    t = split_map(s.pker B_i) gives H_i = K t.rest and the B and H rows of
+    Q_i = P_i^-1, Q_i^B = t.sec s.pker and Q_i^H = t.pi s.pker.  With
     E_i^XY = Q_(i+1)^X deps^i Y_i, the minimal model is the H blocks with
     differential E_i^HH, and
 
@@ -303,22 +303,18 @@ def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:
     H, C, QB, QH = [], [], [], []
     b = Matrix.zeros(f, c.rank_at(lo), 0)
     for i in range(lo, hi + 1):
-        ker = subspaces(c.d1_at(i)).kernel  # full space at i = hi
-        beta = solve(ker, b)
-        if beta is None:
+        s = split_map(c.d1_at(i))           # the kernel is everything at i = hi
+        beta = s.pker @ b                   # B_i in kernel coordinates
+        if s.kernel @ beta != b:
             raise ValidationFailed("internal: vector outside subspace")
-        h = ker @ complement(beta, ker.cols)
-        cc = complement(ker, c.rank_at(i))
-        p = block_matrix(f, [[b, h, cc]])
-        if p.rows != p.cols:
+        t = split_map(beta)
+        if t.rank != b.cols:
             raise ValidationFailed("internal: basis count mismatch")
-        q = inverse(p)
-        H.append(h)
-        C.append(cc)
-        QB.append(q.row_block(0, b.cols))
-        QH.append(q.row_block(b.cols, b.cols + h.cols))
-        b = c.d1_at(i) @ cc
-
+        H.append(s.kernel @ t.rest)
+        C.append(s.comp)
+        QB.append(t.sec @ s.pker)
+        QH.append(t.pi @ s.pker)
+        b = c.d1_at(i) @ s.comp
     deps_n, e_bh, e_hc, e_bc = [], [], [], []
     for t in range(hi - lo):
         dh, dc = c.deps[t] @ H[t], c.deps[t] @ C[t]

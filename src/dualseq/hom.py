@@ -275,6 +275,18 @@ def _eps_class(v: Seq, w: Seq, eps_at: Optional[Callable[[int], Matrix]]) -> Gra
     return placed_elements(v, w, 0, *hom_window(v, w), [entries])[0]
 
 
+def _is_class(g: GradedHomElement) -> bool:
+    """Whether ``g`` is the ``_eps_class`` of its blocks, with no reduction:
+    its window coordinates vanish at every ``img_pivots``, so ``reduce_vec``
+    would keep them, and placed in their blocks they give ``g`` back."""
+    v, w = g.src, g.dst
+    lo, hi = hom_window(v, w)
+    vec = coords_of(g.component, lo, hi)
+    if any(vec) and any(vec[j] for j in get_context(v, w).img_pivots):
+        return False
+    return g == placed_elements(v, w, 0, lo, hi, [{j: x for j, x in enumerate(vec) if x}])[0]
+
+
 def _hat(f1: GradedHomElement, eps_at: Optional[Callable[[int], Matrix]]) -> HatMorphism:
     """``hat`` with the epsilon part given by its blocks (``_eps_class``)."""
     if not is_morphism(f1):

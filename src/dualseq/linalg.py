@@ -7,11 +7,11 @@ one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``,
 the only row format: its cost follows the nonzeros, which is what the
 constraint systems of the hom windows need (a few nonzeros per row), and
 its result is exactly the Gauss-Jordan one, so callers that convert dense
-rows with ``_dict_rows`` see no difference.  Nothing carries a transform
-witness: ``subspaces`` reads the kernel and image off one elimination of
-the matrix's own rows, ``_solve_rows`` eliminates dict rows ``[a | b]`` and
-reads the solution off the trailing columns, ``solve`` hands it a matrix
-pair, and ``inverse`` is ``solve(a, identity)``.
+rows with ``_dict_rows`` see no difference.  ``subspaces`` reads the
+kernel and image off one elimination of the matrix's own rows,
+``_solve_rows`` eliminates dict rows ``[a | b]`` and reads the solution
+off the trailing columns, and ``inverse`` is ``solve(a, identity)``.  Only
+``split_map``, the bases adapted to a map, carries a transform witness.
 
 Zero matrices are shared: ``Matrix.zeros`` returns one immutable object per
 shape.  Most blocks of the enlarged category (composites, cone parts,
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import ValidationFailed
@@ -457,10 +457,12 @@ class SubspaceData:
     * ``kernel``: columns form a basis of ``ker m`` (shape ``cols x nullity``),
       one per free column of the rref of ``m``.
     * ``image``: columns of ``m`` at its pivot columns (shape ``rows x rank``).
+    * ``pivots``: those pivot columns.
     """
 
     kernel: Matrix
     image: Matrix
+    pivots: tuple
 
 
 def subspaces(m: Matrix) -> SubspaceData:
@@ -471,25 +473,81 @@ def subspaces(m: Matrix) -> SubspaceData:
     ker = _kernel_vectors(f, rows, pivots, k)
     kernel = tuple(vec[i] for i in range(k) for vec in ker)    # a column per vector
     image = tuple(m.data[i * k + c] for i in range(m.rows) for c in pivots)
-    return SubspaceData(Matrix(f, k, len(ker), kernel), Matrix(f, m.rows, len(pivots), image))
+    return SubspaceData(Matrix(f, k, len(ker), kernel), Matrix(f, m.rows, len(pivots), image),
+                        pivots)
 
 
 def rank(m: Matrix) -> int:
     return _rref(m.field, _matrix_rows(m), m.cols, reduced=False)[0]
 
 
-def complement(sub: Matrix, ambient_dim: int) -> Matrix:
-    """Standard basis vectors completing the column span of ``sub`` to a basis
-    of ``k^ambient_dim``; deterministic (non-pivot coordinates of the span)."""
-    if sub.rows != ambient_dim:
-        raise ValidationFailed("complement: ambient dimension mismatch")
-    f = sub.field
-    _, pivots = _rref(f, _dict_rows(sub.col(j) for j in range(sub.cols)), ambient_dim,
-                      reduced=False)
-    pivots = set(pivots)
-    free = [j for j in range(ambient_dim) if j not in pivots]
-    data = tuple(f.one if i == j else f.zero for i in range(ambient_dim) for j in free)
-    return Matrix(f, ambient_dim, len(free), data)
+def _placed(f: Field, rows: int, cols: int, entries) -> Matrix:
+    """The matrix with the entries ``((i, j), x)`` and zeros elsewhere."""
+    data = [f.zero] * (rows * cols)
+    for (i, j), x in entries:
+        data[i * cols + j] = x
+    return Matrix(f, rows, cols, tuple(data))
+
+
+@dataclass(frozen=True)
+class SplitMap:
+    """Bases adapted to ``m: k^b -> k^a`` (``split_map``): k^b = ker m (+)
+    span(comp), with the kernel coordinates ``pker`` along comp, and k^a =
+    im m (+) span(rest), with the rest coordinates ``pi`` along im m.
+    ``sec`` maps into span(comp), and ``m . sec`` projects onto im m along
+    span(rest).  The fields come from the first elimination; ``rest``,
+    ``pi`` and ``sec`` from a second, run when one of them is first read."""
+
+    rank: int
+    kernel: Matrix      # b x (b - rank)
+    comp: Matrix        # b x rank: e_P, for the pivot columns P of m
+    pker: Matrix        # (b - rank) x b
+    image: Matrix       # a x rank: m . comp
+    pivots: tuple       # P
+
+    @cached_property
+    def _cok(self) -> tuple:
+        # the rref of [image^T | I_r]: its pivot coordinates Q give rest =
+        # e_N for the others, N, and its carried transform pi and sec
+        g, b, r = self.image, self.comp.rows, self.rank
+        f, a, one = g.field, g.rows, g.field.one
+        img = [{i: x for i, x in enumerate(g.col(k)) if x} | {a + k: one} for k in range(r)]
+        _, q = _rref(f, img, a)
+        other = sorted(set(range(a)) - set(q))
+        pos = {i: t for t, i in enumerate(other)}
+        rows = [(row.items(), qi) for row, qi in zip(img, q)]
+        pi = [((t, i), one) for t, i in enumerate(other)]
+        pi += [((pos[j], qi), f.neg(x)) for items, qi in rows for j, x in items if j in pos]
+        sec = [((self.pivots[j - a], qi), x) for items, qi in rows for j, x in items if j >= a]
+        return (_placed(f, a, a - r, (((i, t), one) for t, i in enumerate(other))),
+                _placed(f, a - r, a, pi), _placed(f, b, a, sec))
+
+    rest = cached_property(lambda self: self._cok[0])     # a x (a - rank)
+    pi = cached_property(lambda self: self._cok[1])       # (a - rank) x a
+    sec = cached_property(lambda self: self._cok[2])      # b x a
+
+
+def split_map(m: Matrix) -> SplitMap:
+    """The ``SplitMap`` of ``m``: ``subspaces(m)`` gives ``kernel``, and its
+    pivot columns P give ``comp = e_P``, so ``pker`` selects the others.
+
+    ``comp`` is the one choice (docs/NOTES.md, "Cost of a cone").  ``kernel``
+    and ``rest`` are read off the rrefs of m and of the span im m, ``pi`` is
+    fixed by im m and span(rest), and on ker m ``pker`` inverts ``kernel``:
+    only ``sec``, and ``pker`` off ker m, depend on ``comp``.  The cone's U
+    reads ``pker`` on ker h1, which d_V preserves; the minimal model reads
+    ``pker`` on ker d1, which deps preserves (d1 deps = -deps d1), and ``pi``
+    of an injective map; the connecting class of a short exact sequence
+    reads ``sec`` of an injective map, its inverse on the image, and of a
+    surjective one, a section, on which the class does not depend.
+    """
+    f, b = m.field, m.cols
+    sub = subspaces(m)
+    piv, r = sub.pivots, sub.image.cols
+    free = sorted(set(range(b)) - set(piv))
+    return SplitMap(r, sub.kernel, _placed(f, b, r, (((c, k), f.one) for k, c in enumerate(piv))),
+                    _placed(f, b - r, b, (((t, j), f.one) for t, j in enumerate(free))),
+                    sub.image, piv)
 
 
 def _solve_rows(field: Field, aug: list, k: int, m: int) -> Optional[list]:

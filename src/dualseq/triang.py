@@ -13,12 +13,14 @@ sequence, and the truncation triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Optional, Tuple
 
 from .errors import NotExact, ValidationFailed
 from .graded import GradedHomElement, make_element, zero_element
-from .hom import HatMorphism, _composite, _eps_class, _hat, _summand_map, _vanishes
-from .linalg import Matrix, complement, inverse, rank as mrank, solve, subspaces
+from .hom import (HatMorphism, _composite, _eps_class, _hat, _is_class, _summand_map,
+                  _vanishes)
+from .linalg import Matrix, SplitMap, split_map
 from .seq import Seq, Tail, glue, make_seq, shift
 
 
@@ -53,44 +55,12 @@ class Triangle:
                 raise ValidationFailed(f"triangle: {name} does not vanish")
 
 
-class _SplitData:
-    """Degreewise splittings attached to the 1-part of a morphism h: V -> W.
-
-    Per degree ``(ker, pker, pi, rest, sec)``: a kernel basis and the kernel
-    coordinates of V^i = ker (+) comp; the cokernel coordinates ``pi`` of
-    W^i = im (+) rest; and the section ``sec`` into span(comp) with ``h1 .
-    sec`` the projection onto im along rest.  h1 is injective on span(comp),
-    so ``img = h1 . comp`` is a basis of im and ``pi`` and ``sec`` are read
-    off ``(img | rest)^-1``.  All choices are canonical and depend only on
-    the block h1^i, so degrees with equal blocks share one computation.
-    """
-
-    def __init__(self, f1: GradedHomElement):
-        self.f1 = f1
-        self._at: Dict[int, tuple] = {}
-        self._by_block: Dict[Matrix, tuple] = {}
-
-    def at(self, i: int) -> tuple:
-        out = self._at.get(i)
-        if out is None:
-            h1 = self.f1.component(i)
-            out = self._by_block.get(h1)
-            if out is None:
-                out = self._by_block[h1] = self._split(h1)
-            self._at[i] = out
-        return out
-
-    @staticmethod
-    def _split(h1: Matrix) -> tuple:
-        ker = subspaces(h1).kernel                        # V^i basis of ker
-        comp = complement(ker, h1.cols)                   # V^i = ker (+) comp
-        img = h1 @ comp                                   # a basis of im
-        rest = complement(img, h1.rows)                   # W^i = im (+) rest
-        t = inverse(img.hstack(rest))
-        pi = t.row_block(img.cols, h1.rows)               # coker coordinates
-        sec = comp @ t.row_block(0, img.cols)             # h1 . sec projects onto im
-        pker = inverse(ker.hstack(comp)).row_block(0, ker.cols)
-        return ker, pker, pi, rest, sec
+def _degree_splits(f1: GradedHomElement) -> Callable[[int], SplitMap]:
+    """The ``split_map`` of the block of ``f1`` at each degree, run once per
+    distinct block and kept for one construction: the tails give one block
+    per parity, so the many stable degrees share two."""
+    by_block = lru_cache(maxsize=None)(split_map)
+    return lru_cache(maxsize=None)(lambda i: by_block(f1.component(i)))
 
 
 def _cone_window(h: HatMorphism) -> Tuple[int, int]:
@@ -99,30 +69,30 @@ def _cone_window(h: HatMorphism) -> Tuple[int, int]:
     return min(f1.lo - 1, he.lo), max(f1.hi + 2, he.hi + 1)
 
 
-def cone_object(h: HatMorphism, sp: Optional[_SplitData] = None) -> Seq:
+def cone_object(h: HatMorphism, sp: Optional[Callable[[int], SplitMap]] = None) -> Seq:
     """U of ``cone(h)``: ``seq.glue`` of ker(h1) and cok(h1) along ``gamma =
-    pi . he . ker``, by the splittings ``sp`` of h1.  Its maps are those h1,
-    a chain map, induces: ``alpha^i = pker^(i+1) . d_V^i . ker^i``."""
+    pi . he . kernel``, by the ``_degree_splits`` ``sp`` of h1.  Its maps are
+    those h1 induces: ``alpha^i = pker^(i+1) . d_V^i . kernel^i``."""
     v, w, he = h.src, h.dst, h.feps
-    sp = sp or _SplitData(h.f1)
+    sp = sp or _degree_splits(h.f1)
 
     def alpha(i):
-        ker_i, (ker_n, pker_n) = sp.at(i)[0], sp.at(i + 1)[:2]
-        d_ker = v.map_at(i) @ ker_i
-        out = pker_n @ d_ker
-        if ker_n @ out != d_ker:
+        nxt = sp(i + 1)
+        d_ker = v.map_at(i) @ sp(i).kernel
+        out = nxt.pker @ d_ker
+        if nxt.kernel @ out != d_ker:
             raise ValidationFailed("internal: kernel is not preserved")
         return out
 
     def beta(i):
-        return sp.at(i + 1)[2] @ w.map_at(i) @ sp.at(i)[3]
+        return sp(i + 1).pi @ w.map_at(i) @ sp(i).rest
 
     def gamma(i):
-        ker_i, _, pi_i, _, _ = sp.at(i)
-        return pi_i @ he.component(i) @ ker_i
+        s = sp(i)
+        return s.pi @ he.component(i) @ s.kernel
 
-    return glue(v.field, *_cone_window(h), lambda i: sp.at(i)[0].cols,
-                lambda i: sp.at(i)[2].rows, alpha, beta, gamma, (v, w))
+    return glue(v.field, *_cone_window(h), lambda i: sp(i).kernel.cols,
+                lambda i: sp(i).pi.rows, alpha, beta, gamma, (v, w))
 
 
 def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
@@ -146,31 +116,27 @@ def cone(h: HatMorphism) -> Tuple[Seq, HatMorphism, HatMorphism]:
     """
     v, w, he = h.src, h.dst, h.feps
     lo, hi = _cone_window(h)
-    sp = _SplitData(h.f1)
+    sp = _degree_splits(h.f1)
     u_obj = cone_object(h, sp)
     wm1 = shift(w, -1)
 
     def f1_at(i):
-        ker_i, _, _, _, _ = sp.at(i)
-        _, _, pi_p, _, _ = sp.at(i - 1)
-        return Matrix.zeros(v.field, ker_i.cols, pi_p.cols).vstack(pi_p)
+        pi_p = sp(i - 1).pi
+        return Matrix.zeros(v.field, sp(i).kernel.cols, pi_p.cols).vstack(pi_p)
 
     def feps_at(i):
-        _, pker_i, _, _, _ = sp.at(i)
-        _, _, pi_p, _, sec_p = sp.at(i - 1)
-        top = pker_i @ v.map_at(i - 1) @ sec_p
-        bot = -(pi_p @ he.component(i - 1) @ sec_p)
+        p = sp(i - 1)
+        top = sp(i).pker @ v.map_at(i - 1) @ p.sec
+        bot = -(p.pi @ he.component(i - 1) @ p.sec)
         return top.vstack(bot)
 
     def g1_at(i):
-        ker_i = sp.at(i)[0]
-        return ker_i.hstack(Matrix.zeros(v.field, v.dim(i), sp.at(i - 1)[2].rows))
+        return sp(i).kernel.hstack(Matrix.zeros(v.field, v.dim(i), sp(i - 1).pi.rows))
 
     def geps_at(i):
-        ker_i, _, _, _, sec_i = sp.at(i)
-        _, _, _, rest_p, _ = sp.at(i - 1)
-        left = -(sec_i @ he.component(i) @ ker_i)
-        right = -(sec_i @ w.map_at(i - 1) @ rest_p)
+        s = sp(i)
+        left = -(s.sec @ he.component(i) @ s.kernel)
+        right = -(s.sec @ w.map_at(i - 1) @ sp(i - 1).rest)
         return left.hstack(right)
 
     f = _hat(make_element(wm1, u_obj, 0, lo, hi, f1_at), feps_at)
@@ -201,8 +167,7 @@ class ExtensionClass:
 
     def __post_init__(self):
         f = self.feps
-        if ((f.src, f.dst, f.degree) != (self.x, self.y, 0)
-                or f != _eps_class(self.x, self.y, f.component)):
+        if (f.src, f.dst, f.degree) != (self.x, self.y, 0) or not _is_class(f):
             raise ValidationFailed("extension class: feps is not its canonical class")
 
 
@@ -271,13 +236,15 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
 
     The connecting class is u^+ (sigma^(i+1) d_C^i - d_B^i sigma^i) for a
     degreewise section sigma of v; its coset does not depend on the section.
+    sigma^i and u^+ are the ``sec`` of v^i and of u^(i+1) (one ``split_map``
+    per distinct block), and the ``pi`` of u^(i+1) checks the defect.
 
     Exactness is checked on the windows of u and v and on two degrees, one
     of each parity, beyond them on each side: there every dimension is
     stable and every component is the tail matrix of its parity, so those
     checks cover every degree.  The check at a degree reads only the blocks
     u^i and v^i (their shapes are the dimensions), so a pair of blocks seen
-    at an earlier degree is not checked again.
+    at an earlier degree is not checked again; the ranks take one elimination.
 
     The connecting map is solved for on the window ``[lo, hi]`` of
     ``_ses_window`` and set to zero beyond it; only its class is kept.  Its
@@ -296,14 +263,14 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
     if u.dst != v.src:
         raise ValidationFailed("morphisms are not composable")
     a, b, c = u.src, u.dst, v.dst
+    su, sv = _degree_splits(u.f1), _degree_splits(v.f1)
     checked = set()
     for i in range(min(u.f1.lo, v.f1.lo) - 2, max(u.f1.hi, v.f1.hi) + 3):
-        ui = u.f1.component(i)
-        vi = v.f1.component(i)
+        ui, vi = u.f1.component(i), v.f1.component(i)
         if (ui, vi) in checked:
             continue
         checked.add((ui, vi))
-        ru, rv = mrank(ui), mrank(vi)
+        ru, rv = su(i).rank, sv(i).rank
         if ru != a.dim(i):
             raise NotExact(f"first map is not injective at degree {i}")
         if rv != c.dim(i):
@@ -311,17 +278,15 @@ def triangle_from_ses(u: HatMorphism, v: HatMorphism) -> Triangle:
         if not (vi @ ui).is_zero or ru + rv != b.dim(i):
             raise NotExact(f"sequence is not exact at degree {i}")
     lo, hi = _ses_window(b, c)
-    sigma = {i: solve(v.f1.component(i), Matrix.identity(a.field, c.dim(i)))
-             for i in range(lo, hi + 2)}
 
     def w_at(i):
         if i < lo or i > hi:
             return Matrix.zeros(a.field, a.dim(i + 1), c.dim(i))
-        defect = sigma[i + 1] @ c.map_at(i) - b.map_at(i) @ sigma[i]
-        out = solve(u.f1.component(i + 1), defect)
-        if out is None:
+        defect = sv(i + 1).sec @ c.map_at(i) - b.map_at(i) @ sv(i).sec
+        s = su(i + 1)
+        if not (s.pi @ defect).is_zero:
             raise ValidationFailed("internal: connecting defect misses the image")
-        return out
+        return s.sec @ defect
 
     w = _hat(zero_element(c, shift(a, 1), 0), w_at)
     return Triangle(a, b, c, u, v, w)

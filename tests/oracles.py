@@ -7,6 +7,7 @@ test beyond basic matrix arithmetic.
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from dualseq.barcode import Barcode, Interval, make_barcode
@@ -61,6 +62,54 @@ def gauss_jordan(field: Field, rows, width: int) -> Tuple[int, Tuple[int, ...], 
 
 def rank(m: Matrix) -> int:
     return gauss_jordan(m.field, m.to_lists(), m.cols)[0]
+
+
+def kernel(m: Matrix) -> Matrix:
+    """The kernel basis of the rref: a column per free column, 1 there and
+    the negated rref entry at each pivot."""
+    f = m.field
+    _, pivots, rows = gauss_jordan(f, m.to_lists(), m.cols)
+    free = [j for j in range(m.cols) if j not in pivots]
+    return Matrix(f, m.cols, len(free), tuple(
+        f.one if i == j else f.neg(rows[pivots.index(i)][j]) if i in pivots else f.zero
+        for i in range(m.cols) for j in free))
+
+
+def inverse(a: Matrix) -> Matrix:
+    """The trailing columns of the rref of ``[a | I]``, for invertible ``a``."""
+    f, n = a.field, a.rows
+    ident = Matrix.identity(f, n).to_lists()
+    rank_, _, rows = gauss_jordan(f, [r + e for r, e in zip(a.to_lists(), ident)], n)
+    assert rank_ == n == a.cols, "not invertible"
+    return Matrix(f, n, n, tuple(x for row in rows for x in row[n:]))
+
+
+def complement(sub: Matrix, ambient_dim: int) -> Matrix:
+    """Standard basis vectors completing the column span of ``sub`` to a
+    basis of ``k^ambient_dim``: the non-pivot coordinates of its rref."""
+    f = sub.field
+    _, pivots, _ = gauss_jordan(f, [sub.col(j) for j in range(sub.cols)], ambient_dim)
+    free = [j for j in range(ambient_dim) if j not in pivots]
+    return Matrix(f, ambient_dim, len(free), tuple(
+        f.one if i == j else f.zero for i in range(ambient_dim) for j in free))
+
+
+def adapted_split(h1: Matrix) -> SimpleNamespace:
+    """The parts of ``linalg.split_map(h1)`` by five eliminations: the
+    kernel, ``comp`` its ``complement``, ``rest`` the complement of the
+    image ``img = h1 . comp``, and two inverses, of ``(img | rest)`` for
+    ``pi`` and ``sec`` and of ``(kernel | comp)`` for ``pker``.  Its
+    ``comp`` is not the one ``split_map`` picks; every other part that does
+    not depend on that choice must agree."""
+    ker = kernel(h1)
+    comp = complement(ker, h1.cols)
+    img = h1 @ comp
+    rest = complement(img, h1.rows)
+    t = inverse(img.hstack(rest))
+    pker = inverse(ker.hstack(comp)).row_block(0, ker.cols)
+    return SimpleNamespace(rank=img.cols, kernel=ker, comp=comp, pker=pker, rest=rest,
+                           pi=t.row_block(img.cols, h1.rows),
+                           sec=comp @ t.row_block(0, img.cols))
 
 
 def matmul(p: Optional[int], n: int, k: int, m: int, a, b) -> list:

@@ -13,7 +13,7 @@ from dualseq.dualnum import (EpsComplex, as_complex, cohomology,
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_eps_complex, random_minimal
 from dualseq.hom import get_context
-from dualseq.linalg import Field, Matrix, block_matrix
+from dualseq.linalg import Field, Matrix
 from dualseq.seq import interval
 
 F2 = Field(2)
@@ -141,19 +141,23 @@ def test_minimize_preserves_field():
 
 
 def test_minimize_builds_only_the_adapted_bases(monkeypatch):
-    # every map is read off blocks of P_i = (B_i | H_i | C_i) and its
-    # inverse: the one block matrix minimize builds per degree is P_i itself
-    grids = []
+    # every block is read off two splits per degree, of d1^i and of the
+    # previous image in kernel coordinates: no block matrix, inverse, solve
+    # or complement is left in the loop
+    calls = []
+    real = dualnum.split_map
 
-    def recording(field, grid):
-        grids.append(grid)
-        return block_matrix(field, grid)
+    def boom(*args):
+        raise AssertionError("minimize built a block matrix")
 
-    monkeypatch.setattr(dualnum, "block_matrix", recording)
+    monkeypatch.setattr(dualnum, "split_map", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(dualnum, "block_matrix", boom)
+    for name in ("inverse", "solve", "complement", "subspaces"):
+        assert not hasattr(dualnum, name), name
     rng = random.Random(47)
     for k in range(40):
         c = random_eps_complex(rng, (F2, F5, Q)[k % 3], max_len=6, max_rank=4)
-        grids.clear()
+        calls.clear()
         dualnum.minimize(c)
-        assert len(grids) == len(c.ranks)
-        assert all(len(g) == 1 and len(g[0]) == 3 for g in grids)
+        assert calls[::2] == [c.d1_at(i) for i in range(c.lo, c.hi + 1)]
+        assert len(calls) == 2 * len(c.ranks)

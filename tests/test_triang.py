@@ -15,11 +15,11 @@ from dualseq.gen import (random_graded_element, random_invertible, random_matrix
                          random_seq)
 from dualseq.graded import (GradedHomElement, base_window, coords_of, differential,
                             make_element, zero_element)
-from dualseq import graded, hom, triang
+from dualseq import graded, hom, linalg, triang
 from dualseq.hom import (HatMorphism, compose_hat, get_context, hat, hat_eps,
                          hom_window, identity_hat, zero_hat)
 from dualseq.io import parse_document
-from dualseq.linalg import Field, Matrix, block_matrix
+from dualseq.linalg import Field, Matrix, block_matrix, split_map, subspaces
 from dualseq.seq import Tail, direct_sum_seq, glue, interval, make_seq, shift, zero_seq
 from dualseq.triang import (Triangle, cone, cone_triangle, extension_from_eps,
                             splits, triangle_from_ses, truncate_above,
@@ -306,16 +306,30 @@ def test_ses_checks_cover_both_tail_parities(side, parity):
             triangle_from_ses(u, v)
 
 
-def test_split_data_once_per_block(monkeypatch):
+def _recording_splits(monkeypatch):
+    # every split_map call of triang, and every degree a construction reads
     calls, degrees = [], set()
-    real_subspaces, real_at = triang.subspaces, triang._SplitData.at
+    real_split, real_splits = triang.split_map, triang._degree_splits
 
-    def at(self, i):
-        degrees.add(i)
-        return real_at(self, i)
+    def splits(f1):
+        at = real_splits(f1)
+        return lambda i: degrees.add(i) or at(i)
 
-    monkeypatch.setattr(triang, "subspaces", lambda m: calls.append(m) or real_subspaces(m))
-    monkeypatch.setattr(triang._SplitData, "at", at)
+    monkeypatch.setattr(triang, "split_map", lambda m: calls.append(m) or real_split(m))
+    monkeypatch.setattr(triang, "_degree_splits", splits)
+    return calls, degrees
+
+
+def _stored_blocks(f1):
+    return {*f1.comps, *f1.ltail, *f1.rtail}
+
+
+def test_split_data_once_per_block(monkeypatch):
+    # one split_map per distinct block of h1 for the cone, and of u and v
+    # for the triangle of a short exact sequence
+    for name in ("complement", "inverse", "subspaces", "solve"):
+        assert not hasattr(triang, name), name
+    calls, degrees = _recording_splits(monkeypatch)
     rng = random.Random(57)
     blocks = visited = 0
     for _ in range(10):
@@ -326,12 +340,60 @@ def test_split_data_once_per_block(monkeypatch):
         calls.clear()
         degrees.clear()
         cone(h)
-        f1 = h.f1
-        assert len(calls) == len(set(calls)) == len({*f1.comps, *f1.ltail, *f1.rtail})
+        assert len(calls) == len(set(calls)) == len(_stored_blocks(h.f1))
         blocks += len(calls)
         visited += len(degrees)
     # the cone visits more than twice as many degrees as it splits blocks
     assert visited > 2 * blocks, (visited, blocks)
+    for u, v in _ses_cases()[::4]:
+        calls.clear()
+        triangle_from_ses(u, v)
+        assert len(calls) == len(_stored_blocks(u.f1)) + len(_stored_blocks(v.f1))
+
+
+def _counting_rref(monkeypatch):
+    count = [0]
+    real = linalg._rref
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    return count
+
+
+def test_ses_eliminates_no_more_than_ranking_and_solving(monkeypatch):
+    # the exactness checks read only ranks, so a split runs its second
+    # elimination only for the blocks the connecting map reads: at most
+    # one rank per distinct pair of blocks checked, and one solve per
+    # section of v and per degree of the connecting map
+    cases = _ses_cases()
+    for u, v in cases:
+        triangle_from_ses(u, v)                 # hom contexts built
+    count = _counting_rref(monkeypatch)
+    fewer = 0
+    for u, v in cases:
+        checks = range(min(u.f1.lo, v.f1.lo) - 2, max(u.f1.hi, v.f1.hi) + 3)
+        pairs = {(u.f1.component(i), v.f1.component(i)) for i in checks}
+        lo, hi = triang._ses_window(u.dst, v.dst)
+        count[0] = 0
+        triangle_from_ses(u, v)
+        bound = 2 * len(pairs) + (hi + 2 - lo) + (hi + 1 - lo)
+        assert count[0] <= bound, (count[0], bound)
+        fewer += count[0] < bound
+    assert fewer > len(cases) // 2
+
+
+def test_split_map_runs_its_second_elimination_when_read(monkeypatch):
+    count = _counting_rref(monkeypatch)
+    for h1 in _blocks(random.Random(63), F5):
+        count[0] = 0
+        s = split_map(h1)
+        s.rank, s.kernel, s.comp, s.pker
+        assert count[0] == 1
+        s.rest, s.pi, s.sec, s.rest
+        assert count[0] == 2
 
 
 def _blocks(rng, f):
@@ -348,19 +410,59 @@ def _blocks(rng, f):
     return out
 
 
+def _check_split(f, h1, s):
+    # the parts of a split against their defining identities, with the
+    # nullity and corank from the oracle rank
+    m, n, r = h1.rows, h1.cols, oracles.rank(h1)
+    assert s.rank == r and (s.kernel.cols, s.comp.cols, s.rest.cols) == (n - r, r, m - r)
+    assert (h1 @ s.kernel).is_zero and s.pker @ s.kernel == Matrix.identity(f, n - r)
+    assert (s.pker @ s.comp).is_zero and oracles.rank(s.kernel.hstack(s.comp)) == n
+    assert (s.pker @ s.sec).is_zero                   # sec maps into span(comp)
+    assert h1 @ s.sec @ h1 == h1
+    assert (s.pi @ h1).is_zero and s.pi @ s.rest == Matrix.identity(f, m - r)
+    assert h1 @ s.sec + s.rest @ s.pi == Matrix.identity(f, m)
+
+
 @pytest.mark.parametrize("f", [F2, F5, Q], ids=str)
 def test_split_data_identities(f):
-    # each part of the split against its defining identities, with the
-    # nullity and corank from the oracle rank
+    # split_map and the five-elimination oracle both satisfy the identities
     for h1 in _blocks(random.Random(62), f):
-        ker, pker, pi, rest, sec = triang._SplitData._split(h1)
-        m, n, r = h1.rows, h1.cols, oracles.rank(h1)
-        assert (ker.cols, rest.cols) == (n - r, m - r)
-        assert (h1 @ ker).is_zero and pker @ ker == Matrix.identity(f, n - r)
-        assert (pker @ sec).is_zero                   # sec maps into span(comp)
-        assert h1 @ sec @ h1 == h1
-        assert (pi @ h1).is_zero and pi @ rest == Matrix.identity(f, m - r)
-        assert h1 @ sec + rest @ pi == Matrix.identity(f, m)
+        _check_split(f, h1, split_map(h1))
+        _check_split(f, h1, oracles.adapted_split(h1))
+
+
+@pytest.mark.parametrize("f", [F2, F5, Q], ids=str)
+def test_split_map_matches_references(f):
+    # the kernel is the one subspaces gives and rest the oracle complement
+    # of the image; pi depends only on the image and rest, so it is the
+    # oracle's too, while comp is e_P, the pivot columns of h1
+    for h1 in _blocks(random.Random(64), f):
+        s, ref = split_map(h1), oracles.adapted_split(h1)
+        assert s.kernel == subspaces(h1).kernel == ref.kernel
+        assert s.rest == oracles.complement(subspaces(h1).image, h1.rows) == ref.rest
+        assert s.pi == ref.pi
+        assert h1 @ s.comp == subspaces(h1).image
+
+
+def test_cone_object_does_not_depend_on_the_kernel_complement(monkeypatch):
+    # U reads the kernel, rest, pi and pker on the kernel only, so the
+    # oracle split, with another complement of the kernel, builds the same
+    # object byte for byte
+    rng = random.Random(65)
+    differ = 0
+    for k in range(45):
+        f = (F2, F5, Q)[k % 3]
+        v = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        h = random_hat(rng, f, v, w)
+        want = triang.cone_object(h)
+        with monkeypatch.context() as m:
+            m.setattr(triang, "split_map", oracles.adapted_split)
+            got = triang.cone_object(h)
+        assert got == want and repr(got) == repr(want)
+        differ += any(split_map(m).comp != oracles.adapted_split(m).comp
+                      for m in _stored_blocks(h.f1))
+    assert differ >= 5
 
 
 def test_cone_calls_no_solve(monkeypatch):
@@ -377,7 +479,7 @@ def test_cone_calls_no_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("cone called solve")
 
-    monkeypatch.setattr(triang, "solve", no_solve)
+    monkeypatch.setattr(triang, "solve", no_solve, raising=False)
     for h, want in cases:
         assert _parts(*cone(h)) == want
 
@@ -520,6 +622,26 @@ def test_extension_class_refuses_a_representative_that_is_not_canonical():
     # and an element of another hom space
     with pytest.raises(ValidationFailed, match="not its canonical class"):
         dataclasses.replace(e, feps=zero_element(x, y, -1))
+
+
+def test_extension_class_canonicity_matches_the_reduction():
+    # the constructor reads the pivots instead of reducing again: on
+    # canonical classes, random representatives and canonical classes plus
+    # a coboundary it accepts exactly the elements equal to their class
+    rng = random.Random(66)
+    seen = {True: 0, False: 0}
+    for k in range(45):
+        f = (F2, F5, Q)[k % 3]
+        x = _with_rays(rng, f, random_seq(rng, f, max_bars=2, lo=-2, hi=2))
+        y = _with_rays(rng, f, random_seq(rng, f, max_bars=2, lo=-2, hi=2))
+        g = random_graded_element(rng, x, y)
+        c = hom._eps_class(x, y, g.component)
+        dh = differential(random_graded_element(rng, x, y, -1))
+        for cand in (g, c, c + dh, zero_element(x, y, 0) + dh):
+            want = cand == hom._eps_class(x, y, cand.component)
+            assert hom._is_class(cand) == want
+            seen[want] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_triangle_endpoint_validation():
@@ -673,7 +795,7 @@ def test_truncation_triangle_solves_nothing(monkeypatch):
     def boom(*args):
         raise AssertionError("truncation_triangle solved for its connecting class")
 
-    for name in ("triangle_from_ses", "solve", "mrank"):
+    for name in ("triangle_from_ses", "split_map"):
         monkeypatch.setattr(triang, name, boom)
     for f in (F2, F5, Q):
         truncation_triangle(interval(f, -INF, 1), 1).verify()
