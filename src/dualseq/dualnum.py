@@ -9,8 +9,11 @@ equivalent to the two relations
 ``minimize`` reduces any valid complex to one with ``d1 = 0`` by choosing,
 in every degree, a basis adapted to ``B = im(d1) <= Z = ker(d1)`` and a
 complement ``C`` with ``d1 : C -> B`` the identity in the new coordinates.
-The reduction comes with an explicit homotopy equivalence whose identities
-are verified exactly, split into 1-part and eps-part.
+The reduction comes with a homotopy equivalence whose maps are pairs
+a1 + eps*ae, composed by ``_times`` as (a1 + eps ae)(b1 + eps be) =
+a1 b1 + eps (a1 be + ae b1).  Its certificate is four identities of pairs,
+D_N f = f D_M, D_M g = g D_N, f g = 1 and g f - 1 = D_M k + k D_M, checked
+exactly in both parts in every degree.
 
 Minimal complexes are the same data as sequences with both tails Zero
 (``D = eps * d_V``); ``to_seq``/``from_seq`` realize that dictionary.
@@ -91,16 +94,31 @@ class ValidationReport:
         return f"violated {self.law} at degree {self.degree}"
 
 
+def _times(a: Tuple[Matrix, Matrix], b: Tuple[Matrix, Matrix]) -> Tuple[Matrix, Matrix]:
+    """The product of two maps given as (1-part, eps-part) pairs: since
+    eps^2 = 0, (a1 + eps ae)(b1 + eps be) = a1 b1 + eps (a1 be + ae b1)."""
+    (a1, ae), (b1, be) = a, b
+    return a1 @ b1, a1 @ be + ae @ b1
+
+
+def _d(c: EpsComplex, i: int) -> Tuple[Matrix, Matrix]:
+    return c.d1_at(i), c.deps_at(i)
+
+
 def validate(c: EpsComplex) -> ValidationReport:
-    """Check the two differential laws, reporting the first violation."""
+    """Check D^2 = 0: the 1-part of D^(i+1) D^i is d1.d1 and its eps part
+    d1.deps + deps.d1.  Reports the lowest degree that breaks the first law,
+    else the lowest that breaks the second."""
+    mixed = None
     for i in range(c.lo, c.hi - 1):
-        if not (c.d1_at(i + 1) @ c.d1_at(i)).is_zero:
+        one, eps = _times(_d(c, i + 1), _d(c, i))
+        if not one.is_zero:
             return ValidationReport(False, i, "d1.d1 = 0")
-    for i in range(c.lo, c.hi - 1):
-        mixed = c.d1_at(i + 1) @ c.deps_at(i) + c.deps_at(i + 1) @ c.d1_at(i)
-        if not mixed.is_zero:
-            return ValidationReport(False, i, "d1.deps + deps.d1 = 0")
-    return ValidationReport(True)
+        if mixed is None and not eps.is_zero:
+            mixed = i
+    if mixed is None:
+        return ValidationReport(True)
+    return ValidationReport(False, mixed, "d1.deps + deps.d1 = 0")
 
 
 @dataclass(frozen=True)
@@ -194,8 +212,8 @@ def eps_cohomology(c: EpsComplex) -> Dict[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class HomotopyEquivalence:
-    """Chain maps f: M -> N, g: N -> M and homotopy k with f g = id and
-    g f - id = D k + k D, all split into (1, eps) parts per degree.
+    """Chain maps f: M -> N, g: N -> M and homotopy k with f g = 1 and
+    g f - 1 = D k + k D, stored as (1, eps) parts per degree.
 
     Component index t corresponds to degree M.lo + t; f, g have one entry
     per degree of M's window, k maps degree i to i-1.
@@ -210,68 +228,36 @@ class HomotopyEquivalence:
     k1: Tuple[Matrix, ...]
     keps: Tuple[Matrix, ...]
 
-    def _pair(self, comps: Tuple[Matrix, ...], i: int, rows: int, cols: int):
-        t = i - self.src.lo
-        if 0 <= t < len(comps):
-            return comps[t]
-        return Matrix.zeros(self.src.field, rows, cols)
-
-    def f_at(self, i):
-        m, n = self.src, self.dst
-        r, c = (n.ranks[i - n.lo] if n.lo <= i <= n.hi else 0), m.rank_at(i)
-        return (self._pair(self.f1, i, r, c), self._pair(self.feps, i, r, c))
-
-    def g_at(self, i):
-        m, n = self.src, self.dst
-        r, c = m.rank_at(i), (n.ranks[i - n.lo] if n.lo <= i <= n.hi else 0)
-        return (self._pair(self.g1, i, r, c), self._pair(self.geps, i, r, c))
-
-    def k_at(self, i):
-        m = self.src
-        r, c = m.rank_at(i - 1), m.rank_at(i)
-        return (self._pair(self.k1, i, r, c), self._pair(self.keps, i, r, c))
+    def _pairs_at(self, n: EpsComplex, i: int) -> list:
+        """The (1, eps) pairs of f, g and k at degree i, for n = as_complex(dst):
+        index i - src.lo of the stored components, zero beyond them."""
+        m, t = self.src, i - self.src.lo
+        return [(one[t], eps[t]) if 0 <= t < len(one) else (Matrix.zeros(m.field, r, c),) * 2
+                for one, eps, r, c in ((self.f1, self.feps, n.rank_at(i), m.rank_at(i)),
+                                       (self.g1, self.geps, m.rank_at(i), n.rank_at(i)),
+                                       (self.k1, self.keps, m.rank_at(i - 1), m.rank_at(i)))]
 
     def verify(self) -> None:
-        m = self.src
-        nd = as_complex(self.dst)
-        lo = min(m.lo, nd.lo) - 1
-        hi = max(m.hi, nd.hi) + 1
-
+        """Check the four pair identities (module docstring), both parts, in
+        every degree from min lo - 1 to max hi + 1."""
+        m, n = self.src, as_complex(self.dst)
+        lo, hi = min(m.lo, n.lo) - 1, max(m.hi, n.hi) + 1
+        (f, g, k), dm_prev = self._pairs_at(n, lo), _d(m, lo - 1)
         for i in range(lo, hi + 1):
-            f1_i, fe_i = self.f_at(i)
-            f1_n, fe_n = self.f_at(i + 1)
-            g1_i, ge_i = self.g_at(i)
-            g1_n, ge_n = self.g_at(i + 1)
-            dm1, dme = m.d1_at(i), m.deps_at(i)
-            dne = nd.deps_at(i)
-            # f chain map: 1-part and eps-part
-            if not (f1_n @ dm1).is_zero:
-                raise ValidationFailed(f"f fails the 1-part chain law at {i}")
-            if (dne @ f1_i) != (f1_n @ dme + fe_n @ dm1):
-                raise ValidationFailed(f"f fails the eps chain law at {i}")
-            # g chain map
-            if not (dm1 @ g1_i).is_zero:
-                raise ValidationFailed(f"g fails the 1-part chain law at {i}")
-            if (dme @ g1_i + dm1 @ ge_i) != (g1_n @ dne):
-                raise ValidationFailed(f"g fails the eps chain law at {i}")
-            # f g = id on the target
-            ident = Matrix.identity(m.field, nd.rank_at(i))
-            if (f1_i @ g1_i) != ident:
-                raise ValidationFailed(f"f g is not the identity at {i}")
-            if not (f1_i @ ge_i + fe_i @ g1_i).is_zero:
-                raise ValidationFailed(f"(f g)_eps is nonzero at {i}")
-            # g f - id = D k + k D
-            k1_i, ke_i = self.k_at(i)
-            k1_n, ke_n = self.k_at(i + 1)
-            dm1p, dmep = m.d1_at(i - 1), m.deps_at(i - 1)
-            lhs1 = g1_i @ f1_i - Matrix.identity(m.field, m.rank_at(i))
-            rhs1 = dm1p @ k1_i + k1_n @ dm1
-            if lhs1 != rhs1:
-                raise ValidationFailed(f"homotopy identity (1-part) fails at {i}")
-            lhse = g1_i @ fe_i + ge_i @ f1_i
-            rhse = dmep @ k1_i + dm1p @ ke_i + ke_n @ dm1 + k1_n @ dme
-            if lhse != rhse:
-                raise ValidationFailed(f"homotopy identity (eps-part) fails at {i}")
+            (f_n, g_n, k_n), dm, dn = self._pairs_at(n, i + 1), _d(m, i), _d(n, i)
+            rn, one_m = n.rank_at(i), Matrix.identity(m.field, m.rank_at(i))
+            dk, kd = _times(dm_prev, k), _times(k_n, dm)
+            for name, lhs, rhs in (
+                    ("D_N f = f D_M", _times(dn, f), _times(f_n, dm)),
+                    ("D_M g = g D_N", _times(dm, g), _times(g_n, dn)),
+                    ("f g = 1", _times(f, g),
+                     (Matrix.identity(m.field, rn), Matrix.zeros(m.field, rn, rn))),
+                    ("g f - 1 = D_M k + k D_M", _times(g, f),
+                     (one_m + dk[0] + kd[0], dk[1] + kd[1]))):
+                for part, a, b in zip(("1", "eps"), lhs, rhs):
+                    if a != b:
+                        raise ValidationFailed(f"{name} fails at degree {i} in the {part}-part")
+            f, g, k, dm_prev = f_n, g_n, k_n, dm
 
 
 def minimize(c: EpsComplex) -> Tuple[MinimalComplex, HomotopyEquivalence]:

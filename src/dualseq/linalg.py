@@ -2,9 +2,9 @@
 
 Matrices are immutable, row-major, dense, and tiny (the library works at
 desk scale), and scalars are exact: Python ints reduced mod p, or
-``fractions.Fraction``.  No floats anywhere.  Every elimination goes through
-one sparse core, ``_rref``, on rows stored as dicts ``{column: nonzero}``,
-the only row format: its cost follows the nonzeros, which is what the
+``fractions.Fraction``.  No floats anywhere.  Every elimination of a
+system goes through one sparse core, ``_rref``, on rows stored as dicts
+``{column: nonzero}``: its cost follows the nonzeros, which is what the
 constraint systems of the hom windows need (a few nonzeros per row), and
 its result is exactly the Gauss-Jordan one, so callers that convert dense
 rows with ``_dict_rows`` see no difference.  ``subspaces`` reads the
@@ -12,6 +12,9 @@ kernel and image off one elimination of the matrix's own rows,
 ``_solve_rows`` eliminates dict rows ``[a | b]`` and reads the solution
 off the trailing columns, and ``inverse`` is ``solve(a, identity)``.  Only
 ``split_map``, the bases adapted to a map, carries a transform witness.
+The one reduction outside this module is ``barcode.decompose``: the elder
+rule needs each bar's image reduced, oldest bar first, against its own
+running echelon basis of the images kept so far, one vector at a time.
 
 Zero matrices are shared: ``Matrix.zeros`` returns one immutable object per
 shape.  Most blocks of the enlarged category (composites, cone parts,

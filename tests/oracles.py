@@ -15,8 +15,7 @@ from dualseq.graded import (GradedHomElement, compose, differential, differentia
                             hom_layout, make_element, shift_element)
 from dualseq.hom import HatMorphism, get_context, hat_eps, zero_hat
 from dualseq.errors import StabilizationDepthExceeded
-from dualseq.linalg import (Field, Matrix, _dict_rows, _kernel_vectors, _rref,
-                            _solve_rows)
+from dualseq.linalg import Field, Matrix
 from dualseq.phantom import PhantomCertificate
 from dualseq.seq import Seq, Tail, make_seq, zero_seq
 from dualseq.triang import truncation_inclusion
@@ -62,6 +61,19 @@ def gauss_jordan(field: Field, rows, width: int) -> Tuple[int, Tuple[int, ...], 
 
 def rank(m: Matrix) -> int:
     return gauss_jordan(m.field, m.to_lists(), m.cols)[0]
+
+
+def solve_dense(field: Field, aug, k: int) -> Optional[list]:
+    """The solution with free variables zero of the dense system ``[a | b]``
+    with ``a`` on the first ``k`` columns and one right-hand side after
+    them, or None: each pivot variable is the last entry of its rref row."""
+    rank_, pivots, rows = gauss_jordan(field, aug, k)
+    if any(row[k] for row in rows[rank_:]):
+        return None
+    x = [field.zero] * k
+    for row, c in zip(rows, pivots):
+        x[c] = row[k]
+    return x
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -128,6 +140,76 @@ def matmul(p: Optional[int], n: int, k: int, m: int, a, b) -> list:
                 s += a[i * k + t] * b[t * m + j]
             out.append(s if p is None else s % p)
     return out
+
+
+def homotopy_equivalence_ok(he) -> bool:
+    """The four identities of a ``dualnum.HomotopyEquivalence`` over k:
+    every pair ``a1 + eps*ae`` becomes the k-matrix ``[[a1, 0], [ae, a1]]``
+    on the basis ``(e, eps*e)``, and in each degree ``i`` from ``min lo - 3``
+    to ``max hi + 3``
+
+        D_N f = f D_M      D_M g = g D_N      f g = 1
+        g f - 1 = D_M k + k D_M
+
+    are compared entry by entry, every product by ``matmul``.  Components
+    are read straight off the stored tuples (index ``i - src.lo``, zero
+    beyond them), the differentials off the complexes' ``d1`` and ``deps``;
+    the target's ``d1`` is zero."""
+    m, n = he.src, he.dst
+    p = m.field.p
+
+    def rank_of(c, i):
+        return c.ranks[i - c.lo] if c.lo <= i <= c.hi else 0
+
+    def total(one, eps, t, rows, cols):
+        # [[a1, 0], [ae, a1]] of the stored pair at index t, flat, 2rows x 2cols
+        def part(comps):
+            if comps is not None and 0 <= t < len(comps):
+                assert (comps[t].rows, comps[t].cols) == (rows, cols)
+                return comps[t].data
+            return (0,) * (rows * cols)
+        a1, ae = part(one), part(eps)
+        top = [x for r in range(rows) for x in a1[r * cols:(r + 1) * cols] + (0,) * cols]
+        bottom = [x for r in range(rows)
+                  for x in ae[r * cols:(r + 1) * cols] + a1[r * cols:(r + 1) * cols]]
+        return 2 * rows, 2 * cols, top + bottom
+
+    def times(a, b):
+        (r, k, x), (k2, c, y) = a, b
+        assert k == k2
+        return r, c, matmul(p, r, k, c, x, y)
+
+    def plus(a, b):
+        s = [x + y for x, y in zip(a[2], b[2])]
+        return a[0], a[1], s if p is None else [x % p for x in s]
+
+    def ident(r):
+        return 2 * r, 2 * r, [int(a == b) for a in range(2 * r) for b in range(2 * r)]
+
+    def dm(i):
+        return total(m.d1, m.deps, i - m.lo, rank_of(m, i + 1), rank_of(m, i))
+
+    def dn(i):
+        return total(None, n.deps, i - n.lo, rank_of(n, i + 1), rank_of(n, i))
+
+    def f(i):
+        return total(he.f1, he.feps, i - m.lo, rank_of(n, i), rank_of(m, i))
+
+    def g(i):
+        return total(he.g1, he.geps, i - m.lo, rank_of(m, i), rank_of(n, i))
+
+    def k(i):
+        return total(he.k1, he.keps, i - m.lo, rank_of(m, i - 1), rank_of(m, i))
+
+    for i in range(min(m.lo, n.lo) - 3, max(m.hi, n.hi) + 4):
+        if (times(dn(i), f(i)) != times(f(i + 1), dm(i))
+                or times(dm(i), g(i)) != times(g(i + 1), dn(i))
+                or times(f(i), g(i)) != ident(rank_of(n, i))
+                or times(g(i), f(i)) != plus(ident(rank_of(m, i)),
+                                             plus(times(dm(i - 1), k(i)),
+                                                  times(k(i + 1), dm(i))))):
+            return False
+    return True
 
 
 def all_matrices(field: Field, rows: int, cols: int) -> List[Matrix]:
@@ -456,11 +538,9 @@ def splits(e) -> Optional[GradedHomElement]:
         return None
     L, R = ctx.L, ctx.R
     _, width = hom_layout(x, y, -1, L, R + 1)
-    rows = differential_rows(x, y, -1, L, R + 1)
-    for row, c in zip(rows, vec):
-        if c:
-            row[width] = field.neg(c)
-    sol = _solve_rows(field, rows, width, 1)
+    rows = [[row.get(j, field.zero) for j in range(width)] + [field.neg(c)]
+            for row, c in zip(differential_rows(x, y, -1, L, R + 1), vec)]
+    sol = solve_dense(field, rows, width)
     if sol is None:
         return None
     h = element_from_coords(x, y, -1, L, R + 1, sol, constant_tails=True)
@@ -495,7 +575,8 @@ def solve_inner(diag, der):
         rows += [{c: y for c, x in row.items() if (y := f.coerce(x))} for row in block]
     if f is None:
         return {nm: zero_hat(diag.objects[nm], diag.objects[nm]) for nm in names}
-    sol = _solve_rows(f, rows, total, 1)
+    sol = solve_dense(f, [[row.get(j, f.zero) for j in range(total + 1)] for row in rows],
+                      total)
     if sol is None:
         return None
     return {nm: hat_eps(ctxs[nm].eps_from_coords(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]))
@@ -527,8 +608,9 @@ def kernel_chain(v: Seq, w: Seq, depth: int, shift: int = 0):
 
     Level n adds one constraint row over the eps coordinates of Hom_eps(V, W)
     per eps coordinate of Hom_eps(V^(>=n+shift), W).  The rows of all levels
-    so far are one system in rref, so the dimension of a level is ``k``
-    minus its rank, and the stable rows are the rref basis of its kernel."""
+    so far are one system, kept in rref by ``gauss_jordan``, so the
+    dimension of a level is ``k`` minus its rank, and the stable rows are
+    the rref basis of its ``kernel``."""
     ctx = get_context(v, w)
     k = ctx.dim_eps
     if k == 0:
@@ -544,16 +626,16 @@ def kernel_chain(v: Seq, w: Seq, depth: int, shift: int = 0):
         tctx = get_context(incl.src, w)
         cols = [tctx.eps_coords_at(lambda i, e=rep.component: e(i) @ incl.component(i))
                 for rep in reps]
-        system += _dict_rows(zip(*cols))
-        new_rank, pivots = _rref(f, system, k)
+        new_rank, _, system = gauss_jordan(f, system + [list(r) for r in zip(*cols)], k)
         del system[new_rank:]
         run = run + 1 if new_rank == rank_ else 1
         rank_ = new_rank
         levels.append((n, k - rank_))
         if run >= 3:
-            rows = _dict_rows(_kernel_vectors(f, system, pivots, k))
-            _rref(f, rows, k)           # in place: the rref basis of the kernel
-            return rows, PhantomCertificate(tuple(levels), 3)
+            ker = kernel(Matrix(f, rank_, k, tuple(x for row in system for x in row)))
+            r, _, rows = gauss_jordan(f, [ker.col(j) for j in range(ker.cols)], k)
+            return ([{j: x for j, x in enumerate(row) if x} for row in rows[:r]],
+                    PhantomCertificate(tuple(levels), 3))
         n -= 1
     raise StabilizationDepthExceeded(
         f"phantom chain did not stabilize within {depth} truncation levels", depth)

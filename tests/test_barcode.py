@@ -1,5 +1,6 @@
 """Interval decomposition: round trips, certificates, classification."""
 
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ from dualseq.barcode import (Interval, assemble, classify, decompose,
                              is_isomorphic, make_barcode, max_injective_subobject,
                              multiplicities, rank_pairing, verify_certificate)
 from dualseq.errors import ValidationFailed
+from dualseq.graded import make_element, zero_element
 from dualseq.gen import random_barcode, random_interval, random_seq, scramble
 from dualseq.linalg import Field, Matrix, rank
 from dualseq.seq import Tail, direct_sum_seq, interval, make_seq, shift
@@ -146,6 +148,26 @@ def test_certificate_is_degreewise_isomorphism():
         m = cert.component(i)
         assert m.rows == m.cols == v.dim(i) == a.dim(i)
         assert rank(m) == m.rows
+
+
+def test_verify_certificate_refusals():
+    # no certificate, wrong endpoints, a certificate that does not commute,
+    # and one that commutes but is singular (the zero element)
+    v = interval(F5, 0, 1)
+    bc = decompose(v)
+    verify_certificate(bc, v)
+    a = assemble(bc)
+    with pytest.raises(ValidationFailed, match="carries no certificate"):
+        verify_certificate(decompose(v, with_certificate=False), v)
+    with pytest.raises(ValidationFailed, match="endpoints do not match"):
+        verify_certificate(bc, interval(F5, 0, 2))
+    # a unit block at degree 0 alone: d_V^0 E^0 != 0 = E^1 d_A^0
+    unit = make_element(a, v, 0, 0, 0, lambda i: Matrix.identity(F5, 1) if i == 0
+                        else Matrix.zeros(F5, v.dim(i), a.dim(i)))
+    for cert, why in ((bc.certificate + unit, "does not commute"),
+                      (zero_element(a, v, 0), "not invertible in degree 0")):
+        with pytest.raises(ValidationFailed, match=why):
+            verify_certificate(dataclasses.replace(bc, certificate=cert), v)
 
 
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])

@@ -1,10 +1,13 @@
 """Minimal models over the dual numbers: reduction, certificates, transfer."""
 
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import oracles
 from oracles import window_dims
 from dualseq import dualnum
 from dualseq.dualnum import (EpsComplex, as_complex, cohomology,
@@ -34,10 +37,104 @@ def test_validate_rejects_broken_leibniz():
     assert not rep.ok
 
 
+def test_validate_reports_d1_squared_before_the_mixed_law():
+    # the mixed law breaks at degree 0 (d1^1 deps^0 = 1) and d1.d1 at degree
+    # 1 (d1^2 d1^1 = 1): the d1.d1 break is reported, though it lies higher
+    one, zero = Matrix.identity(F5, 1), Matrix.zeros(F5, 1, 1)
+    c = EpsComplex(F5, 0, (1, 1, 1, 1), (zero, one, one), (one, zero, zero))
+    rep = validate(c)
+    assert (rep.ok, rep.degree, rep.law) == (False, 1, "d1.d1 = 0")
+    assert str(rep) == "violated d1.d1 = 0 at degree 1"
+
+
+def _tampered(rng, obj, name):
+    """``obj`` with one random entry of one component of its field ``name``
+    raised by one, or None when every component is empty."""
+    comps = getattr(obj, name)
+    cells = [(t, e) for t, m in enumerate(comps) for e in range(len(m.data))]
+    if not cells:
+        return None
+    t, e = rng.choice(cells)
+    m, data = comps[t], list(comps[t].data)
+    data[e] = m.field.coerce(data[e] + 1)
+    raised = Matrix(m.field, m.rows, m.cols, tuple(data))
+    return dataclasses.replace(obj, **{name: comps[:t] + (raised,) + comps[t + 1:]})
+
+
+def _first_break(c):
+    """``(degree, law)`` of the report by definition: the lowest degree at
+    which ``d1.d1`` is nonzero, else the lowest at which ``d1.deps +
+    deps.d1`` is, else None; products by ``oracles.matmul``."""
+    p, r = c.field.p, c.ranks
+
+    def prod(a, b):
+        return oracles.matmul(p, a.rows, a.cols, b.cols, a.data, b.data)
+
+    square, mixed = [], []
+    for t in range(len(r) - 2):
+        d, e = c.d1[t:t + 2], c.deps[t:t + 2]
+        if any(prod(d[1], d[0])):
+            square.append(c.lo + t)
+        both = [x + y for x, y in zip(prod(d[1], e[0]), prod(e[1], d[0]))]
+        if any(x if p is None else x % p for x in both):
+            mixed.append(c.lo + t)
+    if square:
+        return square[0], "d1.d1 = 0"
+    return (mixed[0], "d1.deps + deps.d1 = 0") if mixed else None
+
+
+def test_validate_reports_the_first_broken_law():
+    # valid complexes with one entry of d1 or deps raised by one break the
+    # mixed law, d1.d1, both or neither; the report is the lowest d1.d1
+    # break, else the lowest mixed one
+    rng = random.Random(12)
+    seen = Counter()
+    for k in range(300):
+        c = random_eps_complex(rng, (F2, F5, Q)[k % 3], max_len=6, max_rank=3)
+        c = _tampered(rng, c, rng.choice(["d1", "deps"]))
+        if c is None:
+            continue
+        want, rep = _first_break(c), validate(c)
+        assert (rep.ok, rep.degree, rep.law) == ((True, None, None) if want is None
+                                                 else (False, *want))
+        seen[want[1] if want else "ok"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
 def test_validate_accepts_pure_eps():
     c = EpsComplex(F5, 0, (1, 1), (Matrix.zeros(F5, 1, 1),),
                    (Matrix.identity(F5, 1),))
     assert validate(c).ok
+
+
+HE_FIELDS = ("f1", "feps", "g1", "geps", "k1", "keps")
+
+
+def test_verify_refuses_exactly_the_broken_certificates():
+    # one entry of one component of each of the six fields raised by one:
+    # verify raises exactly when the independent check of the four identities
+    # on the k-matrices [[a1, 0], [ae, a1]] finds one broken.  A change of k
+    # by some delta with D delta + delta D = 0 leaves a valid certificate, so
+    # not every tamper must raise.
+    rng = random.Random(11)
+    tampers, refused = Counter(), Counter()
+    for k in range(150):
+        _, he = minimize(random_eps_complex(rng, (F2, F5, Q)[k % 3]))
+        assert oracles.homotopy_equivalence_ok(he)
+        for name in HE_FIELDS:
+            bad = _tampered(rng, he, name)
+            if bad is None:
+                continue
+            try:
+                bad.verify()
+                raised = False
+            except ValidationFailed:
+                raised = True
+            assert raised != oracles.homotopy_equivalence_ok(bad), name
+            tampers[name] += 1
+            refused[name] += raised
+    assert sum(tampers.values()) >= 700 and set(tampers) == set(HE_FIELDS), tampers
+    assert 0 < refused["keps"] < tampers["keps"], refused
 
 
 def test_minimize_contractible_is_zero():

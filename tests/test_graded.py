@@ -8,9 +8,9 @@ import pytest
 import oracles
 from dualseq.errors import ValidationFailed
 from dualseq.gen import random_graded_element, random_matrix, random_seq
-from dualseq.graded import (all_morphisms, base_window, compose, differential,
-                            identity_element, is_morphism, make_element,
-                            shift_element, zero_element)
+from dualseq.graded import (GradedHomElement, all_morphisms, base_window, compose,
+                            differential, identity_element, is_morphism,
+                            make_element, shift_element, zero_element)
 from dualseq.hom import get_context
 from dualseq.linalg import Field, Matrix
 from dualseq.seq import interval
@@ -112,6 +112,18 @@ def test_is_morphism_detects_noncommuting():
 
     g = make_element(v, v, 0, 0, 1, fn)
     assert not is_morphism(g)
+
+
+def test_element_refuses_a_short_window_and_a_misshapen_block():
+    v = interval(F5, 0, 1)
+    z = zero_element(v, v, 0)
+    one = Matrix.identity(F5, 1)
+    # the combined window of (v, v) in degree 0 is [0, 1]
+    with pytest.raises(ValidationFailed, match="stored window must contain"):
+        GradedHomElement(v, v, 0, 0, (one,), z.ltail, z.rtail)
+    with pytest.raises(ValidationFailed, match="component at degree 1 has wrong shape"):
+        GradedHomElement(v, v, 0, 0, (one, Matrix.zeros(F5, 1, 2)), z.ltail, z.rtail)
+    assert GradedHomElement(v, v, 0, 0, (one, one), z.ltail, z.rtail) == identity_element(v)
 
 
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])

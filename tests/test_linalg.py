@@ -1,9 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualseq import linalg
 from dualseq.errors import ValidationFailed
 from dualseq.linalg import (Field, Matrix, _dict_rows, _kernel_vectors, _rref, block_matrix,
                             inverse, rank, solve, split_map, subspaces)
@@ -19,6 +21,18 @@ FIELDS = [F2, F5, Q]
 
 def fields():
     return st.sampled_from(FIELDS)
+
+
+def test_oracles_borrow_no_elimination_from_linalg():
+    # the reference computations eliminate with their own gauss_jordan: no
+    # function of linalg, and so none of its private elimination helpers
+    # (_rref, _solve_rows, _kernel_vectors, _dict_rows, ...), is bound in
+    # oracles under any name
+    funcs = {id(obj): name for name, obj in vars(linalg).items()
+             if inspect.isfunction(obj) and obj.__module__ == linalg.__name__}
+    assert {"_rref", "_solve_rows", "_kernel_vectors", "_dict_rows"} <= set(funcs.values())
+    borrowed = sorted(funcs[id(obj)] for obj in vars(oracles).values() if id(obj) in funcs)
+    assert borrowed == []
 
 
 def entries(field):

@@ -9,10 +9,11 @@ from dualseq import phantom
 from dualseq.barcode import classify
 from dualseq.errors import StabilizationDepthExceeded, ValidationFailed
 from dualseq.gen import random_seq
-from dualseq.graded import GradedHomElement, compose
-from dualseq.hom import (HomContext, compose_hat, get_context, hat, hat_eps,
+from dualseq.graded import (GradedHomElement, base_window, compose, differential,
+                            make_element, zero_element)
+from dualseq.hom import (HatMorphism, HomContext, compose_hat, get_context, hat, hat_eps,
                          identity_hat, zero_hat)
-from dualseq.linalg import Field
+from dualseq.linalg import Field, Matrix
 from dualseq.phantom import (Derivation, Diagram, check_derivation,
                              inner_derivation, is_phantom, phantom_basis,
                              solve_inner)
@@ -201,6 +202,30 @@ def test_kernel_chain_matches_stacked_oracle(field, shift):
             verdict = is_phantom(hat_eps(e))
             assert (verdict.phantom, verdict.certificate) == (inside, cert)
     assert nonzero == 0 if shift == 0 else nonzero > 0
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_zero_classes_from_a_left_ray_are_phantom(field):
+    # zero, and a nonzero coboundary d^-1(h) stored as the eps part: both
+    # are the zero class of a nonzero Hom_eps, with its three proven levels
+    ray, point, bar = (interval(field, -INF, 0), interval(field, 0, 0),
+                       interval(field, 0, 1))
+    src = interval(field, -INF, 1)
+    lo, hi = base_window(src, bar, -1)
+    # h^1 : V^1 -> W^0 is the one block of degree -1 with both sides nonzero
+    h = make_element(src, bar, -1, lo, hi, lambda i: (
+        Matrix.identity(field, 1) if i == 1
+        else Matrix.zeros(field, bar.dim(i - 1), src.dim(i))))
+    coboundary = differential(h)
+    assert not coboundary.is_zero
+    for mor in (zero_hat(ray, point), HatMorphism(zero_element(src, bar, 0), coboundary)):
+        v, w = mor.src, mor.dst
+        assert get_context(v, w).dim_eps == 1
+        n0 = min(v.lo, w.lo) - 1
+        verdict = is_phantom(mor)
+        assert (verdict.phantom, verdict.reason) == (True, "zero class")
+        assert verdict.certificate.levels == ((n0, 0), (n0 - 1, 0), (n0 - 2, 0))
+        assert verdict.certificate == phantom_basis(v, w)[1]
 
 
 @pytest.fixture()

@@ -697,6 +697,22 @@ def test_extension_of_s00_by_s00_is_s01():
     assert is_isomorphic(e.total, interval(F5, 0, 1))
 
 
+def test_triangle_refuses_wrong_endpoints():
+    tri = cone_triangle(identity_hat(interval(F5, 0, 1)))
+    far = interval(F5, 5, 5)
+    for change, name in (({"a": far}, "u must run a -> b"), ({"c": far}, "v must run b -> c"),
+                         ({"w": zero_hat(tri.c, far)}, "w must run c -> shift")):
+        with pytest.raises(ValidationFailed, match=name):
+            dataclasses.replace(tri, **change)
+
+
+def test_triangle_from_ses_refuses_a_first_map_with_a_kernel():
+    # 0 : A -> B followed by the identity of B kills A in degree 0
+    a = b = interval(F5, 0, 0)
+    with pytest.raises(NotExact, match="first map is not injective at degree 0"):
+        triangle_from_ses(zero_hat(a, b), identity_hat(b))
+
+
 def test_triangle_from_ses_rejects_nonexact():
     v = interval(F2, 0, 1)
     with pytest.raises(NotExact):
