@@ -9,15 +9,15 @@ parse or validation failure, 2 when a phantom certificate exceeds --depth.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .barcode import Barcode, classify, decompose
 from .dualnum import as_complex, cohomology, eps_cohomology, minimize
-from .errors import (NotExact, ParseError, StabilizationDepthExceeded,
-                     ValidationFailed)
+from .errors import ParseError, StabilizationDepthExceeded, ValidationFailed
 from .graded import GradedHomElement
 from .hom import get_context
 from .io import (Document, barcode_to_json, check_span, complex_to_json,
@@ -75,45 +75,36 @@ def _lookup_deriv(doc: Document, diag_name: str, der_name: str):
     return diag, der
 
 
-def _cmd_decompose(doc: Document, args) -> dict:
+# Each handler runs one command on a parsed document.  With --json it
+# returns the payload of the report, which main puts in the envelope after
+# the command and its positional arguments; without, it prints the report.
+
+def _decompose(doc: Document, args) -> Optional[dict]:
     # decompose verifies the certificate it returns
     bc = decompose(doc.seq(args.object))
     if args.json:
-        return {"command": "decompose", "object": args.object,
-                "barcode": barcode_to_json(bc), "certificate": "OK"}
-    for line in _barcode_lines(bc):
-        print(line)
+        return {"barcode": barcode_to_json(bc), "certificate": "OK"}
+    print("\n".join(_barcode_lines(bc)))
     print("certificate: OK")
-    return {}
 
 
-def _cmd_classify(doc: Document, args) -> dict:
-    v = doc.seq(args.object)
-    c = classify(v)
+def _classify(doc: Document, args) -> Optional[dict]:
+    c = classify(doc.seq(args.object))
     if args.json:
-        return {"command": "classify", "object": args.object,
-                "injective": c.injective, "acyclic": c.acyclic,
-                "h_projective": c.h_projective,
-                "bounded_class": c.bounded_class,
-                "finitely_generated_degreewise": c.finitely_generated_degreewise,
-                "indecomposable": c.indecomposable}
+        return dataclasses.asdict(c)
     for label, val in [("injective", c.injective), ("acyclic", c.acyclic),
                        ("h-projective", c.h_projective),
                        ("indecomposable", c.indecomposable)]:
         print(f"{label}: {'yes' if val else 'no'}")
     print(f"bounded class: {c.bounded_class}")
-    return {}
 
 
-def _cmd_hom(doc: Document, args) -> dict:
-    v = doc.seq(args.src)
-    w = doc.seq(args.dst)
-    ctx = get_context(v, w)
+def _hom(doc: Document, args) -> Optional[dict]:
+    ctx = get_context(doc.seq(args.src), doc.seq(args.dst))
     hb = ctx.hom_basis()
     eb = ctx.eps_basis()
     if args.json:
-        return {"command": "hom", "src": args.src, "dst": args.dst,
-                "dim_hom": ctx.dim_hom, "dim_eps": ctx.dim_eps,
+        return {"dim_hom": ctx.dim_hom, "dim_eps": ctx.dim_eps,
                 "hom_basis": [element_to_json(g) for g in hb],
                 "eps_basis": [element_to_json(g) for g in eb],
                 "certificate": {"window": [ctx.L, ctx.R], "margin": ctx.margin}}
@@ -124,107 +115,82 @@ def _cmd_hom(doc: Document, args) -> dict:
     for t, g in enumerate(eb):
         print(f"eps[{t}]  {_fmt_element(g)}")
     print(f"certificate: window [{ctx.L}, {ctx.R}], margin {ctx.margin}")
-    return {}
 
 
-def _cmd_cone(doc: Document, args) -> dict:
-    h = doc.morphism(args.morphism)
-    u = cone_object(h)
+def _cone(doc: Document, args) -> Optional[dict]:
+    u = cone_object(doc.morphism(args.morphism))
     bc = decompose(u)
     if args.json:
-        return {"command": "cone", "morphism": args.morphism,
-                "cone": seq_to_json(u), "barcode": barcode_to_json(bc)}
+        return {"cone": seq_to_json(u), "barcode": barcode_to_json(bc)}
     print(f"cone: {_fmt_seq(u)}")
-    for line in _barcode_lines(bc):
-        print(line)
-    return {}
+    print("\n".join(_barcode_lines(bc)))
 
 
-def _cmd_minimize(doc: Document, args) -> dict:
-    c = doc.complex(args.complex)
-    nm, _ = minimize(c)   # minimize verifies its homotopy equivalence
-    total = sum(nm.ranks)
-    if total == 0:
+def _minimize(doc: Document, args) -> Optional[dict]:
+    # minimize verifies its homotopy equivalence
+    nm, _ = minimize(doc.complex(args.complex))
+    if args.json:
+        return {"minimal": complex_to_json(as_complex(nm)), "certificates": "OK"}
+    if sum(nm.ranks) == 0:
         desc = "0"
     else:
         ranks = " ".join(str(r) for r in nm.ranks)
         desc = f"ranks {ranks} (degrees {nm.lo}..{nm.hi})"
-    if args.json:
-        return {"command": "minimize", "complex": args.complex,
-                "minimal": complex_to_json(as_complex(nm)),
-                "certificates": "OK"}
     print(f"minimal model: {desc}; certificates: OK")
-    return {}
 
 
-def _cmd_cohomology(doc: Document, args) -> dict:
+def _cohomology(doc: Document, args) -> Optional[dict]:
+    # one entry per degree of a window, which is never empty
     name = args.object
     if name in doc.complexes:
         h = eps_cohomology(doc.complexes[name])
     else:
         h = cohomology(doc.seq(name))
     if args.json:
-        return {"command": "cohomology", "object": name,
-                "cohomology": {str(i): h[i] for i in sorted(h)}}
-    if not h:
-        print("0")
-    else:
-        print(", ".join(f"H^{i}: {h[i]}" for i in sorted(h)))
-    return {}
+        return {"cohomology": {str(i): h[i] for i in sorted(h)}}
+    print(", ".join(f"H^{i}: {h[i]}" for i in sorted(h)))
 
 
-def _cmd_phantom(doc: Document, args) -> dict:
-    h = doc.morphism(args.morphism)
-    verdict = is_phantom(h, depth=args.depth)
-    cert = str(verdict.certificate) if verdict.certificate is not None else None
+def _phantom(doc: Document, args) -> Optional[dict]:
+    verdict = is_phantom(doc.morphism(args.morphism), depth=args.depth)
+    cert = verdict.certificate
     if args.json:
-        out = {"command": "phantom", "morphism": args.morphism,
-               "phantom": verdict.phantom, "reason": verdict.reason}
-        if verdict.certificate is not None:
-            out["levels"] = [[n, d] for n, d in verdict.certificate.levels]
+        out = {"phantom": verdict.phantom, "reason": verdict.reason}
+        if cert is not None:
+            out["levels"] = [[n, d] for n, d in cert.levels]
         return out
     print(f"phantom: {'yes' if verdict.phantom else 'no'} ({verdict.reason})")
-    if cert:
+    if cert is not None:
         print(cert)
-    return {}
 
 
-def _cmd_truncate(doc: Document, args) -> dict:
+def _truncate(doc: Document, args) -> Optional[dict]:
     v = doc.seq(args.object)
     # truncate_above builds the degrees from n up to the top of v
     check_span(args.n, max(args.n, v.hi), "truncation window")
     t = truncate_above(v, args.n)
     bc = decompose(t)
     if args.json:
-        return {"command": "truncate", "object": args.object, "n": args.n,
-                "truncation": seq_to_json(t), "barcode": barcode_to_json(bc)}
+        return {"truncation": seq_to_json(t), "barcode": barcode_to_json(bc)}
     print(f"truncation: {_fmt_seq(t)}")
-    for line in _barcode_lines(bc):
-        print(line)
-    return {}
+    print("\n".join(_barcode_lines(bc)))
 
 
-def _cmd_derivation_check(doc: Document, args) -> dict:
-    diag, der = _lookup_deriv(doc, args.diagram, args.derivation)
-    bad = check_derivation(diag, der)
+def _derivation_check(doc: Document, args) -> Optional[dict]:
+    bad = check_derivation(*_lookup_deriv(doc, args.diagram, args.derivation))
     if args.json:
-        return {"command": "derivation-check", "diagram": args.diagram,
-                "derivation": args.derivation, "ok": bad is None,
-                "violated": list(bad) if bad is not None else None}
+        return {"ok": bad is None, "violated": list(bad) if bad is not None else None}
     if bad is None:
         print("OK")
     else:
         outer, inner, equals = bad
         print(f"violated: {outer} {inner} = {equals}")
-    return {}
 
 
-def _cmd_inner_solve(doc: Document, args) -> dict:
-    diag, der = _lookup_deriv(doc, args.diagram, args.derivation)
-    theta = solve_inner(diag, der)
+def _inner_solve(doc: Document, args) -> Optional[dict]:
+    theta = solve_inner(*_lookup_deriv(doc, args.diagram, args.derivation))
     if args.json:
-        out = {"command": "inner-solve", "diagram": args.diagram,
-               "derivation": args.derivation, "inner": theta is not None}
+        out = {"inner": theta is not None}
         if theta is not None:
             out["theta"] = {name: morphism_to_json(h)
                             for name, h in sorted(theta.items())}
@@ -235,7 +201,38 @@ def _cmd_inner_solve(doc: Document, args) -> dict:
         print("inner")
         for name in sorted(theta):
             print(f"theta[{name}]  {_fmt_element(theta[name].feps)}")
-    return {}
+
+
+class _Command(NamedTuple):
+    run: Callable[[Document, argparse.Namespace], Optional[dict]]
+    args: Dict[str, type]                      # positional, after the document
+    options: Dict[str, object] = {}            # flag: default, of the default's type
+
+
+# Every command once: the parser is built from this table, and a JSON report
+# echoes the command and its positional arguments.
+_COMMANDS = {
+    "decompose": _Command(_decompose, {"object": str}),
+    "classify": _Command(_classify, {"object": str}),
+    "hom": _Command(_hom, {"src": str, "dst": str}),
+    "cone": _Command(_cone, {"morphism": str}),
+    "minimize": _Command(_minimize, {"complex": str}),
+    "cohomology": _Command(_cohomology, {"object": str}),
+    "phantom": _Command(_phantom, {"morphism": str}, {"--depth": 12}),
+    "truncate": _Command(_truncate, {"object": str, "n": int}),
+    "derivation-check": _Command(_derivation_check, {"diagram": str, "derivation": str}),
+    "inner-solve": _Command(_inner_solve, {"diagram": str, "derivation": str}),
+}
+
+# The report prefix and exit code of each error; 2 is reserved for a
+# phantom certificate deeper than --depth.
+_ERRORS = {
+    _UsageError: ("usage error", 1),
+    ParseError: ("parse error", 1),
+    ValidationFailed: ("validation error", 1),      # NotExact included
+    StabilizationDepthExceeded: ("stabilization error", 2),
+    OSError: ("io error", 1),
+}
 
 
 # argparse keeps no state between parse_args calls (each call fills a fresh
@@ -248,79 +245,28 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true",
                         help="emit a versioned JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("object")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("classify", parents=[common])
-    p.add_argument("object")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("hom", parents=[common])
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.set_defaults(fn=_cmd_hom)
-
-    p = sub.add_parser("cone", parents=[common])
-    p.add_argument("morphism")
-    p.set_defaults(fn=_cmd_cone)
-
-    p = sub.add_parser("minimize", parents=[common])
-    p.add_argument("complex")
-    p.set_defaults(fn=_cmd_minimize)
-
-    p = sub.add_parser("cohomology", parents=[common])
-    p.add_argument("object")
-    p.set_defaults(fn=_cmd_cohomology)
-
-    p = sub.add_parser("phantom", parents=[common])
-    p.add_argument("morphism")
-    p.add_argument("--depth", type=int, default=12)
-    p.set_defaults(fn=_cmd_phantom)
-
-    p = sub.add_parser("truncate", parents=[common])
-    p.add_argument("object")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_truncate)
-
-    p = sub.add_parser("derivation-check", parents=[common])
-    p.add_argument("diagram")
-    p.add_argument("derivation")
-    p.set_defaults(fn=_cmd_derivation_check)
-
-    p = sub.add_parser("inner-solve", parents=[common])
-    p.add_argument("diagram")
-    p.add_argument("derivation")
-    p.set_defaults(fn=_cmd_inner_solve)
-
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        for arg, kind in cmd.args.items():
+            p.add_argument(arg, type=kind)
+        for flag, default in cmd.options.items():
+            p.add_argument(flag, type=type(default), default=default)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        doc = parse_path(args.document)
-        payload = args.fn(doc, args)
+        args = _build_parser().parse_args(argv)
+        cmd = _COMMANDS[args.command]
+        payload = cmd.run(parse_path(args.document), args)
         if args.json:
-            print(report_json(payload))
+            echo = {arg: getattr(args, arg) for arg in cmd.args}
+            print(report_json({"command": args.command, **echo, **payload}))
         return 0
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 1
-    except (NotExact, ValidationFailed) as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 1
-    except StabilizationDepthExceeded as e:
-        print(f"stabilization error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"io error: {e}", file=sys.stderr)
-        return 1
+    except tuple(_ERRORS) as e:
+        prefix, code = next(v for t, v in _ERRORS.items() if isinstance(e, t))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
-from .config import MARGIN
+from .config import MARGIN, MAX_HOM_WINDOW, MAX_KERNEL_CELLS
 from .errors import ValidationFailed
 from .graded import (GradedHomElement, all_morphisms, coords_of,
                      differential_rows, hom_layout, identity_element, is_morphism,
@@ -108,10 +108,17 @@ class HomContext:
         self.L, self.R = L, R = hom_window(v, w)
         _, n = hom_layout(v, w, 0, L, R)
         self.N = n
+        if n > MAX_HOM_WINDOW:
+            raise ValidationFailed(f"hom window [{L}, {R}] has {n} coordinates, "
+                                   f"more than the limit of {MAX_HOM_WINDOW}")
 
         d0 = differential_rows(v, w, 0, L, R)
         rank0, piv0 = _rref(f, d0, n, reduced=False)
         self.dim_hom = n - rank0
+        if self.dim_hom * n > MAX_KERNEL_CELLS:
+            raise ValidationFailed(
+                f"hom basis of {self.dim_hom} vectors of {n} coordinates has "
+                f"{self.dim_hom * n} entries, more than the limit of {MAX_KERNEL_CELLS}")
         self.ker_basis_vecs = _kernel_vectors(f, d0, piv0, n)
 
         # the image of d^-1 is spanned by its columns: transpose its rows

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .barcode import Barcode, Interval, make_barcode
-from .config import MAX_SPAN
+from .config import MAX_DIM, MAX_SPAN
 from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
 from .graded import GradedHomElement, make_element, zero_element
@@ -169,6 +169,19 @@ def check_span(lo, hi, what: str) -> None:
                                    f"more than the limit of {MAX_SPAN} from 0")
 
 
+def _check_dims(dims, what: str) -> None:
+    """Refuse dimensions or ranks whose squares sum to more than
+    ``MAX_DIM**2``, among them any one above ``MAX_DIM`` (``dualseq.config``),
+    before anything is built for them."""
+    total = sum(d * d for d in dims)
+    if total > MAX_DIM * MAX_DIM:
+        big = max(dims)
+        if big > MAX_DIM:
+            raise ValidationFailed(f"{what} {big} is more than the limit of {MAX_DIM}")
+        raise ValidationFailed(f"the squares of the {what}s sum to {total}, "
+                               f"more than the limit of {MAX_DIM}^2")
+
+
 def _int(s: _Stream, tok: _Tok) -> int:
     try:
         return int(tok.text)
@@ -307,6 +320,7 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
             dims = tuple(_parse_int(s) for _ in range(window[1] - window[0] + 1))
             if any(d < 0 for d in dims):
                 raise s.error("dimensions must be nonnegative", key)
+            _check_dims(dims, "sequence dimension")
         elif key.text == "map":
             if dims is None:
                 raise s.error("map must follow dims", key)
@@ -353,6 +367,7 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
                 ranks.append(_parse_int(s))
             if not ranks:
                 raise s.error("ranks needs at least one entry", key)
+            _check_dims(ranks, "complex rank")
         elif key.text in ("d1", "deps"):
             if ranks is None:
                 raise s.error(f"{key.text} must follow ranks", key)
@@ -380,8 +395,7 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
     return c
 
 
-def _parse_morphism(s: _Stream, field: Field, name_tok: _Tok,
-                    doc: Document) -> HatMorphism:
+def _parse_morphism(s: _Stream, field: Field, doc: Document) -> HatMorphism:
     s.next("punct", ":")
     src = doc.seq(s.next("word").text)
     s.next("arrow")
@@ -536,7 +550,7 @@ def parse_document(text: str) -> Document:
         elif kw.text == "complex":
             named[name] = _parse_complex(s, field)
         elif kw.text == "mor":
-            named[name] = _parse_morphism(s, field, kw, doc)
+            named[name] = _parse_morphism(s, field, doc)
         elif kw.text == "diagram":
             named[name] = _parse_diagram(s, doc)
         else:
@@ -646,6 +660,7 @@ def seq_from_json(data: dict, field: Field) -> Seq:
         raise ValidationFailed(f"sequence dims must be integers >= 0: {data['dims']}")
     lo, hi = data["window"]
     check_span(lo, hi, "sequence window")
+    _check_dims(data["dims"], "sequence dimension")
     dims = tuple(data["dims"])
     if len(dims) != hi - lo + 1:
         raise ValidationFailed(f"window [{lo}, {hi}] needs {hi - lo + 1} dims, "
@@ -682,6 +697,7 @@ def complex_from_json(data: dict, field: Field) -> EpsComplex:
         raise ValidationFailed(f"complex ranks must be integers >= 0: {data['ranks']}")
     ranks = tuple(data["ranks"])
     check_span(data["degree"], data["degree"] + len(ranks) - 1, "complex window")
+    _check_dims(ranks, "complex rank")
     for key in ("d1", "deps"):
         if len(data[key]) != len(ranks) - 1:
             raise ValidationFailed(f"{len(ranks)} ranks need {len(ranks) - 1} "

@@ -7,13 +7,15 @@ test beyond basic matrix arithmetic.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from dualseq.barcode import Barcode, Interval, make_barcode
+from dualseq.config import MARGIN
 from dualseq.graded import (GradedHomElement, compose, differential, differential_rows,
                             hom_layout, make_element, shift_element)
-from dualseq.hom import HatMorphism, get_context, hat_eps, zero_hat
+from dualseq.hom import HatMorphism, hat_eps, zero_hat
 from dualseq.errors import StabilizationDepthExceeded
 from dualseq.linalg import Field, Matrix
 from dualseq.phantom import PhantomCertificate
@@ -339,6 +341,10 @@ def kernel_to_level(v: Seq, n: int, m: int) -> int:
     return v.dim(n) - rank(comp)
 
 
+def _window(v: Seq, w: Seq, margin: int) -> Tuple[int, int]:
+    return min(v.lo, w.lo - 1) - margin, max(v.hi, w.hi + 1) + margin
+
+
 def window_matrices(v: Seq, w: Seq, margin: int) -> Tuple[list, list, int]:
     """Dense ``d^0`` and ``d^-1`` of the window at ``margin``, built
     straight from the formula
@@ -353,8 +359,7 @@ def window_matrices(v: Seq, w: Seq, margin: int) -> Tuple[list, list, int]:
     degree and row-major.
     """
     field = v.field
-    lo = min(v.lo, w.lo - 1) - margin
-    hi = max(v.hi, w.hi + 1) + margin
+    lo, hi = _window(v, w, margin)
     off = {}
     n = 0
     for i in range(lo, hi + 1):
@@ -477,11 +482,69 @@ def window_vec(ctx, g: GradedHomElement) -> list:
     return [x for i in range(ctx.L, ctx.R + 1) for x in g.component(i).data]
 
 
+# -- eps classes on the oracle's own window ----------------------------------
+# The image of d^-1 is the span of the ``window_matrices`` rows at the
+# library's margin, ranked by ``gauss_jordan``.  The subspace alone fixes
+# the representative of a coset with a zero at every pivot of its rref, and
+# the eps coordinates are that representative at the non-pivots, so both
+# must equal the library's exactly.
+
+
+@lru_cache(maxsize=64)
+def coset_data(v: Seq, w: Seq) -> SimpleNamespace:
+    """The window ``[lo, hi]`` at ``MARGIN`` and its ``n`` coordinates, the
+    rref ``rows`` of the image of d^-1 on it with their ``pivots``, and the
+    ``nonpivots``."""
+    lo, hi = _window(v, w, MARGIN)
+    _, dm1, n = window_matrices(v, w, MARGIN)
+    r, pivots, rows = gauss_jordan(v.field, dm1, n)
+    pivset = set(pivots)
+    return SimpleNamespace(lo=lo, hi=hi, n=n, rows=rows[:r], pivots=pivots,
+                           nonpivots=[j for j in range(n) if j not in pivset])
+
+
+def window_coords(v: Seq, w: Seq, eps_at) -> list:
+    """The coordinates of the blocks ``eps_at(i)`` on that window."""
+    cd = coset_data(v, w)
+    return [x for i in range(cd.lo, cd.hi + 1) for x in eps_at(i).data]
+
+
+def reduce_coset(v: Seq, w: Seq, vec: list) -> list:
+    """The representative of ``vec`` modulo the image of d^-1 with a zero
+    at every pivot."""
+    field, cd = v.field, coset_data(v, w)
+    for row, c in zip(cd.rows, cd.pivots):
+        x = vec[c]
+        if x:
+            vec = [field.coerce(a - x * b) if b else a for a, b in zip(vec, row)]
+    return vec
+
+
+def eps_coords(v: Seq, w: Seq, eps_at) -> list:
+    """The eps coordinates of that class: the reduced vector at the non-pivots."""
+    red = reduce_coset(v, w, window_coords(v, w, eps_at))
+    return [red[j] for j in coset_data(v, w).nonpivots]
+
+
+def eps_element(v: Seq, w: Seq, coords: list) -> GradedHomElement:
+    """The canonical representative with eps coordinates ``coords``."""
+    cd = coset_data(v, w)
+    vec = [v.field.zero] * cd.n
+    for j, x in zip(cd.nonpivots, coords):
+        vec[j] = x
+    return element_from_coords(v, w, 0, cd.lo, cd.hi, vec)
+
+
+def eps_units(v: Seq, w: Seq) -> list:
+    """One canonical representative per eps coordinate, 1 there."""
+    k = len(coset_data(v, w).nonpivots)
+    return [eps_element(v, w, [v.field.one if t == j else v.field.zero for t in range(k)])
+            for j in range(k)]
+
+
 def canonical_eps(ctx, g: GradedHomElement) -> GradedHomElement:
-    """``hom._eps_class`` of ``g``: its reduced window vector, built through
-    ``make_element``."""
-    return element_from_coords(ctx.src, ctx.dst, 0, ctx.L, ctx.R,
-                               ctx.reduce_vec(window_vec(ctx, g)))
+    """``hom._eps_class`` of ``g`` on the pair of ``ctx``."""
+    return eps_class(ctx.src, ctx.dst, g)
 
 
 def stored(g: GradedHomElement) -> tuple:
@@ -492,12 +555,15 @@ def stored(g: GradedHomElement) -> tuple:
 # -- eps classes by building elements ----------------------------------------
 # ``hom._eps_class`` reads a representative's blocks as window coordinates;
 # these build the representative as an element first, as every composite,
-# shift, cone and triangle once did, and reduce it with ``canonical_eps``.
+# shift, cone and triangle once did, and reduce it with ``reduce_coset``.
 
 
 def eps_class(v: Seq, w: Seq, eps: GradedHomElement) -> GradedHomElement:
-    """The canonical representative of the class of ``eps`` in Hom_eps(v, w)."""
-    return canonical_eps(get_context(v, w), eps)
+    """The canonical representative of the class of ``eps`` in Hom_eps(v, w):
+    its reduced window vector, built through ``make_element``."""
+    cd = coset_data(v, w)
+    return element_from_coords(v, w, 0, cd.lo, cd.hi,
+                               reduce_coset(v, w, window_coords(v, w, eps.component)))
 
 
 def eps_class_at(v: Seq, w: Seq, lo: int, hi: int, eps_at) -> GradedHomElement:
@@ -531,12 +597,12 @@ def splits(e) -> Optional[GradedHomElement]:
     rows of d^-1 on ``L..R+1`` against ``-e.feps``.  h repeats its boundary
     blocks beyond them, and ``d^-1(h) = -e.feps`` is checked."""
     x, y = e.x, e.y
-    ctx = get_context(x, y)
-    field = ctx.field
-    vec = window_vec(ctx, e.feps)
-    if any(ctx.reduce_vec(vec)):
+    field = x.field
+    vec = window_coords(x, y, e.feps.component)
+    if any(reduce_coset(x, y, vec)):
         return None
-    L, R = ctx.L, ctx.R
+    cd = coset_data(x, y)
+    L, R = cd.lo, cd.hi
     _, width = hom_layout(x, y, -1, L, R + 1)
     rows = [[row.get(j, field.zero) for j in range(width)] + [field.neg(c)]
             for row, c in zip(differential_rows(x, y, -1, L, R + 1), vec)]
@@ -551,25 +617,25 @@ def splits(e) -> Optional[GradedHomElement]:
 
 def solve_inner(diag, der):
     """``phantom.solve_inner`` with every column read off the composites
-    ``f1.rep`` and ``rep.f1``, built as elements."""
+    ``f1.rep`` and ``rep.f1``, built as elements, in the oracle's own eps
+    coordinates."""
     names = sorted(diag.objects)
-    ctxs = {nm: get_context(diag.objects[nm], diag.objects[nm]) for nm in names}
+    objs = diag.objects
+    units = {nm: eps_units(objs[nm], objs[nm]) for nm in names}
     offs, total = {}, 0
     for nm in names:
         offs[nm] = total
-        total += ctxs[nm].dim_eps
+        total += len(units[nm])
     rows, f = [], None
     for gname in sorted(diag.generators):
         sn, dn, mor = diag.generators[gname]
-        pctx = get_context(mor.src, mor.dst)
-        f = pctx.field
-        block = [{total: y} if y else {} for y in pctx.eps_coords(der.at(gname).feps)]
-        cols = [(offs[sn] + j, 1, compose(mor.f1, rep))
-                for j, rep in enumerate(ctxs[sn].eps_basis())]
-        cols += [(offs[dn] + j, -1, compose(rep, mor.f1))
-                 for j, rep in enumerate(ctxs[dn].eps_basis())]
+        f = mor.src.field
+        block = [{total: y} if y else {}
+                 for y in eps_coords(mor.src, mor.dst, der.at(gname).feps.component)]
+        cols = [(offs[sn] + j, 1, compose(mor.f1, rep)) for j, rep in enumerate(units[sn])]
+        cols += [(offs[dn] + j, -1, compose(rep, mor.f1)) for j, rep in enumerate(units[dn])]
         for c, sign, g in cols:
-            for row, x in zip(block, pctx.eps_coords(g)):
+            for row, x in zip(block, eps_coords(mor.src, mor.dst, g.component)):
                 if x:
                     row[c] = row.get(c, 0) + sign * x
         rows += [{c: y for c, x in row.items() if (y := f.coerce(x))} for row in block]
@@ -579,7 +645,8 @@ def solve_inner(diag, der):
                       total)
     if sol is None:
         return None
-    return {nm: hat_eps(ctxs[nm].eps_from_coords(sol[offs[nm]:offs[nm] + ctxs[nm].dim_eps]))
+    return {nm: hat_eps(eps_element(objs[nm], objs[nm],
+                                    sol[offs[nm]:offs[nm] + len(units[nm])]))
             for nm in names}
 
 
@@ -611,20 +678,18 @@ def kernel_chain(v: Seq, w: Seq, depth: int, shift: int = 0):
     so far are one system, kept in rref by ``gauss_jordan``, so the
     dimension of a level is ``k`` minus its rank, and the stable rows are
     the rref basis of its ``kernel``."""
-    ctx = get_context(v, w)
-    k = ctx.dim_eps
+    reps = eps_units(v, w)
+    k = len(reps)
     if k == 0:
         return [], PhantomCertificate(((v.lo, 0),), 3)
-    reps = ctx.eps_basis()
-    f = ctx.field
+    f = v.field
     system, rank_ = [], 0
     levels = []
     run = 0
     n = min(v.lo, w.lo) - 1
     for _ in range(depth):
         incl = truncation_inclusion(v, n + shift).f1
-        tctx = get_context(incl.src, w)
-        cols = [tctx.eps_coords_at(lambda i, e=rep.component: e(i) @ incl.component(i))
+        cols = [eps_coords(incl.src, w, lambda i, e=rep.component: e(i) @ incl.component(i))
                 for rep in reps]
         new_rank, _, system = gauss_jordan(f, system + [list(r) for r in zip(*cols)], k)
         del system[new_rank:]

@@ -342,3 +342,15 @@ def test_max_injective_subobject_is_stable_image(field):
         for i in range(v.lo - 1, v.hi + 3):
             inc, t = incl.f1.component(i), _transition(v, v.lo - 1, i)
             assert oracles.rank(inc) == oracles.rank(t) == oracles.rank(inc.hstack(t))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    (0, -math.inf, "interval end must be an integer or +inf"),
+    (0, 1.5, "interval end must be an integer or +inf"),
+    (-math.inf, "1", "interval end must be an integer or +inf"),
+    (2, 1, "interval start exceeds end"),
+])
+def test_interval_refusals(a, b, message):
+    with pytest.raises(ValidationFailed) as exc:
+        Interval(a, b)
+    assert str(exc.value) == message

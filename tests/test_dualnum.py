@@ -258,3 +258,22 @@ def test_minimize_builds_only_the_adapted_bases(monkeypatch):
         dualnum.minimize(c)
         assert calls[::2] == [c.d1_at(i) for i in range(c.lo, c.hi + 1)]
         assert len(calls) == 2 * len(c.ranks)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: EpsComplex(F5, 0, (), (), ()), "complex needs at least one degree"),
+    (lambda: EpsComplex(F5, 0, (1, -1), (), ()), "negative rank"),
+    (lambda: EpsComplex(F5, 0, (1, 1), (), ()), "wrong number of differentials"),
+    (lambda: EpsComplex(F5, 0, (1, 1), (Matrix.zeros(F2, 1, 1),), (Matrix.zeros(F5, 1, 1),)),
+     "d1 over wrong field"),
+    (lambda: EpsComplex(F5, 3, (1, 1), (Matrix.zeros(F5, 1, 1),), (Matrix.zeros(F5, 2, 1),)),
+     "deps at degree 3 has shape 2x1, expected 1x1"),
+    (lambda: minimize(EpsComplex(F5, 0, (1, 1, 1), (Matrix.identity(F5, 1),) * 2,
+                                 (Matrix.zeros(F5, 1, 1),) * 2)),
+     "cannot minimize: violated d1.d1 = 0 at degree 0"),
+], ids=["no-degree", "negative-rank", "differential-count", "wrong-field", "wrong-shape",
+        "cannot-minimize"])
+def test_complex_refusals(build, message):
+    with pytest.raises(ValidationFailed) as exc:
+        build()
+    assert str(exc.value) == message

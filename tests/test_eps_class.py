@@ -4,6 +4,8 @@ the stored fields the old path gave, entry types included.  The zero test
 of a composite (``hom._vanishes``) must give the answer of the composite
 built as an element."""
 
+import ast
+import inspect
 import math
 import random
 
@@ -334,3 +336,27 @@ def test_vanishes_matches_the_element_path(field):
         seen["zero" if got else "eps only" if one.is_zero else "nonzero"] += 1
     assert seen["zero"] >= 8 and seen["nonzero"] + seen["eps only"] >= 34, seen
     assert seen["eps only"] >= 4, seen
+
+
+def test_oracles_reduce_eps_classes_on_their_own():
+    # the oracles reduce with their own rref of the d^-1 rows: none of them
+    # reads a coset or a coordinate through a hom context
+    tree = ast.parse(inspect.getsource(oracles))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used.isdisjoint({"reduce_vec", "eps_coords", "eps_coords_at"})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_oracle_coset_reduction_matches_the_context(field):
+    # the representative with a zero at every pivot is unique, so the
+    # oracle's reduction and the library's agree entry for entry
+    rng = random.Random(5)
+    for _ in range(30):
+        v = random_seq(rng, field, max_bars=3, lo=-2, hi=2)
+        w = random_seq(rng, field, max_bars=3, lo=-2, hi=2)
+        ctx = get_context(v, w)
+        g = random_graded_element(rng, v, w, 0)
+        vec = oracles.window_vec(ctx, g)
+        assert oracles.window_coords(v, w, g.component) == vec
+        assert oracles.reduce_coset(v, w, vec) == ctx.reduce_vec(vec)
+        assert oracles.coset_data(v, w).nonpivots == ctx.nonpivots

@@ -13,6 +13,7 @@ from dualseq.graded import (compose, differential, hom_layout, is_morphism,
 from dualseq import hom
 from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context, hat,
                          hat_eps, identity_hat, shift_hat, zero_hat)
+from dualseq.io import parse_document
 from dualseq.linalg import Field, Matrix, _dict_rows, _rref, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
@@ -599,3 +600,33 @@ def test_compose_across_a_shifted_constant_sequence():
     v = interval(F5, -math.inf, math.inf)
     assert shift(v, 1) == v
     assert compose_hat(identity_hat(v), identity_hat(shift(v, 1))) == identity_hat(v)
+
+
+@pytest.mark.parametrize("foreign", [
+    lambda v, w: identity_hat(v).f1,
+    lambda v, w: zero_element(v, w, 1),
+], ids=["other-pair", "other-degree"])
+def test_eps_coords_refuses_a_foreign_element(foreign):
+    v, w = interval(F5, 0, 1), interval(F5, 1, 2)
+    with pytest.raises(ValidationFailed) as exc:
+        get_context(v, w).eps_coords(foreign(v, w))
+    assert str(exc.value) == "element does not belong to this hom context"
+
+
+def test_hom_window_limits(monkeypatch):
+    # one degree of dimension 3: N = 9 coordinates and dim Hom_S = 9, so 81
+    # kernel entries; each limit admits its exact value and refuses one less
+    v = parse_document("field 5\nseq V { window 0 0 dims 3 }\n").seq("V")
+    for window, cells, message in [
+            (9, 81, None),
+            (8, 81, "hom window [-2, 2] has 9 coordinates, more than the limit of 8"),
+            (9, 80, "hom basis of 9 vectors of 9 coordinates has 81 entries, "
+                    "more than the limit of 80")]:
+        monkeypatch.setattr(hom, "MAX_HOM_WINDOW", window)
+        monkeypatch.setattr(hom, "MAX_KERNEL_CELLS", cells)
+        if message is None:
+            assert HomContext(v, v).dim_hom == 9
+        else:
+            with pytest.raises(ValidationFailed) as exc:
+                HomContext(v, v)
+            assert str(exc.value) == message

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dualseq.barcode import decompose
-from dualseq.config import MAX_SPAN
+from dualseq.config import MAX_DIM, MAX_SPAN
 from dualseq.errors import ParseError, ValidationFailed
 from dualseq.gen import random_eps_complex, random_seq
 from dualseq.hom import identity_hat
@@ -412,3 +412,94 @@ def test_complex_json_degree_limit():
     _refused_before_building(lambda: complex_from_json(
         {"degree": FAR, "ranks": [1], "d1": [], "deps": []}, F5))
 
+
+
+
+# -- the dimension limit ------------------------------------------------------
+# Every dimension and rank read from input is at most MAX_DIM, and the
+# squares of those of one sequence or complex sum to at most MAX_DIM^2: a
+# block between two degrees of dimension d is a d x d matrix.
+
+_DIMS = [
+    (lambda *d: parse_document(f"field 2\nseq V {{ window 0 {len(d) - 1} dims "
+                               f"{' '.join(map(str, d))} }}\n"), "sequence dimension"),
+    (lambda *d: parse_document(f"field 2\ncomplex K {{ ranks {' '.join(map(str, d))} }}\n"),
+     "complex rank"),
+    (lambda *d: seq_from_json({"window": [0, len(d) - 1], "dims": list(d),
+                               "maps": [[[0] * a for _ in range(b)] for a, b in zip(d, d[1:])],
+                               "tails": ["zero", "zero"]}, F5), "sequence dimension"),
+    (lambda *d: complex_from_json({"degree": 0, "ranks": list(d),
+                                   "d1": [[[0] * a for _ in range(b)] for a, b in zip(d, d[1:])],
+                                   "deps": [[[0] * a for _ in range(b)] for a, b in zip(d, d[1:])]},
+                                  F5), "complex rank"),
+]
+
+
+@pytest.mark.parametrize("load,what", _DIMS, ids=["text-dims", "text-ranks", "json-dims",
+                                                   "json-ranks"])
+def test_dimension_limit(load, what):
+    load(MAX_DIM)
+    with pytest.raises(ValidationFailed) as exc:
+        load(MAX_DIM + 1)
+    assert str(exc.value) == f"{what} {MAX_DIM + 1} is more than the limit of {MAX_DIM}"
+
+
+@pytest.mark.parametrize("load,what", _DIMS, ids=["text-dims", "text-ranks", "json-dims",
+                                                   "json-ranks"])
+def test_dimension_square_sum_limit(load, what):
+    assert 600**2 + 800**2 == MAX_DIM**2
+    load(600, 800)
+    with pytest.raises(ValidationFailed) as exc:
+        load(600, 801)
+    assert str(exc.value) == (f"the squares of the {what}s sum to {600**2 + 801**2}, "
+                              f"more than the limit of {MAX_DIM}^2")
+
+_DIGITS = "1" * 5000        # more digits than int() converts
+_A = "field 5\nseq A { interval 0 0 }\n"
+
+
+@pytest.mark.parametrize("load,error,message", [
+    (lambda: parse_document(_A).complex("Nope"), ValidationFailed, "unknown complex 'Nope'"),
+    (lambda: parse_document("field 5\nseq A { window 0 " + _DIGITS + " }\n"),
+     ParseError, "line 2, col 18: number has too many digits"),
+    (lambda: parse_document("field 5\nseq A { window 0 1/2 }\n"),
+     ParseError, "line 2, col 18: expected an integer"),
+    (lambda: parse_document("field 5\nseq A { window 0 1 dims 1 1\n  map 0 [[" + _DIGITS + "]] }\n"),
+     ParseError, "line 3, col 11: number has too many digits"),
+    (lambda: parse_document("field 5\nseq A { window 0 1 dims 1 -1 }\n"),
+     ParseError, "line 2, col 20: dimensions must be nonnegative"),
+    (lambda: parse_document("field 5\nseq A { window 0 1 map 0 [[1]] }\n"),
+     ParseError, "line 2, col 20: map must follow dims"),
+    (lambda: parse_document("field 5\nseq A { window 0 1 }\nseq B { interval 0 0 }\n"),
+     ParseError, "line 3, col 1: sequence needs window and dims"),
+    (lambda: parse_document("field 5\ncomplex K { ranks }\n"),
+     ParseError, "line 2, col 13: ranks needs at least one entry"),
+    (lambda: parse_document("field 5\ncomplex K { d1 0 [[1]] }\n"),
+     ParseError, "line 2, col 13: d1 must follow ranks"),
+    (lambda: parse_document("field 5\ncomplex K { ranks 1 1\n  deps 1 [[1]] }\n"),
+     ParseError, "line 3, col 3: deps degree 1 outside window"),
+    (lambda: parse_document("field 5\ncomplex K { degree 0 }\nseq B { interval 0 0 }\n"),
+     ParseError, "line 3, col 1: complex needs ranks"),
+    (lambda: parse_document(_A + "mor f : A -> A { one 0 [[1]] }\n"),
+     ParseError, "line 3, col 18: one must follow window"),
+    (lambda: parse_document(_A + "mor f : A -> A { window 0 0\n  eps 1 [[1]] }\n"),
+     ParseError, "line 4, col 3: component degree 1 outside window"),
+    (lambda: parse_document(_A + "mor f : A -> A { tails iso }\n"),
+     ParseError, "line 3, col 24: morphism tails must be zero or constant"),
+    (lambda: parse_document(_A + "derivation T on Nope { }\n"),
+     ValidationFailed, "unknown diagram 'Nope'"),
+    (lambda: parse_document("field x\n"), ParseError, "line 1, col 7: field must be Q or a prime"),
+    (lambda: parse_document("field 2/3\n"),
+     ParseError, "line 1, col 7: field must be Q or a prime"),
+    (lambda: complex_from_json({"degree": 0, "ranks": [1, 1, 1], "d1": [[[1]], [[1]]],
+                                "deps": [[[0]], [[0]]]}, Field(5)),
+     ValidationFailed, "complex invariant violated d1.d1 = 0 at degree 0"),
+], ids=["unknown-complex", "window-digits", "window-fraction", "scalar-digits",
+        "negative-dims", "map-before-dims", "seq-needs-dims", "empty-ranks",
+        "d1-before-ranks", "deps-outside", "complex-needs-ranks", "one-before-window",
+        "eps-outside", "mor-tails", "derivation-unknown-diagram", "field-word",
+        "field-fraction", "json-complex-law"])
+def test_input_refusals(load, error, message):
+    with pytest.raises(error) as exc:
+        load()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -428,3 +428,11 @@ def test_row_block_rejects_ranges_outside():
         with pytest.raises(ValidationFailed):
             m.row_block(start, stop)
     assert m.row_block(3, 3) == Matrix.zeros(F5, 0, 2)
+
+
+@pytest.mark.parametrize("p", [9, 15, 25, 91])
+def test_field_rejects_odd_composite(p):
+    # an odd composite is found by the trial division loop
+    with pytest.raises(ValidationFailed) as exc:
+        Field(p)
+    assert str(exc.value) == f"field characteristic must be prime: {p}"

@@ -548,3 +548,17 @@ def test_derivation_rejects_type_one_values():
     a = diag.objects["A"]
     with pytest.raises(ValidationFailed):
         Derivation(diagram=diag, assignment={"h": identity_hat(a)})
+
+
+@pytest.mark.parametrize("rel,message", [
+    (("f", "g", "f"), "relation (f, g): generators not composable"),
+    (("f", "x", "f"), "relation references unknown generator x"),
+])
+def test_diagram_refusals(rel, message):
+    a, b = interval(F5, 0, 0), interval(F5, 0, 1)
+    zero = zero_hat(a, b)
+    with pytest.raises(ValidationFailed) as exc:
+        Diagram(objects={"A": a, "B": b},
+                generators={"f": ("A", "B", zero), "g": ("A", "B", zero)},
+                relations=(rel,))
+    assert str(exc.value) == message

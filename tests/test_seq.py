@@ -181,3 +181,15 @@ def test_make_seq_ignores_padding_with_tail_degrees():
         dims = [v.dim(i) for i in range(lo, hi + 1)]
         maps = [v.map_at(i) for i in range(lo, hi)]
         assert make_seq(v.field, lo, dims, maps, v.left_tail, v.right_tail) == v
+
+
+@pytest.mark.parametrize("a,b,message", [
+    (0.5, 1, "bad interval endpoint: 0.5"),
+    (0, 0.5, "bad interval endpoint: 0.5"),
+    (-math.inf, "1", "bad interval endpoint: '1'"),
+    (0, -math.inf, "bad interval endpoint: -inf"),
+])
+def test_interval_endpoint_refusals(a, b, message):
+    with pytest.raises(ValidationFailed) as exc:
+        interval(F5, a, b)
+    assert str(exc.value) == message
