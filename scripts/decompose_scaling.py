@@ -1,11 +1,13 @@
 """Time ``decompose`` over a series of barcode sizes.
 
-For every size the script draws scrambled F5 sequences with exactly that
-many bars (random intervals with endpoints in ``[-4, 4]`` and rays, each
-sequence conjugated by random basis changes, seed 1) and prints one JSON
-line with the median milliseconds of ``decompose`` without and with its
-verified certificate.  A change in the complexity of the sweep shows up as
-a change in how the medians grow with the size.
+For every size and each of the fields F5 and Q the script draws scrambled
+sequences with exactly that many bars (random intervals with endpoints in
+``[-4, 4]`` and rays, each sequence conjugated by random basis changes;
+seed 1, one random stream per field) and prints one JSON line with the
+median milliseconds of ``decompose`` without and with its verified
+certificate.  A change in the complexity of the sweep shows up as a change
+in how the medians grow with the size; over Q the entries of the basis
+changes, and so the cost of exact arithmetic, grow with it too.
 """
 
 import argparse
@@ -21,13 +23,13 @@ from dualseq import Field, decompose
 from dualseq.barcode import assemble, make_barcode
 from dualseq.gen import random_interval, scramble
 
-FIELD = Field(5)
+FIELDS = (Field(5), Field(None))
 LO, HI = -4, 4
 SEED = 1
 
 
-def sample(rng, bars):
-    bc = make_barcode(FIELD, [random_interval(rng, LO, HI) for _ in range(bars)])
+def sample(rng, field, bars):
+    bc = make_barcode(field, [random_interval(rng, LO, HI) for _ in range(bars)])
     return scramble(rng, assemble(bc))
 
 
@@ -50,15 +52,16 @@ def main():
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    rng = random.Random(SEED)
+    rngs = [random.Random(SEED) for _ in FIELDS]
     for bars in (int(s) for s in args.sizes.split(",")):
-        seqs = [sample(rng, bars) for _ in range(args.repeats)]
-        print(json.dumps({
-            "field": repr(FIELD), "bars": bars, "repeats": args.repeats,
-            "decompose_ms": round(median_ms(
-                lambda v: decompose(v, with_certificate=False), seqs), 3),
-            "decompose_certified_ms": round(median_ms(decompose, seqs), 3),
-        }), flush=True)
+        for field, rng in zip(FIELDS, rngs):
+            seqs = [sample(rng, field, bars) for _ in range(args.repeats)]
+            print(json.dumps({
+                "field": repr(field), "bars": bars, "repeats": args.repeats,
+                "decompose_ms": round(median_ms(
+                    lambda v: decompose(v, with_certificate=False), seqs), 3),
+                "decompose_certified_ms": round(median_ms(decompose, seqs), 3),
+            }), flush=True)
 
 
 if __name__ == "__main__":

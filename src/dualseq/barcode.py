@@ -13,20 +13,22 @@ The constructive decomposition is an elder rule, swept once per degree
 by column reduction against a running basis (as in Zomorodian-Carlsson's
 persistence algorithm).  Left to right, each live bar's vector is pushed
 through the transition, oldest bar first, and its image is reduced against
-an echelon basis of the images kept so far: pivot entries 1, each row
-carrying its coefficients over the kept bars.  An image that reduces to
-zero is a combination of older images, with the coefficients of that one
-reduction; they are unique, because the kept images are independent.  Its
-bar dies there, and the bar's history is rewritten by the same combination
-so that its column maps to zero exactly.  Any other bar survives.  New bars
-open on the unit vectors at the non-pivot coordinates.  The pivots are the
-leading coordinates of the span of the kept images, whichever basis of it
-is reduced, so this is the complement the rref of that span gives
+an echelon basis of the images kept so far: pivot entries 1 (over Q,
+integer rows; see ``decompose``), each row carrying its coefficients over
+the kept bars.  An image that reduces to zero is a combination of older
+images, with the coefficients of that one reduction; they are unique,
+because the kept images are independent.  Its bar dies there, and the
+bar's history is rewritten by the same combination so that its column maps
+to zero exactly.  Any other bar survives.  New bars open on the unit
+vectors at the non-pivot coordinates.  The pivots are the leading
+coordinates of the span of the kept images, whichever basis of it is
+reduced, so this is the complement the rref of that span gives
 (docs/NOTES.md, "One sweep per decomposition").
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
-from .linalg import Field, Matrix, rank as matrix_rank
+from .linalg import Field, Matrix, _numerators, _rational, rank as matrix_rank
 from .seq import NEG_INF, POS_INF, Seq, Tail, make_seq
 
 
@@ -158,20 +160,33 @@ def multiplicities(v: Seq) -> Dict[Interval, int]:
 # -- assembling normal forms ---------------------------------------------
 
 
-def assemble(bc: Barcode) -> Seq:
-    """Direct sum of interval blocks in canonical order, in sign normal
-    form: every transition restricted to a block is (-1)^i times identity."""
-    f = bc.field
-    ivs = sorted(bc.intervals, key=lambda iv: iv.sort_key)
+def _assembled_window(ivs) -> tuple:
+    """The window ``[lo, hi]`` and the tails of ``assemble``'s sequence."""
     # with no finite endpoint any degree will do: make_seq moves it to 0
     finite = [x for iv in ivs for x in (iv.a, iv.b) if isinstance(x, int)] or [0]
     lo, hi = min(finite), max(finite)
     left = Tail.ISO if any(_is_neg_inf(iv.a) for iv in ivs) else Tail.ZERO
     right = Tail.ISO if any(_is_pos_inf(iv.b) for iv in ivs) else Tail.ZERO
-    if left is Tail.ISO:
-        lo -= 1
-    if right is Tail.ISO:
-        hi += 1
+    return lo - (left is Tail.ISO), hi + (right is Tail.ISO), left, right
+
+
+def assembled_dims(ivs) -> tuple:
+    """The dimensions of ``assemble``'s sequence over its window, without
+    building it: one sweep over the bar endpoints, then running sums."""
+    lo, hi, _, _ = _assembled_window(ivs)
+    steps = [0] * (hi - lo + 2)
+    for iv in ivs:
+        steps[max(iv.a, lo) - lo] += 1
+        steps[min(iv.b, hi) + 1 - lo] -= 1
+    return tuple(itertools.accumulate(steps[:-1]))
+
+
+def assemble(bc: Barcode) -> Seq:
+    """Direct sum of interval blocks in canonical order, in sign normal
+    form: every transition restricted to a block is (-1)^i times identity."""
+    f = bc.field
+    ivs = sorted(bc.intervals, key=lambda iv: iv.sort_key)
+    lo, hi, left, right = _assembled_window(ivs)
 
     # the bars alive in each degree of [lo, hi], in canonical order
     alive: List[List[int]] = [[] for _ in range(lo, hi + 1)]
@@ -204,7 +219,7 @@ class _Bar:
     def __init__(self, birth, vec, degree, order):
         self.birth = birth
         self.death = None
-        self.vecs = {degree: vec}    # degree -> coordinates, a plain list
+        self.vecs = {degree: vec}    # degree -> coordinates (integers, denominator)
         self.order = order
 
 
@@ -212,15 +227,42 @@ def _interval_of(bar: _Bar) -> Interval:
     return Interval(bar.birth, bar.death)
 
 
-def _unit(f: Field, n: int, j: int) -> list:
-    vec = [f.zero] * n
-    vec[j] = f.one
-    return vec
+def _unit(n: int, j: int) -> tuple:
+    vec = [0] * n
+    vec[j] = 1
+    return vec, 1
+
+
+def _lowest(xs: list, den: int) -> tuple:
+    """``(xs, den)`` divided by their gcd, with ``den > 0``."""
+    g = math.gcd(den, *xs)
+    if den < 0:
+        g = -g
+    return ([x // g for x in xs], den // g) if g != 1 else (xs, den)
+
+
+def _combination(vec: tuple, terms: list, lam: int) -> tuple:
+    """``vec + sum(h * xs) / lam`` over the ``(h, xs)`` of ``terms``, for
+    vectors ``(integers, denominator)`` over Q, as one in lowest terms."""
+    d = math.lcm(vec[1], *[dx for _, (_, dx) in terms])
+    out = [lam * (d // vec[1]) * x for x in vec[0]]
+    for h, (xs, dx) in terms:
+        h *= d // dx
+        for r, x in enumerate(xs):
+            if x:
+                out[r] += h * x
+    return _lowest(out, d * lam)
 
 
 def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
     """Split ``v`` into interval blocks, returning the barcode together with
-    an explicit degreewise isomorphism assemble(barcode) -> v."""
+    an explicit degreewise isomorphism assemble(barcode) -> v.
+
+    A bar's vector is kept as integers over a denominator (1 over F_p);
+    over Q each map is scaled to integers, and an image is reduced as an
+    integer multiple of the Fraction row, against integer basis rows whose
+    pivots need not be 1.  Zero patterns, and so the bars, are those of the
+    Fraction rows; Fractions are built only for the certificate."""
     f = v.field
     p = f.p
     lo, hi = v.lo, v.hi
@@ -228,62 +270,85 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
     birth0 = NEG_INF if v.left_tail is Tail.ISO else lo
     n0 = v.dim(lo)
     for j in range(n0):
-        bars.append(_Bar(birth0, _unit(f, n0, j), lo, len(bars)))
+        bars.append(_Bar(birth0, _unit(n0, j), lo, len(bars)))
     alive = list(bars)
 
     for i in range(lo, hi + 1):
         m = v.map_at(i)
         n, k = m.rows, m.cols
-        sign = f.neg(f.one) if i % 2 else f.one
-        # columns of sign * m as (row, entry) pairs of the nonzero entries
+        data, dm = (m.data, 1) if p is not None else _numerators(m.data)
+        sign = -1 if i % 2 else 1
+        # columns of sign * m (times dm) as (row, entry) pairs of the nonzero
+        # entries
         cols = [[(r, sign * x % p if p is not None else sign * x)
-                 for r, x in enumerate(m.data[t::k]) if x] for t in range(k)]
-        # echelon basis of the images kept so far, one (pivot, items) per
-        # kept bar: items are the nonzero entries of a row that holds an
-        # image vector at 0..n-1 and, at n + q, its coefficient over the
-        # image of kept[q]; pivot entry 1
+                 for r, x in enumerate(data[t::k]) if x] for t in range(k)]
+        # echelon basis of the images kept so far, one (pivot, items, pivot
+        # entry) per kept bar: items are the nonzero entries of a row that
+        # holds an image vector at 0..n-1 and, at n + q, its coefficient over
+        # the image of kept[q]; pivot entry 1 over F_p
         basis = []
         kept: List[_Bar] = []
         for bar in alive:
-            u = [f.zero] * n
-            for t, x in enumerate(bar.vecs[i]):
+            vec, den = bar.vecs[i]
+            u = [0] * n
+            for t, x in enumerate(vec):
                 if x:
                     for r, y in cols[t]:
                         u[r] += x * y
             if p is not None:
                 u = [x % p for x in u]
-            w = u + [f.zero] * len(kept) + [f.one]
-            for c, items in basis:
+            else:
+                u, den = _lowest(u, den * dm)
+            # den times the row (image, coefficients, own coefficient 1)
+            w = u + [0] * len(kept) + [den]
+            for c, items, piv in basis:
                 x = w[c]
-                if x:
+                if not x:
+                    continue
+                if p is not None:
                     for r, y in items:
-                        w[r] = (w[r] - x * y) % p if p is not None else w[r] - x * y
+                        w[r] = (w[r] - x * y) % p
+                    continue
+                if piv != 1:
+                    w = [piv * y for y in w]
+                for r, y in items:
+                    w[r] -= x * y
+                g = math.gcd(*w)
+                if g != 1:
+                    w = [y // g for y in w]
             lead = next((r for r in range(n) if w[r]), None)
             if lead is not None:
                 # independent of older images: the bar survives
-                inv = f.inv(w[lead])
-                basis.append((lead, [(r, x * inv % p if p is not None else x * inv)
-                                     for r, x in enumerate(w) if x]))
-                bar.vecs[i + 1] = u
+                if p is not None:
+                    inv, piv = f.inv(w[lead]), 1
+                    items = [(r, x * inv % p) for r, x in enumerate(w) if x]
+                else:
+                    items, piv = [(r, x) for r, x in enumerate(w) if x], w[lead]
+                basis.append((lead, items, piv))
+                bar.vecs[i + 1] = (u, den)
                 kept.append(bar)
                 continue
             # u is a combination of strictly older images (w[n:] says which,
-            # with this bar's own coefficient 1 last): the bar dies here, and
-            # its history is rewritten by the same combination so that its
-            # column maps to zero exactly
+            # with this bar's own coefficient w[-1] last): the bar dies here,
+            # and its history is rewritten by the same combination so that
+            # its column maps to zero exactly
             bar.death = i
             hist = [(q, h) for q, h in enumerate(w[n:-1]) if h]
-            if hist:
+            if hist and p is None:
                 for t, vec in bar.vecs.items():
+                    bar.vecs[t] = _combination(vec, [(h, kept[q].vecs[t]) for q, h in hist],
+                                               w[-1])
+            elif hist:
+                for t, (vec, _) in bar.vecs.items():
                     corr = list(vec)
                     for q, h in hist:
-                        for r, x in enumerate(kept[q].vecs[t]):
+                        for r, x in enumerate(kept[q].vecs[t][0]):
                             if x:
                                 corr[r] += h * x
-                    bar.vecs[t] = [x % p for x in corr] if p is not None else corr
+                    bar.vecs[t] = [x % p for x in corr], 1
         # new bars on the non-pivot coordinates: a complement of the image
-        pivots = {c for c, _ in basis}
-        fresh = [_Bar(i + 1, _unit(f, n, j), i + 1, len(bars) + q)
+        pivots = {c for c, _, _ in basis}
+        fresh = [_Bar(i + 1, _unit(n, j), i + 1, len(bars) + q)
                  for q, j in enumerate(j for j in range(n) if j not in pivots)]
         bars.extend(fresh)
         alive = kept + fresh
@@ -317,8 +382,9 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
     lo, hi = v.lo, v.hi
     cols_at: Dict[int, list] = {}
     for b in order:
-        for t, vec in b.vecs.items():
-            cols_at.setdefault(t, []).append(vec)
+        for t, (vec, d) in b.vecs.items():
+            cols_at.setdefault(t, []).append(vec if f.p is not None
+                                             else [_rational(x, d) for x in vec])
 
     def fn(i):
         # both ends are in sign normal form, and the bars alive at lo are

@@ -96,9 +96,15 @@ class ValidationReport:
 
 def _times(a: Tuple[Matrix, Matrix], b: Tuple[Matrix, Matrix]) -> Tuple[Matrix, Matrix]:
     """The product of two maps given as (1-part, eps-part) pairs: since
-    eps^2 = 0, (a1 + eps ae)(b1 + eps be) = a1 b1 + eps (a1 be + ae b1)."""
+    eps^2 = 0, (a1 + eps ae)(b1 + eps be) = a1 b1 + eps (a1 be + ae b1).
+    A product with a zero part (a minimal complex's d1) is not formed."""
     (a1, ae), (b1, be) = a, b
-    return a1 @ b1, a1 @ be + ae @ b1
+    zero = Matrix.zeros(a1.field, a1.rows, b1.cols)
+
+    def times(x: Matrix, y: Matrix) -> Matrix:
+        return zero if x.is_zero or y.is_zero else x @ y
+
+    return times(a1, b1), times(a1, be) + times(ae, b1)
 
 
 def _d(c: EpsComplex, i: int) -> Tuple[Matrix, Matrix]:

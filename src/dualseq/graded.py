@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 from .errors import ValidationFailed
-from .linalg import Matrix
+from .linalg import Matrix, _numerators
 from .seq import Seq, shift as shift_seq
 
 
@@ -279,6 +279,10 @@ def all_morphisms(fs) -> bool:
     nonzeros of the rows of ``d_W^i`` and columns of ``d_V^i`` until one is
     nonzero.  A zero pair ``f^i``, ``f^(i+1)`` commutes whatever the maps and
     is skipped; so is a zero factor, and a zero element before the loop.
+    Over Q each of the four matrices is scaled to integers by the least
+    common denominator of its entries (``t_W`` for ``d_W^i``, ``t_a`` for
+    ``f^i``, ...), and ``t_V t_b (d_W^i f^i)`` is compared with ``t_W t_a
+    (f^(i+1) d_V^i)`` in integers.
     """
     fs = list(fs)
     if not fs:
@@ -291,7 +295,7 @@ def all_morphisms(fs) -> bool:
     fs = [f for f in fs if not f.is_zero]
     if not fs:
         return True
-    p, zero = src.field.p, src.field.zero
+    p = src.field.p
     for i in range(min(f.lo for f in fs) - 3, max(f.hi for f in fs) + 4):
         k, m = src.dim(i), dst.dim(i + 1)
         todo = [(a, b) for a, b in ((f.component(i).data, f.component(i + 1).data) for f in fs)
@@ -299,6 +303,10 @@ def all_morphisms(fs) -> bool:
         if not todo:
             continue
         dw, dv, kw, kv = dst.map_at(i).data, src.map_at(i).data, dst.dim(i), src.dim(i + 1)
+        if p is None:
+            (dw, tw), (dv, tv) = _numerators(dw), _numerators(dv)
+            todo = [([tv * tb * x for x in a], [tw * ta * y for y in b])
+                    for (a, ta), (b, tb) in ((_numerators(a), _numerators(b)) for a, b in todo)]
         # (offset of row j of f^i, d_W[r, j]) per row r; (s, d_V[s, c]) per column c
         dw_rows = [[(j * k, x) for j, x in enumerate(dw[r * kw:r * kw + kw]) if x]
                    for r in range(m)]
@@ -308,7 +316,7 @@ def all_morphisms(fs) -> bool:
             for r, row_a in enumerate(dw_rows if any(a) else [()] * m):
                 row_b = b[r * kv:r * kv + kv]
                 for c, col_b in enumerate(cols_b):
-                    e = zero
+                    e = 0
                     for o, x in row_a:
                         e += x * a[o + c]
                     for s, y in col_b:

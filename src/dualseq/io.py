@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .barcode import Barcode, Interval, make_barcode
+from .barcode import Barcode, Interval, assembled_dims, make_barcode
 from .config import MAX_DIM, MAX_SPAN
 from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
@@ -751,10 +751,12 @@ def barcode_from_json(data: dict, field: Field) -> Barcode:
             raise ValidationFailed(f"interval must be a pair [start, end]: {iv!r}")
     ivs = [Interval(_endpoint_in(a), _endpoint_in(b))
            for a, b in data["intervals"]]
-    # the assembled sequence spans every finite endpoint
+    # the assembled sequence spans every finite endpoint, and has as many
+    # dimensions in a degree as bars cover it
     finite = [x for iv in ivs for x in (iv.a, iv.b) if isinstance(x, int)]
     if finite:
         check_span(min(finite), max(finite), "barcode")
+    _check_dims(assembled_dims(ivs), "sequence dimension")
     return make_barcode(field, ivs)
 
 

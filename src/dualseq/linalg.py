@@ -16,6 +16,24 @@ The one reduction outside this module is ``barcode.decompose``: the elder
 rule needs each bar's image reduced, oldest bar first, against its own
 running echelon basis of the images kept so far, one vector at a time.
 
+Over Q the kernels compute on Python ints, and a ``Fraction`` is built
+only for what they hand back: a ``Matrix`` entry, a returned row or
+vector.  ``Matrix.__matmul__`` scales each factor to integers by the least
+common denominator of its entries and divides once per output entry.
+``_rref`` scales a row to integers when a step first uses it, and each
+forward step is ``row_i := piv * row_i - x * row_p`` with the content (the
+gcd of the entries) removed, where Gauss-Jordan subtracts ``x / piv`` times
+the pivot row; back substitution runs the same way.  The pivots, swaps and
+steps are Gauss-Jordan's, and each integer row is a nonzero multiple of the
+Gauss-Jordan row: true when it is scaled, and kept by every step, since a
+step combines two such multiples with coefficients that differ from
+Gauss-Jordan's by one common nonzero factor.  So the zero patterns, and
+with them the pivots, agree, and a pivot row divided by its pivot entry on
+exit is exactly Gauss-Jordan's, trailing columns included; a row below the
+rank carries its scale along.  ``_kernel_vectors`` and ``_reduce_vec`` scale
+the rows they read the same way.  ``Field.zero`` and ``Field.one`` are one
+shared ``Fraction`` each.
+
 Zero matrices are shared: ``Matrix.zeros`` returns one immutable object per
 shape.  Most blocks of the enlarged category (composites, cone parts,
 extension classes) are zero, so the arithmetic skips zero operands before
@@ -31,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ValidationFailed
@@ -39,6 +58,9 @@ from .errors import ValidationFailed
 # signed identities in seq); one pass of the hom_cold benchmark pool asks
 # for 115 zero shapes and 26 signed identities.
 SHARED_BLOCKS = 512
+
+# the zero and one of Q, shared like the zero blocks (a Fraction is immutable)
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -77,11 +99,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _Q_ONE
 
     def coerce(self, x):
         """Normalize a scalar into this field.  Anything but an int is read
@@ -107,7 +129,7 @@ class Field:
     def inv(self, x):
         if self.p is not None:
             return pow(x, -1, self.p)
-        return Fraction(1) / x
+        return _Q_ONE / x
 
     def __repr__(self):
         return "Q" if self.p is None else f"F{self.p}"
@@ -249,17 +271,19 @@ class Matrix:
         # (this covers k == 0) costs one scan and allocates nothing
         if not any(a) or not any(b):
             return _zeros(field.p, n, m)
-        p, zero = field.p, field.zero
+        p = field.p
+        if p is None:
+            # integer numerators over one denominator per factor
+            (a, da), (b, db) = _numerators(a), _numerators(b)
         out = []
         for i in range(0, n * k, k):
-            # (offset of row t of b, a[i, t]) for the nonzero entries of row i;
-            # an entry starts from the field's zero, so over Q it is a Fraction
+            # (offset of row t of b, a[i, t]) for the nonzero entries of row i
             nz = [(t * m, x) for t, x in enumerate(a[i:i + k]) if x]
             for j in range(m):
-                s = zero
+                s = 0
                 for o, x in nz:
                     s += x * b[o + j]
-                out.append(s if p is None else s % p)
+                out.append(s % p if p is not None else _rational(s, da * db))
         return Matrix(field, n, m, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -288,6 +312,25 @@ class Matrix:
 def _zeros(p: Optional[int], rows: int, cols: int) -> Matrix:
     field = Field(p)
     return Matrix(field, rows, cols, (field.zero,) * (rows * cols))
+
+
+def _numerators(xs) -> tuple:
+    """The rationals ``xs`` (ints allowed) as a list of integer numerators
+    over their least common denominator, and that denominator."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    d = lcm(*[q for _, q in pairs])
+    if d == 1:
+        return [x for x, _ in pairs], 1
+    return [x * (d // q) for x, q in pairs], d
+
+
+def _rational(x: int, d: int) -> Fraction:
+    """``x / d`` as a Fraction, zero and one the shared ones."""
+    if not x:
+        return _Q_ZERO
+    if x == d:
+        return _Q_ONE
+    return Fraction(x) if d == 1 else Fraction(x, d)
 
 
 def block_matrix(field: Field, grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -322,6 +365,36 @@ def _sub_row(row: dict, f, items, p) -> None:
             del row[j]
 
 
+def _int_row(row: dict) -> tuple:
+    """A dict row of rationals as integers, content removed: ``(ints, num,
+    den)`` with ``ints = row * num / den``."""
+    ints, d = _numerators(row.values())
+    ints, g = _primitive(dict(zip(row, ints)))
+    return ints, d, g
+
+
+def _primitive(row: dict) -> tuple:
+    """The integer dict row ``row`` divided by its content ``g``, and ``g``."""
+    g = gcd(*row.values())
+    return ({j: x // g for j, x in row.items()}, g) if g > 1 else (row, 1)
+
+
+def _int_step(row: dict, piv: int, x: int, items) -> tuple:
+    """``piv * row - x * other`` on integer dict rows, as a new row with its
+    content ``g`` removed, and ``g``; zero entries are dropped."""
+    out = {j: piv * y for j, y in row.items()} if piv != 1 else dict(row)
+    _sub_row(out, x, items, None)
+    return _primitive(out)
+
+
+def _scaled(a: list, scale: list, i: int) -> dict:
+    """Row ``i`` of ``_rref``'s rows over Q as integers, scaled on first use."""
+    if scale[i] is None:
+        a[i], num, den = _int_row(a[i])
+        scale[i] = num, den
+    return a[i]
+
+
 def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
     """Gauss-Jordan on a list of dict rows ``{column: nonzero entry}``;
     returns (rank, pivots).
@@ -350,9 +423,17 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
     made zero at the later pivots; that vector is unique because the later
     echelon rows are triangular at their pivots, and back substitution
     builds the same one.
+
+    Over Q the steps run on integer rows (module docstring).  A row is
+    scaled to integers when a step first uses it; then ``scale[i] = (num,
+    den)`` says that it holds ``num / den`` times its Gauss-Jordan row.
+    Only the rows handed back that were scaled, or whose pivot entry is not
+    1, are made Fractions again: a row no step touched is handed back as it
+    came.
     """
     m = len(a)
     p = field.p
+    scale = [None] * m if p is None else None
     leads = [min(row) if row else width for row in a]
     pivots = []
     r = 0
@@ -364,31 +445,62 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
         if i != r:
             a[r], a[i] = a[i], a[r]
             leads[r], leads[i] = leads[i], leads[r]
+            if p is None:
+                scale[r], scale[i] = scale[i], scale[r]
         row = a[r]
         piv = row[c]
-        if piv != 1:
+        if p is not None and piv != 1:
             inv = field.inv(piv)
-            a[r] = row = ({j: x * inv % p for j, x in row.items()} if p is not None
-                          else {j: x * inv for j, x in row.items()})
-        items = row.items()
+            a[r] = row = {j: x * inv % p for j, x in row.items()}
         # the other rows with lead c lie below i, the first one found
-        for _ in range(leads.count(c) - 1):
+        below = leads.count(c) - 1
+        if p is None and below:
+            row = _scaled(a, scale, r)
+            piv = row[c]
+        items = row.items()
+        for _ in range(below):
             i = leads.index(c, i + 1)
-            ai = a[i]
-            _sub_row(ai, ai[c], items, p)
+            if p is not None:
+                ai = a[i]
+                _sub_row(ai, ai[c], items, p)
+            else:
+                ai = _scaled(a, scale, i)
+                ai, g = _int_step(ai, piv, ai[c], items)
+                a[i] = ai
+                num, den = scale[i]
+                scale[i] = num * piv, den * g
             leads[i] = min(ai) if ai else width
         pivots.append(c)
         r += 1
     if reduced:
         # back substitution: final rows are zero at every other pivot, so
-        # the coefficients can all be read off the echelon row first
+        # (over F_p, where the pivot rows are not rescaled) the coefficients
+        # can all be read off the echelon row first
         pos = {c: k for k, c in enumerate(pivots)}
         final = [None] * r
         for k in range(r - 1, -1, -1):
             row = a[k]
             for c, x in [(c, x) for c, x in row.items() if c in pos and pos[c] > k]:
-                _sub_row(row, x, final[pos[c]], p)
-            final[k] = list(row.items())
+                if p is not None:
+                    _sub_row(row, x, final[pos[c]], p)
+                else:
+                    row = _scaled(a, scale, k)
+                    other = _scaled(a, scale, pos[c])
+                    a[k] = row = _int_step(row, other[c], row[c], other.items())[0]
+            if p is not None:
+                final[k] = list(row.items())
+    if p is None:
+        # a scaled pivot row is a multiple of its Gauss-Jordan row with
+        # pivot 1; a scaled row below the rank is num/den times its
+        # Gauss-Jordan row
+        for k, row in enumerate(a):
+            if k < r and (scale[k] is not None or row[pivots[k]] != 1):
+                d, q = _scaled(a, scale, k)[pivots[k]], 1
+            elif scale[k] is not None:
+                d, q = scale[k]
+            else:
+                continue
+            a[k] = {j: _rational(x * q, d) for j, x in a[k].items()}
     return r, tuple(pivots)
 
 
@@ -405,25 +517,39 @@ def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
     the last pivot row up: each pivot variable is minus its row applied to
     the later variables, kept as a combination of the free ones.  On rref
     rows a row has no later pivot column, so that combination is just the
-    negated row."""
+    negated row.  Over Q a combination is kept as integers over one
+    denominator, from the row scaled to integers."""
     zero, one, p = field.zero, field.one, field.p
     pivset = set(pivots)
     comb, vecs = {}, {}
     for j in range(n):
         if j not in pivset:
-            comb[j] = ((j, one),)
+            comb[j] = (((j, 1),), 1)
             vecs[j] = vec = [zero] * n
             vec[j] = one
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         e = {}
-        for j, x in rows[k].items():
+        if p is not None:
+            for j, x in rows[k].items():
+                if j != c:
+                    _sub_row(e, x, comb[j][0], p)
+            comb[c] = (e.items(), 1)
+            continue
+        row = _int_row(rows[k])[0]
+        d = lcm(*[comb[j][1] for j in row if j != c])
+        for j, x in row.items():
             if j != c:
-                _sub_row(e, x, comb[j], p)
-        comb[c] = e.items()
+                items, dj = comb[j]
+                _sub_row(e, x * (d // dj), items, None)
+        # the pivot variable is e / d
+        d *= row[c]
+        g = gcd(d, *e.values())
+        comb[c] = ({j: x // g for j, x in e.items()}.items(), d // g)
     for c in pivots:
-        for j, x in comb[c]:
-            vecs[j][c] = x
+        items, d = comb[c]
+        for j, x in items:
+            vecs[j][c] = x if p is not None else _rational(x, d)
     return list(vecs.values())
 
 
@@ -435,16 +561,30 @@ def _reduce_vec(field: Field, rows, pivots, vec) -> list:
     there.  So the result is the unique representative of ``vec`` modulo
     the row space with zeros at every pivot, and it is zero exactly when
     ``vec`` lies in the row space.  Only the nonzeros of the rows are
-    visited, and the rows are only read."""
-    out = list(vec)
+    visited, and the rows are only read.  Over Q ``vec``, once a row is to
+    be subtracted, and each row subtracted are scaled to integers, and
+    ``vec`` by each row's pivot in turn."""
     p = field.p
+    out, d = list(vec), None
     for row, c in zip(rows, pivots):
         coef = out[c]
-        if coef:
+        if not coef:
+            continue
+        if p is not None:
             for j, y in row.items():
-                x = out[j] - coef * y
-                out[j] = x if p is None else x % p
-    return out
+                out[j] = (out[j] - coef * y) % p
+            continue
+        if d is None:
+            out, d = _numerators(out)
+            coef = out[c]
+        row = _int_row(row)[0]
+        piv = row[c]
+        if piv != 1:
+            out = [piv * x for x in out]
+            d *= piv
+        for j, y in row.items():
+            out[j] -= coef * y
+    return out if d is None else [_rational(x, d) for x in out]
 
 
 def _matrix_rows(m: Matrix) -> list:

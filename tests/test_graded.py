@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -237,6 +238,39 @@ def test_all_morphisms_matches_differential_reference():
             assert all_morphisms(bad) == want
             rejected[kind] += not want
     assert min(rejected.values()) >= 5, rejected
+
+
+def test_all_morphisms_over_q_refuses_what_the_oracle_refuses():
+    # over Q the check compares integer multiples of the two products; an
+    # entry off by 1/3 anywhere must be refused exactly when the Fraction
+    # products of the oracle differ
+    rng = random.Random(RNG_SEED + 5)
+    third = Fraction(1, 3)
+    refused = 0
+    for _ in range(60):
+        v = random_seq(rng, Q, max_bars=5, lo=-2, hi=2)
+        w = random_seq(rng, Q, max_bars=5, lo=-2, hi=2)
+        ctx = get_context(v, w)
+        basis = ctx.hom_basis()
+        assert all_morphisms(basis) and oracles.all_morphisms(basis)
+        if not basis:
+            continue
+        g = basis[0]
+        for b in basis[1:]:
+            g = g + b.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        assert all_morphisms([g]) and oracles.all_morphisms([g])
+        degree = rng.randint(ctx.L - 1, ctx.R + 1)
+        rows, cols = w.dim(degree), v.dim(degree)
+        if not rows * cols:
+            continue
+        at = rng.randrange(rows * cols)
+        e = Matrix(Q, rows, cols, tuple(third if t == at else Q.zero for t in range(rows * cols)))
+        bad = make_element(v, w, 0, ctx.L - 1, ctx.R + 1,
+                           lambda i: g.component(i) + e if i == degree else g.component(i))
+        want = oracles.all_morphisms([bad])
+        assert all_morphisms([bad]) == want == is_morphism(bad)
+        refused += not want
+    assert refused >= 10
 
 
 def test_all_morphisms_degree_and_type():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualseq import barcode, io as dualseq_io
 from dualseq.barcode import decompose
 from dualseq.config import MAX_DIM, MAX_SPAN
 from dualseq.errors import ParseError, ValidationFailed
@@ -432,11 +433,14 @@ _DIMS = [
                                    "d1": [[[0] * a for _ in range(b)] for a, b in zip(d, d[1:])],
                                    "deps": [[[0] * a for _ in range(b)] for a, b in zip(d, d[1:])]},
                                   F5), "complex rank"),
+    # bars [i, i], d_i of them: the assembled sequence has the dimensions d
+    (lambda *d: barcode_from_json({"intervals": [[i, i] for i, k in enumerate(d)
+                                                 for _ in range(k)]}, F5), "sequence dimension"),
 ]
+_DIM_IDS = ["text-dims", "text-ranks", "json-dims", "json-ranks", "json-bars"]
 
 
-@pytest.mark.parametrize("load,what", _DIMS, ids=["text-dims", "text-ranks", "json-dims",
-                                                   "json-ranks"])
+@pytest.mark.parametrize("load,what", _DIMS, ids=_DIM_IDS)
 def test_dimension_limit(load, what):
     load(MAX_DIM)
     with pytest.raises(ValidationFailed) as exc:
@@ -444,8 +448,7 @@ def test_dimension_limit(load, what):
     assert str(exc.value) == f"{what} {MAX_DIM + 1} is more than the limit of {MAX_DIM}"
 
 
-@pytest.mark.parametrize("load,what", _DIMS, ids=["text-dims", "text-ranks", "json-dims",
-                                                   "json-ranks"])
+@pytest.mark.parametrize("load,what", _DIMS, ids=_DIM_IDS)
 def test_dimension_square_sum_limit(load, what):
     assert 600**2 + 800**2 == MAX_DIM**2
     load(600, 800)
@@ -453,6 +456,20 @@ def test_dimension_square_sum_limit(load, what):
         load(600, 801)
     assert str(exc.value) == (f"the squares of the {what}s sum to {600**2 + 801**2}, "
                               f"more than the limit of {MAX_DIM}^2")
+
+
+def test_barcode_json_bars_per_degree_limit(monkeypatch):
+    # 20,000 bars [0, 0] would assemble to a sequence of dimension 20,000:
+    # refused from one sweep over the endpoints, before anything is built
+    def never(*args):
+        raise AssertionError("built before the limit was checked")
+
+    monkeypatch.setattr(barcode, "assemble", never)
+    monkeypatch.setattr(dualseq_io, "make_barcode", never)
+    with pytest.raises(ValidationFailed) as exc:
+        barcode_from_json({"intervals": [[0, 0]] * 20_000}, F5)
+    assert str(exc.value) == f"sequence dimension 20000 is more than the limit of {MAX_DIM}"
+
 
 _DIGITS = "1" * 5000        # more digits than int() converts
 _A = "field 5\nseq A { interval 0 0 }\n"

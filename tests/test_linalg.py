@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dualseq import linalg
 from dualseq.errors import ValidationFailed
-from dualseq.linalg import (Field, Matrix, _dict_rows, _kernel_vectors, _rref, block_matrix,
-                            inverse, rank, solve, split_map, subspaces)
+from dualseq.linalg import (Field, Matrix, _dict_rows, _kernel_vectors, _reduce_vec, _rref,
+                            block_matrix, inverse, rank, solve, split_map, subspaces)
 import oracles
 from oracles import gauss_jordan
 
@@ -436,3 +436,97 @@ def test_field_rejects_odd_composite(p):
     with pytest.raises(ValidationFailed) as exc:
         Field(p)
     assert str(exc.value) == f"field characteristic must be prime: {p}"
+
+
+# -- Q on integer numerators against the Fraction oracles -------------------
+# Over Q the kernels compute on integers over common denominators and build
+# Fractions only for what they return.  Entries here have ~100-bit
+# numerators and mixed denominators (1, small, a 61-bit prime, random 40-bit
+# ones), so a lost or doubled denominator shows; every entry returned must
+# be a Fraction and equal to the textbook Fraction computation.
+
+
+def _big_q(rng):
+    den = rng.choice([1, 1, 2, 3, 12, 2**61 - 1, rng.getrandbits(40) + 1])
+    return Fraction(rng.getrandbits(100) - 2**99, den)
+
+
+def _big_q_matrix(rng, rows, cols, density):
+    return Matrix(Q, rows, cols, tuple(_big_q(rng) if rng.random() < density else Q.zero
+                                       for _ in range(rows * cols)))
+
+
+def _big_q_cases(seed, count=60):
+    """Dense and sparse matrices up to 6 x 6, a third of them with a last
+    row that combines the first two, so ranks fall short."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = _big_q_matrix(rng, r, c, rng.choice([0.4, 1.0]))
+        if r > 2 and rng.random() < 0.35:
+            x, y = _big_q(rng), _big_q(rng)
+            rows = m.to_lists()
+            rows[-1] = [x * a + y * b for a, b in zip(rows[0], rows[1])]
+            m = Matrix.from_rows(Q, rows)
+        yield rng, m
+
+
+def _fractions(xs):
+    return all(type(x) is Fraction for x in xs)
+
+
+def test_q_products_match_oracle_on_large_entries():
+    rng = random.Random(501)
+    for _ in range(80):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = _big_q_matrix(rng, n, k, rng.choice([0.4, 1.0]))
+        b = _big_q_matrix(rng, k, m, rng.choice([0.4, 1.0]))
+        got = a @ b
+        assert list(got.data) == oracles.matmul(None, n, k, m, a.data, b.data)
+        assert _fractions(got.data)
+
+
+def test_q_eliminations_match_oracle_on_large_entries():
+    short = 0
+    for rng, m in _big_q_cases(502):
+        rank_, pivots, rows = gauss_jordan(Q, m.to_lists(), m.cols)
+        short += rank_ < min(m.rows, m.cols)
+        assert rank(m) == rank_ == oracles.rank(m)
+        s = subspaces(m)
+        assert (s.kernel, s.pivots) == (oracles.kernel(m), pivots)
+        assert _fractions(s.kernel.data) and _fractions(s.image.data)
+        # _rref's rows are Gauss-Jordan's, trailing columns and the rows
+        # below the rank included
+        width = rng.randint(0, m.cols)
+        work = _dict_rows(m.to_lists())
+        assert _rref(Q, work, width) == gauss_jordan(Q, m.to_lists(), width)[:2]
+        assert ([[row.get(j, Q.zero) for j in range(m.cols)] for row in work]
+                == gauss_jordan(Q, m.to_lists(), width)[2])
+        assert all(_fractions(row.values()) for row in work)
+        # kernel vectors and coset representatives off echelon rows
+        echelon = _dict_rows(m.to_lists())
+        assert _rref(Q, echelon, m.cols, reduced=False) == (rank_, pivots)
+        ker = _kernel_vectors(Q, echelon, pivots, m.cols)
+        assert ker == [list(col) for col in zip(*oracles.kernel(m).to_lists())]
+        assert all(_fractions(vec) for vec in ker)
+        vec = [_big_q(rng) if rng.random() < 0.7 else Q.zero for _ in range(m.cols)]
+        want = vec
+        for row, c in zip(rows, pivots):
+            want = [x - want[c] * y for x, y in zip(want, row)]
+        got = _reduce_vec(Q, echelon[:rank_], pivots, vec)
+        assert got == want and _fractions(got)
+        # solve, one right-hand side at a time in the oracle
+        b = _big_q_matrix(rng, m.rows, 2, 0.8)
+        if rng.random() < 0.5:
+            b = m @ _big_q_matrix(rng, m.cols, 2, 0.8)
+        cols = [oracles.solve_dense(Q, [row + [x] for row, x in zip(m.to_lists(), b.col(j))],
+                                    m.cols) for j in range(2)]
+        x = solve(m, b)
+        if None in cols:
+            assert x is None
+        else:
+            assert x.to_lists() == [list(r) for r in zip(*cols)] and _fractions(x.data)
+        if m.rows == m.cols == rank_:
+            inv = inverse(m)
+            assert inv == oracles.inverse(m) and _fractions(inv.data)
+    assert short >= 10
