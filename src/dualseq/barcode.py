@@ -370,7 +370,7 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
     a_seq = assemble(bc)
     cert = _certificate(v, a_seq, order)
     bc = Barcode(f, ivs, cert)
-    verify_certificate(bc, v)
+    verify_certificate(bc, v, _assembled=a_seq)
     return bc
 
 
@@ -402,13 +402,15 @@ def _certificate(v: Seq, a_seq: Seq, order: List[_Bar]) -> GradedHomElement:
     return make_element(a_seq, v, 0, lo, hi, fn)
 
 
-def verify_certificate(bc: Barcode, v: Seq) -> None:
+def verify_certificate(bc: Barcode, v: Seq, *, _assembled: Optional[Seq] = None) -> None:
     """Exact check: the certificate commutes with transitions and is
-    invertible in every degree (probed through the stable zones)."""
+    invertible in every degree (probed through the stable zones).
+    ``_assembled`` is ``assemble(bc)``, passed only by ``decompose``, which
+    has just built it; every other call assembles its own."""
     cert = bc.certificate
     if cert is None:
         raise ValidationFailed("barcode carries no certificate")
-    a_seq = assemble(bc)
+    a_seq = assemble(bc) if _assembled is None else _assembled
     if cert.src != a_seq or cert.dst != v:
         raise ValidationFailed("certificate endpoints do not match")
     if not is_morphism(cert):

@@ -28,6 +28,15 @@ Within both bounds, one degree of 1,000, four of about 500 and sixteen of
 about 250 took at most 2 s and 180 MB for each of ``decompose``, ``cone``,
 ``minimize`` and ``truncate`` (F2, 2 vCPUs).  A scrambled 48-bar sequence
 with endpoints in ``[-4, 4]`` has dimensions of at most 35 (900 draws).
+The same ``MAX_DIM^2`` bounds a whole document: the squares of every
+dimension and rank it declares, an ``interval`` counting one per degree,
+sum to at most that.  Without it, 400 declarations ``dims 700-k 700`` in
+14.7 KB, each within the bounds, filled the shared zero blocks of
+``linalg`` and ended in a ``MemoryError`` under a 1 GB cap, and 1,000
+``interval -5000 4999`` in 33 KB took 9 s and 175 MB to parse.  No test,
+script or benchmark document that parses declares more than ``MAX_DIM^2``
+in all (one declaration at the bound), so the bound needs no constant of
+its own.
 
 ``MAX_HOM_WINDOW`` bounds the coordinates ``N = sum_i dim V^i dim W^i`` of
 a hom window, and ``MAX_KERNEL_CELLS`` the entries ``dim Hom_S * N`` of its

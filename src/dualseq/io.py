@@ -5,7 +5,8 @@ and then declares sequences, complexes, morphisms, diagrams, and derivations.
 Every loaded value is validated (sequence normal form, complex laws, morphism
 closedness, diagram relations), so a parsed document is a usable one.
 The lexer is one regex pass: a well-formed numeric matrix literal is one
-token, and a token's offset becomes a line and column only for an error
+token, which the C scanner of ``json`` decodes when its entries are
+integers, and a token's offset becomes a line and column only for an error
 (docs/NOTES.md, "Cost of a parse").
 
 JSON encoders mirror the same data with a versioned ``"schema": 1`` envelope;
@@ -27,7 +28,7 @@ from .config import MAX_DIM, MAX_SPAN
 from .dualnum import EpsComplex, validate
 from .errors import ParseError, ValidationFailed
 from .graded import GradedHomElement, make_element, zero_element
-from .hom import HatMorphism, _hat
+from .hom import HatMorphism, _hat, _require_one_field, zero_hat
 from .linalg import Field, Matrix
 from .phantom import Derivation, Diagram
 from .seq import Seq, Tail, interval, make_seq
@@ -57,6 +58,9 @@ _TOKEN = re.compile(rf"(?:{_MATRIX} | {_LEXEMES}){_SKIP}", re.VERBOSE)
 _PLAIN = re.compile(rf"(?:{_LEXEMES}){_SKIP}", re.VERBOSE)
 _LEADING = re.compile(_SKIP)
 _JSON_SCALAR = re.compile(_SCALAR)
+# the C scanner behind json.loads, without its Python wrapper: (value, end)
+# of the JSON value at an offset
+_SCAN = json.JSONDecoder().scan_once
 
 
 class _Tok(NamedTuple):
@@ -73,16 +77,18 @@ def _line_col(text: str, pos: int) -> Tuple[int, int]:
 def _tokenize(text: str, lexer=_TOKEN, pos: int = 0,
               endpos: Optional[int] = None) -> List[_Tok]:
     """The tokens of ``text[pos:endpos]`` in one regex pass; positions are
-    offsets, turned into line and column only for an error."""
+    offsets, turned into line and column only for an error.  A token is
+    built by ``tuple.__new__``, which skips the generated ``_Tok.__new__``."""
     out = []
     append = out.append
+    new = tuple.__new__
     endpos = len(text) if endpos is None else endpos
     for m in lexer.finditer(text, _LEADING.match(text, pos, endpos).end(), endpos):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}",
                              *_line_col(text, m.start()))
-        append(_Tok(kind, m[kind], m.start()))
+        append(new(_Tok, (kind, m[kind], m.start())))
     return out
 
 
@@ -91,6 +97,17 @@ class _Stream:
         self.text = text
         self.toks = toks
         self.pos = 0
+        self.squares = 0         # of the dimensions and ranks declared so far
+
+    def declare(self, squares: int) -> None:
+        """Add a declaration's summed squares of dimensions or ranks to the
+        document's, which ``MAX_DIM^2`` bounds as it bounds those of one
+        sequence or complex (``dualseq.config``)."""
+        self.squares += squares
+        if self.squares > MAX_DIM * MAX_DIM:
+            raise ValidationFailed(
+                f"the squares of the dimensions and ranks declared in the document "
+                f"sum to {self.squares}, more than the limit of {MAX_DIM}^2")
 
     def error(self, message: str, tok: Optional[_Tok]) -> ParseError:
         """A ``ParseError`` at ``tok``, or at line 1, column 1 for none."""
@@ -101,6 +118,20 @@ class _Stream:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def next(self, expect_kind: str = None, expect_text: str = None) -> _Tok:
+        pos, toks = self.pos, self.toks
+        if pos < len(toks):
+            # the common case: a plain token that meets the expectation
+            tok = toks[pos]
+            kind = tok[0]
+            if (kind != "matrix" and (not expect_kind or kind == expect_kind)
+                    and (not expect_text or tok[1] == expect_text)):
+                self.pos = pos + 1
+                return tok
+        return self._next(expect_kind, expect_text)
+
+    def _next(self, expect_kind: Optional[str], expect_text: Optional[str]) -> _Tok:
+        """``next`` at the end of the document, on a matrix literal, or for
+        a token that fails the expectation."""
         tok = self.peek()
         if tok is None:
             last = self.toks[-1] if self.toks else None
@@ -121,9 +152,9 @@ class _Stream:
         return tok
 
     def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
-            self.pos += 1
+        pos, toks = self.pos, self.toks
+        if pos < len(toks) and toks[pos][1] == text:
+            self.pos = pos + 1
             return True
         return False
 
@@ -169,10 +200,10 @@ def check_span(lo, hi, what: str) -> None:
                                    f"more than the limit of {MAX_SPAN} from 0")
 
 
-def _check_dims(dims, what: str) -> None:
+def _check_dims(dims, what: str) -> int:
     """Refuse dimensions or ranks whose squares sum to more than
     ``MAX_DIM**2``, among them any one above ``MAX_DIM`` (``dualseq.config``),
-    before anything is built for them."""
+    before anything is built for them; else give that sum."""
     total = sum(d * d for d in dims)
     if total > MAX_DIM * MAX_DIM:
         big = max(dims)
@@ -180,6 +211,7 @@ def _check_dims(dims, what: str) -> None:
             raise ValidationFailed(f"{what} {big} is more than the limit of {MAX_DIM}")
         raise ValidationFailed(f"the squares of the {what}s sum to {total}, "
                                f"more than the limit of {MAX_DIM}^2")
+    return total
 
 
 def _int(s: _Stream, tok: _Tok) -> int:
@@ -232,13 +264,30 @@ def _parse_scalar(s: _Stream, field: Field):
 
 def _literal_entries(text: str, field: Field, rows: int, cols: int) -> Optional[tuple]:
     """The entries of a matrix token, row by row, or None when it is not
-    ``rows x cols`` or an entry is not a scalar of ``field``."""
+    ``rows x cols`` or an entry is not a scalar of ``field``.
+
+    A literal of ASCII integers is JSON, and the C scanner of ``json``
+    reads it.  What the scanner refuses goes to the ``str.split`` decoder:
+    a leading zero such as ``01`` or an entry of more digits than ``int``
+    converts (``ValueError``), or a non-ASCII decimal digit, which the
+    lexer admits (``StopIteration`` where it starts an entry).  So does a
+    literal it reads into another shape, and any literal with ``a/b``; only
+    that decoder refuses."""
+    p = field.p
+    if "/" not in text:
+        try:
+            cells = _SCAN(text, 0)[0]
+        except (ValueError, StopIteration):
+            pass
+        else:
+            if len(cells) == rows and all(len(r) == cols for r in cells):
+                flat = [x for r in cells for x in r]
+                return tuple([x % p for x in flat]) if p is not None else tuple(map(Fraction, flat))
     inner = "".join(text.split())[1:-1]          # "[1,0],[2/3,-4]", "" or "[],[]"
     cells = [r.split(",") if r else [] for r in inner[1:-1].split("],[")] if inner else []
     if len(cells) != rows or any(len(r) != cols for r in cells):
         return None
     flat = [x for r in cells for x in r]
-    p = field.p
     try:
         if "/" in inner:
             return tuple([_scalar(x, field) for x in flat])
@@ -311,7 +360,9 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
             b = _parse_endpoint(s)
             check_span(a, b, "interval")
             s.next("punct", "}")
-            return interval(field, a, b)
+            v = interval(field, a, b)
+            s.declare(len(v.dims))      # each of dimension 1
+            return v
         if key.text == "window":
             window = _parse_window(s, key)
         elif key.text == "dims":
@@ -320,7 +371,7 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
             dims = tuple(_parse_int(s) for _ in range(window[1] - window[0] + 1))
             if any(d < 0 for d in dims):
                 raise s.error("dimensions must be nonnegative", key)
-            _check_dims(dims, "sequence dimension")
+            s.declare(_check_dims(dims, "sequence dimension"))
         elif key.text == "map":
             if dims is None:
                 raise s.error("map must follow dims", key)
@@ -367,7 +418,7 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
                 ranks.append(_parse_int(s))
             if not ranks:
                 raise s.error("ranks needs at least one entry", key)
-            _check_dims(ranks, "complex rank")
+            s.declare(_check_dims(ranks, "complex rank"))
         elif key.text in ("d1", "deps"):
             if ranks is None:
                 raise s.error(f"{key.text} must follow ranks", key)
@@ -429,6 +480,11 @@ def _parse_morphism(s: _Stream, field: Field, doc: Document) -> HatMorphism:
                 raise s.error("morphism tails must be zero or constant", t)
         else:
             raise s.error(f"unknown morphism key {key.text!r}", key)
+    if not one_raw and not eps_raw:
+        # the zero morphism: one zero element for both parts, and no
+        # morphism check, which a zero element passes unread
+        _require_one_field(src, dst)
+        return zero_hat(src, dst)
     if window is None:
         window = (min(src.lo, dst.lo), max(src.hi, dst.hi))
     lo, hi = window

@@ -565,8 +565,14 @@ sys.exit(main(sys.argv[1:]))
     ("seq V { window 0 0 dims 80 }\n", ("hom", "V", "V", "--json"),
      "hom basis of 6400 vectors of 6400 coordinates has 40960000 entries, "
      "more than the limit of 8000000"),
+    # 400 declarations, each within the limits, in 14.7 KB: refused at the
+    # second, before the 512 shared zero blocks of distinct shapes fill memory
+    ("".join(f"seq S{k} {{ window 0 1 dims {700 - k} 700 }}\n" for k in range(400)),
+     ("decompose", "S0"),
+     "the squares of the dimensions and ranks declared in the document sum to "
+     "1958601, more than the limit of 1000^2"),
 ], ids=["dims-with-morphism", "dims", "ranks", "dims-staircase", "hom-window",
-        "hom-kernel"])
+        "hom-kernel", "document"])
 def test_oversized_input_exits_one_under_a_memory_cap(tmp_path, text, args, message):
     p = tmp_path / "big.txt"
     p.write_text("field 2\n" + text)

@@ -3,13 +3,16 @@
 The text front end gets the fixture documents with one character deleted,
 inserted or replaced: parsing must give a document or a
 ``ParseError``/``ValidationFailed``, and the CLI an exit code of 0, 1 or 2,
-never a traceback.  The JSON readers get valid payloads with keys dropped,
-values swapped for other types and junk put in: each must return a value or
-raise ``ValidationFailed``.
+never a traceback.  A fixed corpus of such mutations pins what each parse
+gives, value or error, so a faster parser must give the same.  The JSON
+readers get valid payloads with keys dropped, values swapped for other
+types and junk put in: each must return a value or raise
+``ValidationFailed``.
 """
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -22,8 +25,8 @@ from dualseq.barcode import decompose
 from dualseq.errors import ParseError, ValidationFailed
 from dualseq.gen import random_eps_complex, random_seq
 from dualseq.io import (Document, barcode_from_json, barcode_to_json, complex_from_json,
-                        complex_to_json, field_from_json, field_to_json, parse_document,
-                        seq_from_json, seq_to_json)
+                        complex_to_json, field_from_json, field_to_json,
+                        morphism_to_json, parse_document, seq_from_json, seq_to_json)
 from dualseq.linalg import Field
 from dualseq.seq import interval
 from test_cli import DOC as CLI_DOC
@@ -85,6 +88,43 @@ def test_mutated_document_cli_exit_codes(doc_file, case, as_json):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(args)
     assert code in (0, 1, 2)
+
+
+def _outcome(text):
+    """What parsing ``text`` gives, as JSON: every value of the document, or
+    the error's class, message, line and column."""
+    try:
+        doc = parse_document(text)
+    except (ParseError, ValidationFailed) as e:
+        return [type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None)]
+    return {"field": field_to_json(doc.field),
+            "seqs": {k: seq_to_json(v) for k, v in doc.seqs.items()},
+            "complexes": {k: complex_to_json(c) for k, c in doc.complexes.items()},
+            "morphisms": {k: morphism_to_json(h) for k, h in doc.morphisms.items()},
+            "diagrams": sorted(doc.diagrams), "derivations": sorted(doc.derivations)}
+
+
+# the characters the corpus below puts in: those of the fuzz tests, and a
+# fullwidth and an Arabic-Indic 3, decimal digits that ``\d`` admits
+CORPUS_ALPHABET = ALPHABET + "\uff13\u0663"
+# the SHA-256 of the texts of the corpus below and their outcomes: a parser
+# that changes any value, message, line or column changes it
+OUTCOMES_SHA256 = "4c583a7f7f15a18d18b3a1f6958a2e3901ff22a64ad3ca15abb123ad74001291"
+
+
+def test_mutation_corpus_outcomes_are_pinned():
+    # the stdlib generator draws the same corpus on every Python and
+    # Hypothesis version
+    rng = random.Random(30)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        doc, _commands = rng.choice(FIXTURES)
+        i = rng.randint(0, len(doc) - 1)
+        ch = rng.choice(CORPUS_ALPHABET)
+        text = rng.choice([doc[:i] + doc[i + 1:], doc[:i] + ch + doc[i:],
+                           doc[:i] + ch + doc[i + 1:]])
+        h.update(json.dumps([text, _outcome(text)], sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == OUTCOMES_SHA256
 
 
 # -- JSON payloads -----------------------------------------------------------

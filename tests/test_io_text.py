@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualseq import io as dualseq_io
 from dualseq.errors import ParseError, ValidationFailed
 from dualseq.gen import random_matrix, random_scalar, random_seq
 from dualseq.graded import base_window, make_element
@@ -139,6 +140,72 @@ def test_comment_inside_a_matrix_is_skipped():
 def test_denominator_divisible_by_p_fails_validation(entry):
     with pytest.raises(ValidationFailed, match="not invertible mod 5"):
         parse_document(HEAD + f"  map 0 [[1, 2], [3, {entry}]]\n}}\n")
+
+
+# (rows, cols, literal) of ``map 0``: what the C scanner of ``json`` reads,
+# what it refuses (with ``ValueError``, or ``StopIteration`` at a non-ASCII
+# digit that starts an entry), and what it never sees
+LITERALS = [
+    (2, 2, "[[-0, 0], [0, -0]]"),
+    (2, 2, "[[1, -12345678901234567890], [-7, 4]]"),
+    (2, 2, "[[01, 2], [3, 4]]"),
+    (2, 2, "[[-01, 2], [3, 4]]"),
+    (2, 2, "[[1, 2], [3, " + "9" * 4301 + "]]"),
+    (2, 2, "[ [1 ,\n 2] ,\t[3,\r\n 4 ] ]"),
+    (0, 2, "[]"),
+    (1, 0, "[[]]"),
+    (2, 0, "[[],[]]"),
+    (0, 2, "[[]]"),
+    (2, 0, "[]"),
+    (2, 2, "[[1, 2], [3]]"),
+    (2, 2, "[[1, 2, 3], [4, 5, 6]]"),
+    (2, 2, "[[1], [2], [3]]"),
+    (2, 2, "[[1/0, 2], [3, 4]]"),
+    (2, 2, "[[1/2, 2], [-3, 4/3]]"),
+    (2, 2, "[[2/4, -0], [6/1, 01]]"),
+    (2, 2, "[[\uff13, 2], [3, 4]]"),
+    (2, 2, "[[1, -\u0663], [3, 4]]"),
+    (2, 2, "[[1, 2\uff13], [3, 4]]"),
+    (2, 2, "[[1/\u0663, 2], [3, 4]]"),
+]
+
+
+def _literal_outcome(field, rows, cols, literal):
+    """The entries of ``literal`` parsed as a map and their types, or the
+    refusal with its message, line and column."""
+    text = (f"field {'Q' if field.p is None else field.p}\nseq A {{\n  window 0 1\n"
+            f"  dims {cols} {rows}\n  map 0 {literal}\n}}\n")
+    try:
+        m = parse_document(text).seq("A").map_at(0)
+    except (ParseError, ValidationFailed) as e:
+        return type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None)
+    return m.rows, m.cols, m.data, [type(x) for x in m.data]
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=["F2", "F5", "Q"])
+def test_literal_decoders_agree(monkeypatch, field):
+    fast = [_literal_outcome(field, *case) for case in LITERALS]
+
+    def refuse(text, i):
+        raise ValueError("no scanner")
+
+    # with the scanner refusing every literal, the str.split decoder reads
+    # all; a parser without the scanner reads them so in both runs
+    monkeypatch.setattr(dualseq_io, "_SCAN", refuse, raising=False)
+    assert [_literal_outcome(field, *case) for case in LITERALS] == fast
+
+
+def test_integer_literals_go_through_the_scanner(monkeypatch):
+    scanned = []
+
+    def scan(text, i, scan=dualseq_io._SCAN):
+        scanned.append(text)
+        return scan(text, i)
+
+    monkeypatch.setattr(dualseq_io, "_SCAN", scan)
+    for case in LITERALS:
+        _literal_outcome(F5, *case)
+    assert scanned == [lit for _, _, lit in LITERALS if "/" not in lit]
 
 
 # -- round trip ---------------------------------------------------------------
