@@ -45,7 +45,11 @@ observation, not part of the proof).
 The work follows the nonzeros, and stops at echelon form.  Both systems
 are the dict rows ``{column: entry}`` of ``graded.differential_rows``, each
 touching two adjacent degree blocks, and both are reduced in place by
-``linalg._rref`` without back substitution.  Neither answer needs it:
+``linalg._rref(..., reduced=False)`` to an echelon basis, built by
+insertion: each row is reduced by the stored pivot row at its lead, one
+dict lookup, until its lead is new or it is zero.  Which echelon basis
+comes out depends on the order of the rows, but its pivots do not, and
+neither answer depends on more than the pivots and the row space:
 
 * the kernel basis of ``d^0``, one vector per free column with 1 there and
   0 at the other free columns, is unique, and ``linalg._kernel_vectors``

@@ -342,6 +342,12 @@ def _once(s: _Stream, seen: set, tok: _Tok, *item) -> None:
     seen.add(item)
 
 
+def _declared(raw: dict, k: int, field: Field, rows: int, cols: int) -> Matrix:
+    """The matrix declared at ``k``, or else the zero one of its shape."""
+    m = raw.get(k)
+    return m if m is not None else Matrix.zeros(field, rows, cols)
+
+
 def _parse_seq(s: _Stream, field: Field) -> Seq:
     s.next("punct", "{")
     window = None
@@ -392,7 +398,7 @@ def _parse_seq(s: _Stream, field: Field) -> Seq:
     if window is None or dims is None:
         raise s.error("sequence needs window and dims", s.peek())
     lo, hi = window
-    maps = [maps_raw.get(i, Matrix.zeros(field, dims[i - lo + 1], dims[i - lo]))
+    maps = [_declared(maps_raw, i, field, dims[i - lo + 1], dims[i - lo])
             for i in range(lo, hi)]
     return make_seq(field, lo, dims, maps, tails[0], tails[1])
 
@@ -435,10 +441,8 @@ def _parse_complex(s: _Stream, field: Field) -> EpsComplex:
         raise s.error("complex needs ranks", s.peek())
     n = len(ranks)
     check_span(degree, degree + n - 1, "complex window")
-    d1 = tuple(d1_raw.get(k, Matrix.zeros(field, ranks[k + 1], ranks[k]))
-               for k in range(n - 1))
-    deps = tuple(deps_raw.get(k, Matrix.zeros(field, ranks[k + 1], ranks[k]))
-                 for k in range(n - 1))
+    d1 = tuple(_declared(d1_raw, k, field, ranks[k + 1], ranks[k]) for k in range(n - 1))
+    deps = tuple(_declared(deps_raw, k, field, ranks[k + 1], ranks[k]) for k in range(n - 1))
     c = EpsComplex(field, degree, tuple(ranks), d1, deps)
     rep = validate(c)
     if not rep.ok:

@@ -5,13 +5,23 @@ desk scale), and scalars are exact: Python ints reduced mod p, or
 ``fractions.Fraction``.  No floats anywhere.  Every elimination of a
 system goes through one sparse core, ``_rref``, on rows stored as dicts
 ``{column: nonzero}``: its cost follows the nonzeros, which is what the
-constraint systems of the hom windows need (a few nonzeros per row), and
-its result is exactly the Gauss-Jordan one, so callers that convert dense
-rows with ``_dict_rows`` see no difference.  ``subspaces`` reads the
-kernel and image off one elimination of the matrix's own rows,
-``_solve_rows`` eliminates dict rows ``[a | b]`` and reads the solution
-off the trailing columns, and ``inverse`` is ``solve(a, identity)``.  Only
-``split_map``, the bases adapted to a map, carries a transform witness.
+constraint systems of the hom windows need (a few nonzeros per row).  It
+has two modes.  ``reduced=True`` is exactly Gauss-Jordan, so callers that
+convert dense rows with ``_dict_rows`` see no difference.
+``reduced=False`` builds an echelon basis of the rows by insertion, each
+row reduced by the stored pivot row at its lead until its lead is new or
+it is zero.  Every echelon basis of a row space has the same pivot set,
+the leads of its nonzero vectors, so both modes give Gauss-Jordan's rank
+and pivots.  Given the pivots, the kernel basis with 1 at one free column
+and 0 at the others is unique, and so is the representative of a coset
+with zeros at every pivot: the readers ``_kernel_vectors`` and
+``_reduce_vec`` give the same answers on either mode's rows.  ``rank``,
+``subspaces`` and the hom windows ask for ``reduced=False``;
+``subspaces`` reads the kernel and image off one elimination of the
+matrix's own rows.  ``_solve_rows`` eliminates dict rows ``[a | b]`` with
+``reduced=True`` and reads the solution off the trailing columns, and
+``inverse`` is ``solve(a, identity)``.  Only ``split_map``, the bases
+adapted to a map, carries a transform witness.
 The one reduction outside this module is ``barcode.decompose``: the elder
 rule needs each bar's image reduced, oldest bar first, against its own
 running echelon basis of the images kept so far, one vector at a time.
@@ -23,8 +33,9 @@ common denominator of its entries and divides once per output entry.
 ``_rref`` scales a row to integers when a step first uses it, and each
 forward step is ``row_i := piv * row_i - x * row_p`` with the content (the
 gcd of the entries) removed, where Gauss-Jordan subtracts ``x / piv`` times
-the pivot row; back substitution runs the same way.  The pivots, swaps and
-steps are Gauss-Jordan's, and each integer row is a nonzero multiple of the
+the pivot row; back substitution runs the same way, and so does each step
+of an insertion.  With ``reduced=True`` the pivots, swaps and steps are
+Gauss-Jordan's, and each integer row is a nonzero multiple of the
 Gauss-Jordan row: true when it is scaled, and kept by every step, since a
 step combines two such multiples with coefficients that differ from
 Gauss-Jordan's by one common nonzero factor.  So the zero patterns, and
@@ -396,25 +407,30 @@ def _scaled(a: list, scale: list, i: int) -> dict:
 
 
 def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
-    """Gauss-Jordan on a list of dict rows ``{column: nonzero entry}``;
-    returns (rank, pivots).
+    """Elimination of a list of dict rows ``{column: nonzero entry}`` on
+    their first ``width`` columns; returns (rank, pivots).
 
     The rows are eliminated in place (``_dict_rows`` converts dense ones).
-    On return ``a`` holds the rref rows, nonzero ones first.
+    Trailing columns come along for the ride; that is how ``_solve_rows``
+    carries its right-hand sides.  A row's lead is ``min(row)``, and a lead
+    ``>= width`` means the row is zero on the eliminated columns.  The work
+    follows the nonzeros.
 
-    Only the first ``width`` columns are eliminated; trailing columns come
-    along for the ride.  That is how ``_solve_rows`` carries its right-hand
-    sides.
+    Both modes return Gauss-Jordan's rank and pivots: every echelon basis of
+    a row space has the same pivot set, the leads of its nonzero vectors.
 
-    The work follows the nonzeros.  Each row's lead column is kept in a list
-    (``min(row)``; a lead ``>= width`` means the row is zero on the
-    eliminated columns).  Pivots are taken in Gauss-Jordan's order: the
-    next pivot column is the least lead at or below the current row, and
-    the pivot row the first row there with that lead, swapped up.  Only the
-    rows below the pivot are eliminated; back substitution then runs from
-    the last pivot row up.  With ``reduced=False`` it is skipped and the
-    nonzero rows are left in echelon form: the rank and pivots are the
-    same, and they are all a rank needs.
+    ``reduced=False`` builds an echelon basis by insertion (``_echelon``),
+    all that a rank, a kernel basis or a coset representative needs.  On
+    return ``a`` holds the pivot rows, pivot entry 1 and sorted by pivot,
+    then the leftover rows, zero on the first ``width`` columns.  The
+    pivot rows need not be Gauss-Jordan's echelon rows, but their rref is.
+
+    ``reduced=True`` is Gauss-Jordan, and on return ``a`` holds the rref
+    rows, nonzero ones first.  Pivots are taken in Gauss-Jordan's order: the
+    next pivot column is the least lead at or below the current row, and the
+    pivot row the first row there with that lead, swapped up.  Only the rows
+    below the pivot are eliminated; back substitution then runs from the
+    last pivot row up.
 
     The result is exactly Gauss-Jordan's, trailing columns included.  Both
     take the same pivots and swaps, and the rows below the current one get
@@ -431,6 +447,8 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
     1, are made Fractions again: a row no step touched is handed back as it
     came.
     """
+    if not reduced:
+        return _echelon(field, a, width)
     m = len(a)
     p = field.p
     scale = [None] * m if p is None else None
@@ -472,23 +490,22 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
             leads[i] = min(ai) if ai else width
         pivots.append(c)
         r += 1
-    if reduced:
-        # back substitution: final rows are zero at every other pivot, so
-        # (over F_p, where the pivot rows are not rescaled) the coefficients
-        # can all be read off the echelon row first
-        pos = {c: k for k, c in enumerate(pivots)}
-        final = [None] * r
-        for k in range(r - 1, -1, -1):
-            row = a[k]
-            for c, x in [(c, x) for c, x in row.items() if c in pos and pos[c] > k]:
-                if p is not None:
-                    _sub_row(row, x, final[pos[c]], p)
-                else:
-                    row = _scaled(a, scale, k)
-                    other = _scaled(a, scale, pos[c])
-                    a[k] = row = _int_step(row, other[c], row[c], other.items())[0]
+    # back substitution: final rows are zero at every other pivot, so (over
+    # F_p, where the pivot rows are not rescaled) the coefficients can all
+    # be read off the echelon row first
+    pos = {c: k for k, c in enumerate(pivots)}
+    final = [None] * r
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        for c, x in [(c, x) for c, x in row.items() if c in pos and pos[c] > k]:
             if p is not None:
-                final[k] = list(row.items())
+                _sub_row(row, x, final[pos[c]], p)
+            else:
+                row = _scaled(a, scale, k)
+                other = _scaled(a, scale, pos[c])
+                a[k] = row = _int_step(row, other[c], row[c], other.items())[0]
+        if p is not None:
+            final[k] = list(row.items())
     if p is None:
         # a scaled pivot row is a multiple of its Gauss-Jordan row with
         # pivot 1; a scaled row below the rank is num/den times its
@@ -502,6 +519,77 @@ def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
                 continue
             a[k] = {j: _rational(x * q, d) for j, x in a[k].items()}
     return r, tuple(pivots)
+
+
+def _echelon(field: Field, a: list, width: int) -> tuple:
+    """``_rref(field, a, width, reduced=False)``: an echelon basis of the
+    rows, built by insertion.
+
+    Each row in turn is reduced by the stored pivot row at its lead, found
+    by one dict lookup, until either its lead is new, and it is stored with
+    pivot entry 1, or it is zero on the first ``width`` columns.  Every row
+    the input rows span is reduced to zero by the stored rows, so these are
+    an echelon basis of the row space.  On return ``a`` holds the pivot
+    rows in increasing pivot order, each zero before its pivot, followed by
+    the leftover rows, which are zero on the first ``width`` columns; each
+    leftover row is its input row minus a combination of pivot rows.
+
+    Over Q the steps run on integer rows, as ``reduced=True`` does: a row is
+    scaled to integers when a step first uses it, and holds ``num / den``
+    times its rational row from then on.  A pivot row handed back is made a
+    Fraction row with pivot entry 1 unless it came in with pivot 1 and no
+    step touched it.
+    """
+    p = field.p
+    basis, rest = {}, []    # pivot column -> pivot row; the leftover rows
+    ints = {}               # over Q: pivot column -> its pivot row as integers
+    for row in a:
+        c = min(row) if row else width
+        if p is not None:
+            while c < width:
+                other = basis.get(c)
+                if other is None:
+                    x = row[c]
+                    if x != 1:
+                        inv = field.inv(x)
+                        row = {j: y * inv % p for j, y in row.items()}
+                    basis[c] = row
+                    break
+                _sub_row(row, row[c], other.items(), p)
+                c = min(row) if row else width
+            else:
+                rest.append(row)
+            continue
+        num = None
+        while c < width:
+            if c not in basis:
+                basis[c] = row
+                if num is not None:
+                    ints[c] = row
+                break
+            other = ints.get(c)
+            if other is None:
+                ints[c] = other = _int_row(basis[c])[0]
+            if num is None:
+                row, num, den = _int_row(row)
+            piv = other[c]
+            row, g = _int_step(row, piv, row[c], other.items())
+            num, den = num * piv, den * g
+            c = min(row) if row else width
+        else:
+            if num is not None:
+                row = {j: _rational(x * den, num) for j, x in row.items()}
+            rest.append(row)
+    pivots = sorted(basis)
+    if p is None:
+        for c in pivots:
+            row = basis[c]
+            if ints.get(c) is row or row[c] != 1:
+                row = ints.get(c) or _int_row(row)[0]
+                piv = row[c]
+                basis[c] = {j: _rational(x, piv) for j, x in row.items()}
+    a[:] = [basis[c] for c in pivots] + rest
+    return len(pivots), tuple(pivots)
 
 
 def _dict_rows(rows) -> list:
@@ -612,7 +700,7 @@ def subspaces(m: Matrix) -> SubspaceData:
     f = m.field
     k = m.cols
     rows = _matrix_rows(m)
-    _, pivots = _rref(f, rows, k)
+    _, pivots = _rref(f, rows, k, reduced=False)
     ker = _kernel_vectors(f, rows, pivots, k)
     kernel = tuple(vec[i] for i in range(k) for vec in ker)    # a column per vector
     image = tuple(m.data[i * k + c] for i in range(m.rows) for c in pivots)

@@ -204,6 +204,45 @@ def test_wider_margin_changes_no_answer(monkeypatch, margin):
         assert answers(*case) == (margin, *rest)
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_context_does_not_depend_on_row_order(monkeypatch, order):
+    # the kernel basis, the coset data and everything built on them are
+    # fixed by the row space of d^0 and the column space of d^-1, not by
+    # the order in which their rows and columns reach the elimination
+    rng = random.Random(80 + len(order))
+    cases = []
+    for k in range(40):
+        f = (F2, F5, Q)[k % 3]
+        v = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        w = _with_rays(rng, f, random_seq(rng, f, max_bars=3, lo=-2, hi=2))
+        cases.append((v, w, [random_graded_element(rng, v, w) for _ in range(2)]))
+
+    def answers(v, w, els):
+        ctx = HomContext(v, w)
+        return (ctx.ker_basis_vecs, ctx.img_pivots, ctx.nonpivots, ctx.dim_hom, ctx.dim_eps,
+                ctx.hom_basis(), ctx.eps_basis(), [ctx.eps_coords(g) for g in els])
+
+    want = [answers(*case) for case in cases]
+    real = hom.differential_rows
+
+    def permuted(k):
+        perm = list(range(k))[::-1]
+        if order == "shuffled":
+            rng.shuffle(perm)
+        return perm
+
+    def reordered(v, w, n, lo, hi):
+        rows = real(v, w, n, lo, hi)
+        if n == 0:
+            return [rows[i] for i in permuted(len(rows))]
+        # the columns of d^-1 are the vectors its image is reduced from
+        perm = permuted(hom_layout(v, w, n, lo, hi)[1])
+        return [{perm[j]: x for j, x in row.items()} for row in rows]
+
+    monkeypatch.setattr(hom, "differential_rows", reordered)
+    assert [answers(*case) for case in cases] == want
+
+
 @pytest.mark.parametrize("extra_checks", [1, 2, 3])
 @pytest.mark.parametrize("base_margin", [0, 1])
 def test_certificate_checks_match_fresh_eliminations(base_margin, extra_checks):

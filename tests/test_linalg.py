@@ -406,6 +406,61 @@ def test_rref_dict_rows_match_dense_oracle(field):
         assert [[row.get(j, field.zero) for j in range(n)] for row in rows] == want_rows
 
 
+def _echelon_cases(rng, field):
+    """Window-shaped systems and random sparse and dense matrices, as dense
+    rows with an elimination width and trailing columns, each with some
+    zero rows and repeated rows appended."""
+    cases = []
+    for _ in range(30):
+        rows, width, n = _window_system(rng, field, rng.randint(1, 8))
+        cases.append(([[row.get(j, field.zero) for j in range(n)] for row in rows], width, n))
+    for _ in range(30):
+        r, n = rng.randint(1, 9), rng.randint(1, 9)
+        m = _random_matrix(rng, field, r, n, rng.choice([1.0, 0.3, 0.1]))
+        cases.append((m.to_lists(), rng.randint(0, n), n))
+    for dense, width, n in cases:
+        extra = [[field.zero] * n for _ in range(rng.randint(0, 2))]
+        extra += [list(row) for row in rng.sample(dense, min(len(dense), rng.randint(0, 2)))]
+        yield dense + extra, width, n
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_echelon_rows_match_oracle(field):
+    # _rref(reduced=False) in any row order: Gauss-Jordan's rank and pivots;
+    # the rows up to the rank are echelon rows with pivot entries 1 whose
+    # rref on the eliminated columns is the oracle's, the rows after them
+    # are zero there, and all of them span the rows given.  The kernel
+    # basis read off the echelon rows is the oracle's in every order.
+    rng = random.Random(140 + (field.p or 0))
+    zero = field.zero
+    for dense, width, n in _echelon_cases(rng, field):
+        want_rank, want_pivots, want_rows = gauss_jordan(field, dense, width)
+        span = gauss_jordan(field, dense, n)
+        free = [j for j in range(width) if j not in want_pivots]
+        want_ker = [[field.one if i == fj
+                     else field.neg(want_rows[want_pivots.index(i)][fj]) if i in want_pivots
+                     else zero for i in range(width)] for fj in free]
+        for order in [dense, dense[::-1]] + [rng.sample(dense, len(dense)) for _ in range(2)]:
+            work = _dict_rows(order)
+            assert _rref(field, work, width, reduced=False) == (want_rank, want_pivots)
+            assert len(work) == len(order)
+            top, rest = work[:want_rank], work[want_rank:]
+            assert all(min(row) == c and row[c] == 1 for row, c in zip(top, want_pivots))
+            assert field.p is not None or all(_fractions(row.values()) for row in top)
+            rref = gauss_jordan(field, [[row.get(j, zero) for j in range(n)] for row in top],
+                                width)[2]
+            assert [row[:width] for row in rref] == [row[:width] for row in want_rows[:want_rank]]
+            assert all(min(row, default=width) >= width for row in rest)
+            assert gauss_jordan(field, [[row.get(j, zero) for j in range(n)] for row in work],
+                                n) == span
+            proj = _dict_rows(row[:width] for row in order)
+            _, pivots = _rref(field, proj, width, reduced=False)
+            got = _kernel_vectors(field, proj, pivots, width)
+            assert got == want_ker
+            assert [type(x) for vec in got for x in vec] == [type(x) for vec in want_ker
+                                                              for x in vec]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_row_block_matches_list_slices(field):
     # every range, empty ones and zero-column matrices included
