@@ -102,7 +102,7 @@ def random_deps_for(rng: random.Random, field: Field, ranks: List[int],
     v = Seq(field, 0, n - 1, tuple(ranks), tuple(d1), Tail.ZERO, Tail.ZERO)
     off, total = hom_layout(v, v, 1, 0, n - 2)
     rows = differential_rows(v, v, 1, 0, n - 2)
-    _, pivots = _rref(field, rows, total, reduced=False)
+    _, pivots = _rref(field, rows, total)
     # one scalar per free column, in column order, on its kernel vector
     p = field.p
     vec = [field.zero] * total

@@ -45,9 +45,9 @@ observation, not part of the proof).
 The work follows the nonzeros, and stops at echelon form.  Both systems
 are the dict rows ``{column: entry}`` of ``graded.differential_rows``, each
 touching two adjacent degree blocks, and both are reduced in place by
-``linalg._rref(..., reduced=False)`` to an echelon basis, built by
-insertion: each row is reduced by the stored pivot row at its lead, one
-dict lookup, until its lead is new or it is zero.  Which echelon basis
+``linalg._rref`` to an echelon basis, built by insertion: each row is
+reduced by the stored pivot row at its lead, one dict lookup, until its
+lead is new or it is zero.  Which echelon basis
 comes out depends on the order of the rows, but its pivots do not, and
 neither answer depends on more than the pivots and the row space:
 
@@ -117,7 +117,7 @@ class HomContext:
                                    f"more than the limit of {MAX_HOM_WINDOW}")
 
         d0 = differential_rows(v, w, 0, L, R)
-        rank0, piv0 = _rref(f, d0, n, reduced=False)
+        rank0, piv0 = _rref(f, d0, n)
         self.dim_hom = n - rank0
         if self.dim_hom * n > MAX_KERNEL_CELLS:
             raise ValidationFailed(
@@ -132,7 +132,7 @@ class HomContext:
         for r, row in enumerate(differential_rows(v, w, -1, L, R + 1)):
             for j, x in row.items():
                 img[j][r] = x
-        rank1, self.img_pivots = _rref(f, img, n, reduced=False)
+        rank1, self.img_pivots = _rref(f, img, n)
         self.dim_eps = n - rank1
         self.img_rows = img[:rank1]
         pivset = set(self.img_pivots)

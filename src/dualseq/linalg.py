@@ -6,22 +6,26 @@ desk scale), and scalars are exact: Python ints reduced mod p, or
 system goes through one sparse core, ``_rref``, on rows stored as dicts
 ``{column: nonzero}``: its cost follows the nonzeros, which is what the
 constraint systems of the hom windows need (a few nonzeros per row).  It
-has two modes.  ``reduced=True`` is exactly Gauss-Jordan, so callers that
-convert dense rows with ``_dict_rows`` see no difference.
-``reduced=False`` builds an echelon basis of the rows by insertion, each
-row reduced by the stored pivot row at its lead until its lead is new or
-it is zero.  Every echelon basis of a row space has the same pivot set,
-the leads of its nonzero vectors, so both modes give Gauss-Jordan's rank
-and pivots.  Given the pivots, the kernel basis with 1 at one free column
-and 0 at the others is unique, and so is the representative of a coset
-with zeros at every pivot: the readers ``_kernel_vectors`` and
-``_reduce_vec`` give the same answers on either mode's rows.  ``rank``,
-``subspaces`` and the hom windows ask for ``reduced=False``;
-``subspaces`` reads the kernel and image off one elimination of the
-matrix's own rows.  ``_solve_rows`` eliminates dict rows ``[a | b]`` with
-``reduced=True`` and reads the solution off the trailing columns, and
-``inverse`` is ``solve(a, identity)``.  Only ``split_map``, the bases
-adapted to a map, carries a transform witness.
+builds an echelon basis of the rows by insertion, each row reduced by the
+stored pivot row at its lead until its lead is new or it is zero.  Every
+echelon basis of a row space has the same pivot set, the leads of its
+nonzero vectors, so the rank and pivots are Gauss-Jordan's.  Which echelon
+basis comes out depends on the order of the rows, but no answer read off
+it does, since each is unique once the pivots are fixed:
+
+* the kernel basis with 1 at one free column and 0 at the others
+  (``_kernel_vectors``);
+* the solution of ``a x = b`` with every free variable zero: for each
+  column of ``b``, the kernel vector of ``[a | b]`` with -1 there
+  (``_solve_rows``);
+* the representative of a coset with zeros at every pivot
+  (``_reduce_vec``).
+
+``_back_substitute`` reads the first two off the rows, from the last pivot
+row up.  ``rank`` and ``subspaces`` eliminate the matrix's own rows once,
+``inverse`` is ``solve(a, identity)``, and ``split_map``, the bases
+adapted to a map, reads its cokernel coordinates and its section off the
+kernel of ``[image^T | I_r]``.
 The one reduction outside this module is ``barcode.decompose``: the elder
 rule needs each bar's image reduced, oldest bar first, against its own
 running echelon basis of the images kept so far, one vector at a time.
@@ -31,17 +35,12 @@ only for what they hand back: a ``Matrix`` entry, a returned row or
 vector.  ``Matrix.__matmul__`` scales each factor to integers by the least
 common denominator of its entries and divides once per output entry.
 ``_rref`` scales a row to integers when a step first uses it, and each
-forward step is ``row_i := piv * row_i - x * row_p`` with the content (the
-gcd of the entries) removed, where Gauss-Jordan subtracts ``x / piv`` times
-the pivot row; back substitution runs the same way, and so does each step
-of an insertion.  With ``reduced=True`` the pivots, swaps and steps are
-Gauss-Jordan's, and each integer row is a nonzero multiple of the
-Gauss-Jordan row: true when it is scaled, and kept by every step, since a
-step combines two such multiples with coefficients that differ from
-Gauss-Jordan's by one common nonzero factor.  So the zero patterns, and
-with them the pivots, agree, and a pivot row divided by its pivot entry on
-exit is exactly Gauss-Jordan's, trailing columns included; a row below the
-rank carries its scale along.  ``_kernel_vectors`` and ``_reduce_vec`` scale
+step is ``row := piv * row - x * pivot_row`` with the content (the gcd of
+the entries) removed, where the rational step subtracts ``x / piv`` times
+the pivot row.  Each integer row is a nonzero multiple of the rational row
+it stands for, so the zero patterns, and with them the pivots, are those of
+the rational steps, and a pivot row divided by its pivot entry on exit is
+the rational pivot row.  ``_back_substitute`` and ``_reduce_vec`` scale
 the rows they read the same way.  ``Field.zero`` and ``Field.one`` are one
 shared ``Fraction`` each.
 
@@ -398,147 +397,30 @@ def _int_step(row: dict, piv: int, x: int, items) -> tuple:
     return _primitive(out)
 
 
-def _scaled(a: list, scale: list, i: int) -> dict:
-    """Row ``i`` of ``_rref``'s rows over Q as integers, scaled on first use."""
-    if scale[i] is None:
-        a[i], num, den = _int_row(a[i])
-        scale[i] = num, den
-    return a[i]
+def _rref(field: Field, a: list, width: int) -> tuple:
+    """An echelon basis of a list of dict rows ``{column: nonzero entry}``
+    on their first ``width`` columns, built by insertion in place; returns
+    (rank, pivots), which are Gauss-Jordan's (module docstring).
 
-
-def _rref(field: Field, a: list, width: int, reduced: bool = True) -> tuple:
-    """Elimination of a list of dict rows ``{column: nonzero entry}`` on
-    their first ``width`` columns; returns (rank, pivots).
-
-    The rows are eliminated in place (``_dict_rows`` converts dense ones).
     Trailing columns come along for the ride; that is how ``_solve_rows``
     carries its right-hand sides.  A row's lead is ``min(row)``, and a lead
-    ``>= width`` means the row is zero on the eliminated columns.  The work
-    follows the nonzeros.
+    ``>= width`` means the row is zero on the eliminated columns.  Each row
+    in turn is reduced by the stored pivot row at its lead, found by one
+    dict lookup, until either its lead is new, and it is stored with pivot
+    entry 1, or it is zero on the first ``width`` columns.  Every row the
+    input rows span is reduced to zero by the stored rows, so these are an
+    echelon basis of the row space.  On return ``a`` holds the pivot rows
+    in increasing pivot order, each zero before its pivot, followed by the
+    leftover rows, which are zero on the first ``width`` columns; each
+    leftover row is its input row minus a combination of pivot rows.  The
+    pivot rows need not be Gauss-Jordan's rref rows, but their rref is,
+    and every answer read off them is unique once the pivots are fixed
+    (module docstring), so none depends on the order of the rows.
 
-    Both modes return Gauss-Jordan's rank and pivots: every echelon basis of
-    a row space has the same pivot set, the leads of its nonzero vectors.
-
-    ``reduced=False`` builds an echelon basis by insertion (``_echelon``),
-    all that a rank, a kernel basis or a coset representative needs.  On
-    return ``a`` holds the pivot rows, pivot entry 1 and sorted by pivot,
-    then the leftover rows, zero on the first ``width`` columns.  The
-    pivot rows need not be Gauss-Jordan's echelon rows, but their rref is.
-
-    ``reduced=True`` is Gauss-Jordan, and on return ``a`` holds the rref
-    rows, nonzero ones first.  Pivots are taken in Gauss-Jordan's order: the
-    next pivot column is the least lead at or below the current row, and the
-    pivot row the first row there with that lead, swapped up.  Only the rows
-    below the pivot are eliminated; back substitution then runs from the
-    last pivot row up.
-
-    The result is exactly Gauss-Jordan's, trailing columns included.  Both
-    take the same pivots and swaps, and the rows below the current one get
-    the same forward steps, so zero rows agree.  In Gauss-Jordan each final
-    pivot row is its echelon row plus multiples of later echelon rows,
-    made zero at the later pivots; that vector is unique because the later
-    echelon rows are triangular at their pivots, and back substitution
-    builds the same one.
-
-    Over Q the steps run on integer rows (module docstring).  A row is
-    scaled to integers when a step first uses it; then ``scale[i] = (num,
-    den)`` says that it holds ``num / den`` times its Gauss-Jordan row.
-    Only the rows handed back that were scaled, or whose pivot entry is not
-    1, are made Fractions again: a row no step touched is handed back as it
-    came.
-    """
-    if not reduced:
-        return _echelon(field, a, width)
-    m = len(a)
-    p = field.p
-    scale = [None] * m if p is None else None
-    leads = [min(row) if row else width for row in a]
-    pivots = []
-    r = 0
-    while r < m:
-        c = min(leads[r:])
-        if c >= width:
-            break
-        i = leads.index(c, r)
-        if i != r:
-            a[r], a[i] = a[i], a[r]
-            leads[r], leads[i] = leads[i], leads[r]
-            if p is None:
-                scale[r], scale[i] = scale[i], scale[r]
-        row = a[r]
-        piv = row[c]
-        if p is not None and piv != 1:
-            inv = field.inv(piv)
-            a[r] = row = {j: x * inv % p for j, x in row.items()}
-        # the other rows with lead c lie below i, the first one found
-        below = leads.count(c) - 1
-        if p is None and below:
-            row = _scaled(a, scale, r)
-            piv = row[c]
-        items = row.items()
-        for _ in range(below):
-            i = leads.index(c, i + 1)
-            if p is not None:
-                ai = a[i]
-                _sub_row(ai, ai[c], items, p)
-            else:
-                ai = _scaled(a, scale, i)
-                ai, g = _int_step(ai, piv, ai[c], items)
-                a[i] = ai
-                num, den = scale[i]
-                scale[i] = num * piv, den * g
-            leads[i] = min(ai) if ai else width
-        pivots.append(c)
-        r += 1
-    # back substitution: final rows are zero at every other pivot, so (over
-    # F_p, where the pivot rows are not rescaled) the coefficients can all
-    # be read off the echelon row first
-    pos = {c: k for k, c in enumerate(pivots)}
-    final = [None] * r
-    for k in range(r - 1, -1, -1):
-        row = a[k]
-        for c, x in [(c, x) for c, x in row.items() if c in pos and pos[c] > k]:
-            if p is not None:
-                _sub_row(row, x, final[pos[c]], p)
-            else:
-                row = _scaled(a, scale, k)
-                other = _scaled(a, scale, pos[c])
-                a[k] = row = _int_step(row, other[c], row[c], other.items())[0]
-        if p is not None:
-            final[k] = list(row.items())
-    if p is None:
-        # a scaled pivot row is a multiple of its Gauss-Jordan row with
-        # pivot 1; a scaled row below the rank is num/den times its
-        # Gauss-Jordan row
-        for k, row in enumerate(a):
-            if k < r and (scale[k] is not None or row[pivots[k]] != 1):
-                d, q = _scaled(a, scale, k)[pivots[k]], 1
-            elif scale[k] is not None:
-                d, q = scale[k]
-            else:
-                continue
-            a[k] = {j: _rational(x * q, d) for j, x in a[k].items()}
-    return r, tuple(pivots)
-
-
-def _echelon(field: Field, a: list, width: int) -> tuple:
-    """``_rref(field, a, width, reduced=False)``: an echelon basis of the
-    rows, built by insertion.
-
-    Each row in turn is reduced by the stored pivot row at its lead, found
-    by one dict lookup, until either its lead is new, and it is stored with
-    pivot entry 1, or it is zero on the first ``width`` columns.  Every row
-    the input rows span is reduced to zero by the stored rows, so these are
-    an echelon basis of the row space.  On return ``a`` holds the pivot
-    rows in increasing pivot order, each zero before its pivot, followed by
-    the leftover rows, which are zero on the first ``width`` columns; each
-    leftover row is its input row minus a combination of pivot rows.
-
-    Over Q the steps run on integer rows, as ``reduced=True`` does: a row is
-    scaled to integers when a step first uses it, and holds ``num / den``
-    times its rational row from then on.  A pivot row handed back is made a
-    Fraction row with pivot entry 1 unless it came in with pivot 1 and no
-    step touched it.
+    Over Q the steps run on integer rows: a row is scaled to integers when
+    a step first uses it, and holds ``num / den`` times its rational row
+    from then on.  A pivot row handed back is made a Fraction row with
+    pivot entry 1 unless it came in with pivot 1 and no step touched it.
     """
     p = field.p
     basis, rest = {}, []    # pivot column -> pivot row; the leftover rows
@@ -597,54 +479,65 @@ def _dict_rows(rows) -> list:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
-    """A basis of the kernel of a system in echelon form with pivot entries
-    1 (as ``_rref`` leaves it, reduced or not), as dense lists of length
-    ``n``: for each free column, the vector with 1 there and 0 at the other
-    free columns.  Its pivot coordinates follow by back substitution, from
-    the last pivot row up: each pivot variable is minus its row applied to
-    the later variables, kept as a combination of the free ones.  On rref
-    rows a row has no later pivot column, so that combination is just the
-    negated row.  Over Q a combination is kept as integers over one
-    denominator, from the row scaled to integers."""
-    zero, one, p = field.zero, field.one, field.p
-    pivset = set(pivots)
-    comb, vecs = {}, {}
-    for j in range(n):
-        if j not in pivset:
-            comb[j] = (((j, 1),), 1)
-            vecs[j] = vec = [zero] * n
-            vec[j] = one
+def _back_substitute(field: Field, rows: list, pivots: tuple, seed: dict) -> list:
+    """Back substitution on a system in echelon form with pivot entries 1
+    (as ``_rref`` leaves it): for each free column ``j`` of ``seed``, the
+    kernel vector with ``seed[j]`` at ``j`` and 0 at every other free
+    column.  Returns its pivot coordinates as triples (pivot column, ``j``,
+    nonzero entry).
+
+    From the last pivot row up, each pivot variable is minus its row
+    applied to the later variables, kept as a combination of the seeded
+    ones; a free column not in ``seed`` is a zero variable and is skipped,
+    and so is the pivot column itself, which has no combination yet.  Over
+    Q a combination is kept as integers over one denominator, from the row
+    scaled to integers."""
+    p = field.p
+    comb = {j: (((j, x),), 1) for j, x in seed.items()}
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         e = {}
         if p is not None:
             for j, x in rows[k].items():
-                if j != c:
+                if j in comb:
                     _sub_row(e, x, comb[j][0], p)
             comb[c] = (e.items(), 1)
             continue
         row = _int_row(rows[k])[0]
-        d = lcm(*[comb[j][1] for j in row if j != c])
+        d = lcm(*[comb[j][1] for j in row if j in comb])
         for j, x in row.items():
-            if j != c:
+            if j in comb:
                 items, dj = comb[j]
                 _sub_row(e, x * (d // dj), items, None)
         # the pivot variable is e / d
         d *= row[c]
         g = gcd(d, *e.values())
         comb[c] = ({j: x // g for j, x in e.items()}.items(), d // g)
-    for c in pivots:
-        items, d = comb[c]
-        for j, x in items:
-            vecs[j][c] = x if p is not None else _rational(x, d)
+    return [(c, j, x if p is not None else _rational(x, d))
+            for c in pivots for items, d in [comb[c]] for j, x in items]
+
+
+def _kernel_vectors(field: Field, rows: list, pivots: tuple, n: int) -> list:
+    """A basis of the kernel of a system in echelon form with pivot entries
+    1 (as ``_rref`` leaves it), as dense lists of length ``n``: for each
+    free column, the vector with 1 there and 0 at the other free columns,
+    its pivot coordinates from ``_back_substitute``."""
+    zero, one = field.zero, field.one
+    pivset = set(pivots)
+    vecs = {}
+    for j in range(n):
+        if j not in pivset:
+            vecs[j] = vec = [zero] * n
+            vec[j] = one
+    for c, j, x in _back_substitute(field, rows, pivots, dict.fromkeys(vecs, 1)):
+        vecs[j][c] = x
     return list(vecs.values())
 
 
 def _reduce_vec(field: Field, rows, pivots, vec) -> list:
     """``vec`` reduced by ``rows``, as a new list: dict rows in echelon form
-    with pivot entries 1 and increasing pivots (as ``_rref`` leaves them,
-    reduced or not).  Subtracting each row at its pivot, in that order,
+    with pivot entries 1 and increasing pivots (as ``_rref`` leaves them).
+    Subtracting each row at its pivot, in that order,
     zeroes the pivot coordinate for good, since the later rows are zero
     there.  So the result is the unique representative of ``vec`` modulo
     the row space with zeros at every pivot, and it is zero exactly when
@@ -700,7 +593,7 @@ def subspaces(m: Matrix) -> SubspaceData:
     f = m.field
     k = m.cols
     rows = _matrix_rows(m)
-    _, pivots = _rref(f, rows, k, reduced=False)
+    _, pivots = _rref(f, rows, k)
     ker = _kernel_vectors(f, rows, pivots, k)
     kernel = tuple(vec[i] for i in range(k) for vec in ker)    # a column per vector
     image = tuple(m.data[i * k + c] for i in range(m.rows) for c in pivots)
@@ -709,7 +602,7 @@ def subspaces(m: Matrix) -> SubspaceData:
 
 
 def rank(m: Matrix) -> int:
-    return _rref(m.field, _matrix_rows(m), m.cols, reduced=False)[0]
+    return _rref(m.field, _matrix_rows(m), m.cols)[0]
 
 
 def _placed(f: Field, rows: int, cols: int, entries) -> Matrix:
@@ -738,18 +631,24 @@ class SplitMap:
 
     @cached_property
     def _cok(self) -> tuple:
-        # the rref of [image^T | I_r]: its pivot coordinates Q give rest =
-        # e_N for the others, N, and its carried transform pi and sec
+        # [image^T | I_r] has full row rank and its pivots Q lie below a;
+        # rest = e_N for the others, N.  On the columns below a, the kernel
+        # vector with 1 at i in N is row pos[i] of pi, and the one with -1
+        # at a + k, whose product with image is e_k, is row pivots[k] of sec
         g, b, r = self.image, self.comp.rows, self.rank
         f, a, one = g.field, g.rows, g.field.one
         img = [{i: x for i, x in enumerate(g.col(k)) if x} | {a + k: one} for k in range(r)]
         _, q = _rref(f, img, a)
         other = sorted(set(range(a)) - set(q))
         pos = {i: t for t, i in enumerate(other)}
-        rows = [(row.items(), qi) for row, qi in zip(img, q)]
         pi = [((t, i), one) for t, i in enumerate(other)]
-        pi += [((pos[j], qi), f.neg(x)) for items, qi in rows for j, x in items if j in pos]
-        sec = [((self.pivots[j - a], qi), x) for items, qi in rows for j, x in items if j >= a]
+        sec = []
+        seed = dict.fromkeys(other, 1) | dict.fromkeys(range(a, a + r), -1)
+        for qi, j, x in _back_substitute(f, img, q, seed):
+            if j < a:
+                pi.append(((pos[j], qi), x))
+            else:
+                sec.append(((self.pivots[j - a], qi), x))
         return (_placed(f, a, a - r, (((i, t), one) for t, i in enumerate(other))),
                 _placed(f, a - r, a, pi), _placed(f, b, a, sec))
 
@@ -763,7 +662,7 @@ def split_map(m: Matrix) -> SplitMap:
     pivot columns P give ``comp = e_P``, so ``pker`` selects the others.
 
     ``comp`` is the one choice (docs/NOTES.md, "Cost of a cone").  ``kernel``
-    and ``rest`` are read off the rrefs of m and of the span im m, ``pi`` is
+    and ``rest`` are read off the pivots of m and of the span im m, ``pi`` is
     fixed by im m and span(rest), and on ker m ``pker`` inverts ``kernel``:
     only ``sec``, and ``pker`` off ker m, depend on ``comp``.  The cone's U
     reads ``pker`` on ker h1, which d_V preserves; the minimal model reads
@@ -788,9 +687,10 @@ def _solve_rows(field: Field, aug: list, k: int, m: int) -> Optional[list]:
     ``k x m`` matrix ``x``, or None when there is no solution.  ``aug`` is
     eliminated in place.
 
-    The elimination runs on ``a``'s columns, so ``a``'s part ends in its
-    rref, and each pivot variable is set to the trailing entries of its
-    pivot row.
+    The elimination runs on ``a``'s columns.  Column ``t`` of ``x`` is the
+    kernel vector of ``[a | b]`` with -1 at ``k + t`` and 0 at the other
+    free columns, on ``a``'s columns: ``a x = b`` there, and the free
+    variables of ``a`` are zero.
     """
     rank_, pivots = _rref(field, aug, k)
     # rows below the rank are zero on a's columns: the system is consistent
@@ -798,10 +698,8 @@ def _solve_rows(field: Field, aug: list, k: int, m: int) -> Optional[list]:
     if any(aug[rank_:]):
         return None
     x = [field.zero] * (k * m)
-    for row, c in zip(aug, pivots):
-        for j, y in row.items():
-            if j >= k:
-                x[c * m + j - k] = y
+    for c, j, y in _back_substitute(field, aug, pivots, dict.fromkeys(range(k, k + m), -1)):
+        x[c * m + j - k] = y
     return x
 
 
@@ -809,6 +707,8 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Canonical solution ``x`` of ``a @ x == b`` (free variables zero), or None."""
     if a.rows != b.rows:
         raise ValidationFailed("solve: row mismatch")
+    if a.field != b.field:
+        raise ValidationFailed(f"solve: matrix over {a.field}, right-hand side over {b.field}")
     f = a.field
     k, m = a.cols, b.cols
     aug = _matrix_rows(a)

@@ -14,7 +14,7 @@ from dualseq import hom
 from dualseq.hom import (HatMorphism, HomContext, compose_hat, direct_sum, get_context, hat,
                          hat_eps, identity_hat, shift_hat, zero_hat)
 from dualseq.io import parse_document
-from dualseq.linalg import Field, Matrix, _dict_rows, _rref, subspaces
+from dualseq.linalg import Field, Matrix, subspaces
 from dualseq.seq import direct_sum_seq, interval, shift
 
 F2 = Field(2)
@@ -84,9 +84,8 @@ def test_window_data_matches_fresh_elimination():
         assert n == ctx.N
         ker = subspaces(Matrix(f, len(d0), n, tuple(x for row in d0 for x in row))).kernel
         assert ctx.ker_basis_vecs == [ker.col(j) for j in range(ker.cols)]
-        img = _dict_rows(dm1)
-        rank_, pivots = _rref(f, img, ctx.N)
-        fresh = [[row.get(j, f.zero) for j in range(ctx.N)] for row in img[:rank_]]
+        rank_, pivots, fresh = oracles.gauss_jordan(f, dm1, ctx.N)
+        fresh = fresh[:rank_]
         # the coset rows are echelon rows, pivot entries 1, whose rref (by
         # the oracle) is the fresh one
         dense = [[row.get(j, f.zero) for j in range(ctx.N)] for row in ctx.img_rows]

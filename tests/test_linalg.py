@@ -178,21 +178,19 @@ def test_subspaces_match_oracle(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_kernel_vectors_on_echelon_rows_match_oracle(field):
-    # the hom window reads its kernel basis off echelon rows, without back
-    # substitution in _rref; the basis is the one the oracle's rref gives
+    # the hom window reads its kernel basis off echelon rows; the basis is
+    # the one the oracle's rref gives
     for m in _oracle_cases(field, 130 + (field.p or 0)):
         _, pivots, rows = gauss_jordan(field, m.to_lists(), m.cols)
         free = [j for j in range(m.cols) if j not in pivots]
         want = [[field.one if i == fj
                  else field.neg(rows[pivots.index(i)][fj]) if i in pivots
                  else field.zero for i in range(m.cols)] for fj in free]
-        for reduced in (False, True):
-            work = [{j: x for j, x in enumerate(row) if x} for row in m.to_lists()]
-            assert _rref(field, work, m.cols, reduced=reduced)[1] == pivots
-            got = _kernel_vectors(field, work, pivots, m.cols)
-            assert got == want
-            assert [type(x) for vec in got for x in vec] == [type(x) for vec in want
-                                                              for x in vec]
+        work = [{j: x for j, x in enumerate(row) if x} for row in m.to_lists()]
+        assert _rref(field, work, m.cols)[1] == pivots
+        got = _kernel_vectors(field, work, pivots, m.cols)
+        assert got == want
+        assert [type(x) for vec in got for x in vec] == [type(x) for vec in want for x in vec]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
@@ -237,10 +235,13 @@ def test_block_matrix():
 
 
 def test_row_space_canonical():
+    # two spanning sets of one row space: echelon rows whose rref is the
+    # same canonical basis
     def row_space(rows):
-        rows = _dict_rows(rows)
-        rank_, pivots = _rref(F2, rows, 3)
-        return rows[:rank_], pivots
+        work = _dict_rows(rows)
+        got = _rref(F2, work, 3)
+        _check_echelon(F2, rows, 3, 3, work, got)
+        return gauss_jordan(F2, [[row.get(j, 0) for j in range(3)] for row in work], 3)
 
     rs1 = row_space([[1, 1, 0], [0, 1, 1]])
     rs2 = row_space([[0, 1, 1], [1, 0, 1]])
@@ -342,12 +343,64 @@ def test_solve_matches_oracle(field):
         solve(Matrix.zeros(field, 2, 1), Matrix.zeros(field, 1, 1))
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_solve_does_not_depend_on_row_order(field):
+    # the echelon rows of [a | b] depend on the order of its rows; the
+    # canonical solution, its entry types and the verdict "no solution" do not
+    p = field.p
+    rng = random.Random(95 + (p or 0))
+    kinds = set()
+    for n, k, m, a, x0 in _pairs(field, 96 + (p or 0)):
+        b = a @ x0 if rng.random() < 0.5 else _random_matrix(rng, field, n, m,
+                                                             rng.choice([0.3, 1]))
+        x = solve(a, b)
+        kinds.add("inconsistent" if x is None else "free" if rank(a) < k else "unique")
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            pa = Matrix(field, n, k, tuple(y for i in perm for y in a.row(i)))
+            pb = Matrix(field, n, m, tuple(y for i in perm for y in b.row(i)))
+            got = solve(pa, pb)
+            assert got == x and (x is None or _types(got) == _types(x))
+    assert kinds == {"inconsistent", "free", "unique"}
+
+
+def test_solve_refuses_a_right_hand_side_over_another_field():
+    # an F2 matrix holding 3 and 4, or Fractions inside an F5 matrix, is
+    # what a solve across fields would return
+    for f in FIELDS:
+        for g in FIELDS:
+            if f != g:
+                with pytest.raises(ValidationFailed, match=f"over {f}.*over {g}"):
+                    solve(Matrix.identity(f, 2), Matrix.from_rows(g, [[3], [4]]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(field=Q, max_dim=3))
 def test_rational_arithmetic_exact(m):
     s = m + m
     assert s == m.scale(Fraction(2))
     assert (s - m) == m
+
+
+def _check_echelon(field, dense, width, n, work, got):
+    """The contract of ``_rref``, which returned ``got`` and left ``work``
+    from the dense rows ``dense`` of length ``n``: Gauss-Jordan's rank and
+    pivots; pivot rows with pivot entry 1, zero before it, whose rref on
+    the first ``width`` columns is the oracle's; leftover rows zero on
+    those columns; the same span on all columns.  Rows are dicts without
+    zero entries, over Q of Fractions."""
+    zero = field.zero
+    want_rank, want_pivots, want_rows = gauss_jordan(field, dense, width)
+    assert got == (want_rank, want_pivots) and len(work) == len(dense)
+    assert all(isinstance(row, dict) and all(row.values()) for row in work)
+    assert field.p is not None or all(_fractions(row.values()) for row in work)
+    top, rest = work[:want_rank], work[want_rank:]
+    assert all(min(row) == c and row[c] == 1 for row, c in zip(top, want_pivots))
+    rows = [[row.get(j, zero) for j in range(n)] for row in work]
+    rref = gauss_jordan(field, rows[:want_rank], width)[2]
+    assert [row[:width] for row in rref] == [row[:width] for row in want_rows[:want_rank]]
+    assert all(min(row, default=width) >= width for row in rest)
+    assert gauss_jordan(field, rows, n) == gauss_jordan(field, dense, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -361,11 +414,7 @@ def test_rref_matches_dense_oracle(field, density, m, n, seed):
             for _ in range(m)]
     width = rng.randint(0, n)      # trailing columns ride along, as in solve()
     work = _dict_rows(rows)
-    rank_, pivots = _rref(field, work, width)
-    want_rank, want_pivots, want_rows = gauss_jordan(field, rows, width)
-    assert (rank_, pivots) == (want_rank, want_pivots)
-    assert all(all(row.values()) for row in work)
-    assert [[row.get(j, field.zero) for j in range(n)] for row in work] == want_rows
+    _check_echelon(field, rows, width, n, work, _rref(field, work, width))
 
 
 def _window_system(rng, field, degrees):
@@ -395,15 +444,7 @@ def test_rref_dict_rows_match_dense_oracle(field):
     for _ in range(60):
         rows, width, n = _window_system(rng, field, rng.randint(1, 8))
         dense = [[row.get(j, field.zero) for j in range(n)] for row in rows]
-        want_rank, want_pivots, want_rows = gauss_jordan(field, dense, width)
-        # without back substitution: the same rank and pivots, echelon rows
-        echelon = [dict(row) for row in rows]
-        assert _rref(field, echelon, width, reduced=False) == (want_rank, want_pivots)
-        assert [min(row) for row in echelon[:want_rank]] == list(want_pivots)
-        assert all(not row or min(row) >= width for row in echelon[want_rank:])
-        assert _rref(field, rows, width) == (want_rank, want_pivots)
-        assert all(isinstance(row, dict) and all(row.values()) for row in rows)
-        assert [[row.get(j, field.zero) for j in range(n)] for row in rows] == want_rows
+        _check_echelon(field, dense, width, n, rows, _rref(field, rows, width))
 
 
 def _echelon_cases(rng, field):
@@ -426,35 +467,21 @@ def _echelon_cases(rng, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
 def test_echelon_rows_match_oracle(field):
-    # _rref(reduced=False) in any row order: Gauss-Jordan's rank and pivots;
-    # the rows up to the rank are echelon rows with pivot entries 1 whose
-    # rref on the eliminated columns is the oracle's, the rows after them
-    # are zero there, and all of them span the rows given.  The kernel
-    # basis read off the echelon rows is the oracle's in every order.
+    # _rref in any row order keeps its contract (_check_echelon), and the
+    # kernel basis read off the echelon rows is the oracle's in every order
     rng = random.Random(140 + (field.p or 0))
     zero = field.zero
     for dense, width, n in _echelon_cases(rng, field):
         want_rank, want_pivots, want_rows = gauss_jordan(field, dense, width)
-        span = gauss_jordan(field, dense, n)
         free = [j for j in range(width) if j not in want_pivots]
         want_ker = [[field.one if i == fj
                      else field.neg(want_rows[want_pivots.index(i)][fj]) if i in want_pivots
                      else zero for i in range(width)] for fj in free]
         for order in [dense, dense[::-1]] + [rng.sample(dense, len(dense)) for _ in range(2)]:
             work = _dict_rows(order)
-            assert _rref(field, work, width, reduced=False) == (want_rank, want_pivots)
-            assert len(work) == len(order)
-            top, rest = work[:want_rank], work[want_rank:]
-            assert all(min(row) == c and row[c] == 1 for row, c in zip(top, want_pivots))
-            assert field.p is not None or all(_fractions(row.values()) for row in top)
-            rref = gauss_jordan(field, [[row.get(j, zero) for j in range(n)] for row in top],
-                                width)[2]
-            assert [row[:width] for row in rref] == [row[:width] for row in want_rows[:want_rank]]
-            assert all(min(row, default=width) >= width for row in rest)
-            assert gauss_jordan(field, [[row.get(j, zero) for j in range(n)] for row in work],
-                                n) == span
+            _check_echelon(field, order, width, n, work, _rref(field, work, width))
             proj = _dict_rows(row[:width] for row in order)
-            _, pivots = _rref(field, proj, width, reduced=False)
+            _, pivots = _rref(field, proj, width)
             got = _kernel_vectors(field, proj, pivots, width)
             assert got == want_ker
             assert [type(x) for vec in got for x in vec] == [type(x) for vec in want_ker
@@ -550,17 +577,13 @@ def test_q_eliminations_match_oracle_on_large_entries():
         s = subspaces(m)
         assert (s.kernel, s.pivots) == (oracles.kernel(m), pivots)
         assert _fractions(s.kernel.data) and _fractions(s.image.data)
-        # _rref's rows are Gauss-Jordan's, trailing columns and the rows
-        # below the rank included
+        # _rref keeps its contract, trailing columns included
         width = rng.randint(0, m.cols)
         work = _dict_rows(m.to_lists())
-        assert _rref(Q, work, width) == gauss_jordan(Q, m.to_lists(), width)[:2]
-        assert ([[row.get(j, Q.zero) for j in range(m.cols)] for row in work]
-                == gauss_jordan(Q, m.to_lists(), width)[2])
-        assert all(_fractions(row.values()) for row in work)
+        _check_echelon(Q, m.to_lists(), width, m.cols, work, _rref(Q, work, width))
         # kernel vectors and coset representatives off echelon rows
         echelon = _dict_rows(m.to_lists())
-        assert _rref(Q, echelon, m.cols, reduced=False) == (rank_, pivots)
+        assert _rref(Q, echelon, m.cols) == (rank_, pivots)
         ker = _kernel_vectors(Q, echelon, pivots, m.cols)
         assert ker == [list(col) for col in zip(*oracles.kernel(m).to_lists())]
         assert all(_fractions(vec) for vec in ker)
