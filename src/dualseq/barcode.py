@@ -9,20 +9,18 @@ blocks: one-dimensional in each degree of ``[a, b]`` (``a`` may be -inf,
   morphism from the assembled normal form onto the input,
 * the classification predicates that only depend on the barcode.
 
-The constructive decomposition is an elder rule, swept once per degree
-by column reduction against a running basis (as in Zomorodian-Carlsson's
-persistence algorithm).  Left to right, each live bar's vector is pushed
-through the transition, oldest bar first, and its image is reduced against
-an echelon basis of the images kept so far: pivot entries 1 (over Q,
-integer rows; see ``decompose``), each row carrying its coefficients over
-the kept bars.  An image that reduces to zero is a combination of older
-images, with the coefficients of that one reduction; they are unique,
-because the kept images are independent.  Its bar dies there, and the
-bar's history is rewritten by the same combination so that its column maps
-to zero exactly.  Any other bar survives.  New bars open on the unit
-vectors at the non-pivot coordinates.  The pivots are the leading
-coordinates of the span of the kept images, whichever basis of it is
-reduced, so this is the complement the rref of that span gives
+The constructive decomposition is an elder rule (as in Zomorodian-Carlsson's
+persistence algorithm), swept once per degree through ``linalg._rref``.
+Left to right, each live bar's vector is pushed through the transition,
+and ``_rref`` takes one row per live bar, oldest first: its image, and its
+own coefficient in a trailing column.  A row is kept exactly when its
+image is independent of the older images: that bar survives.  Any other
+bar dies there; the trailing columns of its leftover row write its image
+as a combination of older kept images, unique because those are
+independent, and its history is rewritten by the same combination so that
+its column maps to zero exactly.  New bars open on the unit vectors at the
+non-pivot coordinates.  The pivots are the leading coordinates of the span
+of the kept images, so this is the complement the rref of that span gives
 (docs/NOTES.md, "One sweep per decomposition").
 """
 
@@ -36,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ValidationFailed
 from .graded import GradedHomElement, is_morphism, make_element
 from .hom import HatMorphism, hat
-from .linalg import Field, Matrix, _numerators, _rational, rank as matrix_rank
+from .linalg import Field, Matrix, _numerators, _rational, _rref, rank as matrix_rank
 from .seq import NEG_INF, POS_INF, Seq, Tail, make_seq
 
 
@@ -241,9 +239,10 @@ def _lowest(xs: list, den: int) -> tuple:
     return ([x // g for x in xs], den // g) if g != 1 else (xs, den)
 
 
-def _combination(vec: tuple, terms: list, lam: int) -> tuple:
+def _combination(vec: tuple, terms: list, lam: int, p: Optional[int]) -> tuple:
     """``vec + sum(h * xs) / lam`` over the ``(h, xs)`` of ``terms``, for
-    vectors ``(integers, denominator)`` over Q, as one in lowest terms."""
+    vectors ``(integers, denominator)``: over Q as one in lowest terms, over
+    F_p reduced mod p (every denominator is 1)."""
     d = math.lcm(vec[1], *[dx for _, (_, dx) in terms])
     out = [lam * (d // vec[1]) * x for x in vec[0]]
     for h, (xs, dx) in terms:
@@ -251,6 +250,9 @@ def _combination(vec: tuple, terms: list, lam: int) -> tuple:
         for r, x in enumerate(xs):
             if x:
                 out[r] += h * x
+    if p is not None:
+        inv = pow(lam, -1, p)
+        return [x * inv % p for x in out], 1
     return _lowest(out, d * lam)
 
 
@@ -259,10 +261,11 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
     an explicit degreewise isomorphism assemble(barcode) -> v.
 
     A bar's vector is kept as integers over a denominator (1 over F_p);
-    over Q each map is scaled to integers, and an image is reduced as an
-    integer multiple of the Fraction row, against integer basis rows whose
-    pivots need not be 1.  Zero patterns, and so the bars, are those of the
-    Fraction rows; Fractions are built only for the certificate."""
+    over Q each map is scaled to integers, and each row handed to ``_rref``
+    is the bar's image and own coefficient times that denominator.  The
+    coefficients of a dying bar are read off its leftover row, as integers
+    over their common denominator, and Fractions are built only for the
+    certificate."""
     f = v.field
     p = f.p
     lo, hi = v.lo, v.hi
@@ -282,13 +285,10 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
         # entries
         cols = [[(r, sign * x % p if p is not None else sign * x)
                  for r, x in enumerate(data[t::k]) if x] for t in range(k)]
-        # echelon basis of the images kept so far, one (pivot, items, pivot
-        # entry) per kept bar: items are the nonzero entries of a row that
-        # holds an image vector at 0..n-1 and, at n + q, its coefficient over
-        # the image of kept[q]; pivot entry 1 over F_p
-        basis = []
-        kept: List[_Bar] = []
-        for bar in alive:
+        # one row per live bar, oldest first: its image at 0..n-1, and at
+        # n + q its own coefficient (den times the row (image, e_q))
+        rows = []
+        for q, bar in enumerate(alive):
             vec, den = bar.vecs[i]
             u = [0] * n
             for t, x in enumerate(vec):
@@ -299,59 +299,33 @@ def decompose(v: Seq, with_certificate: bool = True) -> Barcode:
                 u = [x % p for x in u]
             else:
                 u, den = _lowest(u, den * dm)
-            # den times the row (image, coefficients, own coefficient 1)
-            w = u + [0] * len(kept) + [den]
-            for c, items, piv in basis:
-                x = w[c]
-                if not x:
-                    continue
-                if p is not None:
-                    for r, y in items:
-                        w[r] = (w[r] - x * y) % p
-                    continue
-                if piv != 1:
-                    w = [piv * y for y in w]
-                for r, y in items:
-                    w[r] -= x * y
-                g = math.gcd(*w)
-                if g != 1:
-                    w = [y // g for y in w]
-            lead = next((r for r in range(n) if w[r]), None)
-            if lead is not None:
-                # independent of older images: the bar survives
-                if p is not None:
-                    inv, piv = f.inv(w[lead]), 1
-                    items = [(r, x * inv % p) for r, x in enumerate(w) if x]
-                else:
-                    items, piv = [(r, x) for r, x in enumerate(w) if x], w[lead]
-                basis.append((lead, items, piv))
-                bar.vecs[i + 1] = (u, den)
-                kept.append(bar)
-                continue
-            # u is a combination of strictly older images (w[n:] says which,
-            # with this bar's own coefficient w[-1] last): the bar dies here,
-            # and its history is rewritten by the same combination so that
-            # its column maps to zero exactly
+            bar.vecs[i + 1] = (u, den)
+            row = {r: x for r, x in enumerate(u) if x}
+            row[n + q] = den
+            rows.append(row)
+        rank, pivots = _rref(f, rows, n)
+        # each leftover row is zero on the images: its last column names the
+        # dying bar, and its other columns the older kept bars that its
+        # image is a combination of.  The bar dies here, and its history is
+        # rewritten by the same combination so that its column maps to zero
+        for row in rows[rank:]:
+            own = max(row)
+            bar = alive[own - n]
             bar.death = i
-            hist = [(q, h) for q, h in enumerate(w[n:-1]) if h]
-            if hist and p is None:
+            del bar.vecs[i + 1]
+            if len(row) > 1:
+                if p is None:
+                    row = dict(zip(row, _numerators(row.values())[0]))
+                lam = row.pop(own)
                 for t, vec in bar.vecs.items():
-                    bar.vecs[t] = _combination(vec, [(h, kept[q].vecs[t]) for q, h in hist],
-                                               w[-1])
-            elif hist:
-                for t, (vec, _) in bar.vecs.items():
-                    corr = list(vec)
-                    for q, h in hist:
-                        for r, x in enumerate(kept[q].vecs[t][0]):
-                            if x:
-                                corr[r] += h * x
-                    bar.vecs[t] = [x % p for x in corr], 1
+                    bar.vecs[t] = _combination(
+                        vec, [(h, alive[j - n].vecs[t]) for j, h in row.items()], lam, p)
         # new bars on the non-pivot coordinates: a complement of the image
-        pivots = {c for c, _, _ in basis}
+        pivset = set(pivots)
         fresh = [_Bar(i + 1, _unit(n, j), i + 1, len(bars) + q)
-                 for q, j in enumerate(j for j in range(n) if j not in pivots)]
+                 for q, j in enumerate(j for j in range(n) if j not in pivset)]
         bars.extend(fresh)
-        alive = kept + fresh
+        alive = [bar for bar in alive if bar.death is None] + fresh
 
     if v.right_tail is Tail.ISO:
         for bar in alive:

@@ -26,9 +26,9 @@ row up.  ``rank`` and ``subspaces`` eliminate the matrix's own rows once,
 ``inverse`` is ``solve(a, identity)``, and ``split_map``, the bases
 adapted to a map, reads its cokernel coordinates and its section off the
 kernel of ``[image^T | I_r]``.
-The one reduction outside this module is ``barcode.decompose``: the elder
-rule needs each bar's image reduced, oldest bar first, against its own
-running echelon basis of the images kept so far, one vector at a time.
+``barcode.decompose`` runs the elder rule as ``_rref`` of the images of
+the live bars, oldest first, with an identity tail: each leftover row
+names a dying bar and its coefficients over the older kept bars.
 
 Over Q the kernels compute on Python ints, and a ``Fraction`` is built
 only for what they hand back: a ``Matrix`` entry, a returned row or
@@ -416,6 +416,17 @@ def _rref(field: Field, a: list, width: int) -> tuple:
     pivot rows need not be Gauss-Jordan's rref rows, but their rref is,
     and every answer read off them is unique once the pivots are fixed
     (module docstring), so none depends on the order of the rows.
+
+    On ``[rows | identity]``, each row possibly scaled (input row ``t`` has
+    one trailing entry, a nonzero at ``width + t``), every pivot row is a
+    multiple of its own input row plus a combination of earlier input rows
+    that became pivot rows, so no step on a row touches its own trailing
+    column.  A leftover row thus keeps its input entry there, nonzero and
+    its largest column; its other trailing entries name only earlier rows
+    that became pivot rows; and its trailing entries, each divided by its
+    input row's own, are the coefficients of a combination of the input
+    rows that is zero on the first ``width`` columns.  ``barcode.decompose``
+    reads the elder rule off this.
 
     Over Q the steps run on integer rows: a row is scaled to integers when
     a step first uses it, and holds ``num / den`` times its rational row

@@ -126,12 +126,6 @@ def test_inverse_roundtrip(m):
     assert inv @ m == Matrix.identity(m.field, m.rows)
 
 
-def _random_matrix(rng, field, r, c, density):
-    return Matrix(field, r, c, tuple(
-        field.coerce(rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
-        if rng.random() < density else field.zero for _ in range(r * c)))
-
-
 def _oracle_cases(field, seed):
     """Seeded dense, sparse, singular and non-square matrices, and the empty
     shapes."""
@@ -486,6 +480,41 @@ def test_echelon_rows_match_oracle(field):
             assert got == want_ker
             assert [type(x) for vec in got for x in vec] == [type(x) for vec in want_ker
                                                               for x in vec]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_leftover_rows_name_older_pivot_rows(field):
+    # the elder rule of barcode.decompose, read off _rref of [rows | identity]
+    # with each row scaled: a leftover row keeps its own nonzero trailing
+    # entry, names otherwise only earlier rows that became pivot rows, and
+    # its trailing entries, each over its row's scale, combine the input
+    # rows to zero on the width
+    rng = random.Random(150 + (field.p or 0))
+    p, zero = field.p, field.zero
+    for dense, width, _ in _echelon_cases(rng, field):
+        for _ in range(2):
+            rows = [row[:width] for row in rng.sample(dense, len(dense))]
+            k = len(rows)
+            units = [field.coerce(rng.randint(1, 4) if p is None else rng.randrange(1, p))
+                     for _ in rows]
+            work = _dict_rows(row + [units[t] if q == t else zero for q in range(k)]
+                              for t, row in enumerate(rows))
+            rank_, _ = _rref(field, work, width)
+            # row t becomes a pivot row exactly when it is independent of
+            # the rows before it
+            ranks = [gauss_jordan(field, rows[:t], width)[0] for t in range(k + 1)]
+            kept = [ranks[t + 1] > ranks[t] for t in range(k)]
+            flat = [x for r in rows for x in r]
+            owns = []
+            for row in work[rank_:]:
+                own = max(row) - width
+                owns.append(own)
+                assert min(row) >= width and row[width + own] == units[own]
+                assert all(kept[j - width] and j - width < own for j in row
+                           if j != width + own)
+                coef = [row.get(width + t, zero) * field.inv(units[t]) for t in range(k)]
+                assert oracles.matmul(p, 1, k, width, coef, flat) == [zero] * width
+            assert sorted(owns) == [t for t in range(k) if not kept[t]]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
